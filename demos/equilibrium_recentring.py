@@ -50,7 +50,7 @@ def main():
     # A general cubic with a time-dependent leading coefficient is brought
     # to the normalized -x^3 form by rescaling; the transform returns the
     # rescaled reaction coefficients and the matching noise rescaling.
-    nc = normalize_cubic([2.0, 1.0], 0.5, -1.0, 0.2, T)
+    nc = normalize_cubic([-2.0, -1.0], 0.5, -1.0, 0.2, T)
     for t in (0.0, 0.5, 1.0):
         print(f"t = {t:.1f}   lam = {nc.lam(t):.4f}   b2 = {nc.b2(t):+.4f}"
               f"   b1 = {nc.b1(t):+.4f}   noise scale = {nc.noise_scale(t):.4f}")

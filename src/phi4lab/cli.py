@@ -140,9 +140,10 @@ def _linear_fit(x, y) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
 
 
-def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str) -> None:
+def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
+            seeds=None) -> None:
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
-                                   command=command)
+                                   command=command, seeds=seeds)
     manifest.write(out_dir / "manifest.json")
 
 
@@ -444,7 +445,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
               "levels": results, "ratios": ratios, "replicas": cfg.replicas}
     _dump_json(report, out_dir / "tail_report.json")
     files.append("tail_report.json")
-    _finish(cfg, out_dir, files, t0, "tail")
+    _finish(cfg, out_dir, files, t0, "tail", seeds=cfg.replica_seeds(len(cfg.sigmas)))
     return report
 
 

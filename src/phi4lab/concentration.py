@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
-from scipy import stats
+from scipy.special import betaincinv
 
 from .grids import SpectralField, TorusGrid
 from .noise import LinearPath, NoiseRealization, StepKernel
@@ -285,9 +285,9 @@ def _clopper_pearson(counts, n: int, level: float = 0.95):
     high = np.ones(len(counts))
     for i, k in enumerate(np.asarray(counts, dtype=np.int64)):
         if k > 0:
-            low[i] = stats.beta.ppf(tail, k, n - k + 1)
+            low[i] = betaincinv(k, n - k + 1, tail)
         if k < n:
-            high[i] = stats.beta.ppf(1.0 - tail, k + 1, n - k)
+            high[i] = betaincinv(k + 1, n - k, 1.0 - tail)
     return low, high
 
 
@@ -559,7 +559,9 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition
     """Replica statistic: running sup of the linear path's smoothness-``alpha`` norm.
 
     Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`;
-    the step kernel is built once and shared across replicas.
+    the step kernel is built once and shared across replicas.  Each call
+    allocates one block-stack buffer and reuses it for all its steps, so
+    concurrent calls never share scratch memory.
     """
     part = default_partition(grid) if partition is None else partition
     kernel = StepKernel(grid, timegrid, coeffs)
@@ -567,10 +569,11 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition
     def statistic(replica, seed):
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=replica)
         walker = LinearPath(noise, coeffs, sigma, kernel=kernel)
+        buf = np.empty((part.nblocks,) + grid.shape)
         best = 0.0
         for _ in range(timegrid.M):
             walker.step()
-            best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, part))
+            best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, part, out=buf))
         return best
 
     return statistic

@@ -202,9 +202,13 @@ class ExperimentConfig:
     def coeffs(self) -> CoefficientSet:
         return CoefficientSet(self.f2, self.a, self.T)
 
-    def replica_seeds(self) -> list[list[int]]:
-        """The (master seed, replica index) stream bindings actually used."""
-        return [[self.master_seed, r] for r in range(self.replicas)]
+    def replica_seeds(self, levels: int = 1) -> list[list[int]]:
+        """The (seed, replica index) stream bindings of ``levels`` noise levels.
+
+        Level ``i`` draws its replicas from seed ``master_seed + i``; ``tail``
+        runs one level per configured sigma, the other commands one level.
+        """
+        return [[self.master_seed + i, r] for i in range(levels) for r in range(self.replicas)]
 
     def to_dict(self) -> dict:
         """Canonical echo: defaults resolved, sigma always a list."""
@@ -261,11 +265,15 @@ class RunManifest:
 
     @classmethod
     def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float,
-                command: str = "") -> "RunManifest":
-        """Digest the named files (paths relative to ``out_dir``)."""
+                command: str = "", seeds=None) -> "RunManifest":
+        """Digest the named files (paths relative to ``out_dir``).
+
+        ``seeds`` defaults to the single-level ``config.replica_seeds()``.
+        """
         outputs = {str(name): _sha256(Path(out_dir) / name) for name in files}
-        return cls(config.to_dict(), config.replica_seeds(), wall_clock, outputs,
-                   command=command)
+        if seeds is None:
+            seeds = config.replica_seeds()
+        return cls(config.to_dict(), seeds, wall_clock, outputs, command=command)
 
     def to_dict(self) -> dict:
         return {

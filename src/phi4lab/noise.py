@@ -160,6 +160,12 @@ class StepKernel:
     in-step variance of the stochastic convolution at unit noise amplitude,
     and ``etd_weight(j)`` the classical first-order exponential forcing
     weight ``dt phi1(a dt - L dt)`` used by the direct solvers.
+
+    For non-constant damping the variance quadrature runs at most once per
+    step per kernel: its row (one value per distinct ``|w|^2``) is kept by
+    ``j`` and expanded onto the half spectrum on every call, so replicas
+    sharing a kernel pay for the quadrature once and the kernel holds
+    O(M x distinct |w|^2) values, not O(M x grid).
     """
 
     def __init__(self, grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet, quad_nodes: int = _GL_NODES):
@@ -179,6 +185,7 @@ class StepKernel:
         self._linv = inv
         self._gl = roots_legendre(quad_nodes)
         self._cache: dict[str, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
     def propagator(self, j: int) -> np.ndarray:
         if self._const:
@@ -206,10 +213,12 @@ class StepKernel:
         return self._variance_gl(j)
 
     def _variance_gl(self, j: int) -> np.ndarray:
-        dt = self.timegrid.dt
-        t1 = self.timegrid.ts[j + 1]
-        v = _damped_kernel_integral(self._Ld, self._A, t1, dt, self._gl)
-        return v[self._linv].reshape(self.grid.hshape)
+        row = self._rows.get(j)
+        if row is None:
+            t1 = self.timegrid.ts[j + 1]
+            row = _damped_kernel_integral(self._Ld, self._A, t1, self.timegrid.dt, self._gl)
+            self._rows[j] = row
+        return row[self._linv].reshape(self.grid.hshape)
 
 
 def _damped_kernel_integral(Ld: np.ndarray, A, t1: float, span: float, gl) -> np.ndarray:
@@ -425,17 +434,9 @@ def quartic_renorm_mc(
     dt = timegrid.dt
     zero = (0,) * dim
 
-    # exact unit-amplitude per-mode variance path for the Wick subtraction
-    mask = grid.kinf <= cutoff
-    var = np.zeros(grid.hshape)
-    c_unit = np.empty(M + 1)
-    c_unit[0] = 0.0
-    hw = grid.half_weights
-    for j in range(M):
-        var = kern.propagator(j) ** 2 * var + kern.variance(j)
-        c_unit[j + 1] = float(np.sum(hw * np.where(mask, var, 0.0)))
-
-    w_pair = hw * default_partition(grid).resonance_weight()
+    # exact unit-amplitude variance path for the Wick subtraction
+    c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0, kernel=kern)
+    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
 
     raw = np.zeros((replicas, len(time_indices)))
     wanted = {ti: k for k, ti in enumerate(time_indices)}

@@ -127,11 +127,19 @@ class DyadicPartition:
     def blocks(self, spec: SpectralField) -> list[SpectralField]:
         return [self.block(spec, k) for k in self.indices]
 
-    def block_values(self, c: np.ndarray) -> np.ndarray:
-        """Grid point values of every block of the spectrum ``c`` (stacked)."""
-        axes = tuple(range(self.grid.dim))
+    def block_values(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid point values of every block of the spectrum ``c`` (stacked).
+
+        The result has shape ``(nblocks,) + grid.shape``.  When ``out`` is
+        given (a float64 array of that shape) the values are written into it
+        and it is returned; its previous contents are ignored, so one buffer
+        can be reused across calls.
+        """
+        axes = tuple(range(1, self.grid.dim + 1))
         stack = self._weights * c[None]
-        return np.fft.irfftn(stack, s=self.grid.shape, axes=tuple(a + 1 for a in axes)) * self.grid.npoints
+        vals = np.fft.irfftn(stack, s=self.grid.shape, axes=axes, out=out)
+        vals *= self.grid.npoints
+        return vals
 
     def padded_blocks(self, c: np.ndarray) -> np.ndarray:
         """Block point values on the doubled grid (for one-pass paraproducts)."""
@@ -163,12 +171,21 @@ def lp_norm(values: np.ndarray, p: float) -> float:
 
 
 def besov_norm(
-    spec: SpectralField, alpha: float, partition: DyadicPartition | None = None
+    spec: SpectralField,
+    alpha: float,
+    partition: DyadicPartition | None = None,
+    out: np.ndarray | None = None,
 ) -> float:
-    """Holder-Besov norm: ``max_k 2**(alpha k) sup |block_k|`` over grid points."""
+    """Holder-Besov norm: ``max_k 2**(alpha k) sup |block_k|`` over grid points.
+
+    ``out`` is an optional scratch buffer for the block stack, as in
+    :meth:`DyadicPartition.block_values`; it is overwritten (with the
+    absolute block values) and the norm does not depend on its contents.
+    """
     part = _part(spec, partition)
-    vals = part.block_values(spec.coeffs)
-    sups = np.max(np.abs(vals), axis=tuple(range(1, vals.ndim)))
+    vals = part.block_values(spec.coeffs, out=out)
+    np.abs(vals, out=vals)
+    sups = np.max(vals, axis=tuple(range(1, vals.ndim)))
     scales = 2.0 ** (alpha * np.arange(-1, part.K + 1))
     return float(np.max(scales * sups))
 

@@ -222,6 +222,28 @@ class TestNorms:
         assert f.to_real().sup() <= part.nblocks * besov_norm(f, 0.0) + 1e-12
 
 
+class TestBlockBuffer:
+    @pytest.mark.parametrize("N, dim", [(32, 2), (8, 3)])
+    def test_besov_norm_with_buffer_is_bitwise_equal(self, N, dim):
+        grid = TorusGrid(N, dim)
+        part = default_partition(grid)
+        rng = np.random.default_rng(40 + dim)
+        buf = np.empty((part.nblocks,) + grid.shape)
+        for _ in range(3):  # one buffer reused across fields
+            f = random_band_field(grid, rng)
+            for alpha in (-0.55, 0.0, 0.7):
+                assert besov_norm(f, alpha, part, out=buf) == besov_norm(f, alpha, part)
+
+    def test_block_values_fill_the_buffer(self):
+        grid = TorusGrid(16, 2)
+        part = default_partition(grid)
+        f = random_band_field(grid, np.random.default_rng(42))
+        buf = np.full((part.nblocks,) + grid.shape, np.nan)
+        vals = part.block_values(f.coeffs, out=buf)
+        assert vals is buf
+        assert np.array_equal(vals, part.block_values(f.coeffs))
+
+
 class TestInequalities:
     def test_bernstein_ratios_bounded(self):
         for seed in (32, 33):

@@ -10,10 +10,14 @@ with a diagnostic carrying the time stamp.
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phi4lab
 from phi4lab import cli
 from phi4lab.cli import (
     check_partition_unity,
@@ -174,6 +178,11 @@ class TestTailCommand:
             rows = list(csv.reader(fh))[1:]
         assert float(rows[0][0]) == pytest.approx(0.16)
 
+    def test_manifest_lists_the_seeds_of_every_level(self, tmp_path):
+        cmd_tail(_cfg(replicas=5), tmp_path)
+        man = RunManifest.load(tmp_path / "manifest.json")
+        assert man.seeds == [[7, r] for r in range(5)] + [[8, r] for r in range(5)]
+
     def test_seed_override_changes_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_doc(replicas=20)))
@@ -256,3 +265,11 @@ class TestExperimentCommands:
         cfg.h_grid = None
         with pytest.raises(ConfigError, match="h_grid"):
             cmd_tail(cfg, tmp_path)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(phi4lab.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import phi4lab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

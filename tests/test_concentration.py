@@ -30,6 +30,7 @@ from scipy.stats import binom
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import (
     TailCurve,
+    _clopper_pearson,
     gaussian_tail_fit,
     grr_bound,
     holder_constant,
@@ -248,6 +249,17 @@ class TestTailEstimate:
         assert abs(binom.cdf(k, n, high) - 0.025) < 1e-9
         assert curve.ci_low[1] == 0.0
         assert abs(curve.ci_high[1] - (1.0 - 0.025 ** (1.0 / n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 1000])
+    def test_confidence_bounds_equal_beta_quantiles(self, n):
+        from scipy.stats import beta
+
+        k = np.arange(n + 1)
+        tail = (1.0 - 0.95) / 2.0
+        low, high = _clopper_pearson(k, n, level=0.95)
+        assert low[0] == 0.0 and high[n] == 1.0
+        assert np.array_equal(low[1:], beta.ppf(tail, k[1:], n - k[1:] + 1))
+        assert np.array_equal(high[:-1], beta.ppf(1.0 - tail, k[:-1] + 1, n - k[:-1]))
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="h_grid"):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
+from phi4lab import noise
 from phi4lab.coeffs import CoefficientSet
+from phi4lab.concentration import linear_sup_statistic
 from phi4lab.grids import SpectralField, TorusGrid
 from phi4lab.noise import (
     LinearPath,
@@ -134,6 +137,39 @@ class TestStepKernel:
         j = 2
         expect = np.exp(cs.alpha(tg.ts[j + 1], tg.ts[j]) - 4 * np.pi**2 * grid.k2 * tg.dt)
         assert np.max(np.abs(kern.propagator(j) - expect)) < 1e-14
+
+
+class TestStepKernelRows:
+    """With non-constant damping each step's quadrature row is computed once."""
+
+    GRID = TorusGrid(8, 2)
+    TG = TimeGrid(0.5, 6)
+    COEFFS = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.5)
+
+    def test_variance_equals_fresh_quadrature_expansion(self):
+        grid, tg, cs = self.GRID, self.TG, self.COEFFS
+        lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
+        Ld = 4.0 * np.pi**2 * lv.astype(np.float64)
+        gl = roots_legendre(noise._GL_NODES)
+        kern = StepKernel(grid, tg, cs)
+        for _ in range(2):  # the second pass reads the stored rows
+            for j in range(tg.M):
+                row = noise._damped_kernel_integral(Ld, cs.a.integ(), tg.ts[j + 1], tg.dt, gl)
+                assert np.array_equal(kern.variance(j), row[inv].reshape(grid.hshape))
+
+    def test_quadrature_runs_once_per_step_across_replicas(self, monkeypatch):
+        calls = []
+        quad = noise._damped_kernel_integral
+
+        def counting(*args):
+            calls.append(args[2])
+            return quad(*args)
+
+        monkeypatch.setattr(noise, "_damped_kernel_integral", counting)
+        stat = linear_sup_statistic(self.GRID, self.TG, 4, self.COEFFS, 0.5, -0.55)
+        for r in range(5):
+            stat(r, 3)
+        assert sorted(calls) == sorted(self.TG.ts[1:])
 
 
 class TestLinearPath:
