@@ -140,10 +140,9 @@ def _linear_fit(x, y) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
 
 
-def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
-            seeds=None) -> None:
+def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str) -> None:
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
-                                   command=command, seeds=seeds)
+                                   command=command)
     manifest.write(out_dir / "manifest.json")
 
 
@@ -409,7 +408,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     files, results = [], []
     for i, sig in enumerate(cfg.sigmas):
         stat = linear_sup_statistic(grid, tg, cfg.cutoff, co, sig, alpha)
-        seed_i = cfg.master_seed + i
+        seed_i = cfg.level_seed(i)
         vals = _replica_values(stat, cfg.replicas, seed_i, threads)
         curve = tail_estimate(
             lambda r, s, vals=vals: vals[r],
@@ -445,7 +444,10 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
               "levels": results, "ratios": ratios, "replicas": cfg.replicas}
     _dump_json(report, out_dir / "tail_report.json")
     files.append("tail_report.json")
-    _finish(cfg, out_dir, files, t0, "tail", seeds=cfg.replica_seeds(len(cfg.sigmas)))
+    manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
+                                   command="tail")
+    manifest.seeds = cfg.replica_seeds(len(cfg.sigmas))
+    manifest.write(out_dir / "manifest.json")
     return report
 
 

@@ -202,13 +202,13 @@ class ExperimentConfig:
     def coeffs(self) -> CoefficientSet:
         return CoefficientSet(self.f2, self.a, self.T)
 
-    def replica_seeds(self, levels: int = 1) -> list[list[int]]:
-        """The (seed, replica index) stream bindings of ``levels`` noise levels.
+    def level_seed(self, i: int) -> int:
+        """Seed of noise level ``i``; ``tail`` runs one level per configured sigma."""
+        return self.master_seed + i
 
-        Level ``i`` draws its replicas from seed ``master_seed + i``; ``tail``
-        runs one level per configured sigma, the other commands one level.
-        """
-        return [[self.master_seed + i, r] for i in range(levels) for r in range(self.replicas)]
+    def replica_seeds(self, levels: int = 1) -> list[list[int]]:
+        """The (seed, replica index) stream bindings of the first ``levels`` noise levels."""
+        return [[self.level_seed(i), r] for i in range(levels) for r in range(self.replicas)]
 
     def to_dict(self) -> dict:
         """Canonical echo: defaults resolved, sigma always a list."""
@@ -265,15 +265,11 @@ class RunManifest:
 
     @classmethod
     def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float,
-                command: str = "", seeds=None) -> "RunManifest":
-        """Digest the named files (paths relative to ``out_dir``).
-
-        ``seeds`` defaults to the single-level ``config.replica_seeds()``.
-        """
+                command: str = "") -> "RunManifest":
+        """Digest the named files (paths relative to ``out_dir``)."""
         outputs = {str(name): _sha256(Path(out_dir) / name) for name in files}
-        if seeds is None:
-            seeds = config.replica_seeds()
-        return cls(config.to_dict(), seeds, wall_clock, outputs, command=command)
+        return cls(config.to_dict(), config.replica_seeds(), wall_clock, outputs,
+                   command=command)
 
     def to_dict(self) -> dict:
         return {

@@ -133,7 +133,7 @@ class DyadicPartition:
         The result has shape ``(nblocks,) + grid.shape``.  When ``out`` is
         given (a float64 array of that shape) the values are written into it
         and it is returned; its previous contents are ignored, so one buffer
-        can be reused across calls.
+        can be reused across calls.  (``irfftn`` takes ``out`` from numpy 2.0.)
         """
         axes = tuple(range(1, self.grid.dim + 1))
         stack = self._weights * c[None]
