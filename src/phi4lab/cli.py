@@ -11,7 +11,8 @@ symbols
 renorm
     Sweep band cutoffs and tabulate the quadratic constant (exact
     quadrature) and the quartic constant (Monte Carlo) at mid-horizon,
-    with linear and logarithmic fit summaries.
+    with linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
+    grid ``N = 2n + 2``, the smallest on which its Wick square is centred.
 simulate
     Run the remainder system at the configured parameters and write the
     norm table plus the final reconstructed field.
@@ -27,8 +28,7 @@ Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
 clock and a SHA-256 digest per output file.  Outputs are deterministic
 functions of (config, seed): rerunning with equal manifests (ignoring
-the wall clock) reproduces every file byte for byte, regardless of
-``--threads``.
+the wall clock) reproduces every file byte for byte.
 
 Binary field dumps are little-endian 64-bit floats in C order with a
 JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
@@ -41,7 +41,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +59,8 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, random_band_field
-from .noise import LinearPath, NoiseRealization, StepKernel, TimeGrid, lin_variance_curve, quartic_renorm_mc
+from .noise import (LinearPath, NoiseRealization, StepKernel, TimeGrid, lin_variance_curve,
+                    quartic_constant, quartic_renorm_mc)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
 from .symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
@@ -106,26 +106,11 @@ def write_field_bin(path, values: np.ndarray, meta: dict) -> None:
                str(path) + ".json")
 
 
-def _replica_values(stat, replicas: int, seed: int, threads: int) -> np.ndarray:
-    """Evaluate a per-replica statistic, optionally on a worker pool.
-
-    Each worker computes a pure function of (seed, replica) and the results
-    are collected by replica index, so the aggregation is independent of
-    scheduling order and of the pool size.
-    """
-    if threads <= 1:
-        return np.array([float(stat(r, seed)) for r in range(replicas)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = list(pool.map(lambda r: float(stat(r, seed)), range(replicas)))
-    return np.array(vals)
-
-
 def _ctilde_path(cfg: ExperimentConfig, grid: TorusGrid, tg: TimeGrid,
                  co: CoefficientSet, sigma: float) -> np.ndarray:
-    """Quartic constant estimated once on a coarse grid, interpolated."""
-    tgc = TimeGrid(cfg.T, min(50, tg.M))
-    rep = quartic_renorm_mc(grid, tgc, cfg.cutoff, co, cfg.master_seed,
-                            replicas=cfg.ctilde_replicas, sigma=sigma)
+    """Quartic constant at amplitude ``sigma``, interpolated onto ``tg``."""
+    rep = quartic_constant(grid, cfg.T, tg.M, cfg.cutoff, co, cfg.master_seed,
+                           cfg.ctilde_replicas, sigma=sigma)
     return np.interp(tg.ts, rep["times"], rep["estimate"])
 
 
@@ -232,8 +217,8 @@ def _check_homogeneity() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     tg = TimeGrid(0.5, 8)
     co = CoefficientSet(0.3, -1.0, 0.5)
-    dec = chaos_components(grid, tg, 2, co, seed=3, name="res_iwick3_wick2",
-                           ctilde_replicas=8)
+    ct = quartic_renorm_mc(grid, tg, 2, co, 3, replicas=8)["estimate"]
+    dec = chaos_components(grid, tg, 2, co, seed=3, name="res_iwick3_wick2", ctilde=ct)
     m1, m2 = dec.mass(1.0), dec.mass(2.0)
     top = max(m1.values())
     off = max(v for k, v in m1.items() if k != dec.degree) / top
@@ -244,8 +229,7 @@ def _check_homogeneity() -> tuple[bool, dict]:
 def _check_equivalence_smoke() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     co = CoefficientSet(0.5, -1.0, 0.25)
-    rep = equivalence_report(grid, 0.25, 20, 3, co, 0.1, seed=5,
-                             ctilde_replicas=8, ctilde_steps=20)
+    rep = equivalence_report(grid, 0.25, 20, 3, co, 0.1, seed=5, ctilde_replicas=8)
     ok = np.isfinite(rep["gap"]) and rep["gap"] < 0.1 and rep["ratio"] < 0.9
     return bool(ok), {"gap": rep["gap"], "ratio": rep["ratio"]}
 
@@ -309,7 +293,7 @@ def cmd_verify() -> dict:
 # file-producing commands
 
 
-def cmd_symbols(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     sigma = cfg.sigmas[0]
@@ -344,18 +328,17 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     return {"files": files, "rows": len(rows), "symbols": list(SYMBOL_NAMES)}
 
 
-def cmd_renorm(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     co = cfg.coeffs()
     sigma = cfg.sigmas[0]
     tmid = cfg.T / 2.0
     rows = []
     for n in cfg.cutoff_list:
-        gridn = TorusGrid(2 * n, cfg.dimension)
+        gridn = TorusGrid(2 * n + 2, cfg.dimension)
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
-        tgc = TimeGrid(cfg.T, min(50, cfg.steps))
-        rep = quartic_renorm_mc(gridn, tgc, n, co, cfg.master_seed,
-                                replicas=cfg.replicas, sigma=sigma)
+        rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, cfg.master_seed,
+                               cfg.replicas, sigma=sigma)
         ct_val = float(np.interp(tmid, rep["times"], rep["estimate"]))
         ct_se = float(np.interp(tmid, rep["times"], rep["se"]))
         rows.append((n, c_val, ct_val, ct_se))
@@ -378,7 +361,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     return report
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     sigma = cfg.sigmas[0]
@@ -398,7 +381,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict
             "max_sup": float(np.max(sups))}
 
 
-def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.h_grid is None:
         raise ConfigError([("h_grid", "tail runs need a threshold grid")])
     t0 = time.perf_counter()
@@ -407,12 +390,9 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     sig0 = cfg.sigmas[0]
     files, results = [], []
     for i, sig in enumerate(cfg.sigmas):
-        stat = linear_sup_statistic(grid, tg, cfg.cutoff, co, sig, alpha)
-        seed_i = cfg.level_seed(i)
-        vals = _replica_values(stat, cfg.replicas, seed_i, threads)
         curve = tail_estimate(
-            lambda r, s, vals=vals: vals[r],
-            cfg.h_grid * (sig / sig0), cfg.replicas, seed_i,
+            linear_sup_statistic(grid, tg, cfg.cutoff, co, sig, alpha),
+            cfg.h_grid * (sig / sig0), cfg.replicas, cfg.level_seed(i),
             sigma=sig, T=cfg.T, label=f"{cfg.label} sigma={sig:g}",
         )
         try:
@@ -451,7 +431,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     return report
 
 
-def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     rep = equivalence_report(cfg.grid(), cfg.T, cfg.steps, cfg.cutoff, cfg.coeffs(),
                              cfg.sigmas[0], cfg.master_seed,
@@ -493,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "verify":
             p.add_argument("--config", required=True, help="JSON experiment configuration")
             p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=1, help="replica worker pool size")
         p.add_argument("--out", default=None, help="override the output directory")
     return parser
 
@@ -518,7 +497,7 @@ def main(argv=None) -> int:
             cfg.out_dir = str(args.out)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = _COMMANDS[args.command](cfg, out_dir, threads=max(1, args.threads))
+        report = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "fields": exc.fields, "message": str(exc)},
                          indent=2, sort_keys=True), file=sys.stderr)

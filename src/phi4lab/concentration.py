@@ -560,8 +560,7 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition
 
     Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`;
     the step kernel is built once and shared across replicas.  Each call
-    allocates one block-stack buffer and reuses it for all its steps, so
-    concurrent calls never share scratch memory.
+    allocates one block-stack buffer and reuses it for all its steps.
     """
     part = default_partition(grid) if partition is None else partition
     kernel = StepKernel(grid, timegrid, coeffs)

@@ -22,7 +22,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .coeffs import CoefficientSet, as_poly, poly_extrema
+from .coeffs import CoefficientSet, as_poly
 from .grids import TorusGrid
 from .noise import TimeGrid
 
@@ -69,9 +69,6 @@ CONFIG_SCHEMA = {
         },
         "f2": _POLY,
         "a": _POLY,
-        "b0": _POLY,
-        "gamma": _POLY,
-        "a3": _POLY,
         "eps": {"type": "number"},
         "lam": {"type": "number"},
         "replicas": {"type": "integer", "minimum": 1},
@@ -97,10 +94,6 @@ class ConfigError(ValueError):
         super().__init__(f"invalid config: {lines}")
 
 
-def _poly_or_none(value):
-    return None if value is None else as_poly(value)
-
-
 class ExperimentConfig:
     """Validated experiment description.
 
@@ -119,9 +112,6 @@ class ExperimentConfig:
         self.sigmas = tuple(float(s) for s in (sig if isinstance(sig, list) else [sig]))
         self.f2 = as_poly(doc.get("f2", 0.0))
         self.a = as_poly(doc.get("a", -1.0))
-        self.b0 = as_poly(doc.get("b0", 0.0))
-        self.gamma = _poly_or_none(doc.get("gamma"))
-        self.a3 = _poly_or_none(doc.get("a3"))
         self.eps = float(doc.get("eps", 0.05))
         self.lam = float(doc.get("lam", self.eps / 6.0))
         self.replicas = int(doc.get("replicas", 1))
@@ -160,9 +150,10 @@ class ExperimentConfig:
 
     def _cross_field_problems(self):
         problems = []
-        if 2 * self.cutoff > self.N:
+        if 2 * self.cutoff >= self.N:
             problems.append(
-                ("cutoff", f"band cutoff {self.cutoff} exceeds N/2 = {self.N // 2}")
+                ("cutoff", f"band cutoff {self.cutoff} must be below N/2 = {self.N // 2} "
+                           "for the Wick square to be centred")
             )
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
@@ -178,12 +169,6 @@ class ExperimentConfig:
             if np.any(self.h_grid < 0) or np.any(np.diff(self.h_grid) <= 0):
                 problems.append(
                     ("h_grid", "thresholds must be non-negative and strictly increasing")
-                )
-        if self.a3 is not None:
-            hi = poly_extrema(self.a3, 0.0, self.T)[1]
-            if hi >= 0:
-                problems.append(
-                    ("a3", f"cubic leading coefficient must stay negative on [0, T], max = {hi:g}")
                 )
         return problems
 
@@ -222,9 +207,6 @@ class ExperimentConfig:
             "sigma": list(self.sigmas),
             "f2": self.f2.coef.tolist(),
             "a": self.a.coef.tolist(),
-            "b0": self.b0.coef.tolist(),
-            "gamma": None if self.gamma is None else self.gamma.coef.tolist(),
-            "a3": None if self.a3 is None else self.a3.coef.tolist(),
             "eps": self.eps,
             "lam": self.lam,
             "replicas": self.replicas,

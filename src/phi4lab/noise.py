@@ -40,6 +40,7 @@ __all__ = [
     "lin_variance_path",
     "increment_variance_check",
     "quartic_renorm_mc",
+    "quartic_constant",
 ]
 
 ROLE_MAIN = 0
@@ -47,6 +48,8 @@ ROLE_RENORM = 1
 ROLE_AUX = 2
 
 _GL_NODES = 48
+# time steps of the Monte Carlo behind quartic_constant; finer grids interpolate
+_COARSE_STEPS = 50
 # the in-step variance integrand is cut where exp(-2 L tau) has dropped to
 # exp(-40) ~ 4e-18 of its boundary value; the neglected tail is below roundoff
 _TAIL = 20.0
@@ -393,6 +396,16 @@ def increment_variance_check(
     }
 
 
+def _constant_path(value, timegrid: TimeGrid, what: str) -> np.ndarray:
+    """A scalar or per-grid-time constant (named ``what``) as one float per grid time."""
+    path = np.asarray(value, dtype=np.float64)
+    if path.ndim == 0:
+        return np.full(timegrid.M + 1, float(path))
+    if path.shape != (timegrid.M + 1,):
+        raise ValueError(f"{what} path must have one value per grid time")
+    return path
+
+
 def quartic_renorm_mc(
     grid: TorusGrid,
     timegrid: TimeGrid,
@@ -465,3 +478,15 @@ def quartic_renorm_mc(
         "raw_se": scale * raw_se,
         "replicas": replicas,
     }
+
+
+def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: CoefficientSet,
+                     seed: int, replicas: int, sigma: float = 1.0) -> dict:
+    """The quartic constant on ``[0, T]``, estimated once on a coarse time grid.
+
+    Runs :func:`quartic_renorm_mc` on ``TimeGrid(T, min(_COARSE_STEPS, M))``;
+    callers interpolate ``estimate`` (and ``se``) from ``times`` onto their
+    own grid.  The steppers take the constant as an input and never estimate it.
+    """
+    coarse = TimeGrid(T, min(_COARSE_STEPS, int(M)))
+    return quartic_renorm_mc(grid, coarse, cutoff, coeffs, seed, replicas=replicas, sigma=sigma)

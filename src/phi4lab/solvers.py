@@ -39,8 +39,9 @@ from .noise import (
     NoiseRealization,
     StepKernel,
     TimeGrid,
+    _constant_path,
     lin_variance_path,
-    quartic_renorm_mc,
+    quartic_constant,
 )
 from .paley import DyadicPartition, _para_lt_core, _resonant_core, besov_norm, default_partition
 from .symbols import SymbolStepper
@@ -201,6 +202,10 @@ class RenormalizedStepper:
     the nonlinearity switched off the recursion is identical to the streamed
     stochastic convolution.
 
+    ``c`` defaults to the exact variance path.  The quartic constant
+    ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
+    ``sigma``; it scales exactly as ``sigma**4`` times the unit-amplitude one.
+
     ``include_cubic=False`` drops the cubic term together with both
     counterterms.  ``forcing`` adds an optional spatially constant source,
     shared with the remainder route for the noiseless consistency checks.
@@ -218,8 +223,8 @@ class RenormalizedStepper:
         role: int = ROLE_MAIN,
         kernel: StepKernel | None = None,
         c=None,
-        ctilde=None,
-        ctilde_replicas: int = 64,
+        *,
+        ctilde,
         include_cubic: bool = True,
         forcing=None,
         noise: NoiseRealization | None = None,
@@ -237,22 +242,8 @@ class RenormalizedStepper:
         self.blowup_limit = float(blowup_limit)
         if c is None:
             c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
-        self.c = np.asarray(c, dtype=np.float64)
-        if self.c.ndim == 0:
-            self.c = np.full(timegrid.M + 1, float(self.c))
-        if self.c.shape != (timegrid.M + 1,):
-            raise ValueError("variance path must have one value per grid time")
-        if ctilde is None:
-            report = quartic_renorm_mc(
-                grid, timegrid, self.cutoff, coeffs, seed,
-                replicas=ctilde_replicas, sigma=self.sigma, kernel=self.kernel,
-            )
-            ctilde = report["estimate"]
-        self.ctilde = np.asarray(ctilde, dtype=np.float64)
-        if self.ctilde.ndim == 0:
-            self.ctilde = np.full(timegrid.M + 1, float(self.ctilde))
-        if self.ctilde.shape != (timegrid.M + 1,):
-            raise ValueError("quartic constant path must have one value per grid time")
+        self.c = _constant_path(c, timegrid, "variance")
+        self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         if noise is None:
             noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica, role=role)
         elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
@@ -775,24 +766,20 @@ def equivalence_report(
     refine: int = 2,
     extra_seeds=(),
     ctilde_replicas: int = 24,
-    ctilde_steps: int = 50,
 ) -> dict:
     """Gap between the direct solve and the remainder-route reconstruction.
 
     Both routes run in lockstep on the same Brownian path; the coarse run
     uses the aggregated increments of the fine one, so the dt-refinement
     ratio is measured on a single noise realization.  The quartic constant is
-    estimated once on a coarse time grid and interpolated, and the same path
-    is handed to both routes (the decomposition holds for any shared quartic
-    constant, so Monte Carlo error there does not open a gap).
+    estimated once by :func:`.noise.quartic_constant` and interpolated, and
+    the same path is handed to both routes (the decomposition holds for any
+    shared quartic constant, so Monte Carlo error there does not open a gap).
 
     Returns the relative sup-norm gap at ``dt`` and ``dt/refine``, their
     ratio, and the gap for each extra seed at the base resolution.
     """
-    tgc = TimeGrid(T, min(int(ctilde_steps), M))
-    rep = quartic_renorm_mc(
-        grid, tgc, cutoff, coeffs, seed, replicas=ctilde_replicas, sigma=sigma
-    )
+    rep = quartic_constant(grid, T, M, cutoff, coeffs, seed, ctilde_replicas, sigma=sigma)
 
     def ct_on(tg: TimeGrid) -> np.ndarray:
         return np.interp(tg.ts, rep["times"], rep["estimate"])

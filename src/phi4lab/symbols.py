@@ -41,8 +41,8 @@ from .noise import (
     NoiseRealization,
     StepKernel,
     TimeGrid,
+    _constant_path,
     lin_variance_path,
-    quartic_renorm_mc,
 )
 from .paley import DyadicPartition, _resonant_core, default_partition
 
@@ -93,6 +93,10 @@ class SymbolStepper:
     for long runs; :func:`build_ensemble` wraps it when full paths fit in
     memory.  Block point values on the doubled grid are cached per step and
     shared with the solver through :meth:`stack`.
+
+    ``c`` is the exact variance path of ``lin``.  The quartic constant
+    ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
+    ``sigma``; it scales exactly as ``sigma**4`` times the unit-amplitude one.
     """
 
     def __init__(
@@ -107,8 +111,8 @@ class SymbolStepper:
         role: int = ROLE_MAIN,
         kernel: StepKernel | None = None,
         partition: DyadicPartition | None = None,
-        ctilde=None,
-        ctilde_replicas: int = 64,
+        *,
+        ctilde,
         noise: NoiseRealization | None = None,
     ):
         self.grid = grid
@@ -120,17 +124,7 @@ class SymbolStepper:
         self.kernel = kernel or StepKernel(grid, timegrid, coeffs)
         self.partition = partition or default_partition(grid)
         self.c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
-        if ctilde is None:
-            report = quartic_renorm_mc(
-                grid, timegrid, self.cutoff, coeffs, seed,
-                replicas=ctilde_replicas, sigma=self.sigma, kernel=self.kernel,
-            )
-            ctilde = report["estimate"]
-        self.ctilde = np.asarray(ctilde, dtype=np.float64)
-        if self.ctilde.ndim == 0:
-            self.ctilde = np.full(timegrid.M + 1, float(self.ctilde))
-        if self.ctilde.shape != (timegrid.M + 1,):
-            raise ValueError("quartic constant path must have one value per grid time")
+        self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         if noise is None:
             noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica, role=role)
         elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
@@ -244,14 +238,16 @@ def build_ensemble(
     seed: int,
     replica: int = 0,
     role: int = ROLE_MAIN,
-    ctilde=None,
-    ctilde_replicas: int = 64,
+    *,
+    ctilde,
     names=None,
 ) -> SymbolEnsemble:
     """Run a :class:`SymbolStepper` over the whole grid and store the paths.
 
-    Refuses configurations whose stored paths would exceed a fixed memory
-    budget; stream with :class:`SymbolStepper` in that case.
+    ``ctilde``, the quartic constant at amplitude ``sigma`` (it scales as
+    ``sigma**4``), is an input as in :class:`SymbolStepper`.  Refuses
+    configurations whose stored paths would exceed a fixed memory budget;
+    stream with :class:`SymbolStepper` in that case.
     """
     names = tuple(names) if names is not None else _PATH_NAMES
     for n in names:
@@ -266,7 +262,7 @@ def build_ensemble(
         )
     stepper = SymbolStepper(
         grid, timegrid, cutoff, coeffs, sigma, seed,
-        replica=replica, role=role, ctilde=ctilde, ctilde_replicas=ctilde_replicas,
+        replica=replica, role=role, ctilde=ctilde,
     )
     paths = {n: np.empty((timegrid.M + 1,) + grid.hshape, dtype=np.complex128) for n in names}
     for j in range(timegrid.M + 1):
@@ -324,7 +320,8 @@ def chaos_components(
     name: str,
     sigma_list=None,
     replica: int = 0,
-    ctilde_replicas: int = 64,
+    *,
+    ctilde,
 ) -> ChaosDecomposition:
     """Split one symbol into amplitude-power components by interpolation.
 
@@ -333,6 +330,10 @@ def chaos_components(
     is solved pointwise.  Since each symbol is exactly homogeneous, all mass
     lands in the component of its own degree; the decomposition is the
     instrument that verifies this.
+
+    ``ctilde`` is the quartic constant at unit amplitude (a scalar or one
+    value per grid time); amplitude ``s`` runs with ``s**4 * ctilde``, which
+    equals a Monte Carlo at amplitude ``s`` on the same stream bit for bit.
     """
     if name not in CATALOG:
         raise ValueError(f"unknown symbol {name!r}; valid: {SYMBOL_NAMES}")
@@ -344,11 +345,12 @@ def chaos_components(
         raise ValueError(f"need exactly {degree + 1} amplitudes, got {len(sigma_list)}")
     if len(set(sigma_list)) != len(sigma_list):
         raise ValueError("amplitudes must be distinct")
+    ctilde = _constant_path(ctilde, timegrid, "quartic constant")
     taus = []
     for s in sigma_list:
         ens = build_ensemble(
             grid, timegrid, cutoff, coeffs, s, seed,
-            replica=replica, ctilde_replicas=ctilde_replicas, names=(name,),
+            replica=replica, ctilde=s**4 * ctilde, names=(name,),
         )
         taus.append(ens.path(name))
     taus = np.stack(taus)

@@ -2,9 +2,9 @@
 
 Oracles: fresh-checkout verify must pass every check and a deliberately
 widened partition block must fail the unity check; file outputs are
-reproduced byte for byte across reruns and worker pool sizes; binary
-dumps round-trip through numpy with the sidecar header; blow-up aborts
-with a diagnostic carrying the time stamp.
+reproduced byte for byte across reruns; binary dumps round-trip through
+numpy with the sidecar header; blow-up aborts with a diagnostic carrying
+the time stamp.
 """
 
 import csv
@@ -40,7 +40,7 @@ def _doc(**over):
     doc = {
         "dimension": 2,
         "N": 8,
-        "cutoff": 4,
+        "cutoff": 3,
         "cutoff_list": [2, 3, 4],
         "T": 0.5,
         "dt": 0.0625,
@@ -133,6 +133,12 @@ class TestConfigErrorsAtCli:
         assert rc == 2
         assert "h_grid" in err["fields"]
 
+    def test_threads_flag_is_gone(self, capsys):
+        # replicas run one after another in tail_estimate; a pool size would change nothing
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["tail", "--config", "c.json", "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestFieldDump:
     def test_roundtrip_with_sidecar(self, tmp_path):
@@ -151,8 +157,8 @@ class TestTailCommand:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         out1.mkdir()
         out2.mkdir()
-        cmd_tail(_cfg(), out1, threads=1)
-        cmd_tail(_cfg(), out2, threads=3)
+        cmd_tail(_cfg(), out1)
+        cmd_tail(_cfg(), out2)
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
@@ -165,7 +171,7 @@ class TestTailCommand:
 
     def test_report_and_files(self, tmp_path):
         cfg = _cfg()
-        report = cmd_tail(cfg, tmp_path, threads=1)
+        report = cmd_tail(cfg, tmp_path)
         assert [lv["sigma"] for lv in report["levels"]] == [0.1, 0.2]
         assert (tmp_path / "tail_s0p1.csv").exists()
         assert (tmp_path / "tail_s0p2.csv").exists()
@@ -245,7 +251,7 @@ class TestExperimentCommands:
 
     def test_blowup_diagnostic(self, tmp_path, capsys):
         doc = {
-            "dimension": 1, "N": 8, "cutoff": 4, "T": 1.0, "dt": 0.05,
+            "dimension": 1, "N": 8, "cutoff": 3, "T": 1.0, "dt": 0.05,
             "sigma": 0.4, "a": 14.0, "master_seed": 3, "ctilde_replicas": 4,
         }
         cfg = ExperimentConfig.from_dict(doc)

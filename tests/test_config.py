@@ -2,8 +2,8 @@
 
 Digest oracle: SHA-256 recomputed directly with hashlib on the written
 bytes.  Validation oracles are the published schema itself plus the
-closed-form constraint windows (band containment, eps and lam ranges,
-grid divisibility, negative leading cubic coefficient).
+closed-form constraint windows (band strictly inside N/2, eps and lam
+ranges, grid divisibility).
 """
 
 import hashlib
@@ -55,6 +55,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict(_doc(bogus=3))
 
+    def test_keys_no_command_reads_are_rejected(self):
+        # a3, gamma and b0 were once accepted and then ignored by every command
+        for key in ("a3", "gamma", "b0"):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict(_doc(**{key: -2.0}))
+
     def test_polynomial_degree_bound(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(_doc(a=list(range(10))))
@@ -75,9 +81,13 @@ class TestSchema:
 
 class TestCrossFieldChecks:
     def test_band_containment(self):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(_doc(cutoff=9))
-        assert err.value.fields == ["cutoff"]
+        # cutoff = N/2 is rejected too: there the dealiased square halves the
+        # Nyquist slots and the Wick square is not centred
+        for cutoff in (9, 8):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(_doc(cutoff=cutoff))
+            assert err.value.fields == ["cutoff"]
+        ExperimentConfig.from_dict(_doc(cutoff=7))
 
     def test_eps_window(self):
         with pytest.raises(ConfigError) as err:
@@ -100,12 +110,6 @@ class TestCrossFieldChecks:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(_doc(h_grid=[0.2, 0.1]))
         assert err.value.fields == ["h_grid"]
-
-    def test_cubic_leading_coefficient_sign(self):
-        ExperimentConfig.from_dict(_doc(a3=-2.0))
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(_doc(a3=[-1.0, 3.0]))
-        assert err.value.fields == ["a3"]
 
     def test_all_violations_reported_together(self):
         with pytest.raises(ConfigError) as err:

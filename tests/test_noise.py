@@ -7,7 +7,7 @@ from scipy.special import roots_legendre
 from phi4lab import noise
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import linear_sup_statistic
-from phi4lab.grids import SpectralField, TorusGrid
+from phi4lab.grids import SpectralField, TorusGrid, product_spectra
 from phi4lab.noise import (
     LinearPath,
     NoiseRealization,
@@ -319,8 +319,10 @@ class TestQuarticConstant:
         tg = TimeGrid(0.25, 6)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
         one = quartic_renorm_mc(grid, tg, 2, cs, seed=21, replicas=8, sigma=1.0)
-        two = quartic_renorm_mc(grid, tg, 2, cs, seed=21, replicas=8, sigma=2.0)
-        assert np.allclose(two["estimate"], 16.0 * one["estimate"], rtol=1e-12)
+        # bitwise: chaos_components scales a unit-amplitude estimate by sigma**4
+        for s in (2.0, 0.37):
+            other = quartic_renorm_mc(grid, tg, 2, cs, seed=21, replicas=8, sigma=s)
+            assert np.array_equal(other["estimate"], s**4 * one["estimate"])
 
     def test_initial_time_zero(self):
         grid = TorusGrid(8, 3)
@@ -336,3 +338,39 @@ class TestQuarticConstant:
         rep = quartic_renorm_mc(grid, tg, 4, cs, seed=23, replicas=96, time_indices=[8])
         assert rep["estimate"][0] > 0
         assert rep["estimate"][0] > 2 * rep["se"][0]
+
+    def test_quartic_constant_runs_on_the_coarse_grid(self):
+        grid = TorusGrid(8, 2)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
+        fine = noise.quartic_constant(grid, 0.25, 8, 3, cs, seed=24, replicas=3, sigma=0.5)
+        ref = quartic_renorm_mc(grid, TimeGrid(0.25, 8), 3, cs, seed=24, replicas=3, sigma=0.5)
+        assert np.array_equal(fine["times"], ref["times"])
+        assert np.array_equal(fine["estimate"], ref["estimate"])
+        coarse = noise.quartic_constant(grid, 0.25, 80, 3, cs, seed=24, replicas=2)
+        assert np.array_equal(coarse["times"], TimeGrid(0.25, 50).ts)
+
+
+class TestWickCentring:
+    """The zero mode of the dealiased square of a linear path is its Parseval
+    sum at every cutoff the configuration accepts (below N/2); at N/2 the
+    Nyquist slots are halved and the square falls short."""
+
+    @pytest.mark.parametrize("N,dim", [(8, 2), (16, 3)])
+    def test_square_zero_mode_is_parseval_sum(self, N, dim):
+        grid = TorusGrid(N, dim)
+        tg = TimeGrid(0.1, 3)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.1)
+        zero = (0,) * dim
+
+        def square_and_sum(cutoff):
+            path = LinearPath(NoiseRealization(grid, tg, cutoff, seed=31), cs, 1.0)
+            path.run_to(tg.M)
+            s = path.state
+            square = product_spectra([s, s], N)[zero].real
+            return square, float(np.sum(grid.half_weights * np.abs(s) ** 2))
+
+        for cutoff in range(1, N // 2):
+            square, parseval = square_and_sum(cutoff)
+            assert abs(square - parseval) <= 1e-13 * parseval, cutoff
+        square, parseval = square_and_sum(N // 2)
+        assert square < parseval * (1.0 - 1e-6)

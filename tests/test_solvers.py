@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from phi4lab import noise, solvers, symbols
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import SpectralField, TorusGrid, dealiased_product, random_band_field
 from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid
@@ -163,6 +164,8 @@ class TestRenormalized:
         co = CoefficientSet(0.5, -1.0, 0.2)
         with pytest.raises(ValueError, match="one value per grid time"):
             RenormalizedStepper(grid, tg, 3, co, 0.1, c=np.zeros(5), ctilde=0.0)
+        with pytest.raises(ValueError, match="one value per grid time"):
+            RenormalizedStepper(grid, tg, 3, co, 0.1, ctilde=np.zeros(5))
         wrong = NoiseRealization(grid, TimeGrid(0.2, 20), 3, 0)
         with pytest.raises(ValueError, match="does not match"):
             RenormalizedStepper(
@@ -457,7 +460,7 @@ class TestVWRoute:
         rep = equivalence_report(
             grid, 0.3, 30, 3, co, 0.2, 5, refine=2,
             extra_seeds=tuple(range(6, 15)),
-            ctilde_replicas=8, ctilde_steps=30,
+            ctilde_replicas=8,
         )
         assert rep["sup_direct"] > 0.05
         assert rep["gap"] < 5e-3
@@ -541,3 +544,42 @@ class TestSolutionIO:
         assert np.array_equal(sub.times, tg.ts[[0, 4, 8, 10]])
         for i, j in enumerate((0, 4, 8, 10)):
             assert np.array_equal(sub.coeffs[i], full.coeffs[j])
+
+
+class TestConstantsAreInputs:
+    """The steppers take the quartic constant as an input; none estimates it."""
+
+    @pytest.fixture
+    def no_monte_carlo(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("quartic_renorm_mc called")
+
+        for mod in (noise, symbols, solvers):
+            monkeypatch.setattr(mod, "quartic_renorm_mc", boom, raising=False)
+
+    def test_explicit_ctilde_runs_no_monte_carlo(self, no_monte_carlo):
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.2, 4)
+        co = CoefficientSet(0.5, -1.0, 0.2)
+        ct = np.linspace(0.0, 1e-3, tg.M + 1)
+        SymbolStepper(grid, tg, 3, co, 0.5, 1, ctilde=ct).values()
+        RenormalizedStepper(grid, tg, 3, co, 0.5, 1, ctilde=0.01).step()
+        ens = symbols.build_ensemble(grid, tg, 3, co, 0.5, 1, ctilde=ct, names=("lin",))
+        assert np.array_equal(ens.ctilde, ct)
+        dec = symbols.chaos_components(grid, tg, 3, co, 1, "iwick2", ctilde=ct)
+        assert dec.degree == 2
+
+    def test_leaving_out_ctilde_is_a_type_error(self, no_monte_carlo):
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.2, 4)
+        co = CoefficientSet(0.5, -1.0, 0.2)
+        with pytest.raises(TypeError, match="ctilde"):
+            SymbolStepper(grid, tg, 3, co, 0.5, 1)
+        with pytest.raises(TypeError, match="ctilde"):
+            RenormalizedStepper(grid, tg, 3, co, 0.5, 1)
+        with pytest.raises(TypeError, match="ctilde"):
+            solve_renormalized(grid, tg, 3, co, 0.5, 1)
+        with pytest.raises(TypeError, match="ctilde"):
+            symbols.build_ensemble(grid, tg, 3, co, 0.5, 1)
+        with pytest.raises(TypeError, match="ctilde"):
+            symbols.chaos_components(grid, tg, 3, co, 1, "iwick2")

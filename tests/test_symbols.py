@@ -39,6 +39,12 @@ def small_setup(N=16, dim=2, T=0.2, M=8, f2=0.4, a=(-1.0, -0.5)):
     return grid, tg, co
 
 
+def unit_ctilde(tg):
+    """A fixed quartic constant path at unit amplitude, of the size a Monte
+    Carlo estimate has on the small setup; amplitude s takes s**4 times it."""
+    return np.linspace(0.0, 4e-4, tg.M + 1)
+
+
 class TestCatalog:
     def test_entries(self):
         assert SYMBOL_NAMES == (
@@ -76,7 +82,7 @@ class TestStepper:
 
     def test_everything_zero_at_start(self):
         grid, tg, co = small_setup()
-        ens = build_ensemble(grid, tg, 4, co, 1.0, seed=3, ctilde_replicas=8)
+        ens = build_ensemble(grid, tg, 4, co, 1.0, seed=3, ctilde=unit_ctilde(tg))
         for name, path in ens.paths.items():
             assert np.all(path[0] == 0.0), name
         assert ens.c[0] == 0.0 and ens.ctilde[0] == 0.0
@@ -121,7 +127,7 @@ class TestIntegralOracle:
 
     def test_integrals_match_direct_sum(self):
         grid, tg, co = small_setup(N=12, M=7, T=0.21, f2=0.5, a=(-0.8, -0.4, 0.3))
-        ens = build_ensemble(grid, tg, 3, co, 0.9, seed=23, ctilde_replicas=8)
+        ens = build_ensemble(grid, tg, 3, co, 0.9, seed=23, ctilde=0.9**4 * unit_ctilde(tg))
         L = 4.0 * np.pi**2 * grid.k2
         for int_name, src_name in [
             ("iwick2", "wick2"),
@@ -143,7 +149,7 @@ class TestIntegralOracle:
         # rebuild the centered resonants from stored factor paths through the
         # public paraproduct API; catches stale block-stack caching
         grid, tg, co = small_setup()
-        ens = build_ensemble(grid, tg, 4, co, 1.1, seed=9, ctilde_replicas=8)
+        ens = build_ensemble(grid, tg, 4, co, 1.1, seed=9, ctilde=1.1**4 * unit_ctilde(tg))
         for j in (4, tg.M):
             iw3 = SpectralField(grid, ens.path("iwick3")[j])
             iw2 = SpectralField(grid, ens.path("iwick2")[j])
@@ -264,8 +270,9 @@ class TestCentering:
 class TestHomogeneity:
     def test_power_of_two_amplitude_exact(self):
         grid, tg, co = small_setup()
-        lo = build_ensemble(grid, tg, 4, co, 0.7, seed=11, ctilde_replicas=16)
-        hi = build_ensemble(grid, tg, 4, co, 1.4, seed=11, ctilde_replicas=16)
+        ct = unit_ctilde(tg)
+        lo = build_ensemble(grid, tg, 4, co, 0.7, seed=11, ctilde=0.7**4 * ct)
+        hi = build_ensemble(grid, tg, 4, co, 1.4, seed=11, ctilde=1.4**4 * ct)
         degrees = {n: CATALOG[n].degree for n in SYMBOL_NAMES}
         degrees["wick3"] = 3
         degrees["i_res_iwick3_wick2"] = 5
@@ -281,7 +288,7 @@ class TestChaos:
     def test_mass_concentrates_at_degree(self):
         grid, tg, co = small_setup()
         for name in ("lin", "res_iwick2_wick2", "res_iwick3_wick2"):
-            dec = chaos_components(grid, tg, 4, co, 11, name, ctilde_replicas=16)
+            dec = chaos_components(grid, tg, 4, co, 11, name, ctilde=unit_ctilde(tg))
             m = dec.mass(1.0)
             deg = CATALOG[name].degree
             off = sum(v for k, v in m.items() if k != deg)
@@ -290,19 +297,21 @@ class TestChaos:
 
     def test_kernels_independent_of_nodes(self):
         grid, tg, co = small_setup()
-        d1 = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde_replicas=16)
+        ct = unit_ctilde(tg)
+        d1 = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde=ct)
         d2 = chaos_components(
             grid, tg, 4, co, 11, "res_iwick3_wick2",
-            sigma_list=(0.6, 0.9, 1.1, 1.35, 1.7, 2.2), ctilde_replicas=16,
+            sigma_list=(0.6, 0.9, 1.1, 1.35, 1.7, 2.2), ctilde=ct,
         )
         scale = np.max(np.abs(d1.kernels[5]))
         assert np.max(np.abs(d1.kernels - d2.kernels)) < 1e-9 * scale
 
     def test_extrapolates_outside_nodes(self):
         grid, tg, co = small_setup()
-        dec = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde_replicas=16)
+        ct = unit_ctilde(tg)
+        dec = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde=ct)
         direct = build_ensemble(
-            grid, tg, 4, co, 3.0, seed=11, ctilde_replicas=16,
+            grid, tg, 4, co, 3.0, seed=11, ctilde=3.0**4 * ct,
             names=("res_iwick3_wick2",),
         ).path("res_iwick3_wick2")
         pred = sum(3.0**l * dec.kernels[l] for l in range(6))
@@ -311,18 +320,18 @@ class TestChaos:
 
     def test_mass_scaling(self):
         grid, tg, co = small_setup()
-        dec = chaos_components(grid, tg, 4, co, 11, "iwick3", ctilde_replicas=16)
+        dec = chaos_components(grid, tg, 4, co, 11, "iwick3", ctilde=unit_ctilde(tg))
         m1, m2 = dec.mass(1.0), dec.mass(2.0)
         assert m2[3] == pytest.approx(8.0 * m1[3], rel=1e-12)
 
     def test_input_validation(self):
         grid, tg, co = small_setup()
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "wick3")
+            chaos_components(grid, tg, 4, co, 1, "wick3", ctilde=0.0)
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0,))
+            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0,), ctilde=0.0)
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0, 1.0))
+            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0, 1.0), ctilde=0.0)
         dec = ChaosDecomposition("lin", 1, (0.5, 1.0), np.zeros((2, 2, 2, 2)), grid, tg)
         with pytest.raises(ValueError):
             dec.component(1.0, 2)
@@ -331,7 +340,7 @@ class TestChaos:
 class TestEnsembleIO:
     def test_roundtrip(self, tmp_path):
         grid, tg, co = small_setup(N=8, M=4)
-        ens = build_ensemble(grid, tg, 2, co, 0.6, seed=4, ctilde_replicas=8)
+        ens = build_ensemble(grid, tg, 2, co, 0.6, seed=4, ctilde=0.6**4 * unit_ctilde(tg))
         target = str(tmp_path / "ens")
         save_ensemble(ens, target)
         back = load_ensemble(target)
@@ -349,12 +358,12 @@ class TestEnsembleIO:
         tg = TimeGrid(1.0, 2000)
         co = CoefficientSet(0.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="streaming"):
-            build_ensemble(grid, tg, 8, co, 1.0, seed=1)
+            build_ensemble(grid, tg, 8, co, 1.0, seed=1, ctilde=0.0)
 
     def test_unknown_name_rejected(self):
         grid, tg, co = small_setup(N=8, M=4)
         with pytest.raises(ValueError):
-            build_ensemble(grid, tg, 2, co, 1.0, seed=1, names=("nope",))
-        ens = build_ensemble(grid, tg, 2, co, 1.0, seed=1, ctilde_replicas=8, names=("lin",))
+            build_ensemble(grid, tg, 2, co, 1.0, seed=1, ctilde=0.0, names=("nope",))
+        ens = build_ensemble(grid, tg, 2, co, 1.0, seed=1, ctilde=0.0, names=("lin",))
         with pytest.raises(KeyError):
             ens.path("wick2")
