@@ -14,12 +14,17 @@ Conventions used throughout the package:
   axis.  The Nyquist frequency ``N/2`` is a single slot shared by ``+N/2``
   and ``-N/2``; when a field is moved to a finer grid that slot is split
   evenly between the two, the unique choice that keeps the interpolant real.
-* Products are dealiased by evaluating all factors on the doubled grid in a
-  single pass and restricting the result back to the original band.  This is
-  exact against the convolution sum for factors supported in the open band
-  ``|w|_inf <= N/2 - 1``; ternary products can fold at the far corners of the
-  closed band, which is why dynamical states elsewhere in the package are
-  kept Nyquist-free.
+* Products are dealiased by evaluating all factors on one finer grid in a
+  single pass and restricting the result back to the original band.  A
+  binary product goes on the ``P``-grid of :func:`binary_size`, the smallest
+  even 5-smooth size above ``3N/2``: the product of two factors in the
+  closed band reaches ``|w_i| <= N``, and its alias ``w - P`` stays outside
+  the retained band exactly when ``P > 3N/2`` (Orszag's 3/2 rule), so the
+  result equals the convolution sum even when both factors carry the Nyquist
+  slot.  A ternary product goes on the doubled grid; it is exact for factors
+  in the open band ``|w|_inf <= N/2 - 1`` and can fold at the far corners of
+  the closed band, which is why dynamical states elsewhere in the package
+  are kept Nyquist-free.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "spectral_truncate",
     "heat_propagate",
     "dealiased_product",
+    "binary_size",
     "pad_half",
     "unpad_half",
     "product_spectra",
@@ -284,6 +290,42 @@ def heat_propagate(spec: SpectralField, s: float, t: float, alpha: float = 0.0) 
     return SpectralField(spec.grid, spec.coeffs * sym)
 
 
+@lru_cache(maxsize=None)
+def binary_size(N: int) -> int:
+    """Points per axis of the grid that binary products of ``N``-grid fields use.
+
+    The smallest even 5-smooth integer above ``3N/2``; it is at most ``2N``.
+    """
+    P = 3 * N // 2 + 1
+    P += P % 2
+    while True:
+        m = P
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return P
+        P += 2
+
+
+@lru_cache(maxsize=None)
+def _pad_index(N: int, P: int, dim: int) -> tuple[tuple, tuple]:
+    """Where the half-layout ``N``-grid band sits in the ``P``-grid half layout.
+
+    Returns open-mesh index tuples ``(src, dst)`` over ``N + 1`` entries per
+    leading axis (the Nyquist row is listed twice, once for ``+N/2`` and once
+    for ``-N/2``) and ``N/2 + 1`` on the last axis.
+    """
+    h = N // 2
+    lead_src = list(range(h + 1)) + [h] + list(range(h + 1, N))
+    lead_dst = list(range(h + 1)) + [P - h] + list(range(P - N + h + 1, P))
+    last = list(range(h + 1))
+    return (
+        np.ix_(*([lead_src] * (dim - 1) + [last])),
+        np.ix_(*([lead_dst] * (dim - 1) + [last])),
+    )
+
+
 def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
     """Zero-pad a half-layout ``N``-grid spectrum onto the finer ``P``-grid.
 
@@ -296,22 +338,19 @@ def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
         return np.array(c, dtype=np.complex128)
     dim = c.ndim
     h = N // 2
+    src, dst = _pad_index(N, P, dim)
     # gather the small band once, halve the Nyquist entries, scatter into the
     # fine grid in one indexing pass (the Nyquist row appears at +-N/2)
-    lead_src = list(range(h + 1)) + [h] + list(range(h + 1, N))
-    lead_dst = list(range(h + 1)) + [P - h] + list(range(P - N + h + 1, P))
     lead_wt = np.ones(N + 1)
     lead_wt[h] = lead_wt[h + 1] = 0.5
     last_wt = np.ones(h + 1)
     last_wt[h] = 0.5
-    src = [lead_src] * (dim - 1) + [list(range(h + 1))]
-    dst = [lead_dst] * (dim - 1) + [list(range(h + 1))]
-    g = np.asarray(c, dtype=np.complex128)[np.ix_(*src)]
+    g = np.asarray(c, dtype=np.complex128)[src]
     for ax in range(dim):
         wt = lead_wt if ax < dim - 1 else last_wt
         g = g * wt.reshape((-1,) + (1,) * (dim - 1 - ax))
     out = np.zeros((P,) * (dim - 1) + (P // 2 + 1,), dtype=np.complex128)
-    out[np.ix_(*dst)] = g
+    out[dst] = g
     return out
 
 
@@ -355,15 +394,16 @@ def product_spectra(
 ) -> np.ndarray:
     """One-pass dealiased product of 2 or 3 half-layout spectra.
 
-    All factors are interpolated onto the doubled grid, multiplied pointwise
-    there, and the result is restricted back to the ``N``-grid band
-    (optionally further to ``max_i |w_i| <= band``).  Repeated array objects
-    are transformed once.
+    All factors are interpolated onto one finer grid (``binary_size(N)`` points
+    per axis for two factors, ``2N`` for three), multiplied pointwise there,
+    and the result is restricted back to the ``N``-grid band (optionally
+    further to ``max_i |w_i| <= band``).  Repeated array objects are
+    transformed once.
     """
     if not 2 <= len(cs) <= 3:
         raise ValueError("only binary and ternary products are dealiased exactly")
     dim = cs[0].ndim if dim is None else dim
-    P = 2 * N
+    P = binary_size(N) if len(cs) == 2 else 2 * N
     cache: dict[int, np.ndarray] = {}
     pts = None
     for c in cs:

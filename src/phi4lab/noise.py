@@ -406,6 +406,19 @@ def _constant_path(value, timegrid: TimeGrid, what: str) -> np.ndarray:
     return path
 
 
+def _require_centred_cutoff(grid: TorusGrid, cutoff: int) -> None:
+    """Reject ``2 * cutoff >= N``, where the dealiased Wick square is not centred.
+
+    At ``cutoff = N/2`` the square halves the Nyquist slots, so its zero mode
+    falls short of the variance by half the Nyquist mass.
+    """
+    if 2 * int(cutoff) >= grid.N:
+        raise ValueError(
+            f"cutoff {cutoff} must be below N/2 = {grid.N // 2} "
+            "for the Wick square to be centred"
+        )
+
+
 def quartic_renorm_mc(
     grid: TorusGrid,
     timegrid: TimeGrid,
@@ -434,6 +447,7 @@ def quartic_renorm_mc(
     Returns a dict with the requested grid times, the estimates, standard
     errors, and the raw (unhalved) pairing means.
     """
+    _require_centred_cutoff(grid, cutoff)
     M = timegrid.M
     if time_indices is None:
         time_indices = list(range(M + 1))

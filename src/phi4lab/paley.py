@@ -11,14 +11,16 @@ where ``K`` is the smallest index whose tail cutoff covers the corner of the
 grid band.  Paraproducts split a pointwise product ``f g`` into the part
 where ``f`` sits at least two blocks below ``g`` (``para_lt``), the
 transposed part (``para_gt``), and the diagonal ``|k - l| <= 1`` part
-(``resonant``).  Every pairwise block product is formed on the doubled grid,
-so the three pieces sum to the dealiased product exactly.
+(``resonant``).  Every pairwise block product is formed on the grid of
+:func:`.grids.binary_size` (the smallest even 5-smooth size above ``3N/2``),
+where the product of two closed-band factors is alias free, so the three
+pieces sum to the dealiased product exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,9 +28,11 @@ from .grids import (
     SpectralField,
     TorusGrid,
     _check_same_grid,
-    _padded_points,
+    _pad_index,
+    binary_size,
     dealiased_product,
     heat_propagate,
+    pad_half,
     unpad_half,
 )
 
@@ -141,10 +145,28 @@ class DyadicPartition:
         vals *= self.grid.npoints
         return vals
 
+    @cached_property
+    def _padded_weights(self) -> np.ndarray:
+        """The block weights gathered onto the half layout of the binary-product grid."""
+        N, dim = self.grid.N, self.grid.dim
+        P = binary_size(N)
+        src, dst = _pad_index(N, P, dim)
+        out = np.zeros((self.nblocks,) + (P,) * (dim - 1) + (P // 2 + 1,))
+        out[(slice(None),) + dst] = self._weights[(slice(None),) + src]
+        return out
+
     def padded_blocks(self, c: np.ndarray) -> np.ndarray:
-        """Block point values on the doubled grid (for one-pass paraproducts)."""
-        N = self.grid.N
-        return np.stack([_padded_points(w * c, N, 2 * N) for w in self._weights])
+        """Block point values on the binary-product grid (for one-pass paraproducts).
+
+        The grid has ``P = binary_size(N)`` points per axis, where the product
+        of any two blocks is alias free; the result has shape
+        ``(nblocks,) + (P,) * dim``.  The spectrum is padded once, weighted by
+        every block at once, and transformed in one batch over the block axis.
+        """
+        N, dim = self.grid.N, self.grid.dim
+        P = binary_size(N)
+        stack = self._padded_weights * pad_half(c * float(P) ** dim, N, P)
+        return np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
 
 
 @lru_cache(maxsize=8)
@@ -191,13 +213,13 @@ def besov_norm(
 
 
 def _para_lt_core(bf: np.ndarray, bg: np.ndarray, N: int, dim: int) -> np.ndarray:
-    """Low-modulates-high paraproduct from padded block stacks."""
+    """Low-modulates-high paraproduct from padded block stacks (grid size read from them)."""
     acc = np.zeros_like(bf[0])
     S = np.zeros_like(bf[0])
     for j in range(2, bf.shape[0]):
         S += bf[j - 2]
         acc += S * bg[j]
-    P = 2 * N
+    P = bf.shape[1]
     return unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
 
 
@@ -206,7 +228,7 @@ def _resonant_core(bf: np.ndarray, bg: np.ndarray, N: int, dim: int) -> np.ndarr
     J = bf.shape[0]
     for j in range(J):
         acc += bg[j] * bf[max(0, j - 1) : j + 2].sum(axis=0)
-    P = 2 * N
+    P = bf.shape[1]
     return unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
 
 

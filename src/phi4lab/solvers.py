@@ -40,6 +40,7 @@ from .noise import (
     StepKernel,
     TimeGrid,
     _constant_path,
+    _require_centred_cutoff,
     lin_variance_path,
     quartic_constant,
 )
@@ -230,6 +231,7 @@ class RenormalizedStepper:
         noise: NoiseRealization | None = None,
         blowup_limit: float = _BLOWUP_LIMIT,
     ):
+        _require_centred_cutoff(grid, cutoff)
         self.grid = grid
         self.timegrid = timegrid
         self.cutoff = int(cutoff)
@@ -422,10 +424,12 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     Five groups: the full cube, the commutator corrections paired with the
     Wick square, the resonant and upper-paraproduct pairings of the remainder
     with the Wick square, and the random polynomial ``d2 X^2 + d1 X + d0``.
-    The quadratic symbol stacks inside ``d0`` (the square of ``iwick3``, its
-    resonant self-pairing and its self-paraproduct) are kept separate: their
-    combination collapses algebraically to ``lin * iwick3**2``, and the tests
-    assert that identity rather than the assembly assuming it.
+    Inside ``d0`` the bracket of ``lin`` with the quadratic symbols of
+    ``iwick3`` (nonresonant pairing with its square, resonant pairing with its
+    resonant self-pairing, and the commutator with its self-paraproduct)
+    collapses algebraically to the binary product ``lin * iwick3**2``; the
+    assembly uses that product, and the tests assert the identity against the
+    literal four-term bracket.
     """
     cache = {} if cache is None else cache
     grid = part.grid
@@ -440,8 +444,6 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     xm = _xm(cache, v, w, syms)
     bxm = _stk(cache, part, "xm", xm)
     bw2 = _stk(cache, part, "wick2", w2)
-    blin = _stk(cache, part, "lin", lin)
-    biw3 = _stk(cache, part, "iwick3", iw3)
     X = v + w
 
     cube = product_spectra([X, X, X], N, dim=dim)
@@ -469,22 +471,12 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     )
     d1X = product_spectra([d1, X], N, dim=dim)
 
-    iw3cu = product_spectra([iw3, iw3, iw3], N, dim=dim)
-    prod_iw3_r22 = product_spectra([iw3, r22], N, dim=dim)
-    biw3sq = _stk(cache, part, "iw3sq", iw3sq)
-    nonres_lin_iw3sq = product_spectra([lin, iw3sq], N, dim=dim) - _resonant_core(biw3sq, blin, N, dim)
-    r33 = _resonant_core(biw3, biw3, N, dim)
-    res_lin_r33 = _resonant_core(_stk(cache, part, "r33", r33), blin, N, dim)
-    prod_iw3_r3l = product_spectra([iw3, r3l], N, dim=dim)
-    pl33 = _para_lt_core(biw3, biw3, N, dim)
-    comm33 = _resonant_core(_stk(cache, part, "pl33", pl33), blin, N, dim) - prod_iw3_r3l
-    bracket = nonres_lin_iw3sq + res_lin_r33 + 2.0 * prod_iw3_r3l + 2.0 * comm33
     d0 = (
-        iw3cu
-        - 9.0 * prod_iw3_r22
+        product_spectra([iw3, iw3, iw3], N, dim=dim)
+        - 9.0 * product_spectra([iw3, r22], N, dim=dim)
         + f2t * iw3sq
         - 2.0 * f2t * (r3l + nonres_iw3_lin)
-        - 3.0 * bracket
+        - 3.0 * product_spectra([lin, iw3sq], N, dim=dim)
     )
 
     return -cube - 3.0 * com - 3.0 * res_w - 3.0 * pgt + d2X2 + d1X + d0
@@ -538,9 +530,7 @@ class VWStepper:
         """Both right-hand sides at the current time, open-band projected."""
         sym = self.sym
         syms = sym.values()
-        cache: dict = {}
-        for name in ("lin", "wick2", "iwick2", "iwick3"):
-            cache["stk:" + name] = sym.stack(name)
+        cache = {"stk:" + name: sym.stack(name) for name in ("wick2", "iwick2")}
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
         F = F_rhs(self.v, self.w, syms, f2t, self.partition, cache)
@@ -716,9 +706,7 @@ def com1_integral_diagnostic(symbols: SymbolStepper, steps: int | None = None) -
         vw.step()
     vals_m = sym.values()
     tm = timegrid.ts[m]
-    cache: dict = {}
-    for name in ("lin", "wick2", "iwick2", "iwick3"):
-        cache["stk:" + name] = sym.stack(name)
+    cache = {"stk:iwick2": sym.stack("iwick2")}
     direct = com1_value(vw.v, vw.w, vals_m, float(coeffs.f2(tm)), part, cache)
     B_m = 3.0 * (vw.v + vw.w - vals_m["iwick3"])
     B_m[zero] -= float(coeffs.f2(tm))

@@ -42,6 +42,7 @@ from .noise import (
     StepKernel,
     TimeGrid,
     _constant_path,
+    _require_centred_cutoff,
     lin_variance_path,
 )
 from .paley import DyadicPartition, _resonant_core, default_partition
@@ -91,8 +92,8 @@ class SymbolStepper:
 
     Memory stays bounded in the number of steps, so this is the engine used
     for long runs; :func:`build_ensemble` wraps it when full paths fit in
-    memory.  Block point values on the doubled grid are cached per step and
-    shared with the solver through :meth:`stack`.
+    memory.  Block point values on the binary-product grid are cached per step
+    and shared with the solver through :meth:`stack`.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -115,6 +116,7 @@ class SymbolStepper:
         ctilde,
         noise: NoiseRealization | None = None,
     ):
+        _require_centred_cutoff(grid, cutoff)
         self.grid = grid
         self.timegrid = timegrid
         self.cutoff = int(cutoff)

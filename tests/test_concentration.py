@@ -385,12 +385,12 @@ class TestChaosFamilyTails:
         sig, seed, reps = 0.7, 77, 250
         part = default_partition(grid)
         kern = StepKernel(grid, tg, DAMPED)
-        ct = quartic_renorm_mc(grid, tg, 4, DAMPED, seed, replicas=64, sigma=sig, kernel=kern)
+        ct = quartic_renorm_mc(grid, tg, 3, DAMPED, seed, replicas=64, sigma=sig, kernel=kern)
         family = {"lin": 1, "iwick3": 3, "res_iwick3_wick2": 5}
         sups = {name: np.zeros(reps) for name in family}
         for r in range(reps):
             sym = SymbolStepper(
-                grid, tg, 4, DAMPED, sig, seed,
+                grid, tg, 3, DAMPED, sig, seed,
                 replica=r, kernel=kern, partition=part, ctilde=ct["estimate"],
             )
             for _ in range(tg.M):
@@ -438,7 +438,7 @@ class TestXiNorm:
     def test_monotone_in_window_and_matches_components(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 20)
-        sym = SymbolStepper(grid, tg, 4, CoefficientSet(0.5, -1.0, 0.5), 0.05, seed=21, ctilde=0.0)
+        sym = SymbolStepper(grid, tg, 3, CoefficientSet(0.5, -1.0, 0.5), 0.05, seed=21, ctilde=0.0)
         sol = solve_vw(sym)
         eps = 0.05
         values = []

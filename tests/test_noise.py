@@ -335,7 +335,7 @@ class TestQuarticConstant:
         grid = TorusGrid(8, 3)
         tg = TimeGrid(0.25, 8)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
-        rep = quartic_renorm_mc(grid, tg, 4, cs, seed=23, replicas=96, time_indices=[8])
+        rep = quartic_renorm_mc(grid, tg, 3, cs, seed=23, replicas=96, time_indices=[8])
         assert rep["estimate"][0] > 0
         assert rep["estimate"][0] > 2 * rep["se"][0]
 
@@ -374,3 +374,23 @@ class TestWickCentring:
             assert abs(square - parseval) <= 1e-13 * parseval, cutoff
         square, parseval = square_and_sum(N // 2)
         assert square < parseval * (1.0 - 1e-6)
+
+
+def test_centred_routes_reject_cutoff_at_half_grid():
+    # the Wick square is centred only below N/2, so the steppers and the
+    # quartic estimator refuse N/2 and name the field; the noise and the
+    # linear path, which carry no Wick subtraction, still accept it
+    from phi4lab.solvers import RenormalizedStepper
+    from phi4lab.symbols import SymbolStepper
+
+    grid = TorusGrid(8, 2)
+    tg = TimeGrid(0.1, 2)
+    cs = CoefficientSet(f2=0.0, a=-1.0, T=0.1)
+    with pytest.raises(ValueError, match="cutoff"):
+        SymbolStepper(grid, tg, 4, cs, 1.0, 0, ctilde=0.0)
+    with pytest.raises(ValueError, match="cutoff"):
+        RenormalizedStepper(grid, tg, 4, cs, 1.0, 0, ctilde=0.0)
+    with pytest.raises(ValueError, match="cutoff"):
+        quartic_renorm_mc(grid, tg, 4, cs, seed=0, replicas=2)
+    LinearPath(NoiseRealization(grid, tg, 4, seed=0), cs, 1.0).run_to(tg.M)
+    SymbolStepper(grid, tg, 3, cs, 1.0, 0, ctilde=0.0).step()

@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from phi4lab import noise, solvers, symbols
+from phi4lab import noise, paley, solvers, symbols
 from phi4lab.coeffs import CoefficientSet
-from phi4lab.grids import SpectralField, TorusGrid, dealiased_product, random_band_field
+from phi4lab.grids import SpectralField, TorusGrid, binary_size, dealiased_product, random_band_field
 from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid
 from phi4lab.paley import besov_norm, nonresonant, para_gt, para_lt, para_resonant_commutator, resonant
 from phi4lab.solvers import (
@@ -293,6 +293,28 @@ class TestRemainderRhs:
         )
         got = G_rhs(v, w, syms, f2t, ct, s["part"])
         assert rel(got, expected) <= 1e-11
+
+    @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
+    def test_one_step_builds_eight_binary_grid_stacks(self, monkeypatch, N, dim):
+        # four symbol stacks (lin, wick2, iwick2, iwick3) plus the remainder
+        # xm, com1, -3 para_lt(xm, iwick2) and w, each on the binary grid
+        grid = TorusGrid(N, dim)
+        tg = TimeGrid(0.1, 4)
+        co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+        vw = VWStepper(SymbolStepper(grid, tg, N // 2 - 1, co, 0.6, 11, ctilde=0.02))
+        vw.step()
+        shapes = []
+        build = paley.DyadicPartition.padded_blocks
+
+        def counted(self, c):
+            out = build(self, c)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
+        vw.rhs()
+        nblocks = vw.partition.nblocks
+        assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 8
 
     def test_nonresonant_complement_identity(self, rhs_setup):
         # the d1 coefficient keeps the nonresonant + resonant split; together

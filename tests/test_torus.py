@@ -9,15 +9,18 @@ from phi4lab.grids import (
     RealField,
     SpectralField,
     TorusGrid,
+    binary_size,
     dealiased_product,
     dft,
     heat_propagate,
     idft,
     pad_half,
+    product_spectra,
     random_band_field,
     spectral_truncate,
     unpad_half,
 )
+from phi4lab.paley import para_gt, para_lt, resonant
 
 
 def _full_band(N, dim, bound):
@@ -213,7 +216,7 @@ class TestDealiasedProducts:
         self._compare(dealiased_product(f, f, f), oracle, grid)
 
     def test_binary_closed_band_agrees_with_dense_sampling(self):
-        # with Nyquist content, the doubled grid must agree with a 4x grid
+        # with Nyquist content, the binary-product grid must agree with a 4x grid
         rng = np.random.default_rng(113)
         grid = TorusGrid(8, 2)
         f = random_band_field(grid, rng)
@@ -263,3 +266,40 @@ def test_random_band_field_band():
     spec = random_band_field(grid, np.random.default_rng(300), band=2)
     assert np.all(spec.coeffs[grid.kinf > 2] == 0)
     assert np.any(spec.coeffs[grid.kinf <= 2] != 0)
+
+
+def test_binary_size_is_even_smooth_and_above_three_halves():
+    for N in range(2, 513, 2):
+        P = binary_size(N)
+        m = P
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        assert P % 2 == 0 and m == 1, N
+        assert 3 * N < 2 * P <= 4 * N, N
+
+
+def _doubled_product(f, g, N, dim):
+    """Binary product on the 2N grid, written apart from product_spectra."""
+    P = 2 * N
+    axes = tuple(range(dim))
+    pf = np.fft.irfftn(pad_half(f, N, P), s=(P,) * dim, axes=axes) * P**dim
+    pg = np.fft.irfftn(pad_half(g, N, P), s=(P,) * dim, axes=axes) * P**dim
+    return unpad_half(np.fft.rfftn(pf * pg) / P**dim, P, N)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 12, 16, 32])
+def test_closed_band_binary_products_match_doubled_grid(N, dim):
+    # both factors occupy the Nyquist slot, the case where a grid of exactly
+    # 3N/2 folds mode N onto -N/2
+    rng = np.random.default_rng(500 + 10 * N + dim)
+    grid = TorusGrid(N, dim)
+    f = random_band_field(grid, rng)
+    g = random_band_field(grid, rng)
+    ref = _doubled_product(f.coeffs, g.coeffs, N, dim)
+    scale = np.max(np.abs(ref))
+    prod = product_spectra([f.coeffs, g.coeffs], N)
+    assert np.max(np.abs(prod - ref)) <= 1e-13 * scale
+    pieces = (para_lt(f, g) + para_gt(f, g) + resonant(f, g)).coeffs
+    assert np.max(np.abs(pieces - ref)) <= 1e-13 * scale
