@@ -9,8 +9,6 @@ stable equilibrium the damping is negative, which is what keeps the
 remainder system bounded on long horizons.
 """
 
-import numpy as np
-
 from phi4lab.coeffs import (
     equilibrium_ode,
     normalize_cubic,

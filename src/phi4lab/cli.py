@@ -58,7 +58,7 @@ from .concentration import (
     tail_report_json,
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
-from .grids import SpectralField, TorusGrid, dealiased_product, random_band_field
+from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
 from .noise import (LinearPath, NoiseRealization, StepKernel, TimeGrid, lin_variance_curve,
                     quartic_constant, quartic_renorm_mc)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
@@ -129,11 +129,6 @@ def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
                                    command=command)
     manifest.write(out_dir / "manifest.json")
-
-
-def _real_values(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    axes = tuple(range(grid.dim))
-    return np.fft.irfftn(c, s=grid.shape, axes=axes) * grid.npoints
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for row in rows:
             writer.writerow([f"{row[0]:.10g}"] + [f"{x:.12g}" for x in row[1:]])
     write_field_bin(out_dir / "ww_final.f64",
-                    _real_values(grid, vals["res_iwick3_wick2"]),
+                    idft(SpectralField(grid, vals["res_iwick3_wick2"])).values,
                     {"field": "res_iwick3_wick2", "time": cfg.T, "N": cfg.N,
                      "dim": cfg.dimension, "sigma": sigma, "seed": cfg.master_seed})
     files = ["symbols.csv", "ww_final.f64", "ww_final.f64.json"]
@@ -371,7 +366,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
                         kernel=kern, ctilde=ct)
     sol = solve_vw(sym, record_every=cfg.record_every)
     norms_csv(sol.phi_path(), out_dir / "norms.csv")
-    write_field_bin(out_dir / "phi_final.f64", _real_values(grid, sol.phi[-1]),
+    write_field_bin(out_dir / "phi_final.f64", idft(sol.phi_field(-1)).values,
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,
                      "sigma": sigma, "seed": cfg.master_seed})
     files = ["norms.csv", "phi_final.f64", "phi_final.f64.json"]
@@ -382,8 +377,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    problems = []
     if cfg.h_grid is None:
-        raise ConfigError([("h_grid", "tail runs need a threshold grid")])
+        problems.append(("h_grid", "tail runs need a threshold grid"))
+    if 0.0 in cfg.sigmas:
+        problems.append(("sigma", "tail runs need every noise level positive: "
+                                  "thresholds scale with sigma"))
+    if problems:
+        raise ConfigError(problems)
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     alpha = -0.5 - cfg.eps

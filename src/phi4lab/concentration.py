@@ -32,31 +32,23 @@ from .grids import SpectralField, TorusGrid
 from .noise import LinearPath, NoiseRealization, StepKernel
 from .paley import besov_norm, default_partition
 from .solvers import SolutionPath, _record_indices
-from .symbols import SymbolStepper
 
 __all__ = [
-    "XiNorm",
     "TailCurve",
     "GaussianFit",
-    "sup_path_norm",
     "holder_constant",
     "grr_bound",
     "nelson_check",
     "tail_estimate",
     "gaussian_tail_fit",
-    "xi_norm",
-    "t_scaling_probe",
     "tail_curve_csv",
     "tail_report_json",
     "linear_solution_path",
     "linear_sup_statistic",
-    "symbol_sup_statistic",
 ]
 
 # O(M^2) pair enumeration guard: longer paths are subsampled evenly.
 PAIR_CAP = 512
-
-_XI_HOLDER_EXPONENT = 0.125
 
 
 def _unpack(path):
@@ -108,23 +100,6 @@ def _feature_rows(times, data, grid, index, partition):
         vals = part.block_values(data[i])
         rows[i] = (scales[:, None] * vals.reshape(part.nblocks, -1)).ravel()
     return rows
-
-
-def sup_path_norm(path, alpha: float, partition=None) -> float:
-    """Largest norm attained along the path.
-
-    Spectral paths are measured in the Hölder-Besov norm of smoothness
-    ``alpha``; plain paths return the sup of absolute values and ignore it.
-    """
-    times, data, grid = _unpack(path)
-    if len(times) == 0:
-        return 0.0
-    if grid is None:
-        return float(np.max(np.abs(data)))
-    part = default_partition(grid) if partition is None else partition
-    return max(
-        besov_norm(SpectralField(grid, data[i]), alpha, part) for i in range(len(times))
-    )
 
 
 def holder_constant(path, beta: float, gamma: float, partition=None, cap: int = PAIR_CAP) -> float:
@@ -372,104 +347,6 @@ def gaussian_tail_fit(curve: TailCurve) -> GaussianFit:
     return GaussianFit(-coef[1], coef[0], r_squared, cells)
 
 
-class XiNorm:
-    """Four-component size of a remainder pair on a declared sub-interval.
-
-    ``value`` is the maximum of the two sup norms and the two time-Hölder
-    constants, so it dominates each component by construction.
-    """
-
-    def __init__(self, sup_v: float, sup_w: float, holder_v: float, holder_w: float):
-        self.sup_v = float(sup_v)
-        self.sup_w = float(sup_w)
-        self.holder_v = float(holder_v)
-        self.holder_w = float(holder_w)
-        self.value = max(self.sup_v, self.sup_w, self.holder_v, self.holder_w)
-
-
-def xi_norm(v, w, t0: float, eps: float, partition=None, cap: int = PAIR_CAP) -> XiNorm:
-    """Combined norm of the remainder pair over recorded times up to ``t0``.
-
-    The components are the sup of ``v`` in smoothness ``1 - 2 eps``, the sup
-    of ``w`` in ``3/2 - 2 eps``, and the 1/8-Hölder constants of both paths
-    in smoothness 0.  Restricting to a longer window can only add times, so
-    the result is non-decreasing in ``t0``.  With fewer than two recorded
-    times inside the window (in particular at ``t0 = 0``) the norm is 0 by
-    convention: no pairs exist and the paths start from 0.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if t0 < 0.0:
-        raise ValueError(f"t0 must be non-negative, got {t0}")
-    cut = t0 + 1e-12 * max(1.0, abs(t0))
-    windows = []
-    for path in (v, w):
-        times, data, grid = _unpack(path)
-        keep = times <= cut
-        windows.append((times[keep], data[keep], grid))
-    if any(len(times) < 2 for times, _, _ in windows):
-        return XiNorm(0.0, 0.0, 0.0, 0.0)
-    vpath = windows[0] if windows[0][2] is not None else windows[0][:2]
-    wpath = windows[1] if windows[1][2] is not None else windows[1][:2]
-    return XiNorm(
-        sup_path_norm(vpath, 1.0 - 2.0 * eps, partition),
-        sup_path_norm(wpath, 1.5 - 2.0 * eps, partition),
-        holder_constant(vpath, 0.0, _XI_HOLDER_EXPONENT, partition, cap),
-        holder_constant(wpath, 0.0, _XI_HOLDER_EXPONENT, partition, cap),
-    )
-
-
-def t_scaling_probe(
-    statistic_family,
-    t_list,
-    lam: float,
-    h_grid,
-    replicas: int,
-    master_seed: int,
-    sigma: float,
-    label: str = "statistic",
-):
-    """Descriptive table of fitted tail slopes across time horizons.
-
-    ``statistic_family(T)`` must return a replica statistic for horizon
-    ``T``; every horizon shares the threshold grid, the noise level and the
-    master seed.  Each row reports the fitted slope, the slope rescaled by
-    ``max(T**lam, T**(lam/5))``, and the fit quality.  Nothing is asserted
-    about monotonicity across horizons: the constants in the underlying
-    bounds are unknown, so this is a reporting tool, not a pass/fail check.
-    Horizons whose curve has too few usable cells get NaN fit columns.
-    """
-    ts = [float(T) for T in t_list]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_list must be strictly increasing")
-    rows = []
-    for T in ts:
-        curve = tail_estimate(
-            statistic_family(T), h_grid, replicas, master_seed,
-            sigma=sigma, T=T, label=f"{label} T={T:g}",
-        )
-        usable = int(((curve.p_hat > 0.0) & (curve.p_hat < 1.0)).sum())
-        row = {
-            "T": T,
-            "slope_C": math.nan,
-            "intercept_logD": math.nan,
-            "r_squared": math.nan,
-            "rescaled_slope": math.nan,
-            "usable_cells": usable,
-        }
-        try:
-            fit = gaussian_tail_fit(curve)
-        except ValueError:
-            rows.append(row)
-            continue
-        row["slope_C"] = fit.slope_C
-        row["intercept_logD"] = fit.intercept_logD
-        row["r_squared"] = fit.r_squared
-        row["rescaled_slope"] = fit.slope_C * max(T**lam, T ** (lam / 5.0))
-        rows.append(row)
-    return rows
-
-
 def tail_curve_csv(curve: TailCurve, path) -> None:
     """Write the curve as CSV with columns h, p_hat, ci_low, ci_high."""
     with open(path, "w", newline="") as fh:
@@ -573,35 +450,6 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition
         for _ in range(timegrid.M):
             walker.step()
             best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, part, out=buf))
-        return best
-
-    return statistic
-
-
-def symbol_sup_statistic(
-    grid, timegrid, cutoff, coeffs, sigma, name, alpha, ctilde=0.0, partition=None
-):
-    """Replica statistic: running sup of one symbol's smoothness-``alpha`` norm.
-
-    Same shape as :func:`linear_sup_statistic` but runs the full polynomial
-    ensemble and watches the symbol called ``name``.  The quartic constant
-    defaults to 0 rather than a per-replica Monte Carlo estimate: the
-    constant is deterministic, so re-estimating it inside every replica
-    would only add bias jitter; pass a precomputed path when the centred
-    version matters.
-    """
-    part = default_partition(grid) if partition is None else partition
-    kernel = StepKernel(grid, timegrid, coeffs)
-
-    def statistic(replica, seed):
-        sym = SymbolStepper(
-            grid, timegrid, cutoff, coeffs, sigma, seed,
-            replica=replica, kernel=kernel, partition=part, ctilde=ctilde,
-        )
-        best = 0.0
-        for _ in range(timegrid.M):
-            sym.step()
-            best = max(best, besov_norm(SpectralField(grid, sym.values()[name]), alpha, part))
         return best
 
     return statistic

@@ -31,21 +31,18 @@ from .paley import default_partition
 __all__ = [
     "ROLE_MAIN",
     "ROLE_RENORM",
-    "ROLE_AUX",
     "TimeGrid",
     "NoiseRealization",
     "StepKernel",
     "LinearPath",
     "lin_variance_curve",
     "lin_variance_path",
-    "increment_variance_check",
     "quartic_renorm_mc",
     "quartic_constant",
 ]
 
 ROLE_MAIN = 0
 ROLE_RENORM = 1
-ROLE_AUX = 2
 
 _GL_NODES = 48
 # time steps of the Monte Carlo behind quartic_constant; finer grids interpolate
@@ -341,59 +338,6 @@ def lin_variance_path(
         var = kern.propagator(j) ** 2 * var + sigma**2 * kern.variance(j)
         out[j + 1] = float(np.sum(hw * var))
     return out
-
-
-def increment_variance_check(
-    grid: TorusGrid,
-    timegrid: TimeGrid,
-    cutoff: int,
-    coeffs: CoefficientSet,
-    sigma: float,
-    seed: int,
-    replicas: int,
-    j_from: int,
-    j_to: int,
-    role: int = ROLE_AUX,
-) -> dict:
-    """Empirical vs exact variance of the convolution increment.
-
-    The increment ``I(t) - P_{s,t} I(s)`` is independent of the past with a
-    variance given by the same per-step kernels; this runs ``replicas``
-    independent paths and compares the Monte Carlo spatial mean square with
-    the exact value.
-    """
-    if not 0 <= j_from < j_to <= timegrid.M:
-        raise ValueError(f"need 0 <= j_from < j_to <= M, got {j_from}, {j_to}")
-    kern = StepKernel(grid, timegrid, coeffs)
-    mask = (grid.kinf <= cutoff).astype(np.float64)
-    hw = grid.half_weights * mask
-
-    acc = np.zeros(grid.hshape)
-    prop = np.ones(grid.hshape)
-    for j in range(j_from, j_to):
-        acc = kern.propagator(j) ** 2 * acc + sigma**2 * kern.variance(j)
-        prop = prop * kern.propagator(j)
-    exact = float(np.sum(hw * acc))
-
-    vals = np.empty(replicas)
-    for r in range(replicas):
-        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=role)
-        path = LinearPath(noise, coeffs, sigma, kernel=kern)
-        path.run_to(j_from)
-        snap = path.state.copy()
-        path.run_to(j_to)
-        diff = path.state - prop * snap
-        vals[r] = float(np.sum(hw * np.abs(diff) ** 2))
-    mc = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(replicas))
-    return {
-        "exact": exact,
-        "mc_mean": mc,
-        "mc_se": se,
-        "ratio": mc / exact,
-        "zscore": (mc - exact) / se,
-        "replicas": replicas,
-    }
 
 
 def _constant_path(value, timegrid: TimeGrid, what: str) -> np.ndarray:

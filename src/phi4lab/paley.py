@@ -41,20 +41,15 @@ __all__ = [
     "chi_annulus",
     "DyadicPartition",
     "default_partition",
-    "lp_blocks",
     "besov_norm",
     "lp_norm",
     "para_lt",
     "para_gt",
     "resonant",
     "nonresonant",
-    "para_ge",
     "para_resonant_commutator",
-    "heat_para_commutator",
     "bernstein_ratios",
-    "bernstein_gradient_ratios",
     "schauder_ratio",
-    "moment_criterion",
 ]
 
 
@@ -178,11 +173,6 @@ def _part(f: SpectralField, partition: DyadicPartition | None) -> DyadicPartitio
     return default_partition(f.grid) if partition is None else partition
 
 
-def lp_blocks(spec: SpectralField, partition: DyadicPartition | None = None) -> list[SpectralField]:
-    """The dyadic blocks of a field as spectral fields (index -1 first)."""
-    return _part(spec, partition).blocks(spec)
-
-
 def lp_norm(values: np.ndarray, p: float) -> float:
     """L^p norm over the grid with normalized counting measure; inf for sup."""
     if np.isinf(p):
@@ -268,13 +258,6 @@ def nonresonant(
     return dealiased_product(f, g) - resonant(f, g, partition)
 
 
-def para_ge(
-    f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None
-) -> SpectralField:
-    """Full dealiased product minus ``para_lt``: resonant plus upper paraproduct."""
-    return dealiased_product(f, g) - para_lt(f, g, partition)
-
-
 def para_resonant_commutator(
     f: SpectralField,
     g: SpectralField,
@@ -291,50 +274,6 @@ def para_resonant_commutator(
     lhs = resonant(para_lt(f, g, part), h, part)
     rhs = dealiased_product(f, resonant(g, h, part))
     return lhs - rhs
-
-
-def heat_para_commutator(
-    f: SpectralField,
-    g: SpectralField,
-    s: float,
-    t: float,
-    alpha: float = 0.0,
-    partition: DyadicPartition | None = None,
-) -> SpectralField:
-    """Commutator of the damped heat propagator with the lower paraproduct.
-
-    ``P_{s,t}(para_lt(f, g)) - para_lt(f, P_{s,t} g)`` with the same scalar
-    damping integral ``alpha`` on both propagators.
-    """
-    part = _part(f, partition)
-    lhs = heat_propagate(para_lt(f, g, part), s, t, alpha=alpha)
-    rhs = para_lt(f, heat_propagate(g, s, t, alpha=alpha), part)
-    return lhs - rhs
-
-
-def _deriv_values(spec: SpectralField) -> np.ndarray:
-    """Pointwise Euclidean norm of the gradient on the grid.
-
-    Odd derivatives of the Nyquist mode vanish at grid points under the
-    symmetric interpolant, so that slot is zeroed.
-    """
-    grid = spec.grid
-    N, dim = grid.N, grid.dim
-    total = np.zeros(grid.shape)
-    axes = tuple(range(dim))
-    for a in range(dim):
-        if a < dim - 1:
-            freqs = np.fft.fftfreq(N, d=1.0 / N)
-        else:
-            freqs = np.arange(N // 2 + 1, dtype=np.float64)
-        freqs = freqs.copy()
-        freqs[np.abs(freqs) == N // 2] = 0.0
-        sh = [1] * dim
-        sh[a] = freqs.size
-        mult = 2j * np.pi * freqs.reshape(sh)
-        comp = np.fft.irfftn(spec.coeffs * mult, s=grid.shape, axes=axes) * grid.npoints
-        total += comp**2
-    return np.sqrt(total)
 
 
 def bernstein_ratios(
@@ -362,24 +301,6 @@ def bernstein_ratios(
     return out
 
 
-def bernstein_gradient_ratios(
-    spec: SpectralField,
-    p: float,
-    partition: DyadicPartition | None = None,
-    tiny: float = 1e-300,
-) -> dict[int, float]:
-    """Per-block ratio ``|| |grad d_k f| ||_p / (2**k ||d_k f||_p)``."""
-    part = _part(spec, partition)
-    out = {}
-    for k in part.indices:
-        blk = part.block(spec, k)
-        denom = lp_norm(blk.to_real().values, p)
-        if denom < tiny:
-            continue
-        out[k] = lp_norm(_deriv_values(blk), p) / (2.0**k * denom)
-    return out
-
-
 def schauder_ratio(
     spec: SpectralField,
     t: float,
@@ -402,49 +323,3 @@ def schauder_ratio(
         return 0.0
     num = besov_norm(heat_propagate(spec, 0.0, t), beta, part)
     return float(t ** ((beta - alpha) / 2.0) * num / denom)
-
-
-def moment_criterion(
-    samples: list[SpectralField],
-    p: int,
-    s: float,
-    partition: DyadicPartition | None = None,
-    kmin: int = 1,
-    kmax: int | None = None,
-) -> dict:
-    """Dyadic moment test for almost-sure regularity of a random field.
-
-    Estimates ``M_k = E ||d_k X||_{2p}^{2p}`` from ``samples`` and reports the
-    constant ``max_k 2**(2 p k s) M_k`` together with the least-squares decay
-    slope of ``log2 M_k**(1/2p)`` over ``kmin <= k <= kmax``.  Decay like
-    ``2**(-k s)`` certifies Holder regularity ``s - d/(2p)`` (minus epsilon).
-    By default the fit uses only blocks whose annulus lies entirely inside
-    the inscribed ball of the grid band; the top blocks are clipped by the
-    cube corners and would bias the slope.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    part = _part(samples[0], partition)
-    d = samples[0].grid.dim
-    N = samples[0].grid.N
-    if kmax is None:
-        kmax = math.floor(math.log2(N * 3.0 / 16.0))
-        kmax = max(kmax, kmin + 1)
-    ks = np.arange(-1, part.K + 1)
-    M = np.zeros(part.nblocks)
-    for f in samples:
-        vals = part.block_values(f.coeffs)
-        M += np.mean(np.abs(vals) ** (2 * p), axis=tuple(range(1, vals.ndim)))
-    M /= len(samples)
-    mask = (ks >= kmin) & (ks <= kmax) & (M > 0)
-    x = ks[mask]
-    y = np.log2(M[mask]) / (2.0 * p)
-    slope, intercept = np.polyfit(x, y, 1)
-    const = float(np.max(2.0 ** (2.0 * p * ks * s) * M))
-    return {
-        "block_moments": dict(zip(ks.tolist(), M.tolist())),
-        "constant": const,
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "implied_regularity": float(-slope - d / (2.0 * p)),
-    }

@@ -20,20 +20,20 @@ Dynamical states are kept in the open frequency band ``max_i |w_i| <= N/2-1``
 so that every binary and ternary product formed from them is alias free; the
 remainder right-hand sides are projected onto that band before stepping.
 
-The first commutator correction is evaluated by its value form (the remainder
-plus a bracket paraproduct); :func:`com1_integral_diagnostic` re-derives it
-through the three-piece integral representation and reports the discrepancy.
+Both commutator corrections are evaluated by their value forms: the first as
+the remainder plus a bracket paraproduct, the second as the trilinear
+commutator of :func:`.paley.para_resonant_commutator`, formed from the block
+stacks the step already holds.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 
 import numpy as np
 
 from .coeffs import CoefficientSet, as_poly
-from .grids import RealField, SpectralField, TorusGrid, product_spectra
+from .grids import RealField, SpectralField, TorusGrid, idft, product_spectra
 from .noise import (
     ROLE_MAIN,
     NoiseRealization,
@@ -44,7 +44,7 @@ from .noise import (
     lin_variance_path,
     quartic_constant,
 )
-from .paley import DyadicPartition, _para_lt_core, _resonant_core, besov_norm, default_partition
+from .paley import DyadicPartition, _para_lt_core, _resonant_core
 from .symbols import SymbolStepper
 
 __all__ = [
@@ -60,11 +60,7 @@ __all__ = [
     "VWStepper",
     "solve_vw",
     "reconstruct_phi",
-    "com1_integral_diagnostic",
-    "schauder_constants",
     "equivalence_report",
-    "save_solution",
-    "load_solution",
     "norms_csv",
 ]
 
@@ -93,12 +89,8 @@ def _check_record_budget(nrecords: int, hsize: int, nfields: int) -> None:
         )
 
 
-def _rms(grid: TorusGrid, c: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.half_weights * np.abs(c) ** 2)))
-
-
 def _check_blowup(grid: TorusGrid, c: np.ndarray, limit: float, t: float, j: int) -> None:
-    r = _rms(grid, c)
+    r = SpectralField(grid, c).l2()
     if not np.isfinite(r) or r > limit:
         raise RuntimeError(
             f"blow-up: solution rms {r:.3e} exceeded {limit:.1e} at t = {t:.6f} (step {j})"
@@ -125,14 +117,13 @@ class SolutionPath:
         return SpectralField(self.grid, self.coeffs[i])
 
     def real_values(self, i: int) -> np.ndarray:
-        axes = tuple(range(self.grid.dim))
-        return np.fft.irfftn(self.coeffs[i], s=self.grid.shape, axes=axes) * self.grid.npoints
+        return idft(self.field(i)).values
 
     def sup_norms(self) -> np.ndarray:
         return np.array([np.max(np.abs(self.real_values(i))) for i in range(len(self))])
 
     def rms_norms(self) -> np.ndarray:
-        return np.array([_rms(self.grid, self.coeffs[i]) for i in range(len(self))])
+        return np.array([self.field(i).l2() for i in range(len(self))])
 
 
 def _coerce_state(grid: TorusGrid, phi0) -> np.ndarray:
@@ -558,16 +549,15 @@ class VWStepper:
 
 
 class VWSolution:
-    """Recorded remainder pair, reconstruction, and optional norm diagnostics."""
+    """Recorded remainder pair and its reconstruction."""
 
-    def __init__(self, grid, times, v, w, phi, meta, norms=None):
+    def __init__(self, grid, times, v, w, phi, meta):
         self.grid = grid
         self.times = np.asarray(times, dtype=np.float64)
         self.v = v
         self.w = w
         self.phi = phi
         self.meta = dict(meta)
-        self.norms = norms
 
     def __len__(self) -> int:
         return len(self.times)
@@ -594,18 +584,14 @@ class VWSolution:
 def solve_vw(
     symbols: SymbolStepper,
     record_every: int = 1,
-    diagnostics: bool = False,
-    eps: float = 0.05,
     forcing=None,
     phibar=None,
     blowup_limit: float = _BLOWUP_LIMIT,
 ) -> VWSolution:
     """Integrate the coupled remainder system over the whole time grid.
 
-    Consumes the supplied symbol stepper.  With ``diagnostics=True`` the
-    Besov norms of ``v``, ``w`` and of both right-hand sides are recorded at
-    every stored time (regularity offsets written in terms of ``eps``), which
-    feeds the fitted-constant smoothing checks of :func:`schauder_constants`.
+    Consumes the supplied symbol stepper and records ``v``, ``w`` and the
+    reconstructed solution every ``record_every`` steps and at the end.
     ``phibar`` (a flat reference path, callable or scalar) is added to the
     recorded reconstruction only; the remainder system itself is recentred.
     """
@@ -619,12 +605,6 @@ def solve_vw(
     vout = np.empty((len(recs),) + grid.hshape, dtype=np.complex128)
     wout = np.empty_like(vout)
     pout = np.empty_like(vout)
-    norms = (
-        {"t": [], "v": [], "w": [], "F": [], "G": [], "eps": float(eps)}
-        if diagnostics
-        else None
-    )
-    part = vw.partition
     for j in range(timegrid.M + 1):
         rhs = vw.rhs() if j < timegrid.M else None
         if j in pos:
@@ -635,17 +615,8 @@ def solve_vw(
                 vw.sym.values(), vw.v, vw.w, grid,
                 phibar=0.0 if phibar is None else float(phibar(vw.t)),
             )
-            if diagnostics:
-                F, G = rhs if rhs is not None else vw.rhs()
-                norms["t"].append(vw.t)
-                norms["v"].append(besov_norm(SpectralField(grid, vw.v), 1.0 - 2 * eps, part))
-                norms["w"].append(besov_norm(SpectralField(grid, vw.w), 1.5 - 2 * eps, part))
-                norms["F"].append(besov_norm(SpectralField(grid, F), -1.0 - eps, part))
-                norms["G"].append(besov_norm(SpectralField(grid, G), -0.5 - eps, part))
         if j < timegrid.M:
             vw.step(rhs=rhs)
-    if diagnostics:
-        norms = {k: (np.array(val) if k != "eps" else val) for k, val in norms.items()}
     meta = {
         "dt": timegrid.dt,
         "n": symbols.cutoff,
@@ -653,94 +624,7 @@ def solve_vw(
         "sigma": symbols.sigma,
         "scheme": "exp-euler-leftpoint",
     }
-    return VWSolution(grid, timegrid.ts[recs], vout, wout, pout, meta, norms)
-
-
-def schauder_constants(norms: dict) -> dict:
-    """Fitted smoothing constants from a recorded norm table.
-
-    For each stored time, the remainder norms are divided by the running
-    supremum of the corresponding right-hand side norm; the reported constant
-    is the largest such ratio.  Stable constants across runs are the
-    empirical counterpart of the parabolic smoothing bounds.
-    """
-    out = {}
-    for state, source in (("v", "F"), ("w", "G")):
-        run = np.maximum.accumulate(norms[source])
-        ratios = [n / r for n, r in zip(norms[state], run) if r > 0]
-        out["C_" + state] = float(max(ratios)) if ratios else 0.0
-    return out
-
-
-def com1_integral_diagnostic(symbols: SymbolStepper, steps: int | None = None) -> dict:
-    """Re-derive the first commutator correction from its integral pieces.
-
-    Runs the coupled system ``steps`` steps recording the bracket and the
-    Wick square, then assembles the three integral terms: the heat-propagator
-    paraproduct commutator (A), the bracket increment term (B), and the
-    low-block source (C).  Left-point sums with the exact damped kernels
-    telescope back to the value form, so the reported gap sits at rounding
-    level for any step size; it is dominated by the difference between one
-    exact kernel over ``[t_j, t_m]`` and the product of per-step propagators.
-
-    The A term carries the same open-band projection as the v equation, so
-    the comparison is against exactly what the stepper integrated.
-    """
-    sym = symbols
-    grid, timegrid, part = sym.grid, sym.timegrid, sym.partition
-    N, dim = grid.N, grid.dim
-    zero = (0,) * dim
-    m = timegrid.M if steps is None else int(steps)
-    if not 1 <= m <= timegrid.M:
-        raise ValueError(f"steps {m} outside [1, {timegrid.M}]")
-    _check_record_budget(m, int(np.prod(grid.hshape)), 2)
-    vw = VWStepper(sym)
-    coeffs = sym.coeffs
-    Bs, w2s = [], []
-    for j in range(m):
-        vals = sym.values()
-        B = 3.0 * (vw.v + vw.w - vals["iwick3"])
-        B[zero] -= float(coeffs.f2(timegrid.ts[j]))
-        Bs.append(B)
-        w2s.append(vals["wick2"])
-        vw.step()
-    vals_m = sym.values()
-    tm = timegrid.ts[m]
-    cache = {"stk:iwick2": sym.stack("iwick2")}
-    direct = com1_value(vw.v, vw.w, vals_m, float(coeffs.f2(tm)), part, cache)
-    B_m = 3.0 * (vw.v + vw.w - vals_m["iwick3"])
-    B_m[zero] -= float(coeffs.f2(tm))
-
-    L = 4.0 * np.pi**2 * grid.k2.astype(np.float64)
-    mask = grid.kinf <= sym.band
-    low_weight = part.weight(-1) + part.weight(0)
-    dt = timegrid.dt
-    A = np.zeros(grid.hshape, dtype=np.complex128)
-    Bterm = np.zeros_like(A)
-    C = np.zeros_like(A)
-    for j in range(m):
-        tj = timegrid.ts[j]
-        K = np.exp(coeffs.alpha(tm, tj) - L * (tm - tj))
-        bB = part.padded_blocks(Bs[j])
-        bw2 = part.padded_blocks(w2s[j])
-        plt_j = _para_lt_core(bB, bw2, N, dim)
-        Kw2 = K * w2s[j]
-        bKw2 = part.padded_blocks(Kw2)
-        A -= dt * (np.where(mask, K * plt_j, 0.0) - _para_lt_core(bB, bKw2, N, dim))
-        bdiff = part.padded_blocks(Bs[j] - B_m)
-        Bterm -= dt * _para_lt_core(bdiff, bKw2, N, dim)
-        C += dt * float(coeffs.f2(tj)) * K * (low_weight * w2s[j])
-    integral = A + Bterm + C
-    denom = max(_rms(grid, direct), 1e-300)
-    return {
-        "time": float(tm),
-        "com1_value": direct,
-        "com1_integral": integral,
-        "A": A,
-        "B": Bterm,
-        "C": C,
-        "rel_gap": _rms(grid, integral - direct) / denom,
-    }
+    return VWSolution(grid, timegrid.ts[recs], vout, wout, pout, meta)
 
 
 def equivalence_report(
@@ -782,12 +666,11 @@ def equivalence_report(
             grid, tg, cutoff, coeffs, sigma, seed, kernel=kern, ctilde=ct, noise=noise
         )
         vw = VWStepper(sym)
-        axes = tuple(range(grid.dim))
         sup_d = 0.0
         sup_gap = 0.0
         for j in range(tg.M + 1):
-            pd = np.fft.irfftn(direct.phi, s=grid.shape, axes=axes) * grid.npoints
-            pv = np.fft.irfftn(vw.reconstruct(), s=grid.shape, axes=axes) * grid.npoints
+            pd = idft(SpectralField(grid, direct.phi)).values
+            pv = idft(SpectralField(grid, vw.reconstruct())).values
             sup_d = max(sup_d, float(np.max(np.abs(pd))))
             sup_gap = max(sup_gap, float(np.max(np.abs(pd - pv))))
             if j < tg.M:
@@ -816,22 +699,6 @@ def equivalence_report(
     }
 
 
-def save_solution(sol: SolutionPath, path: str) -> None:
-    """Write a path (.npz) plus a JSON description (path + .json)."""
-    np.savez_compressed(path, times=sol.times, coeffs=sol.coeffs)
-    meta = {"N": sol.grid.N, "dim": sol.grid.dim, **sol.meta}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-
-
-def load_solution(path: str) -> SolutionPath:
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    data = np.load(str(path) if str(path).endswith(".npz") else str(path) + ".npz")
-    grid = TorusGrid(meta.pop("N"), meta.pop("dim"))
-    return SolutionPath(grid, data["times"], data["coeffs"], meta)
-
-
 def norms_csv(sol: SolutionPath, path: str) -> None:
     """Sub-sampled snapshot table: time, rms and sup norm per recorded time."""
     with open(path, "w", newline="") as fh:
@@ -839,6 +706,6 @@ def norms_csv(sol: SolutionPath, path: str) -> None:
         writer.writerow(["time", "rms", "sup"])
         for i in range(len(sol)):
             writer.writerow(
-                [f"{sol.times[i]:.10g}", f"{_rms(sol.grid, sol.coeffs[i]):.12g}",
+                [f"{sol.times[i]:.10g}", f"{sol.field(i).l2():.12g}",
                  f"{np.max(np.abs(sol.real_values(i))):.12g}"]
             )

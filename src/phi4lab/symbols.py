@@ -28,7 +28,6 @@ degree in the noise amplitude.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,6 @@ __all__ = [
     "build_ensemble",
     "ChaosDecomposition",
     "chaos_components",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -360,37 +357,3 @@ def chaos_components(
     flat = taus.reshape(len(sigma_list), -1)
     kernels = np.linalg.solve(V, flat).reshape((degree + 1,) + taus.shape[1:])
     return ChaosDecomposition(name, degree, sigma_list, kernels, grid, timegrid)
-
-
-def save_ensemble(ens: SymbolEnsemble, path: str) -> None:
-    """Write paths plus a JSON description to ``path`` (.npz) and ``path + .json``."""
-    arrays = {f"path_{k}": v for k, v in ens.paths.items()}
-    np.savez_compressed(
-        path, c=ens.c, ctilde=ens.ctilde, ts=ens.timegrid.ts, **arrays
-    )
-    meta = {
-        "N": ens.grid.N,
-        "dim": ens.grid.dim,
-        "T": ens.timegrid.T,
-        "M": ens.timegrid.M,
-        "cutoff": ens.cutoff,
-        "sigma": ens.sigma,
-        "seed": ens.seed,
-        "replica": ens.replica,
-        "names": sorted(ens.paths),
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def load_ensemble(path: str) -> SymbolEnsemble:
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    data = np.load(str(path) if str(path).endswith(".npz") else str(path) + ".npz")
-    grid = TorusGrid(meta["N"], meta["dim"])
-    timegrid = TimeGrid(meta["T"], meta["M"])
-    paths = {k[5:]: data[k] for k in data.files if k.startswith("path_")}
-    return SymbolEnsemble(
-        grid, timegrid, meta["cutoff"], meta["sigma"], meta["seed"],
-        meta["replica"], paths, data["c"], data["ctilde"],
-    )

@@ -133,6 +133,20 @@ class TestConfigErrorsAtCli:
         assert rc == 2
         assert "h_grid" in err["fields"]
 
+    @pytest.mark.parametrize("sigma", [[0.0, 0.5], 0.0, [0.5, 0.0]],
+                             ids=["first-level", "scalar", "second-level"])
+    def test_tail_with_a_zero_noise_level_exits_two_and_writes_nothing(self, tmp_path, capsys, sigma):
+        # thresholds scale with sigma, so a zero level has no curve; the check
+        # must come before the first level writes its files
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(sigma=sigma, replicas=5)))
+        out = tmp_path / "out"
+        rc = main(["tail", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["sigma"]
+        assert list(out.iterdir()) == []
+
     def test_threads_flag_is_gone(self, capsys):
         # replicas run one after another in tail_estimate; a pool size would change nothing
         with pytest.raises(SystemExit):

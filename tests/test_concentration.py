@@ -37,18 +37,13 @@ from phi4lab.concentration import (
     linear_solution_path,
     linear_sup_statistic,
     nelson_check,
-    sup_path_norm,
-    symbol_sup_statistic,
-    t_scaling_probe,
     tail_curve_csv,
     tail_estimate,
     tail_report_json,
-    xi_norm,
 )
 from phi4lab.grids import SpectralField, TorusGrid
 from phi4lab.noise import NoiseRealization, StepKernel, TimeGrid, quartic_renorm_mc
 from phi4lab.paley import besov_norm, default_partition
-from phi4lab.solvers import solve_vw
 from phi4lab.symbols import SymbolStepper
 
 DAMPED = CoefficientSet(0.0, -1.0, 1.0)
@@ -59,18 +54,11 @@ class TestPathNorms:
         ts = np.linspace(0.0, 1.0, 101)
         path = (ts, np.full(101, 2.3))
         assert holder_constant(path, 0.0, 0.5) == 0.0
-        assert sup_path_norm(path, 0.0) == 2.3
+        assert holder_constant(path, 0.0, 1.0) == 0.0
 
     def test_identity_path_holder_constant_is_one(self):
         ts = np.linspace(0.0, 1.0, 101)
         assert holder_constant((ts, ts.copy()), 0.0, 1.0) == 1.0
-
-    def test_spectral_sup_matches_per_time_besov(self):
-        grid = TorusGrid(16, 3)
-        path = linear_solution_path(grid, TimeGrid(1.0, 24), 8, DAMPED, 0.1, seed=3)
-        part = default_partition(grid)
-        direct = max(besov_norm(SpectralField(grid, c), -0.6, part) for c in path.coeffs)
-        assert sup_path_norm(path, -0.6) == direct
 
     def test_spectral_holder_matches_per_pair_besov(self):
         grid = TorusGrid(16, 3)
@@ -108,9 +96,9 @@ class TestPathNorms:
 
     def test_path_argument_validation(self):
         with pytest.raises(TypeError, match="path"):
-            sup_path_norm(3.0, 0.0)
+            holder_constant(3.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="entries"):
-            sup_path_norm((np.linspace(0, 1, 5), np.zeros(4)), 0.0)
+            holder_constant((np.linspace(0, 1, 5), np.zeros(4)), 0.0, 0.5)
 
 
 class TestRefinementStudy:
@@ -418,88 +406,6 @@ class TestChaosFamilyTails:
             assert np.isfinite(fit.slope_C) and fit.slope_C > 0.0
             assert fit.r_squared > 0.9
             assert fit.cells >= 5
-
-
-class TestXiNorm:
-    def test_zero_paths_give_zero(self):
-        grid = TorusGrid(8, 2)
-        ts = np.linspace(0.0, 0.5, 11)
-        z = np.zeros((11,) + grid.hshape, dtype=np.complex128)
-        out = xi_norm((ts, z, grid), (ts, z, grid), 0.5, 0.05)
-        assert out.value == 0.0
-
-    def test_single_time_window_gives_zero(self):
-        grid = TorusGrid(8, 2)
-        ts = np.linspace(0.0, 0.5, 11)
-        coeffs = np.ones((11,) + grid.hshape, dtype=np.complex128)
-        out = xi_norm((ts, coeffs, grid), (ts, coeffs, grid), 0.0, 0.05)
-        assert (out.sup_v, out.sup_w, out.holder_v, out.holder_w) == (0.0,) * 4
-
-    def test_monotone_in_window_and_matches_components(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.5, 20)
-        sym = SymbolStepper(grid, tg, 3, CoefficientSet(0.5, -1.0, 0.5), 0.05, seed=21, ctilde=0.0)
-        sol = solve_vw(sym)
-        eps = 0.05
-        values = []
-        for t0 in (0.1, 0.25, 0.5):
-            xi = xi_norm(sol.v_path(), sol.w_path(), t0, eps)
-            values.append(xi.value)
-            assert xi.value == max(xi.sup_v, xi.sup_w, xi.holder_v, xi.holder_w)
-            keep = sol.times <= t0 + 1e-12
-            vwin = (sol.times[keep], sol.v[keep], grid)
-            wwin = (sol.times[keep], sol.w[keep], grid)
-            assert xi.sup_v == sup_path_norm(vwin, 1.0 - 2 * eps)
-            assert xi.sup_w == sup_path_norm(wwin, 1.5 - 2 * eps)
-            assert xi.holder_v == holder_constant(vwin, 0.0, 0.125)
-            assert xi.holder_w == holder_constant(wwin, 0.0, 0.125)
-        assert values[0] <= values[1] <= values[2]
-        assert 0.0 < values[2] < np.inf
-
-    def test_parameter_validation(self):
-        grid = TorusGrid(8, 2)
-        ts = np.linspace(0.0, 0.5, 6)
-        z = np.zeros((6,) + grid.hshape, dtype=np.complex128)
-        with pytest.raises(ValueError, match="eps"):
-            xi_norm((ts, z, grid), (ts, z, grid), 0.5, 0.0)
-        with pytest.raises(ValueError, match="t0"):
-            xi_norm((ts, z, grid), (ts, z, grid), -0.1, 0.05)
-
-
-class TestTScalingProbe:
-    def test_flat_statistic_gives_flat_slopes(self):
-        h = np.linspace(0.05, 0.45, 9)
-        fam = lambda T: _nested_gaussian_statistic(0.3, 5.0)
-        rows = t_scaling_probe(fam, [0.5, 1.0, 2.0], 0.1, h, 600, 3, 0.3)
-        assert len(rows) == 3
-        slopes = [r["slope_C"] for r in rows]
-        assert all(np.isfinite(s) and s > 0.0 for s in slopes)
-        assert max(slopes) / min(slopes) < 1.2
-        for r in rows:
-            T = r["T"]
-            expect = r["slope_C"] * max(T**0.1, T**0.02)
-            assert abs(r["rescaled_slope"] - expect) < 1e-12
-
-    def test_noise_path_family_reports_positive_slopes(self):
-        grid = TorusGrid(8, 3)
-
-        def family(T):
-            return linear_sup_statistic(grid, TimeGrid(T, max(4, int(24 * T))), 4, DAMPED, 0.1, -0.6)
-
-        rows = t_scaling_probe(family, [0.5, 1.0, 2.0], 0.1, np.linspace(0.15, 0.45, 11), 300, 3, 0.1)
-        for r in rows:
-            assert np.isfinite(r["slope_C"]) and r["slope_C"] > 0.0
-            assert r["usable_cells"] >= 4
-
-    def test_single_horizon_degenerate_table(self):
-        fam = lambda T: _nested_gaussian_statistic(0.3, 5.0)
-        rows = t_scaling_probe(fam, [1.0], 0.1, np.linspace(0.05, 0.45, 9), 300, 3, 0.3)
-        assert len(rows) == 1
-
-    def test_horizons_must_increase(self):
-        fam = lambda T: _nested_gaussian_statistic(0.3, 5.0)
-        with pytest.raises(ValueError, match="increasing"):
-            t_scaling_probe(fam, [1.0, 0.5], 0.1, [0.1, 0.2, 0.3, 0.4], 200, 3, 0.3)
 
 
 class TestSerialization:

@@ -13,7 +13,6 @@ from phi4lab.noise import (
     NoiseRealization,
     StepKernel,
     TimeGrid,
-    increment_variance_check,
     lin_variance_curve,
     lin_variance_path,
     quartic_renorm_mc,
@@ -259,25 +258,6 @@ class TestVarianceCurves:
         cs = CoefficientSet(f2=0.0, a=-1.0, T=1.0)
         with pytest.raises(ValueError):
             lin_variance_curve(grid, 4, cs, 1.0, [-0.1])
-
-
-class TestIncrementCheck:
-    def test_ratio_near_one(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.5, 10)
-        cs = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.5)
-        report = increment_variance_check(
-            grid, tg, 4, cs, sigma=0.9, seed=31, replicas=400, j_from=3, j_to=8
-        )
-        assert abs(report["zscore"]) < 4
-        assert 0.8 < report["ratio"] < 1.2
-
-    def test_index_validation(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.5, 10)
-        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        with pytest.raises(ValueError):
-            increment_variance_check(grid, tg, 4, cs, 1.0, 0, 10, j_from=5, j_to=5)
 
 
 class TestQuarticConstant:

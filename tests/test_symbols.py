@@ -27,8 +27,6 @@ from phi4lab.symbols import (
     SymbolStepper,
     build_ensemble,
     chaos_components,
-    load_ensemble,
-    save_ensemble,
 )
 
 
@@ -338,21 +336,6 @@ class TestChaos:
 
 
 class TestEnsembleIO:
-    def test_roundtrip(self, tmp_path):
-        grid, tg, co = small_setup(N=8, M=4)
-        ens = build_ensemble(grid, tg, 2, co, 0.6, seed=4, ctilde=0.6**4 * unit_ctilde(tg))
-        target = str(tmp_path / "ens")
-        save_ensemble(ens, target)
-        back = load_ensemble(target)
-        assert back.grid == ens.grid
-        assert back.timegrid.M == tg.M and back.timegrid.T == tg.T
-        assert back.cutoff == 2 and back.sigma == 0.6 and back.seed == 4
-        assert sorted(back.paths) == sorted(ens.paths)
-        for k in ens.paths:
-            assert np.array_equal(back.path(k), ens.path(k))
-        assert np.array_equal(back.c, ens.c)
-        assert np.array_equal(back.ctilde, ens.ctilde)
-
     def test_budget_guard(self):
         grid = TorusGrid(64, 3)
         tg = TimeGrid(1.0, 2000)
