@@ -59,8 +59,8 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (LinearPath, NoiseRealization, StepKernel, TimeGrid, lin_variance_curve,
-                    quartic_constant, quartic_renorm_mc)
+from .noise import (_RECORD_BUDGET_BYTES, LinearPath, NoiseRealization, StepKernel, TimeGrid,
+                    lin_variance_curve, quartic_constant, quartic_renorm_mc, record)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
 from .symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
@@ -203,8 +203,7 @@ def _check_sigma_zero() -> tuple[bool, dict]:
                              ctilde=0.0, forcing=[0.3, 0.1])
     same = bool(np.array_equal(det.coeffs, ren.coeffs))
     sym = SymbolStepper(grid, tg, 3, co, 0.0, seed=0, ctilde=0.0)
-    sol = solve_vw(sym)
-    v_zero = bool(np.all(sol.v == 0.0))
+    v_zero = bool(np.all(solve_vw(sym)["v"].coeffs == 0.0))
     return same and v_zero, {"direct_bitwise": same, "v_identically_zero": v_zero}
 
 
@@ -298,29 +297,24 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     sym = SymbolStepper(grid, tg, cfg.cutoff, co, sigma, cfg.master_seed,
                         kernel=kern, partition=part, ctilde=ct)
     alphas = {name: CATALOG[name].regularity - cfg.lam for name in SYMBOL_NAMES}
-    rows = []
-    vals = sym.values()
-    for j in range(tg.M + 1):
-        if j % cfg.record_every == 0 or j == tg.M:
-            rows.append([tg.ts[j]] + [
-                besov_norm(SpectralField(grid, vals[name]), alphas[name], part)
-                for name in SYMBOL_NAMES
-            ])
-        if j < tg.M:
-            sym.step()
-            vals = sym.values()
+
+    def norm(name):
+        return besov_norm(SpectralField(grid, sym.values()[name]), alphas[name], part)
+
+    times, norms = record(tg, cfg.record_every, sym.step,
+                          {name: (lambda name=name: norm(name)) for name in SYMBOL_NAMES})
     with open(out_dir / "symbols.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + list(SYMBOL_NAMES))
-        for row in rows:
-            writer.writerow([f"{row[0]:.10g}"] + [f"{x:.12g}" for x in row[1:]])
+        for i, t in enumerate(times):
+            writer.writerow([f"{t:.10g}"] + [f"{norms[name][i]:.12g}" for name in SYMBOL_NAMES])
     write_field_bin(out_dir / "ww_final.f64",
-                    idft(SpectralField(grid, vals["res_iwick3_wick2"])).values,
+                    idft(SpectralField(grid, sym.values()["res_iwick3_wick2"])).values,
                     {"field": "res_iwick3_wick2", "time": cfg.T, "N": cfg.N,
                      "dim": cfg.dimension, "sigma": sigma, "seed": cfg.master_seed})
     files = ["symbols.csv", "ww_final.f64", "ww_final.f64.json"]
     _finish(cfg, out_dir, files, t0, "symbols")
-    return {"files": files, "rows": len(rows), "symbols": list(SYMBOL_NAMES)}
+    return {"files": files, "rows": len(times), "symbols": list(SYMBOL_NAMES)}
 
 
 def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -359,20 +353,25 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
+    # v, w and phi at every recorded time: refuse before the c~ Monte Carlo runs
+    need = 3 * (-(-tg.M // cfg.record_every) + 1) * 16 * int(np.prod(grid.hshape))
+    if need > _RECORD_BUDGET_BYTES:
+        raise ConfigError([("record_every", f"recording v, w and phi would need ~{need / 2**20:.0f} "
+                                            f"MiB, over the {_RECORD_BUDGET_BYTES // 2**20} MiB budget")])
     sigma = cfg.sigmas[0]
     kern = StepKernel(grid, tg, co)
     ct = _ctilde_path(cfg, grid, tg, co, sigma)
     sym = SymbolStepper(grid, tg, cfg.cutoff, co, sigma, cfg.master_seed,
                         kernel=kern, ctilde=ct)
-    sol = solve_vw(sym, record_every=cfg.record_every)
-    norms_csv(sol.phi_path(), out_dir / "norms.csv")
-    write_field_bin(out_dir / "phi_final.f64", idft(sol.phi_field(-1)).values,
+    phi = solve_vw(sym, record_every=cfg.record_every)["phi"]
+    norms_csv(phi, out_dir / "norms.csv")
+    write_field_bin(out_dir / "phi_final.f64", idft(phi.field(-1)).values,
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,
                      "sigma": sigma, "seed": cfg.master_seed})
     files = ["norms.csv", "phi_final.f64", "phi_final.f64.json"]
     _finish(cfg, out_dir, files, t0, "simulate")
-    sups = sol.phi_path().sup_norms()
-    return {"files": files, "recorded_times": len(sol), "final_sup": float(sups[-1]),
+    sups = phi.sup_norms()
+    return {"files": files, "recorded_times": len(phi), "final_sup": float(sups[-1]),
             "max_sup": float(np.max(sups))}
 
 

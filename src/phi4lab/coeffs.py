@@ -5,8 +5,8 @@ The equation solved elsewhere in the package carries a quadratic coefficient
 polynomials in time.  This module provides
 
 * exact time integrals of ``a`` (the scalar part of the damped propagator),
-* exact extrema of polynomial coefficients on the time horizon, used for
-  stability margins,
+* exact extrema of polynomial coefficients on the time horizon, used to
+  check the sign of the leading cubic coefficient,
 * reduction of a general cubic reaction to leading coefficient -1,
 * recentring of the equation around a spatially flat reference path, and
 * the reference ODE itself.
@@ -76,18 +76,6 @@ class CoefficientSet:
     def alpha(self, t: float, u: float) -> float:
         """Exact integral of ``a`` over ``[u, t]``."""
         return float(self._A(t) - self._A(u))
-
-    def a_bounds(self) -> tuple[float, float]:
-        return poly_extrema(self.a, 0.0, self.T)
-
-    def a_plus(self) -> float:
-        """Stability margin ``-sup a``; positive when the drift is damping."""
-        return -self.a_bounds()[1]
-
-    def propagate(self, spec, s: float, t: float):
-        from .grids import heat_propagate
-
-        return heat_propagate(spec, s, t, alpha=self.alpha(t, s))
 
     def __repr__(self):
         return (

@@ -29,9 +29,9 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.special import betaincinv
 
 from .grids import SpectralField, TorusGrid
-from .noise import LinearPath, NoiseRealization, StepKernel
+from .noise import LinearPath, NoiseRealization, StepKernel, record
 from .paley import besov_norm, default_partition
-from .solvers import SolutionPath, _record_indices
+from .solvers import SolutionPath
 
 __all__ = [
     "TailCurve",
@@ -55,8 +55,8 @@ def _unpack(path):
     """Normalize a path argument to ``(times, data, grid_or_None)``.
 
     Accepted forms: an object with ``times``/``coeffs``/``grid`` attributes
-    (a :class:`~.solvers.SolutionPath`), a ``(times, values)`` pair of plain
-    real arrays, or a ``(times, coeffs, grid)`` triple of raw spectra.
+    (a :class:`~.solvers.SolutionPath`) or a ``(times, values)`` pair of
+    plain real arrays.
     """
     if hasattr(path, "coeffs") and hasattr(path, "grid"):
         times = np.asarray(path.times, dtype=np.float64)
@@ -64,14 +64,8 @@ def _unpack(path):
     elif isinstance(path, (tuple, list)) and len(path) == 2:
         times = np.asarray(path[0], dtype=np.float64)
         data, grid = np.asarray(path[1], dtype=np.float64), None
-    elif isinstance(path, (tuple, list)) and len(path) == 3:
-        times = np.asarray(path[0], dtype=np.float64)
-        data, grid = np.asarray(path[1]), path[2]
     else:
-        raise TypeError(
-            "path must be a SolutionPath, a (times, values) pair "
-            "or a (times, coeffs, grid) triple"
-        )
+        raise TypeError("path must be a SolutionPath or a (times, values) pair")
     if len(times) != len(data):
         raise ValueError(f"{len(times)} times for {len(data)} path entries")
     return times, data, grid
@@ -406,21 +400,14 @@ def linear_solution_path(
 ) -> SolutionPath:
     """Record the damped stochastic convolution of one noise replica.
 
-    A thin recording loop around :class:`~.noise.LinearPath`; pass a
+    :class:`~.noise.LinearPath` recorded by :func:`~.noise.record`; pass a
     prebuilt ``kernel`` when sweeping replicas, or an aggregated ``noise``
     object for refinement studies on a shared realization.
     """
     if noise is None:
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=replica)
     walker = LinearPath(noise, coeffs, sigma, kernel=kernel)
-    recs = _record_indices(timegrid.M, record_every)
-    out = np.zeros((len(recs),) + grid.hshape, dtype=np.complex128)
-    pos = {j: i for i, j in enumerate(recs)}
-    for j in range(1, timegrid.M + 1):
-        walker.step()
-        i = pos.get(j)
-        if i is not None:
-            out[i] = walker.state
+    times, out = record(timegrid, record_every, walker.step, {"state": lambda: walker.state})
     meta = {
         "kind": "linear",
         "sigma": float(sigma),
@@ -429,7 +416,7 @@ def linear_solution_path(
         "replica": int(replica),
         "dt": timegrid.dt,
     }
-    return SolutionPath(grid, timegrid.ts[recs], out, meta)
+    return SolutionPath(grid, times, out["state"], meta)
 
 
 def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition=None):

@@ -121,10 +121,6 @@ class TorusGrid:
         w[..., -1] = 1.0
         return w
 
-    def points(self) -> list[np.ndarray]:
-        x = np.arange(self.N) / self.N
-        return np.meshgrid(*([x] * self.dim), indexing="ij")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TorusGrid)
@@ -154,9 +150,6 @@ class RealField:
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def __add__(self, other: "RealField") -> "RealField":
         _check_same_grid(self, other)
@@ -219,9 +212,6 @@ class SpectralField:
             return complex(np.conj(self.coeff(tuple(-o for o in w))))
         idx = tuple(o % N for o in w[:-1]) + (last % N,)
         return complex(self.coeffs[idx])
-
-    def to_real(self) -> RealField:
-        return idft(self)
 
     def l2(self) -> float:
         """Root mean square of the represented field (Parseval)."""

@@ -1,4 +1,5 @@
-"""Band-limited white-in-time forcing and the damped stochastic convolution.
+"""Band-limited white-in-time forcing, the damped stochastic convolution, and
+the one loop that records time paths.
 
 Noise model: every Fourier mode inside the cutoff band carries an
 independent Brownian motion with ``E|dW(w)|^2 = dt``.  Increments are
@@ -17,6 +18,11 @@ boundary-layer Gauss-Legendre quadrature for polynomial damping), so the
 discrete stochastic convolution has the exact continuum marginal law at every
 grid time, and the quadratic renormalization constant can be evaluated
 without discretization bias.
+
+:func:`record` steps any state over a :class:`TimeGrid` and keeps named
+fields of it at every ``every``-th grid time and at ``T``; every recorded
+path in the package (solver routes, the symbol ensemble, the stochastic
+convolution, the symbol norm table) goes through it, under one memory budget.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "ROLE_MAIN",
     "ROLE_RENORM",
     "TimeGrid",
+    "record",
     "NoiseRealization",
     "StepKernel",
     "LinearPath",
@@ -50,6 +57,8 @@ _COARSE_STEPS = 50
 # the in-step variance integrand is cut where exp(-2 L tau) has dropped to
 # exp(-40) ~ 4e-18 of its boundary value; the neglected tail is below roundoff
 _TAIL = 20.0
+# largest total size of the arrays one call of record() may keep
+_RECORD_BUDGET_BYTES = 768 * 2**20
 
 
 class TimeGrid:
@@ -68,6 +77,44 @@ class TimeGrid:
 
     def __repr__(self):
         return f"TimeGrid(T={self.T}, M={self.M})"
+
+
+def record(timegrid: TimeGrid, every: int, step, fields) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Step over the whole grid and keep named fields at the recorded times.
+
+    ``step`` advances the caller's state by one step; ``fields`` maps names
+    to zero-argument readers of that state.  The readers run at ``t_0``,
+    after every ``every``-th step and at ``T``.  Returns the recorded times
+    and, per name, the reads stacked along a leading axis, with shape and
+    dtype taken from the first read.  A recording that would need more than
+    ``_RECORD_BUDGET_BYTES`` is refused before the first step.
+    """
+    every, M = int(every), timegrid.M
+    if every < 1:
+        raise ValueError(f"record_every must be at least 1, got {every}")
+    idx = list(range(0, M + 1, every))
+    if idx[-1] != M:
+        idx.append(M)
+    first = {name: np.asarray(read()) for name, read in fields.items()}
+    need = len(idx) * sum(a.nbytes for a in first.values())
+    if need > _RECORD_BUDGET_BYTES:
+        raise ValueError(
+            f"recorded path would need ~{need / 2**20:.0f} MiB, over the "
+            f"{_RECORD_BUDGET_BYTES // 2**20} MiB budget; record fewer times"
+        )
+    out = {name: np.empty((len(idx),) + a.shape, dtype=a.dtype) for name, a in first.items()}
+    for name in out:
+        # keep no reference to the first reads: held for the whole run they
+        # raised the peak RSS of a 32^3 v/w solve by 8 MiB
+        out[name][0] = first.pop(name)
+    k = 1
+    for j in range(1, M + 1):
+        step()
+        if j == idx[k]:
+            for name, read in fields.items():
+                out[name][k] = read()
+            k += 1
+    return timegrid.ts[idx], out
 
 
 class NoiseRealization:
@@ -168,7 +215,7 @@ class StepKernel:
     O(M x distinct |w|^2) values, not O(M x grid).
     """
 
-    def __init__(self, grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet, quad_nodes: int = _GL_NODES):
+    def __init__(self, grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet):
         self.grid = grid
         self.timegrid = timegrid
         self.coeffs = coeffs
@@ -183,7 +230,7 @@ class StepKernel:
         lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
         self._Ld = 4.0 * np.pi**2 * lv.astype(np.float64)
         self._linv = inv
-        self._gl = roots_legendre(quad_nodes)
+        self._gl = roots_legendre(_GL_NODES)
         self._cache: dict[str, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
 
@@ -265,12 +312,6 @@ class LinearPath:
         self.state = k.propagator(j) * self.state + self.sigma * w * self.noise.increment(j)
         self.j += 1
 
-    def run_to(self, j: int) -> None:
-        if j < self.j:
-            raise ValueError(f"cannot run backwards: at {self.j}, asked {j}")
-        while self.j < j:
-            self.step()
-
 
 def _band_counts(grid: TorusGrid, cutoff: int):
     """Distinct |w|^2 values and conjugate-counted multiplicities in the band."""
@@ -286,7 +327,6 @@ def lin_variance_curve(
     coeffs: CoefficientSet,
     sigma: float,
     times,
-    quad_nodes: int = _GL_NODES,
 ) -> np.ndarray:
     """Pointwise variance of the stochastic convolution by direct quadrature.
 
@@ -297,7 +337,7 @@ def lin_variance_curve(
     Ld, counts = _band_counts(grid, cutoff)
     A = coeffs.a.integ()
     aconst = coeffs.a.degree() == 0
-    gl = roots_legendre(quad_nodes)
+    gl = roots_legendre(_GL_NODES)
     out = np.empty(len(times))
     for i, t in enumerate(np.asarray(times, dtype=np.float64)):
         if t < 0:
@@ -372,7 +412,6 @@ def quartic_renorm_mc(
     replicas: int,
     sigma: float = 1.0,
     time_indices=None,
-    role: int = ROLE_RENORM,
     kernel: StepKernel | None = None,
 ) -> dict:
     """Monte Carlo estimate of the quartic renormalization constant.
@@ -412,7 +451,7 @@ def quartic_renorm_mc(
     raw = np.zeros((replicas, len(time_indices)))
     wanted = {ti: k for k, ti in enumerate(time_indices)}
     for r in range(replicas):
-        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=role)
+        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=ROLE_RENORM)
         lin = LinearPath(noise, coeffs, 1.0, kernel=kern)
         iw2 = np.zeros(grid.hshape, dtype=np.complex128)
         for j in range(M + 1):

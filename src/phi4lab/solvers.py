@@ -16,6 +16,9 @@ Three routes to a solution path live here:
   route up to time-discretization error; :func:`equivalence_report` measures
   that gap and its behaviour under step refinement.
 
+Each solve records its path through :func:`.noise.record` and returns a
+:class:`SolutionPath` (one per recorded field for the remainder route).
+
 Dynamical states are kept in the open frequency band ``max_i |w_i| <= N/2-1``
 so that every binary and ternary product formed from them is alias free; the
 remainder right-hand sides are projected onto that band before stepping.
@@ -35,7 +38,6 @@ import numpy as np
 from .coeffs import CoefficientSet, as_poly
 from .grids import RealField, SpectralField, TorusGrid, idft, product_spectra
 from .noise import (
-    ROLE_MAIN,
     NoiseRealization,
     StepKernel,
     TimeGrid,
@@ -43,13 +45,13 @@ from .noise import (
     _require_centred_cutoff,
     lin_variance_path,
     quartic_constant,
+    record,
 )
 from .paley import DyadicPartition, _para_lt_core, _resonant_core
 from .symbols import SymbolStepper
 
 __all__ = [
     "SolutionPath",
-    "VWSolution",
     "solve_deterministic",
     "RenormalizedStepper",
     "solve_renormalized",
@@ -65,7 +67,6 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e6
-_RECORD_BUDGET_BYTES = 768 * 2**20
 
 
 def _as_timefunc(x):
@@ -73,27 +74,11 @@ def _as_timefunc(x):
     return x if callable(x) else as_poly(x)
 
 
-def _record_indices(M: int, record_every: int) -> list[int]:
-    idx = list(range(0, M + 1, int(record_every)))
-    if idx[-1] != M:
-        idx.append(M)
-    return idx
-
-
-def _check_record_budget(nrecords: int, hsize: int, nfields: int) -> None:
-    need = nrecords * hsize * 16 * nfields
-    if need > _RECORD_BUDGET_BYTES:
-        raise ValueError(
-            f"recorded path would need ~{need / 2**20:.0f} MiB; "
-            "increase record_every"
-        )
-
-
-def _check_blowup(grid: TorusGrid, c: np.ndarray, limit: float, t: float, j: int) -> None:
+def _check_blowup(grid: TorusGrid, c: np.ndarray, t: float, j: int) -> None:
     r = SpectralField(grid, c).l2()
-    if not np.isfinite(r) or r > limit:
+    if not np.isfinite(r) or r > _BLOWUP_LIMIT:
         raise RuntimeError(
-            f"blow-up: solution rms {r:.3e} exceeded {limit:.1e} at t = {t:.6f} (step {j})"
+            f"blow-up: solution rms {r:.3e} exceeded {_BLOWUP_LIMIT:.1e} at t = {t:.6f} (step {j})"
         )
 
 
@@ -122,9 +107,6 @@ class SolutionPath:
     def sup_norms(self) -> np.ndarray:
         return np.array([np.max(np.abs(self.real_values(i))) for i in range(len(self))])
 
-    def rms_norms(self) -> np.ndarray:
-        return np.array([self.field(i).l2() for i in range(len(self))])
-
 
 def _coerce_state(grid: TorusGrid, phi0) -> np.ndarray:
     if isinstance(phi0, SpectralField):
@@ -146,7 +128,6 @@ def solve_deterministic(
     g0,
     phi0,
     record_every: int = 1,
-    blowup_limit: float = _BLOWUP_LIMIT,
 ) -> SolutionPath:
     """Noiseless reaction-diffusion solve with reaction -u^3 + g2 u^2 + g1 u + g0.
 
@@ -164,13 +145,10 @@ def solve_deterministic(
     mask = grid.kinf <= band
     phi = np.where(mask, _coerce_state(grid, phi0), 0.0)
     zero = (0,) * grid.dim
-    recs = _record_indices(timegrid.M, record_every)
-    _check_record_budget(len(recs), phi.size, 1)
-    out = np.empty((len(recs),) + grid.hshape, dtype=np.complex128)
-    pos = {j: i for i, j in enumerate(recs)}
-    if 0 in pos:
-        out[pos[0]] = phi
-    for j in range(timegrid.M):
+    j = 0
+
+    def step():
+        nonlocal phi, j
         t = timegrid.ts[j]
         rhs = -product_spectra([phi, phi, phi], grid.N, band=band)
         g2t = float(g2(t))
@@ -178,11 +156,12 @@ def solve_deterministic(
             rhs += g2t * product_spectra([phi, phi], grid.N, band=band)
         rhs[zero] += float(g0(t))
         phi = kern.propagator(j) * phi + kern.etd_weight(j) * rhs
-        _check_blowup(grid, phi, blowup_limit, timegrid.ts[j + 1], j + 1)
-        if j + 1 in pos:
-            out[pos[j + 1]] = phi
+        j += 1
+        _check_blowup(grid, phi, timegrid.ts[j], j)
+
+    times, out = record(timegrid, record_every, step, {"phi": lambda: phi})
     meta = {"dt": timegrid.dt, "scheme": "etd1", "n": None, "seed": None, "sigma": 0.0}
-    return SolutionPath(grid, timegrid.ts[recs], out, meta)
+    return SolutionPath(grid, times, out["phi"], meta)
 
 
 class RenormalizedStepper:
@@ -212,7 +191,6 @@ class RenormalizedStepper:
         sigma: float,
         seed: int = 0,
         replica: int = 0,
-        role: int = ROLE_MAIN,
         kernel: StepKernel | None = None,
         c=None,
         *,
@@ -220,7 +198,6 @@ class RenormalizedStepper:
         include_cubic: bool = True,
         forcing=None,
         noise: NoiseRealization | None = None,
-        blowup_limit: float = _BLOWUP_LIMIT,
     ):
         _require_centred_cutoff(grid, cutoff)
         self.grid = grid
@@ -232,13 +209,12 @@ class RenormalizedStepper:
         self.kernel = kernel or StepKernel(grid, timegrid, coeffs)
         self.include_cubic = bool(include_cubic)
         self.forcing = None if forcing is None else _as_timefunc(forcing)
-        self.blowup_limit = float(blowup_limit)
         if c is None:
             c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.c = _constant_path(c, timegrid, "variance")
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         if noise is None:
-            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica, role=role)
+            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica)
         elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
             raise ValueError("supplied noise realization does not match the requested grids")
         self.noise = noise
@@ -277,7 +253,7 @@ class RenormalizedStepper:
             phi = phi + self.sigma * w * self.noise.increment(j)
         self.phi = phi
         self.j += 1
-        _check_blowup(self.grid, self.phi, self.blowup_limit, self.t, self.j)
+        _check_blowup(self.grid, self.phi, self.t, self.j)
 
 
 def solve_renormalized(
@@ -292,15 +268,7 @@ def solve_renormalized(
 ) -> SolutionPath:
     """Run :class:`RenormalizedStepper` over the grid and record the path."""
     st = RenormalizedStepper(grid, timegrid, cutoff, coeffs, sigma, seed, **kwargs)
-    recs = _record_indices(timegrid.M, record_every)
-    _check_record_budget(len(recs), st.phi.size, 1)
-    out = np.empty((len(recs),) + grid.hshape, dtype=np.complex128)
-    pos = {j: i for i, j in enumerate(recs)}
-    out[pos[0]] = st.phi
-    for j in range(timegrid.M):
-        st.step()
-        if j + 1 in pos:
-            out[pos[j + 1]] = st.phi
+    times, out = record(timegrid, record_every, st.step, {"phi": lambda: st.phi})
     meta = {
         "dt": timegrid.dt,
         "n": st.cutoff,
@@ -309,7 +277,7 @@ def solve_renormalized(
         "scheme": "etd1",
         "include_cubic": st.include_cubic,
     }
-    return SolutionPath(grid, timegrid.ts[recs], out, meta)
+    return SolutionPath(grid, times, out["phi"], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +467,7 @@ class VWStepper:
     same exact damped heat kernel the symbols use.
     """
 
-    def __init__(self, symbols: SymbolStepper, forcing=None, blowup_limit: float = _BLOWUP_LIMIT):
+    def __init__(self, symbols: SymbolStepper, forcing=None):
         if symbols.j != 0:
             raise ValueError("symbol stepper must start at time zero")
         self.sym = symbols
@@ -507,7 +475,6 @@ class VWStepper:
         self.timegrid = symbols.timegrid
         self.partition = symbols.partition
         self.forcing = None if forcing is None else _as_timefunc(forcing)
-        self.blowup_limit = float(blowup_limit)
         self.v = np.zeros(self.grid.hshape, dtype=np.complex128)
         self.w = np.zeros(self.grid.hshape, dtype=np.complex128)
         self._mask = self.grid.kinf <= symbols.band
@@ -531,54 +498,21 @@ class VWStepper:
             G[(0,) * self.grid.dim] += float(self.forcing(self.t))
         return np.where(self._mask, F, 0.0), np.where(self._mask, G, 0.0)
 
-    def step(self, rhs: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def step(self) -> None:
         if self.j >= self.timegrid.M:
             raise ValueError("already at the final time")
-        F, G = self.rhs() if rhs is None else rhs
+        F, G = self.rhs()
         P = self.sym.kernel.propagator(self.j)
         dt = self.timegrid.dt
         self.v = P * (self.v + dt * F)
         self.w = P * (self.w + dt * G)
         self.sym.step()
         self.j += 1
-        _check_blowup(self.grid, self.w, self.blowup_limit, self.t, self.j)
-        _check_blowup(self.grid, self.v, self.blowup_limit, self.t, self.j)
+        _check_blowup(self.grid, self.w, self.t, self.j)
+        _check_blowup(self.grid, self.v, self.t, self.j)
 
     def reconstruct(self) -> np.ndarray:
         return reconstruct_phi(self.sym.values(), self.v, self.w, self.grid)
-
-
-class VWSolution:
-    """Recorded remainder pair and its reconstruction."""
-
-    def __init__(self, grid, times, v, w, phi, meta):
-        self.grid = grid
-        self.times = np.asarray(times, dtype=np.float64)
-        self.v = v
-        self.w = w
-        self.phi = phi
-        self.meta = dict(meta)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def v_field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.v[i])
-
-    def w_field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.w[i])
-
-    def phi_field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.phi[i])
-
-    def v_path(self) -> SolutionPath:
-        return SolutionPath(self.grid, self.times, self.v, self.meta)
-
-    def w_path(self) -> SolutionPath:
-        return SolutionPath(self.grid, self.times, self.w, self.meta)
-
-    def phi_path(self) -> SolutionPath:
-        return SolutionPath(self.grid, self.times, self.phi, self.meta)
 
 
 def solve_vw(
@@ -586,37 +520,25 @@ def solve_vw(
     record_every: int = 1,
     forcing=None,
     phibar=None,
-    blowup_limit: float = _BLOWUP_LIMIT,
-) -> VWSolution:
+) -> dict[str, SolutionPath]:
     """Integrate the coupled remainder system over the whole time grid.
 
     Consumes the supplied symbol stepper and records ``v``, ``w`` and the
-    reconstructed solution every ``record_every`` steps and at the end.
+    reconstructed solution ``phi`` every ``record_every`` steps and at the
+    end; returns one :class:`SolutionPath` per name, sharing times and meta.
     ``phibar`` (a flat reference path, callable or scalar) is added to the
     recorded reconstruction only; the remainder system itself is recentred.
     """
-    vw = VWStepper(symbols, forcing=forcing, blowup_limit=blowup_limit)
+    vw = VWStepper(symbols, forcing=forcing)
     phibar = None if phibar is None else _as_timefunc(phibar)
     grid, timegrid = vw.grid, vw.timegrid
-    recs = _record_indices(timegrid.M, record_every)
-    hsize = vw.v.size
-    _check_record_budget(len(recs), hsize, 3)
-    pos = {j: i for i, j in enumerate(recs)}
-    vout = np.empty((len(recs),) + grid.hshape, dtype=np.complex128)
-    wout = np.empty_like(vout)
-    pout = np.empty_like(vout)
-    for j in range(timegrid.M + 1):
-        rhs = vw.rhs() if j < timegrid.M else None
-        if j in pos:
-            i = pos[j]
-            vout[i] = vw.v
-            wout[i] = vw.w
-            pout[i] = reconstruct_phi(
-                vw.sym.values(), vw.v, vw.w, grid,
-                phibar=0.0 if phibar is None else float(phibar(vw.t)),
-            )
-        if j < timegrid.M:
-            vw.step(rhs=rhs)
+
+    def phi():
+        return reconstruct_phi(vw.sym.values(), vw.v, vw.w, grid,
+                               phibar=0.0 if phibar is None else float(phibar(vw.t)))
+
+    times, out = record(timegrid, record_every, vw.step,
+                        {"v": lambda: vw.v, "w": lambda: vw.w, "phi": phi})
     meta = {
         "dt": timegrid.dt,
         "n": symbols.cutoff,
@@ -624,7 +546,7 @@ def solve_vw(
         "sigma": symbols.sigma,
         "scheme": "exp-euler-leftpoint",
     }
-    return VWSolution(grid, timegrid.ts[recs], vout, wout, pout, meta)
+    return {name: SolutionPath(grid, times, path, meta) for name, path in out.items()}
 
 
 def equivalence_report(
@@ -635,7 +557,6 @@ def equivalence_report(
     coeffs: CoefficientSet,
     sigma: float,
     seed: int,
-    refine: int = 2,
     extra_seeds=(),
     ctilde_replicas: int = 24,
 ) -> dict:
@@ -648,8 +569,8 @@ def equivalence_report(
     the same path is handed to both routes (the decomposition holds for any
     shared quartic constant, so Monte Carlo error there does not open a gap).
 
-    Returns the relative sup-norm gap at ``dt`` and ``dt/refine``, their
-    ratio, and the gap for each extra seed at the base resolution.
+    Returns the relative sup-norm gap at ``dt`` and ``dt/2``, their ratio,
+    and the gap for each extra seed at the base resolution.
     """
     rep = quartic_constant(grid, T, M, cutoff, coeffs, seed, ctilde_replicas, sigma=sigma)
 
@@ -679,9 +600,9 @@ def equivalence_report(
         return sup_gap / sup_d, sup_d
 
     tg = TimeGrid(T, M)
-    tg_fine = TimeGrid(T, M * int(refine))
+    tg_fine = TimeGrid(T, 2 * M)
     base = NoiseRealization(grid, tg_fine, cutoff, seed)
-    gap, sup_d = one_gap(tg, base.aggregate(int(refine)))
+    gap, sup_d = one_gap(tg, base.aggregate(2))
     gap_f, _ = one_gap(tg_fine, base)
     seed_gaps = {}
     for s in extra_seeds:

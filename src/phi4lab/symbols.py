@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .grids import SpectralField, TorusGrid, product_spectra
+from .grids import TorusGrid, product_spectra
 from .noise import (
-    ROLE_MAIN,
     LinearPath,
     NoiseRealization,
     StepKernel,
@@ -43,6 +42,7 @@ from .noise import (
     _constant_path,
     _require_centred_cutoff,
     lin_variance_path,
+    record,
 )
 from .paley import DyadicPartition, _resonant_core, default_partition
 
@@ -81,8 +81,6 @@ SYMBOL_NAMES = tuple(CATALOG)
 
 _PATH_NAMES = SYMBOL_NAMES + ("wick3", "i_res_iwick3_wick2")
 
-_STORE_BUDGET_BYTES = 512 * 2**20
-
 
 class SymbolStepper:
     """Advances the whole ensemble one time step at a time.
@@ -106,7 +104,6 @@ class SymbolStepper:
         sigma: float,
         seed: int,
         replica: int = 0,
-        role: int = ROLE_MAIN,
         kernel: StepKernel | None = None,
         partition: DyadicPartition | None = None,
         *,
@@ -125,7 +122,7 @@ class SymbolStepper:
         self.c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         if noise is None:
-            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica, role=role)
+            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica)
         elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
             raise ValueError("supplied noise realization does not match the requested grids")
         self.lin = LinearPath(noise, coeffs, self.sigma, kernel=self.kernel)
@@ -206,15 +203,9 @@ class SymbolStepper:
 
 
 class SymbolEnsemble:
-    """Full-path storage of the ensemble at every grid time."""
+    """Full-path storage of the ensemble at every grid time, with its constants."""
 
-    def __init__(self, grid, timegrid, cutoff, sigma, seed, replica, paths, c, ctilde):
-        self.grid = grid
-        self.timegrid = timegrid
-        self.cutoff = cutoff
-        self.sigma = sigma
-        self.seed = seed
-        self.replica = replica
+    def __init__(self, paths, c, ctilde):
         self.paths = paths
         self.c = c
         self.ctilde = ctilde
@@ -223,9 +214,6 @@ class SymbolEnsemble:
         if name not in self.paths:
             raise KeyError(f"no stored path named {name!r}; have {sorted(self.paths)}")
         return self.paths[name]
-
-    def at(self, name: str, j: int) -> SpectralField:
-        return SpectralField(self.grid, self.path(name)[j])
 
 
 def build_ensemble(
@@ -236,7 +224,6 @@ def build_ensemble(
     sigma: float,
     seed: int,
     replica: int = 0,
-    role: int = ROLE_MAIN,
     *,
     ctilde,
     names=None,
@@ -244,35 +231,19 @@ def build_ensemble(
     """Run a :class:`SymbolStepper` over the whole grid and store the paths.
 
     ``ctilde``, the quartic constant at amplitude ``sigma`` (it scales as
-    ``sigma**4``), is an input as in :class:`SymbolStepper`.  Refuses
-    configurations whose stored paths would exceed a fixed memory budget;
-    stream with :class:`SymbolStepper` in that case.
+    ``sigma**4``), is an input as in :class:`SymbolStepper`.  Stores every
+    grid time through :func:`.noise.record`, so configurations whose paths
+    would exceed its memory budget are refused; stream with
+    :class:`SymbolStepper` in that case.
     """
     names = tuple(names) if names is not None else _PATH_NAMES
     for n in names:
         if n not in _PATH_NAMES:
             raise ValueError(f"unknown symbol {n!r}; valid: {_PATH_NAMES}")
-    hsize = int(np.prod(grid.hshape))
-    budget = len(names) * (timegrid.M + 1) * hsize * 16
-    if budget > _STORE_BUDGET_BYTES:
-        raise ValueError(
-            f"stored ensemble would need ~{budget / 2**20:.0f} MiB; "
-            "use SymbolStepper for streaming access"
-        )
-    stepper = SymbolStepper(
-        grid, timegrid, cutoff, coeffs, sigma, seed,
-        replica=replica, role=role, ctilde=ctilde,
-    )
-    paths = {n: np.empty((timegrid.M + 1,) + grid.hshape, dtype=np.complex128) for n in names}
-    for j in range(timegrid.M + 1):
-        vals = stepper.values()
-        for n in names:
-            paths[n][j] = vals[n]
-        if j < timegrid.M:
-            stepper.step()
-    return SymbolEnsemble(
-        grid, timegrid, cutoff, sigma, seed, replica, paths, stepper.c, stepper.ctilde
-    )
+    stepper = SymbolStepper(grid, timegrid, cutoff, coeffs, sigma, seed, replica=replica, ctilde=ctilde)
+    _, paths = record(timegrid, 1, stepper.step,
+                      {n: (lambda n=n: stepper.values()[n]) for n in names})
+    return SymbolEnsemble(paths, stepper.c, stepper.ctilde)
 
 
 @dataclass

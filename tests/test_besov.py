@@ -8,6 +8,7 @@ from phi4lab.grids import (
     TorusGrid,
     dealiased_product,
     dft,
+    idft,
     RealField,
     random_band_field,
 )
@@ -180,7 +181,7 @@ class TestNorms:
         c[11, 2] = 0.3 + 0.1j
         f = SpectralField(grid, c)
         assert np.isclose(part.weight(3)[11, 2], 1.0)
-        sup = f.to_real().sup()
+        sup = np.max(np.abs(idft(f).values))
         for alpha in (-0.5, 0.0, 1.2):
             assert np.isclose(besov_norm(f, alpha), 2.0 ** (3 * alpha) * sup, rtol=1e-12)
 
@@ -193,7 +194,7 @@ class TestNorms:
         rng = np.random.default_rng(31)
         f = random_band_field(TorusGrid(32, 2), rng)
         part = default_partition(f.grid)
-        assert f.to_real().sup() <= part.nblocks * besov_norm(f, 0.0) + 1e-12
+        assert np.max(np.abs(idft(f).values)) <= part.nblocks * besov_norm(f, 0.0) + 1e-12
 
 
 class TestBlockBuffer:

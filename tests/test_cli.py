@@ -147,6 +147,26 @@ class TestConfigErrorsAtCli:
         assert err["fields"] == ["sigma"]
         assert list(out.iterdir()) == []
 
+    def test_simulate_over_the_recording_budget_exits_two_before_the_monte_carlo(
+            self, tmp_path, capsys, monkeypatch):
+        # v, w and phi at 1001 times of a 32^3 grid need ~798 MiB, over the
+        # 768 MiB recording budget; the refusal comes before c~ is estimated
+        def boom(*args, **kwargs):
+            raise AssertionError("c~ Monte Carlo ran")
+
+        monkeypatch.setattr(cli, "_ctilde_path", boom)
+        doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.001, "sigma": 0.5,
+               "ctilde_replicas": 1, "record_every": 1, "master_seed": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["record_every"]
+        assert "~798 MiB" in err["message"]
+        assert list(out.iterdir()) == []
+
     def test_threads_flag_is_gone(self, capsys):
         # replicas run one after another in tail_estimate; a pool size would change nothing
         with pytest.raises(SystemExit):

@@ -55,24 +55,9 @@ class TestCoefficientSet:
         split = cs.alpha(0.5, 0.1) + cs.alpha(0.9, 0.5)
         assert abs(total - split) < 1e-14
 
-    def test_a_plus_sign(self):
-        cs = CoefficientSet(f2=0.0, a=-1.0, T=1.0)
-        assert cs.a_plus() == 1.0
-        cs2 = CoefficientSet(f2=0.0, a=[-1.0, 3.0], T=1.0)  # a(1) = 2
-        assert cs2.a_plus() == -2.0
-
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             CoefficientSet(f2=0.0, a=0.0, T=0.0)
-
-    def test_propagate_uses_alpha(self):
-        from phi4lab.grids import TorusGrid, random_band_field, heat_propagate
-
-        cs = CoefficientSet(f2=0.0, a=[-1.0, 2.0], T=1.0)
-        f = random_band_field(TorusGrid(8, 2), np.random.default_rng(0))
-        out = cs.propagate(f, 0.2, 0.7)
-        ref = heat_propagate(f, 0.2, 0.7, alpha=cs.alpha(0.7, 0.2))
-        assert np.array_equal(out.coeffs, ref.coeffs)
 
 
 class TestNormalizeCubic:
@@ -131,7 +116,7 @@ class TestRecentre:
         cs, res = recentre(0.0, 3.0, 0.0, root, T=1.0)
         assert abs(res(0.5)) < 1e-12
         assert abs(cs.a(0.2) - (3.0 - 3.0 * root**2)) < 1e-12
-        assert cs.a_plus() > 0
+        assert poly_extrema(cs.a, 0.0, cs.T)[1] < 0
 
     def test_sampled_path_fit(self):
         ts, vals = equilibrium_ode(0.0, 3.0, 0.0, 2.0, T=1.0, M=400)

@@ -44,6 +44,7 @@ from phi4lab.concentration import (
 from phi4lab.grids import SpectralField, TorusGrid
 from phi4lab.noise import NoiseRealization, StepKernel, TimeGrid, quartic_renorm_mc
 from phi4lab.paley import besov_norm, default_partition
+from phi4lab.solvers import SolutionPath
 from phi4lab.symbols import SymbolStepper
 
 DAMPED = CoefficientSet(0.0, -1.0, 1.0)
@@ -145,7 +146,7 @@ class TestGrrBound:
         with pytest.raises(ValueError, match="exceed 1/p"):
             grr_bound(path, 8, 0.125)
         grid = TorusGrid(8, 2)
-        spath = (ts, np.zeros((11,) + grid.hshape, dtype=np.complex128), grid)
+        spath = SolutionPath(grid, ts, np.zeros((11,) + grid.hshape, dtype=np.complex128), {})
         with pytest.raises(ValueError, match="beta"):
             grr_bound(spath, 8, 0.5)
 
@@ -453,14 +454,6 @@ class TestSerialization:
 
 
 class TestLinearSolutionPath:
-    def test_record_every_subsamples_bitwise(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.5, 12)
-        full = linear_solution_path(grid, tg, 4, DAMPED, 0.3, seed=5)
-        thin = linear_solution_path(grid, tg, 4, DAMPED, 0.3, seed=5, record_every=5)
-        assert np.array_equal(thin.times, tg.ts[[0, 5, 10, 12]])
-        assert np.array_equal(thin.coeffs, full.coeffs[[0, 5, 10, 12]])
-
     def test_replicas_are_independent(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 12)

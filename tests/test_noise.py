@@ -16,6 +16,7 @@ from phi4lab.noise import (
     lin_variance_curve,
     lin_variance_path,
     quartic_renorm_mc,
+    record,
 )
 from phi4lab.paley import resonant
 
@@ -31,6 +32,48 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+
+class TestRecord:
+    """The one recording loop, on a counter standing in for a stepper's state."""
+
+    @staticmethod
+    def counter():
+        state = {"j": 0}
+
+        def step():
+            state["j"] += 1
+
+        return state, step
+
+    def test_scalar_fields_at_every_kth_step_and_the_end(self):
+        # scalar reads, as the symbol norm table makes them
+        tg = TimeGrid(1.0, 7)
+        state, step = self.counter()
+        times, out = record(tg, 3, step, {"j": lambda: state["j"], "half": lambda: state["j"] / 2})
+        assert np.array_equal(times, tg.ts[[0, 3, 6, 7]])
+        assert out["j"].shape == (4,) and out["j"].dtype == np.int64
+        assert out["j"].tolist() == [0, 3, 6, 7]
+        assert out["half"].tolist() == [0.0, 1.5, 3.0, 3.5]
+        assert state["j"] == 7
+
+    def test_every_beyond_the_horizon_keeps_both_ends(self):
+        tg = TimeGrid(1.0, 4)
+        state, step = self.counter()
+        times, out = record(tg, 10, step, {"j": lambda: state["j"]})
+        assert np.array_equal(times, tg.ts[[0, 4]])
+        assert out["j"].tolist() == [0, 4]
+        with pytest.raises(ValueError, match="record_every"):
+            record(tg, 0, step, {"j": lambda: state["j"]})
+
+    def test_refuses_over_budget_before_the_first_step(self):
+        # 1001 reads of 1 MiB each exceed the 768 MiB budget
+        def step():
+            raise AssertionError("stepped past the budget check")
+
+        field = np.zeros(2**17)
+        with pytest.raises(ValueError, match="~1001 MiB, over the 768 MiB budget"):
+            record(TimeGrid(1.0, 1000), 1, step, {"f": lambda: field})
 
 
 class TestNoiseRealization:
@@ -181,7 +224,8 @@ class TestLinearPath:
         def run(sigma):
             noise = NoiseRealization(grid, tg, 4, seed=11, replica=0)
             p = LinearPath(noise, cs, sigma, kernel=kern)
-            p.run_to(8)
+            for _ in range(8):
+                p.step()
             return p.state
 
         one = run(1.0)
@@ -201,21 +245,13 @@ class TestLinearPath:
         for r in range(R):
             noise = NoiseRealization(grid, tg, 0, seed=2024, replica=r)
             p = LinearPath(noise, cs, sigma, kernel=kern)
-            p.run_to(16)
+            for _ in range(16):
+                p.step()
             vals[r] = p.state[0].real
         target = sigma**2 * (1 - np.exp(-2.0)) / 2.0
         vhat = vals.var(ddof=1)
         se = target * np.sqrt(2.0 / R)
         assert abs(vhat - target) < 4 * se
-
-    def test_run_backwards_rejected(self):
-        grid = TorusGrid(8, 1)
-        tg = TimeGrid(1.0, 4)
-        cs = CoefficientSet(f2=0.0, a=-1.0, T=1.0)
-        p = LinearPath(NoiseRealization(grid, tg, 4, seed=0), cs, 1.0)
-        p.run_to(3)
-        with pytest.raises(ValueError):
-            p.run_to(1)
 
 
 class TestVarianceCurves:
@@ -247,7 +283,8 @@ class TestVarianceCurves:
         for r in range(R):
             noise = NoiseRealization(grid, tg, 4, seed=77, replica=r)
             p = LinearPath(noise, cs, sigma, kernel=kern)
-            p.run_to(10)
+            for _ in range(10):
+                p.step()
             vals[r] = np.sum(hw * np.abs(p.state) ** 2)
         exact = lin_variance_path(grid, tg, 4, cs, sigma)[-1]
         z = (vals.mean() - exact) / (vals.std(ddof=1) / np.sqrt(R))
@@ -344,7 +381,8 @@ class TestWickCentring:
 
         def square_and_sum(cutoff):
             path = LinearPath(NoiseRealization(grid, tg, cutoff, seed=31), cs, 1.0)
-            path.run_to(tg.M)
+            for _ in range(tg.M):
+                path.step()
             s = path.state
             square = product_spectra([s, s], N)[zero].real
             return square, float(np.sum(grid.half_weights * np.abs(s) ** 2))
@@ -372,5 +410,7 @@ def test_centred_routes_reject_cutoff_at_half_grid():
         RenormalizedStepper(grid, tg, 4, cs, 1.0, 0, ctilde=0.0)
     with pytest.raises(ValueError, match="cutoff"):
         quartic_renorm_mc(grid, tg, 4, cs, seed=0, replicas=2)
-    LinearPath(NoiseRealization(grid, tg, 4, seed=0), cs, 1.0).run_to(tg.M)
+    path = LinearPath(NoiseRealization(grid, tg, 4, seed=0), cs, 1.0)
+    for _ in range(tg.M):
+        path.step()
     SymbolStepper(grid, tg, 3, cs, 1.0, 0, ctilde=0.0).step()

@@ -25,6 +25,7 @@ from scipy.integrate import solve_ivp
 
 from phi4lab import noise, paley, solvers, symbols
 from phi4lab.coeffs import CoefficientSet
+from phi4lab.concentration import linear_solution_path
 from phi4lab.grids import SpectralField, TorusGrid, binary_size, dealiased_product, random_band_field
 from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid
 from phi4lab.paley import besov_norm, nonresonant, para_gt, para_lt, para_resonant_commutator, resonant
@@ -42,7 +43,7 @@ from phi4lab.solvers import (
     solve_renormalized,
     solve_vw,
 )
-from phi4lab.symbols import SymbolStepper
+from phi4lab.symbols import SymbolStepper, build_ensemble
 
 
 def rel(a, b):
@@ -88,15 +89,6 @@ class TestDeterministic:
         # cubic overshoots and the guard must trip with the time in the text
         with pytest.raises(RuntimeError, match=r"blow-up.*at t = "):
             solve_deterministic(grid, tg, 0.0, 0.0, 0.0, 100.0)
-
-    def test_record_every(self):
-        grid = TorusGrid(8, 1)
-        tg = TimeGrid(0.2, 10)
-        full = solve_deterministic(grid, tg, 0.0, -1.0, 0.3, 1.0)
-        sub = solve_deterministic(grid, tg, 0.0, -1.0, 0.3, 1.0, record_every=3)
-        assert np.array_equal(sub.times, tg.ts[[0, 3, 6, 9, 10]])
-        for i, j in enumerate((0, 3, 6, 9, 10)):
-            assert np.array_equal(sub.coeffs[i], full.coeffs[j])
 
 
 class TestRenormalized:
@@ -413,14 +405,14 @@ class TestVWRoute:
         for M in (40, 80):
             tg = TimeGrid(T, M)
             sym = SymbolStepper(grid, tg, 3, co, 0.0, 1, ctilde=0.0)
-            vw = solve_vw(sym, record_every=M, forcing=0.6)
+            vw = {k: p.coeffs for k, p in solve_vw(sym, record_every=M, forcing=0.6).items()}
             det = solve_deterministic(
                 grid, tg, [0.8], [-1.0, -0.5], 0.6, 0.0, record_every=M
             )
-            assert np.max(np.abs(vw.v)) == 0.0
+            assert np.max(np.abs(vw["v"])) == 0.0
             # symbols vanish, so the reconstruction is exactly v + w
-            assert np.array_equal(vw.phi, vw.v + vw.w)
-            errs.append(np.max(np.abs(vw.w[-1] - det.coeffs[-1])))
+            assert np.array_equal(vw["phi"], vw["v"] + vw["w"])
+            errs.append(np.max(np.abs(vw["w"][-1] - det.coeffs[-1])))
         assert errs[1] < 5e-3
         assert 0.4 < errs[1] / errs[0] < 0.6
 
@@ -435,11 +427,11 @@ class TestVWRoute:
             SymbolStepper(grid, tg, 3, co, 0.0, 1, ctilde=0.0),
             forcing=0.4, phibar=0.5,
         )
-        diff = shifted.phi - base.phi
+        diff = shifted["phi"].coeffs - base["phi"].coeffs
         assert np.allclose(diff[:, 0, 0], 0.5)
         diff[:, 0, 0] = 0.0
         assert np.max(np.abs(diff)) == 0.0
-        assert np.array_equal(shifted.w, base.w)
+        assert np.array_equal(shifted["w"].coeffs, base["w"].coeffs)
 
     def test_small_noise_stays_small(self):
         grid = TorusGrid(8, 2)
@@ -447,8 +439,8 @@ class TestVWRoute:
         co = CoefficientSet(0.8, [-1.0, -0.5], 0.3)
         sym = SymbolStepper(grid, tg, 3, co, 0.01, 1, ctilde=0.0)
         sol = solve_vw(sym)
-        assert np.max(np.abs(sol.v)) < 1e-3
-        assert np.max(np.abs(sol.w)) < 1e-3
+        assert np.max(np.abs(sol["v"].coeffs)) < 1e-3
+        assert np.max(np.abs(sol["w"].coeffs)) < 1e-3
 
     def test_routes_agree_across_seeds_and_refinement(self):
         # one report covers three claims: the reconstruction tracks the
@@ -457,7 +449,7 @@ class TestVWRoute:
         grid = TorusGrid(8, 2)
         co = CoefficientSet(0.7, [-1.0, -0.5], 0.3)
         rep = equivalence_report(
-            grid, 0.3, 30, 3, co, 0.2, 5, refine=2,
+            grid, 0.3, 30, 3, co, 0.2, 5,
             extra_seeds=tuple(range(6, 15)),
             ctilde_replicas=8,
         )
@@ -491,17 +483,95 @@ class TestSolutionIO:
         assert len(rows) == len(sol) + 1
         assert float(rows[1][0]) == 0.0
         got = np.array([float(r[1]) for r in rows[1:]])
-        assert np.allclose(got, sol.rms_norms(), rtol=1e-10)
+        assert np.allclose(got, [sol.field(i).l2() for i in range(len(sol))], rtol=1e-10)
 
-    def test_record_every_subsamples_same_path(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.2, 10)
-        co = CoefficientSet(0.5, -1.0, 0.2)
-        full = solve_renormalized(grid, tg, 3, co, 0.2, 4, ctilde=0.0)
-        sub = solve_renormalized(grid, tg, 3, co, 0.2, 4, ctilde=0.0, record_every=4)
-        assert np.array_equal(sub.times, tg.ts[[0, 4, 8, 10]])
-        for i, j in enumerate((0, 4, 8, 10)):
-            assert np.array_equal(sub.coeffs[i], full.coeffs[j])
+
+def _walk(stepper, M, *readers):
+    """Step by hand and stack every reader's value at each grid time."""
+    reads = [[np.array(read())] for read in readers]
+    for _ in range(M):
+        stepper.step()
+        for out, read in zip(reads, readers):
+            out.append(np.array(read()))
+    return [np.stack(r) for r in reads]
+
+
+class TestRecordedRoutes:
+    """Every recorded route keeps its state at t_0, each k-th step and T.
+
+    ``recorded(k)`` runs the route with ``record_every = k`` and returns its
+    times and paths; ``reference()`` gives the same fields at every grid
+    time, stepped by hand with the route's own stepper (the deterministic
+    solver has none, so its reference is its own every-step path).
+    ``build_ensemble`` always stores every grid time, so it runs with k = 1.
+    """
+
+    GRID = TorusGrid(8, 2)
+    TG = TimeGrid(0.2, 12)
+    CO = CoefficientSet(0.5, -1.0, 0.2)
+
+    def routes(self):
+        grid, tg, co = self.GRID, self.TG, self.CO
+
+        def det(k):
+            sol = solve_deterministic(grid, tg, 0.0, -1.0, 0.3, 1.0, record_every=k)
+            return sol.times, [sol.coeffs]
+
+        def direct(k):
+            sol = solve_renormalized(grid, tg, 3, co, 0.2, 4, ctilde=0.01, record_every=k)
+            return sol.times, [sol.coeffs]
+
+        def direct_ref():
+            st = RenormalizedStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01)
+            return _walk(st, tg.M, lambda: st.phi)
+
+        def linear(k):
+            sol = linear_solution_path(grid, tg, 3, co, 0.3, seed=5, record_every=k)
+            return sol.times, [sol.coeffs]
+
+        def linear_ref():
+            lp = LinearPath(NoiseRealization(grid, tg, 3, 5), co, 0.3)
+            return _walk(lp, tg.M, lambda: lp.state)
+
+        def vw(k):
+            sol = solve_vw(SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01), record_every=k)
+            return sol["phi"].times, [sol[name].coeffs for name in ("v", "w", "phi")]
+
+        def vw_ref():
+            st = VWStepper(SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01))
+            return _walk(st, tg.M, lambda: st.v, lambda: st.w, st.reconstruct)
+
+        names = ("lin", "iwick3", "i_res_iwick3_wick2")
+
+        def ensemble(k):
+            ens = build_ensemble(grid, tg, 3, co, 0.2, 4, ctilde=0.01, names=names)
+            return tg.ts, [ens.path(n) for n in names]
+
+        def ensemble_ref():
+            st = SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01)
+            return _walk(st, tg.M, *(lambda n=n: st.values()[n] for n in names))
+
+        return {
+            "deterministic": (det, 5, lambda: det(1)[1]),
+            "renormalized": (direct, 5, direct_ref),
+            "linear": (linear, 5, linear_ref),
+            "vw": (vw, 5, vw_ref),
+            "ensemble": (ensemble, 1, ensemble_ref),
+        }
+
+    @pytest.mark.parametrize("route", ["deterministic", "renormalized", "linear", "vw", "ensemble"])
+    def test_record_every_keeps_the_stepped_state(self, route):
+        recorded, k, reference = self.routes()[route]
+        idx = list(range(0, self.TG.M + 1, k))
+        if idx[-1] != self.TG.M:
+            idx.append(self.TG.M)
+        times, paths = recorded(k)
+        refs = reference()
+        assert np.array_equal(times, self.TG.ts[idx])
+        assert len(paths) == len(refs)
+        for path, ref in zip(paths, refs):
+            assert ref.shape[0] == self.TG.M + 1
+            assert np.array_equal(path, ref[idx])
 
 
 class TestConstantsAreInputs:

@@ -8,6 +8,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
   assignment that defines it and the ``__all__`` list do not count, and
   neither do docstrings or comments.  A name only the tests call is dead
   weight: promote it into a command, a check or a demo, or delete it.
+* The same holds for every public method (or property) of a class in
+  ``src/phi4lab``: its name must be read somewhere outside its own body.
+  The check is by name, so a method shares the fate of any attribute
+  spelled the same way.
 * Every module-level import of ``src/phi4lab`` and ``demos`` is used, so a
   deletion cannot leave an import behind (no linter is assumed).
 """
@@ -48,15 +52,28 @@ def _references(node: ast.AST) -> set[str]:
     return out
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _own_references(node: ast.AST) -> set[str]:
+    """References below ``node``, leaving out each definition's use of itself.
+
+    A class is read member by member, so a method calling itself does not
+    count as a use of that method.
+    """
+    if isinstance(node, ast.ClassDef):
+        parts = node.bases + node.keywords + node.decorator_list + node.body
+        refs = set().union(*(_own_references(part) for part in parts))
+    else:
+        refs = _references(node)
+    if isinstance(node, _DEFS):
+        refs.discard(node.name)
+    return refs
+
+
 def _file_references(tree: ast.Module) -> set[str]:
     """References of a whole file, leaving out each definition's use of itself."""
-    out = set()
-    for stmt in tree.body:
-        refs = _references(stmt)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            refs.discard(stmt.name)
-        out |= refs
-    return out
+    return set().union(*(_own_references(stmt) for stmt in tree.body))
 
 
 def _unreferenced(package, demos) -> dict[str, list[str]]:
@@ -85,6 +102,52 @@ def test_the_check_sees_a_name_only_the_tests_use(tmp_path):
         "    return used() + orphan()\n"
     )
     assert _unreferenced([mod], []) == {"orphan": ["orphan"]}
+
+
+# Reached from the tests only, on purpose.  equal_modulo_timing is the
+# certificate that two runs produced the same outputs, which the CLI tests and
+# output comparisons use; coeff looks a mode up by its signed frequency through
+# the conjugate half, the oracle the transform and product tests compare against.
+_TEST_ONLY_METHODS = {"RunManifest.equal_modulo_timing", "SpectralField.coeff"}
+
+
+def _public_methods(tree: ast.Module) -> list[str]:
+    return [
+        f"{cls.name}.{item.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def _unreferenced_methods(package, demos, exempt=frozenset()) -> dict[str, list[str]]:
+    trees = {path: _tree(path) for path in package + demos}
+    refs = set().union(*(_file_references(tree) for tree in trees.values()))
+    missing = {}
+    for path in package:
+        names = [m for m in _public_methods(trees[path])
+                 if m.split(".")[1] not in refs and m not in exempt]
+        if names:
+            missing[path.stem] = names
+    return missing
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    assert _unreferenced_methods(PACKAGE, DEMOS, _TEST_ONLY_METHODS) == {}
+
+
+def test_the_check_sees_a_method_only_the_tests_use(tmp_path):
+    mod = tmp_path / "orphan.py"
+    mod.write_text(
+        "class Path:\n"
+        "    def step(self):\n        return self.step() + self._helper()\n\n"
+        "    def _helper(self):\n        return 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "def run(p):\n    return p.used()\n"
+    )
+    assert _unreferenced_methods([mod], []) == {"orphan": ["Path.step"]}
+    assert _unreferenced_methods([mod], [], {"Path.step"}) == {}
 
 
 def _bound_imports(tree: ast.Module) -> list[tuple[int, str]]:

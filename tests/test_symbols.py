@@ -340,7 +340,7 @@ class TestEnsembleIO:
         grid = TorusGrid(64, 3)
         tg = TimeGrid(1.0, 2000)
         co = CoefficientSet(0.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="streaming"):
+        with pytest.raises(ValueError, match="budget"):
             build_ensemble(grid, tg, 8, co, 1.0, seed=1, ctilde=0.0)
 
     def test_unknown_name_rejected(self):
