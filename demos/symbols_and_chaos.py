@@ -14,7 +14,7 @@ import numpy as np
 
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import SpectralField, TorusGrid
-from phi4lab.noise import TimeGrid, quartic_renorm_mc
+from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc
 from phi4lab.paley import besov_norm
 from phi4lab.symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
 
@@ -32,7 +32,7 @@ def main():
 
     # One pass of the stepper; report the final Besov norm of each symbol
     # slightly below its stated regularity.
-    sym = SymbolStepper(grid, tg, 7, coeffs, sigma=0.5, seed=3, ctilde=0.0)
+    sym = SymbolStepper(NoiseRealization(grid, tg, 7, seed=3), coeffs, sigma=0.5, ctilde=0.0)
     for _ in range(tg.M):
         sym.step()
     vals = sym.values()
@@ -49,8 +49,8 @@ def main():
     # amplitude s then runs with s**4 times it.
     grid8, tg16 = TorusGrid(8, 2), TimeGrid(0.5, 16)
     ct = quartic_renorm_mc(grid8, tg16, 3, coeffs, seed=9, replicas=64)["estimate"]
-    dec = chaos_components(grid8, tg16, 3, coeffs, seed=9, name="res_iwick3_wick2",
-                           ctilde=ct)
+    dec = chaos_components(NoiseRealization(grid8, tg16, 3, seed=9), coeffs,
+                           name="res_iwick3_wick2", ctilde=ct)
     mass = dec.mass(1.0)
     print("amplitude-power mass of res_iwick3_wick2 at sigma = 1:")
     for ell, m in mass.items():

@@ -25,7 +25,7 @@ from phi4lab.concentration import (
     tail_estimate,
 )
 from phi4lab.grids import TorusGrid
-from phi4lab.noise import TimeGrid
+from phi4lab.noise import NoiseRealization, TimeGrid
 
 
 def closed_form_section():
@@ -73,7 +73,8 @@ def moment_bounds_section():
     coeffs = CoefficientSet(0.0, -1.0, tg.T)
     print("continuity bound vs Hölder constant (5 paths):")
     for replica in range(5):
-        path = linear_solution_path(grid, tg, 4, coeffs, 0.1, seed=8, replica=replica)
+        noise = NoiseRealization(grid, tg, 4, seed=8, replica=replica)
+        path = linear_solution_path(noise, coeffs, 0.1)
         bound = grr_bound(path, p=8, gamma_prime=0.3, beta=-1.2)
         hol = holder_constant(path, beta=-1.2, gamma=0.3)
         print(f"  replica {replica}   bound {bound:.3e}   holder^8 {hol**8:.3e}")

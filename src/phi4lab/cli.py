@@ -27,8 +27,9 @@ equivalence
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
 clock and a SHA-256 digest per output file.  Outputs are deterministic
-functions of (config, seed): rerunning with equal manifests (ignoring
-the wall clock) reproduces every file byte for byte.
+functions of (config, seed), and ``--out`` enters none of them: rerunning
+with equal manifests (ignoring the wall clock) reproduces every file byte
+for byte, in any output directory.
 
 Binary field dumps are little-endian 64-bit floats in C order with a
 JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
@@ -59,7 +60,7 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (_RECORD_BUDGET_BYTES, LinearPath, NoiseRealization, StepKernel, TimeGrid,
+from .noise import (LinearPath, NoiseRealization, StepKernel, TimeGrid, _recorded_indices,
                     lin_variance_curve, quartic_constant, quartic_renorm_mc, record)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
@@ -202,7 +203,7 @@ def _check_sigma_zero() -> tuple[bool, dict]:
     ren = solve_renormalized(grid, tg, 3, co, 0.0, c=np.zeros(tg.M + 1),
                              ctilde=0.0, forcing=[0.3, 0.1])
     same = bool(np.array_equal(det.coeffs, ren.coeffs))
-    sym = SymbolStepper(grid, tg, 3, co, 0.0, seed=0, ctilde=0.0)
+    sym = SymbolStepper(NoiseRealization(grid, tg, 3, seed=0), co, 0.0, ctilde=0.0)
     v_zero = bool(np.all(solve_vw(sym)["v"].coeffs == 0.0))
     return same and v_zero, {"direct_bitwise": same, "v_identically_zero": v_zero}
 
@@ -212,7 +213,7 @@ def _check_homogeneity() -> tuple[bool, dict]:
     tg = TimeGrid(0.5, 8)
     co = CoefficientSet(0.3, -1.0, 0.5)
     ct = quartic_renorm_mc(grid, tg, 2, co, 3, replicas=8)["estimate"]
-    dec = chaos_components(grid, tg, 2, co, seed=3, name="res_iwick3_wick2", ctilde=ct)
+    dec = chaos_components(NoiseRealization(grid, tg, 2, seed=3), co, "res_iwick3_wick2", ctilde=ct)
     m1, m2 = dec.mass(1.0), dec.mass(2.0)
     top = max(m1.values())
     off = max(v for k, v in m1.items() if k != dec.degree) / top
@@ -243,8 +244,8 @@ def _check_nelson() -> tuple[bool, dict]:
 
 def _check_grr_domination() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
-    path = linear_solution_path(grid, TimeGrid(1.0, 32), 4,
-                                CoefficientSet(0.0, -1.0, 1.0), 0.1, seed=11)
+    path = linear_solution_path(NoiseRealization(grid, TimeGrid(1.0, 32), 4, seed=11),
+                                CoefficientSet(0.0, -1.0, 1.0), 0.1)
     p, gp, beta = 8, 0.3, -1.2
     bound = grr_bound(path, p, gp, beta=beta)
     hol = holder_constant(path, beta, gp - 1.0 / p)
@@ -291,15 +292,13 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     sigma = cfg.sigmas[0]
-    part = default_partition(grid)
-    kern = StepKernel(grid, tg, co)
     ct = _ctilde_path(cfg, grid, tg, co, sigma)
-    sym = SymbolStepper(grid, tg, cfg.cutoff, co, sigma, cfg.master_seed,
-                        kernel=kern, partition=part, ctilde=ct)
+    noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
+    sym = SymbolStepper(noise, co, sigma, ctilde=ct)
     alphas = {name: CATALOG[name].regularity - cfg.lam for name in SYMBOL_NAMES}
 
     def norm(name):
-        return besov_norm(SpectralField(grid, sym.values()[name]), alphas[name], part)
+        return besov_norm(SpectralField(grid, sym.values()[name]), alphas[name], sym.partition)
 
     times, norms = record(tg, cfg.record_every, sym.step,
                           {name: (lambda name=name: norm(name)) for name in SYMBOL_NAMES})
@@ -354,15 +353,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     # v, w and phi at every recorded time: refuse before the c~ Monte Carlo runs
-    need = 3 * (-(-tg.M // cfg.record_every) + 1) * 16 * int(np.prod(grid.hshape))
-    if need > _RECORD_BUDGET_BYTES:
-        raise ConfigError([("record_every", f"recording v, w and phi would need ~{need / 2**20:.0f} "
-                                            f"MiB, over the {_RECORD_BUDGET_BYTES // 2**20} MiB budget")])
+    try:
+        _recorded_indices(tg, cfg.record_every, 3 * 16 * int(np.prod(grid.hshape)))
+    except ValueError as exc:
+        raise ConfigError([("record_every", f"v, w and phi: {exc}")]) from None
     sigma = cfg.sigmas[0]
-    kern = StepKernel(grid, tg, co)
     ct = _ctilde_path(cfg, grid, tg, co, sigma)
-    sym = SymbolStepper(grid, tg, cfg.cutoff, co, sigma, cfg.master_seed,
-                        kernel=kern, ctilde=ct)
+    noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
+    sym = SymbolStepper(noise, co, sigma, ctilde=ct)
     phi = solve_vw(sym, record_every=cfg.record_every)["phi"]
     norms_csv(phi, out_dir / "norms.csv")
     write_field_bin(out_dir / "phi_final.f64", idft(phi.field(-1)).values,

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 from scipy.special import betaincinv
 
-from .grids import SpectralField, TorusGrid
+from .grids import SpectralField
 from .noise import LinearPath, NoiseRealization, StepKernel, record
 from .paley import besov_norm, default_partition
 from .solvers import SolutionPath
@@ -387,36 +387,29 @@ def tail_report_json(curve: TailCurve, fit, path, config=None) -> None:
 
 
 def linear_solution_path(
-    grid: TorusGrid,
-    timegrid,
-    cutoff: int,
+    noise,
     coeffs,
     sigma: float,
-    seed: int,
-    replica: int = 0,
     record_every: int = 1,
     kernel=None,
-    noise=None,
 ) -> SolutionPath:
-    """Record the damped stochastic convolution of one noise replica.
+    """Record the damped stochastic convolution of one noise realization.
 
-    :class:`~.noise.LinearPath` recorded by :func:`~.noise.record`; pass a
-    prebuilt ``kernel`` when sweeping replicas, or an aggregated ``noise``
-    object for refinement studies on a shared realization.
+    :class:`~.noise.LinearPath` recorded by :func:`~.noise.record`.  The
+    noise fixes the grid, horizon, band and stream; pass a prebuilt
+    ``kernel`` when sweeping replicas.
     """
-    if noise is None:
-        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=replica)
     walker = LinearPath(noise, coeffs, sigma, kernel=kernel)
-    times, out = record(timegrid, record_every, walker.step, {"state": lambda: walker.state})
+    times, out = record(noise.timegrid, record_every, walker.step, {"state": lambda: walker.state})
     meta = {
         "kind": "linear",
         "sigma": float(sigma),
-        "cutoff": int(cutoff),
-        "seed": int(seed),
-        "replica": int(replica),
-        "dt": timegrid.dt,
+        "cutoff": noise.cutoff,
+        "seed": noise.seed,
+        "replica": noise.replica,
+        "dt": noise.timegrid.dt,
     }
-    return SolutionPath(grid, times, out["state"], meta)
+    return SolutionPath(noise.grid, times, out["state"], meta)
 
 
 def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition=None):

@@ -196,7 +196,7 @@ class ExperimentConfig:
         return [[self.level_seed(i), r] for i in range(levels) for r in range(self.replicas)]
 
     def to_dict(self) -> dict:
-        """Canonical echo: defaults resolved, sigma always a list."""
+        """Canonical echo: defaults resolved, sigma always a list, no ``out_dir``."""
         doc = {
             "dimension": self.dimension,
             "N": self.N,
@@ -212,7 +212,6 @@ class ExperimentConfig:
             "replicas": self.replicas,
             "h_grid": None if self.h_grid is None else self.h_grid.tolist(),
             "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
             "record_every": self.record_every,
             "ctilde_replicas": self.ctilde_replicas,
             "label": self.label,

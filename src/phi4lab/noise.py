@@ -89,32 +89,42 @@ def record(timegrid: TimeGrid, every: int, step, fields) -> tuple[np.ndarray, di
     dtype taken from the first read.  A recording that would need more than
     ``_RECORD_BUDGET_BYTES`` is refused before the first step.
     """
-    every, M = int(every), timegrid.M
-    if every < 1:
-        raise ValueError(f"record_every must be at least 1, got {every}")
-    idx = list(range(0, M + 1, every))
-    if idx[-1] != M:
-        idx.append(M)
     first = {name: np.asarray(read()) for name, read in fields.items()}
-    need = len(idx) * sum(a.nbytes for a in first.values())
-    if need > _RECORD_BUDGET_BYTES:
-        raise ValueError(
-            f"recorded path would need ~{need / 2**20:.0f} MiB, over the "
-            f"{_RECORD_BUDGET_BYTES // 2**20} MiB budget; record fewer times"
-        )
+    idx = _recorded_indices(timegrid, every, sum(a.nbytes for a in first.values()))
     out = {name: np.empty((len(idx),) + a.shape, dtype=a.dtype) for name, a in first.items()}
     for name in out:
         # keep no reference to the first reads: held for the whole run they
         # raised the peak RSS of a 32^3 v/w solve by 8 MiB
         out[name][0] = first.pop(name)
     k = 1
-    for j in range(1, M + 1):
+    for j in range(1, timegrid.M + 1):
         step()
         if j == idx[k]:
             for name, read in fields.items():
                 out[name][k] = read()
             k += 1
     return timegrid.ts[idx], out
+
+
+def _recorded_indices(timegrid: TimeGrid, every: int, bytes_per_time: int) -> list[int]:
+    """Grid indices :func:`record` keeps; refuses a recording over the budget.
+
+    ``bytes_per_time`` is the size kept at each index, so a caller that knows
+    it can ask before building anything.
+    """
+    every, M = int(every), timegrid.M
+    if every < 1:
+        raise ValueError(f"record_every must be at least 1, got {every}")
+    idx = list(range(0, M + 1, every))
+    if idx[-1] != M:
+        idx.append(M)
+    need = len(idx) * bytes_per_time
+    if need > _RECORD_BUDGET_BYTES:
+        raise ValueError(
+            f"recorded path would need ~{need / 2**20:.0f} MiB, over the "
+            f"{_RECORD_BUDGET_BYTES // 2**20} MiB budget; record fewer times"
+        )
+    return idx
 
 
 class NoiseRealization:
@@ -286,6 +296,19 @@ def _damped_kernel_integral(Ld: np.ndarray, A, t1: float, span: float, gl) -> np
     return np.sum(weights * np.exp(expo), axis=1)
 
 
+def _kernel_for(noise, coeffs: CoefficientSet, kernel: StepKernel | None) -> StepKernel:
+    """The step kernel of ``noise``'s grids: ``kernel`` if it was built for them, else a new one."""
+    if kernel is None:
+        return StepKernel(noise.grid, noise.timegrid, coeffs)
+    kt, nt = kernel.timegrid, noise.timegrid
+    if kernel.grid != noise.grid or kt.T != nt.T or kt.M != nt.M:
+        raise ValueError(
+            f"kernel built for {kernel.grid} and {kt} does not fit the noise "
+            f"on {noise.grid} and {nt}"
+        )
+    return kernel
+
+
 class LinearPath:
     """Streamed damped stochastic convolution of one noise replica.
 
@@ -297,13 +320,9 @@ class LinearPath:
     def __init__(self, noise, coeffs: CoefficientSet, sigma: float, kernel: StepKernel | None = None):
         self.noise = noise
         self.sigma = float(sigma)
-        self.kernel = kernel or StepKernel(noise.grid, noise.timegrid, coeffs)
+        self.kernel = _kernel_for(noise, coeffs, kernel)
         self.state = np.zeros(noise.grid.hshape, dtype=np.complex128)
         self.j = 0
-
-    @property
-    def t(self) -> float:
-        return float(self.noise.timegrid.ts[self.j])
 
     def step(self) -> None:
         k = self.kernel

@@ -42,6 +42,7 @@ from .noise import (
     StepKernel,
     TimeGrid,
     _constant_path,
+    _kernel_for,
     _require_centred_cutoff,
     lin_variance_path,
     quartic_constant,
@@ -167,10 +168,11 @@ def solve_deterministic(
 class RenormalizedStepper:
     """Direct exponential-Euler step for the renormalized stochastic equation.
 
-    Nonlinearity ``-phi^3 + f2 phi^2 + (3c - 18ct) phi - f2 c`` with the
-    quadratic constant ``c`` (exact variance path) and the quartic constant
-    ``ct``; noise injected with the exact per-mode in-step variance, so with
-    the nonlinearity switched off the recursion is identical to the streamed
+    ``noise`` fixes the grid, horizon, band and stream.  Nonlinearity
+    ``-phi^3 + f2 phi^2 + (3c - 18ct) phi - f2 c`` with the quadratic
+    constant ``c`` (exact variance path) and the quartic constant ``ct``;
+    noise injected with the exact per-mode in-step variance, so with the
+    nonlinearity switched off the recursion is identical to the streamed
     stochastic convolution.
 
     ``c`` defaults to the exact variance path.  The quartic constant
@@ -184,40 +186,31 @@ class RenormalizedStepper:
 
     def __init__(
         self,
-        grid: TorusGrid,
-        timegrid: TimeGrid,
-        cutoff: int,
+        noise: NoiseRealization,
         coeffs: CoefficientSet,
         sigma: float,
-        seed: int = 0,
-        replica: int = 0,
         kernel: StepKernel | None = None,
         c=None,
         *,
         ctilde,
         include_cubic: bool = True,
         forcing=None,
-        noise: NoiseRealization | None = None,
     ):
-        _require_centred_cutoff(grid, cutoff)
+        grid, timegrid = noise.grid, noise.timegrid
+        _require_centred_cutoff(grid, noise.cutoff)
+        self.noise = noise
         self.grid = grid
         self.timegrid = timegrid
-        self.cutoff = int(cutoff)
         self.coeffs = coeffs
         self.sigma = float(sigma)
         self.band = grid.N // 2 - 1
-        self.kernel = kernel or StepKernel(grid, timegrid, coeffs)
+        self.kernel = _kernel_for(noise, coeffs, kernel)
         self.include_cubic = bool(include_cubic)
         self.forcing = None if forcing is None else _as_timefunc(forcing)
         if c is None:
-            c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
+            c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.c = _constant_path(c, timegrid, "variance")
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
-        if noise is None:
-            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica)
-        elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
-            raise ValueError("supplied noise realization does not match the requested grids")
-        self.noise = noise
         self.phi = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
 
@@ -266,12 +259,13 @@ def solve_renormalized(
     record_every: int = 1,
     **kwargs,
 ) -> SolutionPath:
-    """Run :class:`RenormalizedStepper` over the grid and record the path."""
-    st = RenormalizedStepper(grid, timegrid, cutoff, coeffs, sigma, seed, **kwargs)
+    """Run :class:`RenormalizedStepper` on replica 0 of ``seed`` and record the path."""
+    noise = NoiseRealization(grid, timegrid, cutoff, seed)
+    st = RenormalizedStepper(noise, coeffs, sigma, **kwargs)
     times, out = record(timegrid, record_every, st.step, {"phi": lambda: st.phi})
     meta = {
         "dt": timegrid.dt,
-        "n": st.cutoff,
+        "n": st.noise.cutoff,
         "seed": seed,
         "sigma": st.sigma,
         "scheme": "etd1",
@@ -541,8 +535,8 @@ def solve_vw(
                         {"v": lambda: vw.v, "w": lambda: vw.w, "phi": phi})
     meta = {
         "dt": timegrid.dt,
-        "n": symbols.cutoff,
-        "seed": getattr(symbols.noise, "seed", None),
+        "n": symbols.noise.cutoff,
+        "seed": symbols.noise.seed,
         "sigma": symbols.sigma,
         "scheme": "exp-euler-leftpoint",
     }
@@ -562,31 +556,25 @@ def equivalence_report(
 ) -> dict:
     """Gap between the direct solve and the remainder-route reconstruction.
 
-    Both routes run in lockstep on the same Brownian path; the coarse run
-    uses the aggregated increments of the fine one, so the dt-refinement
-    ratio is measured on a single noise realization.  The quartic constant is
-    estimated once by :func:`.noise.quartic_constant` and interpolated, and
-    the same path is handed to both routes (the decomposition holds for any
-    shared quartic constant, so Monte Carlo error there does not open a gap).
+    Both routes run in lockstep on one noise realization, which fixes their
+    grid, horizon, band and stream; the coarse run steps the aggregated
+    increments of the fine one, so the dt-refinement ratio is measured on a
+    single Brownian path.  The quartic constant is estimated once by
+    :func:`.noise.quartic_constant` and interpolated, and the same path is
+    handed to both routes (the decomposition holds for any shared quartic
+    constant, so Monte Carlo error there does not open a gap).
 
     Returns the relative sup-norm gap at ``dt`` and ``dt/2``, their ratio,
     and the gap for each extra seed at the base resolution.
     """
     rep = quartic_constant(grid, T, M, cutoff, coeffs, seed, ctilde_replicas, sigma=sigma)
 
-    def ct_on(tg: TimeGrid) -> np.ndarray:
-        return np.interp(tg.ts, rep["times"], rep["estimate"])
-
-    def one_gap(tg: TimeGrid, noise) -> tuple[float, float]:
+    def one_gap(noise) -> tuple[float, float]:
+        tg = noise.timegrid
         kern = StepKernel(grid, tg, coeffs)
-        ct = ct_on(tg)
-        direct = RenormalizedStepper(
-            grid, tg, cutoff, coeffs, sigma, kernel=kern, ctilde=ct, noise=noise
-        )
-        sym = SymbolStepper(
-            grid, tg, cutoff, coeffs, sigma, seed, kernel=kern, ctilde=ct, noise=noise
-        )
-        vw = VWStepper(sym)
+        ct = np.interp(tg.ts, rep["times"], rep["estimate"])
+        direct = RenormalizedStepper(noise, coeffs, sigma, kern, ctilde=ct)
+        vw = VWStepper(SymbolStepper(noise, coeffs, sigma, kern, ctilde=ct))
         sup_d = 0.0
         sup_gap = 0.0
         for j in range(tg.M + 1):
@@ -602,11 +590,11 @@ def equivalence_report(
     tg = TimeGrid(T, M)
     tg_fine = TimeGrid(T, 2 * M)
     base = NoiseRealization(grid, tg_fine, cutoff, seed)
-    gap, sup_d = one_gap(tg, base.aggregate(2))
-    gap_f, _ = one_gap(tg_fine, base)
+    gap, sup_d = one_gap(base.aggregate(2))
+    gap_f, _ = one_gap(base)
     seed_gaps = {}
     for s in extra_seeds:
-        g, _ = one_gap(tg, NoiseRealization(grid, tg, cutoff, int(s)))
+        g, _ = one_gap(NoiseRealization(grid, tg, cutoff, int(s)))
         seed_gaps[int(s)] = g
     return {
         "dt": tg.dt,

@@ -1,7 +1,8 @@
 """The renormalized polynomial ensemble driven by one noise path.
 
 Every object here is a functional of a single noise realization and the
-exact renormalization constants:
+exact renormalization constants; the realization fixes the grid, horizon,
+band and stream, and the steppers and builders below read them from it:
 
 * ``lin``: the damped stochastic convolution (first chaos).
 * ``wick2``: Wick square ``lin**2 - c`` with ``c`` the exact pointwise
@@ -40,11 +41,13 @@ from .noise import (
     StepKernel,
     TimeGrid,
     _constant_path,
+    _kernel_for,
+    _recorded_indices,
     _require_centred_cutoff,
     lin_variance_path,
     record,
 )
-from .paley import DyadicPartition, _resonant_core, default_partition
+from .paley import _resonant_core, default_partition
 
 __all__ = [
     "SymbolInfo",
@@ -81,14 +84,18 @@ SYMBOL_NAMES = tuple(CATALOG)
 
 _PATH_NAMES = SYMBOL_NAMES + ("wick3", "i_res_iwick3_wick2")
 
+# the spectra whose block stacks values() builds and stack() serves
+_STACKED = ("lin", "wick2", "iwick2", "iwick3")
+
 
 class SymbolStepper:
-    """Advances the whole ensemble one time step at a time.
+    """Advances the whole ensemble of one noise realization a step at a time.
 
-    Memory stays bounded in the number of steps, so this is the engine used
-    for long runs; :func:`build_ensemble` wraps it when full paths fit in
-    memory.  Block point values on the binary-product grid are cached per step
-    and shared with the solver through :meth:`stack`.
+    ``noise`` fixes the grid, horizon, band and stream.  Memory stays bounded
+    in the number of steps, so this is the engine used for long runs;
+    :func:`build_ensemble` wraps it when full paths fit in memory.  Block
+    point values on the binary-product grid are cached per step and shared
+    with the solver through :meth:`stack`.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -97,36 +104,26 @@ class SymbolStepper:
 
     def __init__(
         self,
-        grid: TorusGrid,
-        timegrid: TimeGrid,
-        cutoff: int,
+        noise: NoiseRealization,
         coeffs: CoefficientSet,
         sigma: float,
-        seed: int,
-        replica: int = 0,
         kernel: StepKernel | None = None,
-        partition: DyadicPartition | None = None,
         *,
         ctilde,
-        noise: NoiseRealization | None = None,
     ):
-        _require_centred_cutoff(grid, cutoff)
+        grid, timegrid = noise.grid, noise.timegrid
+        _require_centred_cutoff(grid, noise.cutoff)
+        self.noise = noise
         self.grid = grid
         self.timegrid = timegrid
-        self.cutoff = int(cutoff)
         self.coeffs = coeffs
         self.sigma = float(sigma)
         self.band = grid.N // 2 - 1
-        self.kernel = kernel or StepKernel(grid, timegrid, coeffs)
-        self.partition = partition or default_partition(grid)
-        self.c = lin_variance_path(grid, timegrid, self.cutoff, coeffs, self.sigma, kernel=self.kernel)
+        self.kernel = _kernel_for(noise, coeffs, kernel)
+        self.partition = default_partition(grid)
+        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
-        if noise is None:
-            noise = NoiseRealization(grid, timegrid, self.cutoff, seed, replica=replica)
-        elif noise.timegrid.M != timegrid.M or noise.cutoff != self.cutoff:
-            raise ValueError("supplied noise realization does not match the requested grids")
         self.lin = LinearPath(noise, coeffs, self.sigma, kernel=self.kernel)
-        self.noise = noise
         self.iw2 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iw3 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iww = np.zeros(grid.hshape, dtype=np.complex128)
@@ -134,17 +131,12 @@ class SymbolStepper:
         self._vals: dict[str, np.ndarray] | None = None
         self._stacks: dict[str, np.ndarray] = {}
 
-    @property
-    def t(self) -> float:
-        return float(self.timegrid.ts[self.j])
-
     def stack(self, name: str) -> np.ndarray:
-        """Padded block point values of one of the tracked spectra."""
+        """Padded block point values of ``lin``, ``wick2``, ``iwick2`` or ``iwick3``."""
+        if name not in _STACKED:
+            raise KeyError(f"no block stack of {name!r}; stacked: {_STACKED}")
         if name not in self._stacks:
-            vals = self.values()
-            if name not in vals:
-                raise KeyError(f"no tracked spectrum named {name!r}")
-            self._stacks[name] = self.partition.padded_blocks(vals[name])
+            self.values()
         return self._stacks[name]
 
     def values(self) -> dict[str, np.ndarray]:
@@ -162,14 +154,10 @@ class SymbolStepper:
         w2[zero] -= cj
         w3 = product_spectra([lin, lin, lin], N, band=self.band) - 3.0 * cj * lin
         part = self.partition
-        self._stacks.setdefault("lin", part.padded_blocks(lin))
-        self._stacks.setdefault("wick2", part.padded_blocks(w2))
-        self._stacks.setdefault("iwick2", part.padded_blocks(self.iw2))
-        self._stacks.setdefault("iwick3", part.padded_blocks(self.iw3))
-        bl = self._stacks["lin"]
-        bw2 = self._stacks["wick2"]
-        bi2 = self._stacks["iwick2"]
-        bi3 = self._stacks["iwick3"]
+        bl = self._stacks["lin"] = part.padded_blocks(lin)
+        bw2 = self._stacks["wick2"] = part.padded_blocks(w2)
+        bi2 = self._stacks["iwick2"] = part.padded_blocks(self.iw2)
+        bi3 = self._stacks["iwick3"] = part.padded_blocks(self.iw3)
         r3l = _resonant_core(bi3, bl, N, dim)
         r22 = _resonant_core(bi2, bw2, N, dim)
         r22[zero] -= 2.0 * ctj
@@ -217,31 +205,30 @@ class SymbolEnsemble:
 
 
 def build_ensemble(
-    grid: TorusGrid,
-    timegrid: TimeGrid,
-    cutoff: int,
+    noise: NoiseRealization,
     coeffs: CoefficientSet,
     sigma: float,
-    seed: int,
-    replica: int = 0,
     *,
     ctilde,
     names=None,
 ) -> SymbolEnsemble:
     """Run a :class:`SymbolStepper` over the whole grid and store the paths.
 
-    ``ctilde``, the quartic constant at amplitude ``sigma`` (it scales as
-    ``sigma**4``), is an input as in :class:`SymbolStepper`.  Stores every
-    grid time through :func:`.noise.record`, so configurations whose paths
-    would exceed its memory budget are refused; stream with
+    ``noise`` fixes the grid, horizon, band and stream.  ``ctilde``, the
+    quartic constant at amplitude ``sigma`` (it scales as ``sigma**4``), is an
+    input as in :class:`SymbolStepper`.  Stores every grid time through
+    :func:`.noise.record`; paths that would exceed its memory budget are
+    refused before any stepper is built, so stream with
     :class:`SymbolStepper` in that case.
     """
     names = tuple(names) if names is not None else _PATH_NAMES
     for n in names:
         if n not in _PATH_NAMES:
             raise ValueError(f"unknown symbol {n!r}; valid: {_PATH_NAMES}")
-    stepper = SymbolStepper(grid, timegrid, cutoff, coeffs, sigma, seed, replica=replica, ctilde=ctilde)
-    _, paths = record(timegrid, 1, stepper.step,
+    # every stored path is one complex128 half spectrum per grid time
+    _recorded_indices(noise.timegrid, 1, len(names) * 16 * int(np.prod(noise.grid.hshape)))
+    stepper = SymbolStepper(noise, coeffs, sigma, ctilde=ctilde)
+    _, paths = record(noise.timegrid, 1, stepper.step,
                       {n: (lambda n=n: stepper.values()[n]) for n in names})
     return SymbolEnsemble(paths, stepper.c, stepper.ctilde)
 
@@ -282,24 +269,20 @@ _DEFAULT_SIGMAS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
 def chaos_components(
-    grid: TorusGrid,
-    timegrid: TimeGrid,
-    cutoff: int,
+    noise: NoiseRealization,
     coeffs: CoefficientSet,
-    seed: int,
     name: str,
     sigma_list=None,
-    replica: int = 0,
     *,
     ctilde,
 ) -> ChaosDecomposition:
     """Split one symbol into amplitude-power components by interpolation.
 
-    The same noise realization is rebuilt at ``degree + 1`` distinct
-    amplitudes and the Vandermonde system ``sum_l sigma_i**l K_l = path_i``
-    is solved pointwise.  Since each symbol is exactly homogeneous, all mass
-    lands in the component of its own degree; the decomposition is the
-    instrument that verifies this.
+    The ensemble of ``noise`` (which fixes the grid, horizon, band and stream)
+    is built at ``degree + 1`` distinct amplitudes and the Vandermonde system
+    ``sum_l sigma_i**l K_l = path_i`` is solved pointwise.  Since each symbol
+    is exactly homogeneous, all mass lands in the component of its own
+    degree; the decomposition is the instrument that verifies this.
 
     ``ctilde`` is the quartic constant at unit amplitude (a scalar or one
     value per grid time); amplitude ``s`` runs with ``s**4 * ctilde``, which
@@ -315,16 +298,13 @@ def chaos_components(
         raise ValueError(f"need exactly {degree + 1} amplitudes, got {len(sigma_list)}")
     if len(set(sigma_list)) != len(sigma_list):
         raise ValueError("amplitudes must be distinct")
-    ctilde = _constant_path(ctilde, timegrid, "quartic constant")
+    ctilde = _constant_path(ctilde, noise.timegrid, "quartic constant")
     taus = []
     for s in sigma_list:
-        ens = build_ensemble(
-            grid, timegrid, cutoff, coeffs, s, seed,
-            replica=replica, ctilde=s**4 * ctilde, names=(name,),
-        )
+        ens = build_ensemble(noise, coeffs, s, ctilde=s**4 * ctilde, names=(name,))
         taus.append(ens.path(name))
     taus = np.stack(taus)
     V = np.vander(np.asarray(sigma_list), N=degree + 1, increasing=True)
     flat = taus.reshape(len(sigma_list), -1)
     kernels = np.linalg.solve(V, flat).reshape((degree + 1,) + taus.shape[1:])
-    return ChaosDecomposition(name, degree, sigma_list, kernels, grid, timegrid)
+    return ChaosDecomposition(name, degree, sigma_list, kernels, noise.grid, noise.timegrid)

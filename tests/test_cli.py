@@ -203,6 +203,20 @@ class TestTailCommand:
             else:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_output_directory_enters_no_output(self, tmp_path, capsys):
+        # one config and seed written to two directories: the level reports
+        # are byte-equal and the manifests differ only in their wall clock
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(replicas=20)))
+        out1, out2 = tmp_path / "a", tmp_path / "elsewhere" / "b"
+        assert main(["tail", "--config", str(path), "--out", str(out1)]) == 0
+        assert main(["tail", "--config", str(path), "--out", str(out2)]) == 0
+        capsys.readouterr()
+        for name in ("tail_s0p1.json", "tail_s0p2.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        a = RunManifest.load(out1 / "manifest.json")
+        assert a.equal_modulo_timing(RunManifest.load(out2 / "manifest.json"))
+
     def test_report_and_files(self, tmp_path):
         cfg = _cfg()
         report = cmd_tail(cfg, tmp_path)

@@ -63,7 +63,7 @@ class TestPathNorms:
 
     def test_spectral_holder_matches_per_pair_besov(self):
         grid = TorusGrid(16, 3)
-        path = linear_solution_path(grid, TimeGrid(1.0, 24), 8, DAMPED, 0.1, seed=3)
+        path = linear_solution_path(NoiseRealization(grid, TimeGrid(1.0, 24), 8, seed=3), DAMPED, 0.1)
         part = default_partition(grid)
         best = 0.0
         for i in range(len(path)):
@@ -113,7 +113,7 @@ class TestRefinementStudy:
             consts = []
             for fac in (4, 2, 1):
                 nz = base.aggregate(fac) if fac > 1 else base
-                path = linear_solution_path(grid, nz.timegrid, 8, DAMPED, 0.1, seed, noise=nz)
+                path = linear_solution_path(nz, DAMPED, 0.1)
                 consts.append(holder_constant(path, -0.6 - lam, lam / 2.0))
             assert all(np.isfinite(c) and c > 0.0 for c in consts)
             for a, b in zip(consts, consts[1:]):
@@ -157,7 +157,7 @@ class TestGrrBound:
         tg = TimeGrid(1.0, 48)
         p, gp, beta = 8, 0.3, -1.2
         for seed in range(50):
-            path = linear_solution_path(grid, tg, 4, DAMPED, 0.1, seed)
+            path = linear_solution_path(NoiseRealization(grid, tg, 4, seed), DAMPED, 0.1)
             bound = grr_bound(path, p, gp, beta=beta)
             hol = holder_constant(path, beta, gp - 1.0 / p)
             assert np.isfinite(bound)
@@ -379,8 +379,8 @@ class TestChaosFamilyTails:
         sups = {name: np.zeros(reps) for name in family}
         for r in range(reps):
             sym = SymbolStepper(
-                grid, tg, 3, DAMPED, sig, seed,
-                replica=r, kernel=kern, partition=part, ctilde=ct["estimate"],
+                NoiseRealization(grid, tg, 3, seed, replica=r), DAMPED, sig, kern,
+                ctilde=ct["estimate"],
             )
             for _ in range(tg.M):
                 sym.step()
@@ -457,7 +457,7 @@ class TestLinearSolutionPath:
     def test_replicas_are_independent(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 12)
-        a = linear_solution_path(grid, tg, 4, DAMPED, 0.3, seed=5, replica=0)
-        b = linear_solution_path(grid, tg, 4, DAMPED, 0.3, seed=5, replica=1)
+        a = linear_solution_path(NoiseRealization(grid, tg, 4, seed=5, replica=0), DAMPED, 0.3)
+        b = linear_solution_path(NoiseRealization(grid, tg, 4, seed=5, replica=1), DAMPED, 0.3)
         assert not np.array_equal(a.coeffs, b.coeffs)
         assert a.meta["replica"] == 0 and b.meta["replica"] == 1

@@ -404,13 +404,14 @@ def test_centred_routes_reject_cutoff_at_half_grid():
     grid = TorusGrid(8, 2)
     tg = TimeGrid(0.1, 2)
     cs = CoefficientSet(f2=0.0, a=-1.0, T=0.1)
+    at_half = NoiseRealization(grid, tg, 4, seed=0)
     with pytest.raises(ValueError, match="cutoff"):
-        SymbolStepper(grid, tg, 4, cs, 1.0, 0, ctilde=0.0)
+        SymbolStepper(at_half, cs, 1.0, ctilde=0.0)
     with pytest.raises(ValueError, match="cutoff"):
-        RenormalizedStepper(grid, tg, 4, cs, 1.0, 0, ctilde=0.0)
+        RenormalizedStepper(at_half, cs, 1.0, ctilde=0.0)
     with pytest.raises(ValueError, match="cutoff"):
         quartic_renorm_mc(grid, tg, 4, cs, seed=0, replicas=2)
-    path = LinearPath(NoiseRealization(grid, tg, 4, seed=0), cs, 1.0)
+    path = LinearPath(at_half, cs, 1.0)
     for _ in range(tg.M):
         path.step()
-    SymbolStepper(grid, tg, 3, cs, 1.0, 0, ctilde=0.0).step()
+    SymbolStepper(NoiseRealization(grid, tg, 3, seed=0), cs, 1.0, ctilde=0.0).step()

@@ -113,8 +113,7 @@ class TestRenormalized:
         kern = StepKernel(grid, tg, co)
         noise = NoiseRealization(grid, tg, 3, 77)
         st = RenormalizedStepper(
-            grid, tg, 3, co, 0.4, kernel=kern, noise=noise,
-            c=np.zeros(M + 1), ctilde=0.0, include_cubic=False,
+            noise, co, 0.4, kern, c=np.zeros(M + 1), ctilde=0.0, include_cubic=False,
         )
         lp = LinearPath(noise, co, 0.4, kernel=kern)
         for _ in range(M):
@@ -133,13 +132,11 @@ class TestRenormalized:
             fine = NoiseRealization(grid, TimeGrid(T, Ms[-1]), 3, seed)
             finals = []
             for M in Ms:
-                tg = TimeGrid(T, M)
                 nz = fine.aggregate(Ms[-1] // M) if M != Ms[-1] else fine
-                sol = solve_renormalized(
-                    grid, tg, 3, co, 0.1, seed, record_every=M,
-                    ctilde=0.0, noise=nz, forcing=0.5,
-                )
-                finals.append(sol.coeffs[-1])
+                st = RenormalizedStepper(nz, co, 0.1, ctilde=0.0, forcing=0.5)
+                for _ in range(M):
+                    st.step()
+                finals.append(st.phi)
             e1 = np.max(np.abs(finals[0] - finals[1]))
             e2 = np.max(np.abs(finals[1] - finals[2]))
             assert 0.3 < e2 / e1 < 0.7
@@ -148,15 +145,18 @@ class TestRenormalized:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.2, 10)
         co = CoefficientSet(0.5, -1.0, 0.2)
+        noise = NoiseRealization(grid, tg, 3, 0)
         with pytest.raises(ValueError, match="one value per grid time"):
-            RenormalizedStepper(grid, tg, 3, co, 0.1, c=np.zeros(5), ctilde=0.0)
+            RenormalizedStepper(noise, co, 0.1, c=np.zeros(5), ctilde=0.0)
         with pytest.raises(ValueError, match="one value per grid time"):
-            RenormalizedStepper(grid, tg, 3, co, 0.1, ctilde=np.zeros(5))
-        wrong = NoiseRealization(grid, TimeGrid(0.2, 20), 3, 0)
-        with pytest.raises(ValueError, match="does not match"):
-            RenormalizedStepper(
-                grid, tg, 3, co, 0.1, c=np.zeros(11), ctilde=0.0, noise=wrong
-            )
+            RenormalizedStepper(noise, co, 0.1, ctilde=np.zeros(5))
+        # a kernel for another horizon, step count or grid would inject
+        # increments scaled for the wrong dt or broadcast across a wrong axis
+        for kern in (StepKernel(grid, TimeGrid(0.4, 10), co),
+                     StepKernel(grid, TimeGrid(0.2, 20), co),
+                     StepKernel(TorusGrid(8, 1), tg, co)):
+            with pytest.raises(ValueError, match="kernel"):
+                RenormalizedStepper(noise, co, 0.1, kern, c=np.zeros(11), ctilde=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def rhs_setup():
     T, M = 0.25, 10
     tg = TimeGrid(T, M)
     co = CoefficientSet(0.6, [-1.0, -0.5], T)
-    sym = SymbolStepper(grid, tg, 4, co, 0.6, 11, ctilde=0.02)
+    sym = SymbolStepper(NoiseRealization(grid, tg, 4, 11), co, 0.6, ctilde=0.02)
     for _ in range(4):
         sym.step()
     rng = np.random.default_rng(5)
@@ -183,7 +183,7 @@ class TestRemainderRhs:
     def test_zero_state_at_time_zero(self, rhs_setup):
         # every symbol starts at zero, so both right-hand sides do too
         s = rhs_setup
-        fresh = SymbolStepper(s["grid"], s["tg"], 4, s["co"], 0.6, 11, ctilde=0.02)
+        fresh = SymbolStepper(NoiseRealization(s["grid"], s["tg"], 4, 11), s["co"], 0.6, ctilde=0.02)
         syms0 = fresh.values()
         z = np.zeros(s["grid"].hshape, dtype=np.complex128)
         f2t0 = float(s["co"].f2(0.0))
@@ -287,7 +287,7 @@ class TestRemainderRhs:
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
-        vw = VWStepper(SymbolStepper(grid, tg, N // 2 - 1, co, 0.6, 11, ctilde=0.02))
+        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, N // 2 - 1, 11), co, 0.6, ctilde=0.02))
         vw.step()
         shapes = []
         build = paley.DyadicPartition.padded_blocks
@@ -333,7 +333,7 @@ class TestRemainderRhs:
         # deterministic remainder reaction
         s = rhs_setup
         grid, v, w = s["grid"], s["v"], s["w"]
-        sym0 = SymbolStepper(grid, s["tg"], 4, s["co"], 0.0, 3, ctilde=0.0)
+        sym0 = SymbolStepper(NoiseRealization(grid, s["tg"], 4, 3), s["co"], 0.0, ctilde=0.0)
         for _ in range(2):
             sym0.step()
         syms0 = sym0.values()
@@ -404,7 +404,7 @@ class TestVWRoute:
         errs = []
         for M in (40, 80):
             tg = TimeGrid(T, M)
-            sym = SymbolStepper(grid, tg, 3, co, 0.0, 1, ctilde=0.0)
+            sym = SymbolStepper(NoiseRealization(grid, tg, 3, 1), co, 0.0, ctilde=0.0)
             vw = {k: p.coeffs for k, p in solve_vw(sym, record_every=M, forcing=0.6).items()}
             det = solve_deterministic(
                 grid, tg, [0.8], [-1.0, -0.5], 0.6, 0.0, record_every=M
@@ -420,12 +420,10 @@ class TestVWRoute:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.3, 30)
         co = CoefficientSet(0.8, [-1.0, -0.5], 0.3)
-        base = solve_vw(
-            SymbolStepper(grid, tg, 3, co, 0.0, 1, ctilde=0.0), forcing=0.4
-        )
+        noise = NoiseRealization(grid, tg, 3, 1)
+        base = solve_vw(SymbolStepper(noise, co, 0.0, ctilde=0.0), forcing=0.4)
         shifted = solve_vw(
-            SymbolStepper(grid, tg, 3, co, 0.0, 1, ctilde=0.0),
-            forcing=0.4, phibar=0.5,
+            SymbolStepper(noise, co, 0.0, ctilde=0.0), forcing=0.4, phibar=0.5,
         )
         diff = shifted["phi"].coeffs - base["phi"].coeffs
         assert np.allclose(diff[:, 0, 0], 0.5)
@@ -437,7 +435,7 @@ class TestVWRoute:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.3, 30)
         co = CoefficientSet(0.8, [-1.0, -0.5], 0.3)
-        sym = SymbolStepper(grid, tg, 3, co, 0.01, 1, ctilde=0.0)
+        sym = SymbolStepper(NoiseRealization(grid, tg, 3, 1), co, 0.01, ctilde=0.0)
         sol = solve_vw(sym)
         assert np.max(np.abs(sol["v"].coeffs)) < 1e-3
         assert np.max(np.abs(sol["w"].coeffs)) < 1e-3
@@ -463,7 +461,7 @@ class TestVWRoute:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.2, 10)
         co = CoefficientSet(0.5, -1.0, 0.2)
-        sym = SymbolStepper(grid, tg, 3, co, 0.1, 0, ctilde=0.0)
+        sym = SymbolStepper(NoiseRealization(grid, tg, 3, 0), co, 0.1, ctilde=0.0)
         sym.step()
         with pytest.raises(ValueError, match="start at time zero"):
             VWStepper(sym)
@@ -522,11 +520,11 @@ class TestRecordedRoutes:
             return sol.times, [sol.coeffs]
 
         def direct_ref():
-            st = RenormalizedStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01)
+            st = RenormalizedStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01)
             return _walk(st, tg.M, lambda: st.phi)
 
         def linear(k):
-            sol = linear_solution_path(grid, tg, 3, co, 0.3, seed=5, record_every=k)
+            sol = linear_solution_path(NoiseRealization(grid, tg, 3, 5), co, 0.3, record_every=k)
             return sol.times, [sol.coeffs]
 
         def linear_ref():
@@ -534,21 +532,22 @@ class TestRecordedRoutes:
             return _walk(lp, tg.M, lambda: lp.state)
 
         def vw(k):
-            sol = solve_vw(SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01), record_every=k)
+            sym = SymbolStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01)
+            sol = solve_vw(sym, record_every=k)
             return sol["phi"].times, [sol[name].coeffs for name in ("v", "w", "phi")]
 
         def vw_ref():
-            st = VWStepper(SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01))
+            st = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01))
             return _walk(st, tg.M, lambda: st.v, lambda: st.w, st.reconstruct)
 
         names = ("lin", "iwick3", "i_res_iwick3_wick2")
 
         def ensemble(k):
-            ens = build_ensemble(grid, tg, 3, co, 0.2, 4, ctilde=0.01, names=names)
+            ens = build_ensemble(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01, names=names)
             return tg.ts, [ens.path(n) for n in names]
 
         def ensemble_ref():
-            st = SymbolStepper(grid, tg, 3, co, 0.2, 4, ctilde=0.01)
+            st = SymbolStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01)
             return _walk(st, tg.M, *(lambda n=n: st.values()[n] for n in names))
 
         return {
@@ -590,24 +589,26 @@ class TestConstantsAreInputs:
         tg = TimeGrid(0.2, 4)
         co = CoefficientSet(0.5, -1.0, 0.2)
         ct = np.linspace(0.0, 1e-3, tg.M + 1)
-        SymbolStepper(grid, tg, 3, co, 0.5, 1, ctilde=ct).values()
-        RenormalizedStepper(grid, tg, 3, co, 0.5, 1, ctilde=0.01).step()
-        ens = symbols.build_ensemble(grid, tg, 3, co, 0.5, 1, ctilde=ct, names=("lin",))
+        nz = NoiseRealization(grid, tg, 3, 1)
+        SymbolStepper(nz, co, 0.5, ctilde=ct).values()
+        RenormalizedStepper(nz, co, 0.5, ctilde=0.01).step()
+        ens = symbols.build_ensemble(nz, co, 0.5, ctilde=ct, names=("lin",))
         assert np.array_equal(ens.ctilde, ct)
-        dec = symbols.chaos_components(grid, tg, 3, co, 1, "iwick2", ctilde=ct)
+        dec = symbols.chaos_components(nz, co, "iwick2", ctilde=ct)
         assert dec.degree == 2
 
     def test_leaving_out_ctilde_is_a_type_error(self, no_monte_carlo):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.2, 4)
         co = CoefficientSet(0.5, -1.0, 0.2)
+        nz = NoiseRealization(grid, tg, 3, 1)
         with pytest.raises(TypeError, match="ctilde"):
-            SymbolStepper(grid, tg, 3, co, 0.5, 1)
+            SymbolStepper(nz, co, 0.5)
         with pytest.raises(TypeError, match="ctilde"):
-            RenormalizedStepper(grid, tg, 3, co, 0.5, 1)
+            RenormalizedStepper(nz, co, 0.5)
         with pytest.raises(TypeError, match="ctilde"):
             solve_renormalized(grid, tg, 3, co, 0.5, 1)
         with pytest.raises(TypeError, match="ctilde"):
-            symbols.build_ensemble(grid, tg, 3, co, 0.5, 1)
+            symbols.build_ensemble(nz, co, 0.5)
         with pytest.raises(TypeError, match="ctilde"):
-            symbols.chaos_components(grid, tg, 3, co, 1, "iwick2")
+            symbols.chaos_components(nz, co, "iwick2")

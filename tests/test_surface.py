@@ -14,6 +14,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
   spelled the same way.
 * Every module-level import of ``src/phi4lab`` and ``demos`` is used, so a
   deletion cannot leave an import behind (no linter is assumed).
+* No public function or constructor of ``src/phi4lab`` takes ``noise``
+  together with a value the noise realization already fixes (``grid``,
+  ``timegrid``, ``cutoff``, ``seed`` or ``replica``): a path is named by its
+  noise alone, so there is no second copy of those values to disagree with.
 """
 
 import ast
@@ -172,3 +176,54 @@ def test_every_module_level_import_is_used(path):
     }
     unused = [f"line {line}: {name}" for line, name in _bound_imports(tree) if name not in loaded]
     assert unused == []
+
+
+# what a NoiseRealization fixes, and so no caller of a noise-taking API repeats
+_NOISE_FIXES = ("grid", "timegrid", "cutoff", "seed", "replica")
+
+
+def _takes_loose_noise(fn: ast.FunctionDef) -> bool:
+    args = fn.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return "noise" in params and not params.isdisjoint(_NOISE_FIXES)
+
+
+def _loose_noise_parameters(package) -> dict[str, list[str]]:
+    """Public functions and constructors taking ``noise`` beside a value it fixes."""
+    found = {}
+    for path in package:
+        names = []
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef):
+                fns = [item for item in node.body
+                       if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+            elif isinstance(node, ast.FunctionDef):
+                fns = [node]
+            else:
+                continue
+            if not node.name.startswith("_") and any(map(_takes_loose_noise, fns)):
+                names.append(node.name)
+        if names:
+            found[path.stem] = names
+    return found
+
+
+def test_no_public_api_takes_noise_beside_what_it_fixes():
+    assert _loose_noise_parameters(PACKAGE) == {}
+
+
+def test_the_check_sees_noise_beside_a_loose_parameter(tmp_path):
+    mod = tmp_path / "loose.py"
+    mod.write_text(
+        "class Stepper:\n"
+        "    def __init__(self, grid, coeffs, *, noise=None):\n        pass\n\n"
+        "    def rebuild(self, noise, seed):\n        pass\n\n"
+        "class Walker:\n"
+        "    def __init__(self, noise, coeffs):\n        pass\n\n"
+        "class _Private:\n"
+        "    def __init__(self, noise, replica):\n        pass\n\n"
+        "def run(noise, coeffs, cutoff):\n    pass\n\n"
+        "def walk(noise, coeffs, record_every=1):\n    pass\n\n"
+        "def _helper(noise, timegrid):\n    pass\n"
+    )
+    assert _loose_noise_parameters([mod]) == {"loose": ["Stepper", "run"]}

@@ -16,9 +16,18 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from phi4lab import paley, symbols
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import SpectralField, TorusGrid
-from phi4lab.noise import StepKernel, TimeGrid, lin_variance_curve, quartic_renorm_mc
+from phi4lab.noise import (
+    LinearPath,
+    NoiseRealization,
+    StepKernel,
+    TimeGrid,
+    lin_variance_curve,
+    lin_variance_path,
+    quartic_renorm_mc,
+)
 from phi4lab.paley import resonant
 from phi4lab.symbols import (
     CATALOG,
@@ -68,8 +77,8 @@ class TestStepper:
     def test_deterministic(self):
         grid, tg, co = small_setup()
         ct = np.linspace(0.0, 1e-3, tg.M + 1)
-        s1 = SymbolStepper(grid, tg, 4, co, 0.8, seed=5, ctilde=ct)
-        s2 = SymbolStepper(grid, tg, 4, co, 0.8, seed=5, ctilde=ct)
+        s1 = SymbolStepper(NoiseRealization(grid, tg, 4, seed=5), co, 0.8, ctilde=ct)
+        s2 = SymbolStepper(NoiseRealization(grid, tg, 4, seed=5), co, 0.8, ctilde=ct)
         for _ in range(4):
             s1.step()
             s2.step()
@@ -80,24 +89,42 @@ class TestStepper:
 
     def test_everything_zero_at_start(self):
         grid, tg, co = small_setup()
-        ens = build_ensemble(grid, tg, 4, co, 1.0, seed=3, ctilde=unit_ctilde(tg))
+        ens = build_ensemble(NoiseRealization(grid, tg, 4, seed=3), co, 1.0, ctilde=unit_ctilde(tg))
         for name, path in ens.paths.items():
             assert np.all(path[0] == 0.0), name
         assert ens.c[0] == 0.0 and ens.ctilde[0] == 0.0
 
-    def test_stack_cached_per_step(self):
+    def test_stack_cached_per_step(self, monkeypatch):
+        # asking for a stack before the values builds each of the four
+        # symbol stacks once, and no stack twice
         grid, tg, co = small_setup()
-        st = SymbolStepper(grid, tg, 4, co, 1.0, seed=7, ctilde=np.zeros(tg.M + 1))
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(tg.M + 1))
+        built = []
+        build = paley.DyadicPartition.padded_blocks
+
+        def counted(self, c):
+            built.append(c)
+            return build(self, c)
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
         a = st.stack("wick2")
+        assert len(built) == 4
         assert st.stack("wick2") is a
+        st.values()
+        for name in ("lin", "iwick2", "iwick3"):
+            st.stack(name)
+        assert len(built) == 4
         st.step()
         assert st.stack("wick2") is not a
+        assert len(built) == 8
         with pytest.raises(KeyError):
             st.stack("no_such_spectrum")
+        with pytest.raises(KeyError):
+            st.stack("wick3")
 
     def test_step_past_end_rejected(self):
         grid, tg, co = small_setup(M=2)
-        st = SymbolStepper(grid, tg, 4, co, 1.0, seed=7, ctilde=np.zeros(3))
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(3))
         st.step()
         st.step()
         with pytest.raises(ValueError):
@@ -106,11 +133,30 @@ class TestStepper:
     def test_ctilde_shape_checked(self):
         grid, tg, co = small_setup()
         with pytest.raises(ValueError):
-            SymbolStepper(grid, tg, 4, co, 1.0, seed=7, ctilde=np.zeros(3))
+            SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(3))
+
+    def test_time_grid_comes_from_the_noise(self):
+        # a stepper on aggregated noise steps the coarse grid: its time grid,
+        # kernel and variance path are the aggregate's, and its linear path is
+        # the convolution of the summed increments
+        grid, tg, co = small_setup()
+        coarse = NoiseRealization(grid, tg, 4, seed=5).aggregate(2)
+        st = SymbolStepper(coarse, co, 0.8, ctilde=0.0)
+        half = TimeGrid(tg.T, tg.M // 2)
+        assert st.timegrid is coarse.timegrid
+        assert (st.timegrid.M, st.timegrid.dt) == (half.M, half.dt)
+        assert np.array_equal(st.c, lin_variance_path(grid, half, 4, co, 0.8))
+        lp = LinearPath(coarse, co, 0.8, kernel=StepKernel(grid, half, co))
+        for _ in range(half.M):
+            st.step()
+            lp.step()
+            assert np.array_equal(st.values()["lin"], lp.state)
+        with pytest.raises(ValueError, match="final time"):
+            st.step()
 
     def test_c_matches_quadrature(self):
         grid, tg, co = small_setup()
-        st = SymbolStepper(grid, tg, 4, co, 0.7, seed=1, ctilde=np.zeros(tg.M + 1))
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=1), co, 0.7, ctilde=np.zeros(tg.M + 1))
         curve = lin_variance_curve(grid, 4, co, 0.7, tg.ts[[2, 5, 8]])
         assert np.allclose(st.c[[2, 5, 8]], curve, rtol=1e-9)
 
@@ -125,7 +171,8 @@ class TestIntegralOracle:
 
     def test_integrals_match_direct_sum(self):
         grid, tg, co = small_setup(N=12, M=7, T=0.21, f2=0.5, a=(-0.8, -0.4, 0.3))
-        ens = build_ensemble(grid, tg, 3, co, 0.9, seed=23, ctilde=0.9**4 * unit_ctilde(tg))
+        ens = build_ensemble(NoiseRealization(grid, tg, 3, seed=23), co, 0.9,
+                             ctilde=0.9**4 * unit_ctilde(tg))
         L = 4.0 * np.pi**2 * grid.k2
         for int_name, src_name in [
             ("iwick2", "wick2"),
@@ -147,7 +194,8 @@ class TestIntegralOracle:
         # rebuild the centered resonants from stored factor paths through the
         # public paraproduct API; catches stale block-stack caching
         grid, tg, co = small_setup()
-        ens = build_ensemble(grid, tg, 4, co, 1.1, seed=9, ctilde=1.1**4 * unit_ctilde(tg))
+        ens = build_ensemble(NoiseRealization(grid, tg, 4, seed=9), co, 1.1,
+                             ctilde=1.1**4 * unit_ctilde(tg))
         for j in (4, tg.M):
             iw3 = SpectralField(grid, ens.path("iwick3")[j])
             iw2 = SpectralField(grid, ens.path("iwick2")[j])
@@ -184,7 +232,7 @@ class TestWickMoments:
         c_last = None
         for r in range(reps):
             ens = build_ensemble(
-                grid, tg, 3, co, 1.3, seed=42, replica=r,
+                NoiseRealization(grid, tg, 3, seed=42, replica=r), co, 1.3,
                 ctilde=np.zeros(tg.M + 1), names=("wick2", "wick3"),
             )
             q2[r] = SpectralField(grid, ens.path("wick2")[-1]).l2() ** 2
@@ -217,7 +265,7 @@ def centering_samples():
     hw = grid.half_weights
     zero = (0, 0)
     for r in range(reps):
-        st = SymbolStepper(grid, tg, 4, co, 1.0, seed=77, replica=r, kernel=kern, ctilde=ct)
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=77, replica=r), co, 1.0, kern, ctilde=ct)
         for _ in range(tg.M):
             st.step()
         v = st.values()
@@ -269,8 +317,9 @@ class TestHomogeneity:
     def test_power_of_two_amplitude_exact(self):
         grid, tg, co = small_setup()
         ct = unit_ctilde(tg)
-        lo = build_ensemble(grid, tg, 4, co, 0.7, seed=11, ctilde=0.7**4 * ct)
-        hi = build_ensemble(grid, tg, 4, co, 1.4, seed=11, ctilde=1.4**4 * ct)
+        noise = NoiseRealization(grid, tg, 4, seed=11)
+        lo = build_ensemble(noise, co, 0.7, ctilde=0.7**4 * ct)
+        hi = build_ensemble(noise, co, 1.4, ctilde=1.4**4 * ct)
         degrees = {n: CATALOG[n].degree for n in SYMBOL_NAMES}
         degrees["wick3"] = 3
         degrees["i_res_iwick3_wick2"] = 5
@@ -286,7 +335,7 @@ class TestChaos:
     def test_mass_concentrates_at_degree(self):
         grid, tg, co = small_setup()
         for name in ("lin", "res_iwick2_wick2", "res_iwick3_wick2"):
-            dec = chaos_components(grid, tg, 4, co, 11, name, ctilde=unit_ctilde(tg))
+            dec = chaos_components(NoiseRealization(grid, tg, 4, 11), co, name, ctilde=unit_ctilde(tg))
             m = dec.mass(1.0)
             deg = CATALOG[name].degree
             off = sum(v for k, v in m.items() if k != deg)
@@ -296,9 +345,10 @@ class TestChaos:
     def test_kernels_independent_of_nodes(self):
         grid, tg, co = small_setup()
         ct = unit_ctilde(tg)
-        d1 = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde=ct)
+        noise = NoiseRealization(grid, tg, 4, 11)
+        d1 = chaos_components(noise, co, "res_iwick3_wick2", ctilde=ct)
         d2 = chaos_components(
-            grid, tg, 4, co, 11, "res_iwick3_wick2",
+            noise, co, "res_iwick3_wick2",
             sigma_list=(0.6, 0.9, 1.1, 1.35, 1.7, 2.2), ctilde=ct,
         )
         scale = np.max(np.abs(d1.kernels[5]))
@@ -307,10 +357,10 @@ class TestChaos:
     def test_extrapolates_outside_nodes(self):
         grid, tg, co = small_setup()
         ct = unit_ctilde(tg)
-        dec = chaos_components(grid, tg, 4, co, 11, "res_iwick3_wick2", ctilde=ct)
+        noise = NoiseRealization(grid, tg, 4, 11)
+        dec = chaos_components(noise, co, "res_iwick3_wick2", ctilde=ct)
         direct = build_ensemble(
-            grid, tg, 4, co, 3.0, seed=11, ctilde=3.0**4 * ct,
-            names=("res_iwick3_wick2",),
+            noise, co, 3.0, ctilde=3.0**4 * ct, names=("res_iwick3_wick2",),
         ).path("res_iwick3_wick2")
         pred = sum(3.0**l * dec.kernels[l] for l in range(6))
         scale = np.max(np.abs(direct))
@@ -318,35 +368,43 @@ class TestChaos:
 
     def test_mass_scaling(self):
         grid, tg, co = small_setup()
-        dec = chaos_components(grid, tg, 4, co, 11, "iwick3", ctilde=unit_ctilde(tg))
+        dec = chaos_components(NoiseRealization(grid, tg, 4, 11), co, "iwick3", ctilde=unit_ctilde(tg))
         m1, m2 = dec.mass(1.0), dec.mass(2.0)
         assert m2[3] == pytest.approx(8.0 * m1[3], rel=1e-12)
 
     def test_input_validation(self):
         grid, tg, co = small_setup()
+        noise = NoiseRealization(grid, tg, 4, 1)
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "wick3", ctilde=0.0)
+            chaos_components(noise, co, "wick3", ctilde=0.0)
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0,), ctilde=0.0)
+            chaos_components(noise, co, "lin", sigma_list=(1.0,), ctilde=0.0)
         with pytest.raises(ValueError):
-            chaos_components(grid, tg, 4, co, 1, "lin", sigma_list=(1.0, 1.0), ctilde=0.0)
+            chaos_components(noise, co, "lin", sigma_list=(1.0, 1.0), ctilde=0.0)
         dec = ChaosDecomposition("lin", 1, (0.5, 1.0), np.zeros((2, 2, 2, 2)), grid, tg)
         with pytest.raises(ValueError):
             dec.component(1.0, 2)
 
 
 class TestEnsembleIO:
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        # the ~37 GiB request is refused before any stepper is built: the
+        # stepper's first act, the variance path, must not run
+        def boom(*args, **kwargs):
+            raise AssertionError("a SymbolStepper was built")
+
+        monkeypatch.setattr(symbols, "lin_variance_path", boom)
         grid = TorusGrid(64, 3)
         tg = TimeGrid(1.0, 2000)
         co = CoefficientSet(0.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="budget"):
-            build_ensemble(grid, tg, 8, co, 1.0, seed=1, ctilde=0.0)
+            build_ensemble(NoiseRealization(grid, tg, 8, seed=1), co, 1.0, ctilde=0.0)
 
     def test_unknown_name_rejected(self):
         grid, tg, co = small_setup(N=8, M=4)
+        noise = NoiseRealization(grid, tg, 2, seed=1)
         with pytest.raises(ValueError):
-            build_ensemble(grid, tg, 2, co, 1.0, seed=1, ctilde=0.0, names=("nope",))
-        ens = build_ensemble(grid, tg, 2, co, 1.0, seed=1, ctilde=0.0, names=("lin",))
+            build_ensemble(noise, co, 1.0, ctilde=0.0, names=("nope",))
+        ens = build_ensemble(noise, co, 1.0, ctilde=0.0, names=("lin",))
         with pytest.raises(KeyError):
             ens.path("wick2")
