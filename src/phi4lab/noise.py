@@ -296,15 +296,15 @@ def _damped_kernel_integral(Ld: np.ndarray, A, t1: float, span: float, gl) -> np
     return np.sum(weights * np.exp(expo), axis=1)
 
 
-def _kernel_for(noise, coeffs: CoefficientSet, kernel: StepKernel | None) -> StepKernel:
-    """The step kernel of ``noise``'s grids: ``kernel`` if it was built for them, else a new one."""
+def _kernel_for(grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet,
+                kernel: StepKernel | None) -> StepKernel:
+    """The step kernel of ``grid`` and ``timegrid``: ``kernel`` if it was built for them, else a new one."""
     if kernel is None:
-        return StepKernel(noise.grid, noise.timegrid, coeffs)
-    kt, nt = kernel.timegrid, noise.timegrid
-    if kernel.grid != noise.grid or kt.T != nt.T or kt.M != nt.M:
+        return StepKernel(grid, timegrid, coeffs)
+    kt = kernel.timegrid
+    if kernel.grid != grid or kt.T != timegrid.T or kt.M != timegrid.M:
         raise ValueError(
-            f"kernel built for {kernel.grid} and {kt} does not fit the noise "
-            f"on {noise.grid} and {nt}"
+            f"kernel built for {kernel.grid} and {kt} does not fit {grid} and {timegrid}"
         )
     return kernel
 
@@ -320,7 +320,7 @@ class LinearPath:
     def __init__(self, noise, coeffs: CoefficientSet, sigma: float, kernel: StepKernel | None = None):
         self.noise = noise
         self.sigma = float(sigma)
-        self.kernel = _kernel_for(noise, coeffs, kernel)
+        self.kernel = _kernel_for(noise.grid, noise.timegrid, coeffs, kernel)
         self.state = np.zeros(noise.grid.hshape, dtype=np.complex128)
         self.j = 0
 
@@ -386,8 +386,9 @@ def lin_variance_path(
     Uses the same per-step kernels as :class:`LinearPath`, so it is exactly
     the second moment of the sampled paths; it agrees with
     :func:`lin_variance_curve` to quadrature accuracy.
+    A prebuilt ``kernel`` for another grid or time grid is refused.
     """
-    kern = kernel or StepKernel(grid, timegrid, coeffs)
+    kern = _kernel_for(grid, timegrid, coeffs, kernel)
     mask = (grid.kinf <= cutoff).astype(np.float64)
     hw = grid.half_weights * mask
     var = np.zeros(grid.hshape)
@@ -446,8 +447,9 @@ def quartic_renorm_mc(
     ``sigma**4``, which is exact because every factor is homogeneous in the
     amplitude.
 
-    Returns a dict with the requested grid times, the estimates, standard
-    errors, and the raw (unhalved) pairing means.
+    A prebuilt ``kernel`` for another grid or time grid is refused.  Returns
+    a dict with the requested grid times, the estimates, standard errors, and
+    the raw (unhalved) pairing means.
     """
     _require_centred_cutoff(grid, cutoff)
     M = timegrid.M
@@ -457,7 +459,7 @@ def quartic_renorm_mc(
     for i in time_indices:
         if not 0 <= i <= M:
             raise ValueError(f"time index {i} outside [0, {M}]")
-    kern = kernel or StepKernel(grid, timegrid, coeffs)
+    kern = _kernel_for(grid, timegrid, coeffs, kernel)
     N, dim = grid.N, grid.dim
     band = min(2 * cutoff, N // 2 - 1)
     dt = timegrid.dt

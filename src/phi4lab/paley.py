@@ -150,18 +150,35 @@ class DyadicPartition:
         out[(slice(None),) + dst] = self._weights[(slice(None),) + src]
         return out
 
+    @cached_property
+    def _padded_widths(self) -> tuple[int, ...]:
+        """Per block, the last-axis length beyond which its padded weights are exactly 0."""
+        w = self._padded_weights
+        live = np.any(w != 0.0, axis=tuple(range(1, w.ndim - 1)))
+        return tuple(int(np.flatnonzero(row)[-1]) + 1 for row in live)
+
     def padded_blocks(self, c: np.ndarray) -> np.ndarray:
         """Block point values on the binary-product grid (for one-pass paraproducts).
 
         The grid has ``P = binary_size(N)`` points per axis, where the product
         of any two blocks is alias free; the result has shape
-        ``(nblocks,) + (P,) * dim``.  The spectrum is padded once, weighted by
-        every block at once, and transformed in one batch over the block axis.
+        ``(nblocks,) + (P,) * dim``.  The spectrum is padded once.  Each block
+        is weighted and transformed on only the leading last-axis columns
+        where its weights are nonzero (``_padded_widths``); ``irfftn``
+        zero-pads the rest itself.  Every 1-D line it transforms is the line a
+        dense transform would see and the lines it skips are zero, so the
+        values are bitwise those of one dense batched transform, at a fraction
+        of its cost for the low blocks (FFT pruning).
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
-        stack = self._padded_weights * pad_half(c * float(P) ** dim, N, P)
-        return np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
+        padded = pad_half(c * float(P) ** dim, N, P)
+        out = np.empty((self.nblocks,) + (P,) * dim)
+        axes = tuple(range(dim))
+        for k, width in enumerate(self._padded_widths):
+            block = self._padded_weights[k][..., :width] * padded[..., :width]
+            np.fft.irfftn(block, s=(P,) * dim, axes=axes, out=out[k])
+        return out
 
 
 @lru_cache(maxsize=8)

@@ -23,10 +23,13 @@ Dynamical states are kept in the open frequency band ``max_i |w_i| <= N/2-1``
 so that every binary and ternary product formed from them is alias free; the
 remainder right-hand sides are projected onto that band before stepping.
 
-Both commutator corrections are evaluated by their value forms: the first as
-the remainder plus a bracket paraproduct, the second as the trilinear
-commutator of :func:`.paley.para_resonant_commutator`, formed from the block
-stacks the step already holds.
+The two commutator corrections are not formed one by one.  Paired with the
+Wick square, the bracket paraproduct of the first cancels the leading term of
+the second (the trilinear commutator of
+:func:`.paley.para_resonant_commutator`), so :func:`G_rhs` pairs a single
+field resonantly with the Wick square and keeps the rest of the second
+correction as one binary product.  A step builds six block stacks: the four
+of the symbols, the remainder ``v + w - iwick3`` and that paired field.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ __all__ = [
     "RenormalizedStepper",
     "solve_renormalized",
     "F_rhs",
-    "com1_value",
-    "com2_value",
     "G_rhs",
     "VWStepper",
     "solve_vw",
@@ -204,7 +205,7 @@ class RenormalizedStepper:
         self.coeffs = coeffs
         self.sigma = float(sigma)
         self.band = grid.N // 2 - 1
-        self.kernel = _kernel_for(noise, coeffs, kernel)
+        self.kernel = _kernel_for(grid, timegrid, coeffs, kernel)
         self.include_cubic = bool(include_cubic)
         self.forcing = None if forcing is None else _as_timefunc(forcing)
         if c is None:
@@ -281,8 +282,8 @@ def solve_renormalized(
 # half-layout spectra, ``syms`` is the symbol-name -> spectrum mapping of
 # SymbolStepper.values(), ``f2t`` and ``ct`` the coefficient and quartic
 # constant at the same time.  ``cache`` shares padded block stacks and
-# intermediate values between F, G and the commutator corrections within one
-# step; entries are keyed by name and never mutated.
+# intermediate values between F and G within one step; entries are keyed by
+# name and never mutated.
 
 
 def _stk(cache: dict, part: DyadicPartition, name: str, spec: np.ndarray) -> np.ndarray:
@@ -317,106 +318,65 @@ def F_rhs(v, w, syms, f2t: float, part: DyadicPartition, cache: dict | None = No
     return -3.0 * _para_lt_core(bxm, bw2, N, dim) + f2t * syms["wick2"]
 
 
-def com1_value(v, w, syms, f2t: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
-    """First commutator correction, by its defining value form.
-
-    ``v + [3(v + w - iwick3) - f2] para_lt iwick2``.  The constant part of the
-    bracket only meets the two lowest blocks of ``iwick2``, so it is applied
-    as the exact identity ``const para_lt g = const (g - ball block - block
-    0)`` instead of rebuilding the block stack of a shifted field.
-    """
-    cache = {} if cache is None else cache
-    out = cache.get("val:com1")
-    if out is not None:
-        return out
-    N, dim = part.grid.N, part.grid.dim
-    xm = _xm(cache, v, w, syms)
-    bxm = _stk(cache, part, "xm", xm)
-    biw2 = _stk(cache, part, "iwick2", syms["iwick2"])
-    pl = cache.get("val:plt_xm_iw2")
-    if pl is None:
-        pl = _para_lt_core(bxm, biw2, N, dim)
-        cache["val:plt_xm_iw2"] = pl
-    iw2 = syms["iwick2"]
-    low = part.weight(-1) * iw2 + part.weight(0) * iw2
-    out = v + 3.0 * pl - f2t * (iw2 - low)
-    cache["val:com1"] = out
-    return out
-
-
-def com2_value(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
-    """Second commutator correction.
-
-    The trilinear commutator of ``para_lt`` with the resonant product,
-    applied to ``(-3(v + w - iwick3), iwick2, wick2)``.  The resonant pairing
-    of ``iwick2`` with ``wick2`` enters here unsubtracted, so the stored
-    centered symbol is shifted back by twice the quartic constant.
-    """
-    cache = {} if cache is None else cache
-    N, dim = part.grid.N, part.grid.dim
-    zero = (0,) * dim
-    xm = _xm(cache, v, w, syms)
-    bxm = _stk(cache, part, "xm", xm)
-    biw2 = _stk(cache, part, "iwick2", syms["iwick2"])
-    bw2 = _stk(cache, part, "wick2", syms["wick2"])
-    pl = cache.get("val:plt_xm_iw2")
-    if pl is None:
-        pl = _para_lt_core(bxm, biw2, N, dim)
-        cache["val:plt_xm_iw2"] = pl
-    m3pl = -3.0 * pl
-    first = _resonant_core(_stk(cache, part, "m3pl", m3pl), bw2, N, dim)
-    raw22 = syms["res_iwick2_wick2"].copy()
-    raw22[zero] += 2.0 * ct
-    second = product_spectra([-3.0 * xm, raw22], N, dim=dim)
-    return first - second
-
-
 def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
-    """Right-hand side of the w equation, assembled term by term.
+    """Right-hand side of the w equation.
 
-    Five groups: the full cube, the commutator corrections paired with the
-    Wick square, the resonant and upper-paraproduct pairings of the remainder
-    with the Wick square, and the random polynomial ``d2 X^2 + d1 X + d0``.
-    Inside ``d0`` the bracket of ``lin`` with the quadratic symbols of
-    ``iwick3`` (nonresonant pairing with its square, resonant pairing with its
-    resonant self-pairing, and the commutator with its self-paraproduct)
-    collapses algebraically to the binary product ``lin * iwick3**2``; the
-    assembly uses that product, and the tests assert the identity against the
-    literal four-term bracket.
+    Its defining form has five groups, with ``X = v + w`` and
+    ``xm = X - iwick3``: the cube ``-X^3``; the commutator corrections paired
+    with the Wick square, ``-3 (res(com1, wick2) + com2)``; the resonant and
+    upper-paraproduct pairings of the remainder with the Wick square,
+    ``-3 res(w, wick2) - 3 wick2 para_lt xm``; and the random polynomial
+    ``d2 X^2 + d1 X + d0``.  The first correction is
+    ``com1 = v + (3 xm - f2) para_lt iwick2``; the second, ``com2``, is the
+    trilinear commutator of :func:`.paley.para_resonant_commutator` applied
+    to ``(-3 xm, iwick2, wick2)``, in which the resonant pairing of
+    ``iwick2`` with ``wick2`` enters unsubtracted (the stored symbol plus
+    twice the quartic constant).
+
+    The assembly telescopes.  The constant part of the bracket in ``com1``
+    meets only the two lowest blocks of ``iwick2``
+    (``const para_lt g = const (g - low)``, ``low`` the ball block and block
+    0 of ``g``), and its ``3 xm para_lt iwick2`` cancels the leading term
+    ``res(-3 xm para_lt iwick2, wick2)`` of ``com2`` by bilinearity.  The
+    three resonant pairings with the Wick square are therefore one,
+    ``res(v + w - f2 (iwick2 - low), wick2)``, and what is left of ``com2``
+    is the binary product ``3 xm (res_iwick2_wick2 + 2 ct)``.  ``-X^3 + d2
+    X^2`` is the single ternary product ``X X (d2 - X)``.  Inside ``d0`` the
+    bracket of ``lin`` with the quadratic symbols of ``iwick3`` (nonresonant
+    pairing with its square, resonant pairing with its resonant
+    self-pairing, and the commutator with its self-paraproduct) collapses to
+    the binary product ``lin * iwick3**2``.  Each rewrite is exact up to
+    rounding, and the tests assert them against the literal forms.
     """
     cache = {} if cache is None else cache
     grid = part.grid
     N, dim = grid.N, grid.dim
     zero = (0,) * dim
     lin = syms["lin"]
-    w2 = syms["wick2"]
+    iw2 = syms["iwick2"]
     iw3 = syms["iwick3"]
-    r3l = syms["res_iwick3_lin"]
     r22 = syms["res_iwick2_wick2"]
 
     xm = _xm(cache, v, w, syms)
     bxm = _stk(cache, part, "xm", xm)
-    bw2 = _stk(cache, part, "wick2", w2)
+    bw2 = _stk(cache, part, "wick2", syms["wick2"])
     X = v + w
 
-    cube = product_spectra([X, X, X], N, dim=dim)
-
-    com1 = com1_value(v, w, syms, f2t, part, cache)
-    com = _resonant_core(_stk(cache, part, "com1", com1), bw2, N, dim)
-    com = com + com2_value(v, w, syms, f2t, ct, part, cache)
-
-    res_w = _resonant_core(_stk(cache, part, "w", w), bw2, N, dim)
+    low = part.weight(-1) * iw2 + part.weight(0) * iw2
+    paired = _resonant_core(part.padded_blocks(X - f2t * (iw2 - low)), bw2, N, dim)
+    raw22 = r22.copy()
+    raw22[zero] += 2.0 * ct
+    com2_rest = product_spectra([xm, raw22], N, dim=dim)
     pgt = _para_lt_core(bw2, bxm, N, dim)
 
     d2 = 3.0 * (iw3 - lin)
     d2[zero] += f2t
-    d2X2 = product_spectra([d2, X, X], N, dim=dim)
+    cube_d2X2 = product_spectra([X, X, d2 - X], N, dim=dim)
 
     prod_iw3_lin = product_spectra([iw3, lin], N, dim=dim)
-    nonres_iw3_lin = prod_iw3_lin - r3l
     iw3sq = product_spectra([iw3, iw3], N, dim=dim)
     d1 = (
-        6.0 * (nonres_iw3_lin + r3l)
+        6.0 * prod_iw3_lin
         - 3.0 * iw3sq
         + 9.0 * r22
         - 2.0 * f2t * iw3
@@ -428,11 +388,11 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
         product_spectra([iw3, iw3, iw3], N, dim=dim)
         - 9.0 * product_spectra([iw3, r22], N, dim=dim)
         + f2t * iw3sq
-        - 2.0 * f2t * (r3l + nonres_iw3_lin)
+        - 2.0 * f2t * prod_iw3_lin
         - 3.0 * product_spectra([lin, iw3sq], N, dim=dim)
     )
 
-    return -cube - 3.0 * com - 3.0 * res_w - 3.0 * pgt + d2X2 + d1X + d0
+    return cube_d2X2 - 3.0 * paired - 9.0 * com2_rest - 3.0 * pgt + d1X + d0
 
 
 def reconstruct_phi(
@@ -482,7 +442,7 @@ class VWStepper:
         """Both right-hand sides at the current time, open-band projected."""
         sym = self.sym
         syms = sym.values()
-        cache = {"stk:" + name: sym.stack(name) for name in ("wick2", "iwick2")}
+        cache = {"stk:wick2": sym.stack("wick2")}
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
         F = F_rhs(self.v, self.w, syms, f2t, self.partition, cache)
@@ -505,8 +465,15 @@ class VWStepper:
         _check_blowup(self.grid, self.w, self.t, self.j)
         _check_blowup(self.grid, self.v, self.t, self.j)
 
-    def reconstruct(self) -> np.ndarray:
-        return reconstruct_phi(self.sym.values(), self.v, self.w, self.grid)
+    def reconstruct(self, phibar: float = 0.0) -> np.ndarray:
+        """The solution spectrum at the current time, from the streamed symbol states.
+
+        Reads ``lin``, ``iwick3`` and the integral of ``res_iwick3_wick2``
+        straight from the symbol stepper, so it builds no block stack.
+        """
+        sym = self.sym
+        syms = {"lin": sym.lin.state, "iwick3": sym.iw3, "i_res_iwick3_wick2": sym.iww}
+        return reconstruct_phi(syms, self.v, self.w, self.grid, phibar)
 
 
 def solve_vw(
@@ -528,8 +495,7 @@ def solve_vw(
     grid, timegrid = vw.grid, vw.timegrid
 
     def phi():
-        return reconstruct_phi(vw.sym.values(), vw.v, vw.w, grid,
-                               phibar=0.0 if phibar is None else float(phibar(vw.t)))
+        return vw.reconstruct(0.0 if phibar is None else float(phibar(vw.t)))
 
     times, out = record(timegrid, record_every, vw.step,
                         {"v": lambda: vw.v, "w": lambda: vw.w, "phi": phi})

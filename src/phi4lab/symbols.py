@@ -119,7 +119,7 @@ class SymbolStepper:
         self.coeffs = coeffs
         self.sigma = float(sigma)
         self.band = grid.N // 2 - 1
-        self.kernel = _kernel_for(noise, coeffs, kernel)
+        self.kernel = _kernel_for(grid, timegrid, coeffs, kernel)
         self.partition = default_partition(grid)
         self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")

@@ -6,9 +6,11 @@ import pytest
 from phi4lab.grids import (
     SpectralField,
     TorusGrid,
+    binary_size,
     dealiased_product,
     dft,
     idft,
+    pad_half,
     RealField,
     random_band_field,
 )
@@ -217,6 +219,33 @@ class TestBlockBuffer:
         vals = part.block_values(f.coeffs, out=buf)
         assert vals is buf
         assert np.array_equal(vals, part.block_values(f.coeffs))
+
+
+class TestCroppedBlockTransforms:
+    @pytest.mark.parametrize(
+        "N, dim",
+        [(N, dim) for dim in (1, 2, 3) for N in (8, 12, 16, 32)] + [(48, 3)],
+    )
+    def test_padded_blocks_equal_the_dense_transform_bitwise(self, N, dim):
+        # full-band input that carries the Nyquist slot, as core outputs do
+        grid = TorusGrid(N, dim)
+        part = DyadicPartition(grid)
+        rng = np.random.default_rng(N + dim)
+        c = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
+        assert np.any(c[..., N // 2] != 0)
+        P = binary_size(N)
+        stack = part._padded_weights * pad_half(c * float(P) ** dim, N, P)
+        dense = np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
+        assert np.array_equal(part.padded_blocks(c), dense)
+
+    @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (32, 3)])
+    def test_weights_vanish_beyond_each_width(self, N, dim):
+        part = DyadicPartition(TorusGrid(N, dim))
+        widths = part._padded_widths
+        assert len(widths) == part.nblocks
+        for k, width in enumerate(widths):
+            assert np.all(part._padded_weights[k][..., width:] == 0.0)
+            assert np.any(part._padded_weights[k][..., width - 1] != 0.0)
 
 
 class TestInequalities:

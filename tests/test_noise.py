@@ -296,6 +296,21 @@ class TestVarianceCurves:
         with pytest.raises(ValueError):
             lin_variance_curve(grid, 4, cs, 1.0, [-0.1])
 
+    def test_kernel_for_another_grid_is_refused(self):
+        # a kernel for another horizon would scale every step's variance
+        # for the wrong dt
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.25, 8)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
+        for kern in (StepKernel(grid, TimeGrid(0.5, 8), cs),
+                     StepKernel(grid, TimeGrid(0.25, 16), cs),
+                     StepKernel(TorusGrid(8, 1), tg, cs)):
+            with pytest.raises(ValueError, match="kernel"):
+                lin_variance_path(grid, tg, 3, cs, 1.0, kernel=kern)
+        own = StepKernel(grid, tg, cs)
+        assert np.array_equal(lin_variance_path(grid, tg, 3, cs, 1.0, kernel=own),
+                              lin_variance_path(grid, tg, 3, cs, 1.0))
+
 
 class TestQuarticConstant:
     def test_pairing_mean_equals_resonant_field_average(self):
@@ -355,6 +370,22 @@ class TestQuarticConstant:
         rep = quartic_renorm_mc(grid, tg, 3, cs, seed=23, replicas=96, time_indices=[8])
         assert rep["estimate"][0] > 0
         assert rep["estimate"][0] > 2 * rep["se"][0]
+
+    def test_kernel_for_another_grid_is_refused(self, monkeypatch):
+        # refused up front, before the variance path is computed with it
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.25, 6)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the variance path ran on a foreign kernel")
+
+        monkeypatch.setattr(noise, "lin_variance_path", boom)
+        for kern in (StepKernel(grid, TimeGrid(0.5, 6), cs),
+                     StepKernel(grid, TimeGrid(0.25, 12), cs),
+                     StepKernel(TorusGrid(8, 1), tg, cs)):
+            with pytest.raises(ValueError, match="kernel"):
+                quartic_renorm_mc(grid, tg, 2, cs, seed=25, replicas=2, kernel=kern)
 
     def test_quartic_constant_runs_on_the_coarse_grid(self):
         grid = TorusGrid(8, 2)

@@ -34,8 +34,6 @@ from phi4lab.solvers import (
     G_rhs,
     RenormalizedStepper,
     VWStepper,
-    com1_value,
-    com2_value,
     equivalence_report,
     norms_csv,
     reconstruct_phi,
@@ -189,8 +187,6 @@ class TestRemainderRhs:
         f2t0 = float(s["co"].f2(0.0))
         assert np.max(np.abs(F_rhs(z, z, syms0, f2t0, s["part"]))) == 0.0
         assert np.max(np.abs(G_rhs(z, z, syms0, f2t0, 0.02, s["part"]))) == 0.0
-        assert np.max(np.abs(com1_value(z, z, syms0, f2t0, s["part"]))) == 0.0
-        assert np.max(np.abs(com2_value(z, z, syms0, f2t0, 0.02, s["part"]))) == 0.0
 
     def test_F_matches_public_assembly(self, rhs_setup):
         s = rhs_setup
@@ -201,33 +197,29 @@ class TestRemainderRhs:
         got = F_rhs(s["v"], s["w"], syms, s["f2t"], s["part"])
         assert rel(got, expected) <= 1e-12
 
-    def test_com1_bracket_form(self, rhs_setup):
-        # the constant part of the bracket is folded in through the identity
-        # const para_lt g = const (g - two lowest blocks); compare against a
-        # literal stack of the shifted field
+    def test_commutator_pairings_telescope(self, rhs_setup):
+        # paired with the Wick square, the bracket paraproduct of the first
+        # correction cancels the leading term of the second, so the three
+        # resonant pairings of G are one pairing plus a binary product with
+        # the unsubtracted resonant pairing of iwick2 and wick2
         s = rhs_setup
-        grid, syms = s["grid"], s["syms"]
-        B = 3.0 * (s["v"] + s["w"] - syms["iwick3"])
-        B[(0, 0)] -= s["f2t"]
-        expected = s["v"] + para_lt(
-            SpectralField(grid, B), SpectralField(grid, syms["iwick2"])
-        ).coeffs
-        got = com1_value(s["v"], s["w"], syms, s["f2t"], s["part"])
-        assert rel(got, expected) <= 1e-12
-
-    def test_com2_is_the_commutator(self, rhs_setup):
-        # the resonant pairing enters the commutator unsubtracted, so the
-        # centered stored symbol must be shifted back before comparing
-        s = rhs_setup
-        grid, syms = s["grid"], s["syms"]
-        m3xm = SpectralField(grid, -3.0 * (s["v"] + s["w"] - syms["iwick3"]))
-        expected = para_resonant_commutator(
-            m3xm,
-            SpectralField(grid, syms["iwick2"]),
-            SpectralField(grid, syms["wick2"]),
-        ).coeffs
-        got = com2_value(s["v"], s["w"], syms, s["f2t"], s["ct"], s["part"])
-        assert rel(got, expected) <= 1e-12
+        grid, syms, part = s["grid"], s["syms"], s["part"]
+        fld = lambda c: SpectralField(grid, c)
+        v, w, f2t = s["v"], s["w"], s["f2t"]
+        xm = v + w - syms["iwick3"]
+        iw2, w2 = fld(syms["iwick2"]), fld(syms["wick2"])
+        B = 3.0 * xm
+        B[(0, 0)] -= f2t
+        com1 = fld(v + para_lt(fld(B), iw2).coeffs)
+        literal = (
+            resonant(com1, w2).coeffs
+            + para_resonant_commutator(fld(-3.0 * xm), iw2, w2).coeffs
+            + resonant(fld(w), w2).coeffs
+        )
+        low = part.weight(-1) * iw2.coeffs + part.weight(0) * iw2.coeffs
+        paired = resonant(fld(v + w - f2t * (iw2.coeffs - low)), w2).coeffs
+        telescoped = paired + 3.0 * dealiased_product(fld(xm), resonant(iw2, w2)).coeffs
+        assert rel(telescoped, literal) <= 1e-12
 
     def test_G_matches_public_assembly(self, rhs_setup):
         s = rhs_setup
@@ -281,9 +273,9 @@ class TestRemainderRhs:
         assert rel(got, expected) <= 1e-11
 
     @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
-    def test_one_step_builds_eight_binary_grid_stacks(self, monkeypatch, N, dim):
+    def test_one_step_builds_six_binary_grid_stacks(self, monkeypatch, N, dim):
         # four symbol stacks (lin, wick2, iwick2, iwick3) plus the remainder
-        # xm, com1, -3 para_lt(xm, iwick2) and w, each on the binary grid
+        # xm and the one field paired with wick2, each on the binary grid
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
@@ -300,7 +292,29 @@ class TestRemainderRhs:
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
         vw.rhs()
         nblocks = vw.partition.nblocks
-        assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 8
+        assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 6
+
+    def test_reconstruction_builds_no_stack(self, monkeypatch):
+        # phi reads the streamed states of lin, iwick3 and the integral of
+        # res_iwick3_wick2; it needs no symbol value at the last time
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.1, 3)
+        co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02))
+        for _ in range(tg.M):
+            vw.step()
+        calls = []
+        build = paley.DyadicPartition.padded_blocks
+
+        def counted(self, c):
+            calls.append(c)
+            return build(self, c)
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
+        phi = vw.reconstruct(0.25)
+        assert calls == []
+        expected = reconstruct_phi(vw.sym.values(), vw.v, vw.w, grid, phibar=0.25)
+        assert np.array_equal(phi, expected)
 
     def test_nonresonant_complement_identity(self, rhs_setup):
         # the d1 coefficient keeps the nonresonant + resonant split; together
@@ -339,8 +353,6 @@ class TestRemainderRhs:
         syms0 = sym0.values()
         f2t = float(s["co"].f2(s["tg"].ts[2]))
         assert np.max(np.abs(F_rhs(v, w, syms0, f2t, s["part"]))) == 0.0
-        assert np.array_equal(com1_value(v, w, syms0, f2t, s["part"]), v)
-        assert np.max(np.abs(com2_value(v, w, syms0, f2t, 0.0, s["part"]))) == 0.0
         X = SpectralField(grid, v + w)
         expected = (
             -dealiased_product(X, X, X).coeffs
