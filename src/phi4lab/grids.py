@@ -25,6 +25,14 @@ Conventions used throughout the package:
   in the open band ``|w|_inf <= N/2 - 1`` and can fold at the far corners of
   the closed band, which is why dynamical states elsewhere in the package
   are kept Nyquist-free.
+* The transforms of a product move only the lines that carry data (FFT
+  pruning).  Going to the finer grid, a leading axis is inverse-transformed
+  only on the lines where the band has entries on the axes still to come,
+  and the last axis zero-pads its ``N/2 + 1`` columns itself; coming back,
+  a leading axis is transformed only on the lines the band restriction
+  reads.  Every line transformed is the line a dense transform sees and
+  every line skipped is zero or discarded, so the results are bitwise those
+  of the dense ``irfftn``/``rfftn`` pair.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ __all__ = [
     "dealiased_product",
     "binary_size",
     "pad_half",
-    "unpad_half",
     "product_spectra",
     "random_band_field",
 ]
@@ -299,21 +306,50 @@ def binary_size(N: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _band_rows(N: int, P: int) -> np.ndarray:
+    """The rows of a ``P``-grid leading axis that hold the ``N``-grid band.
+
+    ``0 .. N/2`` and ``P - N/2 .. P - 1``: ``N + 1`` rows, ``+N/2`` and
+    ``-N/2`` both listed.  On the ``N``-grid itself (``P = N``) the Nyquist
+    row appears twice.
+    """
+    h = N // 2
+    return np.r_[0 : h + 1, P - h : P]
+
+
+@lru_cache(maxsize=None)
 def _pad_index(N: int, P: int, dim: int) -> tuple[tuple, tuple]:
     """Where the half-layout ``N``-grid band sits in the ``P``-grid half layout.
 
-    Returns open-mesh index tuples ``(src, dst)`` over ``N + 1`` entries per
-    leading axis (the Nyquist row is listed twice, once for ``+N/2`` and once
-    for ``-N/2``) and ``N/2 + 1`` on the last axis.
+    Returns open-mesh index tuples ``(src, dst)`` over the ``N + 1`` rows of
+    :func:`_band_rows` per leading axis and ``N/2 + 1`` on the last axis.
     """
-    h = N // 2
-    lead_src = list(range(h + 1)) + [h] + list(range(h + 1, N))
-    lead_dst = list(range(h + 1)) + [P - h] + list(range(P - N + h + 1, P))
-    last = list(range(h + 1))
+    last = np.arange(N // 2 + 1)
     return (
-        np.ix_(*([lead_src] * (dim - 1) + [last])),
-        np.ix_(*([lead_dst] * (dim - 1) + [last])),
+        np.ix_(*([_band_rows(N, N)] * (dim - 1) + [last])),
+        np.ix_(*([_band_rows(N, P)] * (dim - 1) + [last])),
     )
+
+
+def _gather_band(c: np.ndarray, N: int) -> np.ndarray:
+    """The half-layout ``N``-grid band in the order of :func:`_band_rows`.
+
+    ``N + 1`` rows per leading axis (the Nyquist row once for ``+N/2`` and
+    once for ``-N/2``) and ``N/2 + 1`` last-axis columns, with every Nyquist
+    entry halved: the nonzero lines of :func:`pad_half`'s output.
+    """
+    dim = c.ndim
+    h = N // 2
+    src, _ = _pad_index(N, N, dim)
+    lead_wt = np.ones(N + 1)
+    lead_wt[h] = lead_wt[h + 1] = 0.5
+    last_wt = np.ones(h + 1)
+    last_wt[h] = 0.5
+    g = np.asarray(c, dtype=np.complex128)[src]
+    for ax in range(dim):
+        wt = lead_wt if ax < dim - 1 else last_wt
+        g = g * wt.reshape((-1,) + (1,) * (dim - 1 - ax))
+    return g
 
 
 def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
@@ -327,56 +363,62 @@ def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
     if P == N:
         return np.array(c, dtype=np.complex128)
     dim = c.ndim
-    h = N // 2
-    src, dst = _pad_index(N, P, dim)
-    # gather the small band once, halve the Nyquist entries, scatter into the
-    # fine grid in one indexing pass (the Nyquist row appears at +-N/2)
-    lead_wt = np.ones(N + 1)
-    lead_wt[h] = lead_wt[h + 1] = 0.5
-    last_wt = np.ones(h + 1)
-    last_wt[h] = 0.5
-    g = np.asarray(c, dtype=np.complex128)[src]
-    for ax in range(dim):
-        wt = lead_wt if ax < dim - 1 else last_wt
-        g = g * wt.reshape((-1,) + (1,) * (dim - 1 - ax))
+    _, dst = _pad_index(N, P, dim)
     out = np.zeros((P,) * (dim - 1) + (P // 2 + 1,), dtype=np.complex128)
-    out[dst] = g
+    out[dst] = _gather_band(c, N)
     return out
 
 
-def unpad_half(C: np.ndarray, P: int, N: int) -> np.ndarray:
-    """Restrict a half-layout ``P``-grid spectrum to the ``N``-grid band.
+def _band_points(c: np.ndarray, N: int, P: int) -> np.ndarray:
+    """Point values on the ``P``-grid of a half-layout ``N``-grid spectrum.
 
-    Adjoint of :func:`pad_half`: fine-grid frequencies ``+N/2`` and ``-N/2``
-    alias to the single coarse Nyquist slot and are summed there, so
-    ``unpad_half(pad_half(c)) == c`` for conjugate-symmetric input.
+    Equal bitwise to ``irfftn(pad_half(c * P**dim, N, P), s=(P,) * dim)``,
+    transforming only the lines that carry the band (FFT pruning).  In
+    ``irfftn``'s axis order each leading axis is scattered from its ``N + 1``
+    band rows into ``P`` and inverse-transformed, over only the band lines of
+    the axes still to come; the last axis goes through one real ``irfftn``,
+    which zero-pads its ``N/2 + 1`` columns itself.  Each line transformed is
+    the line the dense transform sees, and every line skipped is zero.
     """
-    if N % 2 or P % 2 or P < N:
-        raise ValueError(f"need even P >= N, got N={N}, P={P}")
-    if P == N:
-        return np.array(C, dtype=np.complex128)
-    dim = C.ndim
-    h = N // 2
-    cur = C
-    for ax in range(dim - 1):
-        src = np.moveaxis(cur, ax, 0)
-        nxt = np.zeros((N,) + src.shape[1:], dtype=np.complex128)
-        nxt[:h] = src[:h]
-        nxt[h + 1 :] = src[P - h + 1 :]
-        nxt[h] = src[h] + src[P - h]
-        cur = np.moveaxis(nxt, 0, ax)
-    out = np.zeros(cur.shape[:-1] + (h + 1,), dtype=np.complex128)
-    out[..., :h] = cur[..., :h]
-    nyq = cur[..., h]
-    out[..., h] = nyq + _conj_reflect(nyq)
-    return out
-
-
-def _padded_points(c: np.ndarray, N: int, P: int) -> np.ndarray:
     dim = c.ndim
-    axes = tuple(range(dim))
     # scale the small band before padding rather than the big point array
-    return np.fft.irfftn(pad_half(c * float(P) ** dim, N, P), s=(P,) * dim, axes=axes)
+    a = _gather_band(c * float(P) ** dim, N)
+    rows = _band_rows(N, P)
+    for ax in range(dim - 1):
+        full = np.zeros(a.shape[:ax] + (P,) + a.shape[ax + 1 :], dtype=np.complex128)
+        full[(slice(None),) * ax + (rows,)] = a
+        a = np.fft.ifft(full, axis=ax)
+    return np.fft.irfftn(a, s=(P,), axes=(dim - 1,))
+
+
+def _points_band(pts: np.ndarray, N: int) -> np.ndarray:
+    """Half-layout ``N``-grid spectrum of point values on a finer grid.
+
+    Equal bitwise to cutting the dense ``rfftn(pts) / P**dim`` (``P =
+    pts.shape[0]``) down to the band with the adjoint of :func:`pad_half`,
+    but transforming only the lines the band reads: one real ``rfftn`` on
+    the last axis keeps columns ``0 .. N/2``, then each leading axis, in
+    ``rfftn``'s order from the last one down, is transformed on those lines
+    only and cut to its ``N + 1`` band rows.  The fine-grid frequencies
+    ``+N/2`` and ``-N/2`` alias to the single coarse Nyquist slot and are
+    summed there, axis by axis, the last axis through the conjugate
+    reflection of its Nyquist plane.
+    """
+    dim = pts.ndim
+    P = pts.shape[0]
+    h = N // 2
+    rows = _band_rows(N, P)
+    a = np.fft.rfftn(pts, axes=(dim - 1,))[..., : h + 1]
+    for ax in range(dim - 2, -1, -1):
+        a = np.fft.fft(a, axis=ax)[(slice(None),) * ax + (rows,)]
+    a = a / P**dim
+    for ax in range(dim - 1):
+        lead = (slice(None),) * ax
+        a[lead + (h,)] += a[lead + (h + 1,)]
+        a = np.delete(a, h + 1, axis=ax)
+    nyq = a[..., h]
+    a[..., h] = nyq + _conj_reflect(nyq)
+    return a
 
 
 def product_spectra(
@@ -398,11 +440,10 @@ def product_spectra(
     pts = None
     for c in cs:
         if id(c) not in cache:
-            cache[id(c)] = _padded_points(c, N, P)
+            cache[id(c)] = _band_points(c, N, P)
         p = cache[id(c)]
         pts = p.copy() if pts is None else pts * p
-    hat = np.fft.rfftn(pts) / P**dim
-    out = unpad_half(hat, P, N)
+    out = _points_band(pts, N)
     if band is not None and band < N // 2:
         out = np.where(_kinf_array(N, dim) <= band, out, 0.0)
     return out

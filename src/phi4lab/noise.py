@@ -298,13 +298,22 @@ def _damped_kernel_integral(Ld: np.ndarray, A, t1: float, span: float, gl) -> np
 
 def _kernel_for(grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet,
                 kernel: StepKernel | None) -> StepKernel:
-    """The step kernel of ``grid`` and ``timegrid``: ``kernel`` if it was built for them, else a new one."""
+    """The step kernel of ``grid``, ``timegrid`` and the damping ``coeffs.a``.
+
+    ``kernel`` if it was built for them, else a new one.  ``a(t)`` is the
+    only coefficient a kernel reads.
+    """
     if kernel is None:
         return StepKernel(grid, timegrid, coeffs)
     kt = kernel.timegrid
     if kernel.grid != grid or kt.T != timegrid.T or kt.M != timegrid.M:
         raise ValueError(
             f"kernel built for {kernel.grid} and {kt} does not fit {grid} and {timegrid}"
+        )
+    if kernel.coeffs.a != coeffs.a:
+        raise ValueError(
+            f"kernel built for damping a = {kernel.coeffs.a.coef.tolist()} does not fit "
+            f"a = {coeffs.a.coef.tolist()}"
         )
     return kernel
 

@@ -29,11 +29,11 @@ from .grids import (
     TorusGrid,
     _check_same_grid,
     _pad_index,
+    _points_band,
     binary_size,
     dealiased_product,
     heat_propagate,
     pad_half,
-    unpad_half,
 )
 
 __all__ = [
@@ -219,24 +219,22 @@ def besov_norm(
     return float(np.max(scales * sups))
 
 
-def _para_lt_core(bf: np.ndarray, bg: np.ndarray, N: int, dim: int) -> np.ndarray:
+def _para_lt_core(bf: np.ndarray, bg: np.ndarray, N: int) -> np.ndarray:
     """Low-modulates-high paraproduct from padded block stacks (grid size read from them)."""
     acc = np.zeros_like(bf[0])
     S = np.zeros_like(bf[0])
     for j in range(2, bf.shape[0]):
         S += bf[j - 2]
         acc += S * bg[j]
-    P = bf.shape[1]
-    return unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
+    return _points_band(acc, N)
 
 
-def _resonant_core(bf: np.ndarray, bg: np.ndarray, N: int, dim: int) -> np.ndarray:
+def _resonant_core(bf: np.ndarray, bg: np.ndarray, N: int) -> np.ndarray:
     acc = np.zeros_like(bf[0])
     J = bf.shape[0]
     for j in range(J):
         acc += bg[j] * bf[max(0, j - 1) : j + 2].sum(axis=0)
-    P = bf.shape[1]
-    return unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
+    return _points_band(acc, N)
 
 
 def para_lt(
@@ -247,7 +245,7 @@ def para_lt(
     part = _part(f, partition)
     bf = part.padded_blocks(f.coeffs)
     bg = part.padded_blocks(g.coeffs)
-    return SpectralField(f.grid, _para_lt_core(bf, bg, f.grid.N, f.grid.dim))
+    return SpectralField(f.grid, _para_lt_core(bf, bg, f.grid.N))
 
 
 def para_gt(
@@ -265,7 +263,7 @@ def resonant(
     part = _part(f, partition)
     bf = part.padded_blocks(f.coeffs)
     bg = part.padded_blocks(g.coeffs)
-    return SpectralField(f.grid, _resonant_core(bf, bg, f.grid.N, f.grid.dim))
+    return SpectralField(f.grid, _resonant_core(bf, bg, f.grid.N))
 
 
 def nonresonant(

@@ -28,8 +28,10 @@ Wick square, the bracket paraproduct of the first cancels the leading term of
 the second (the trilinear commutator of
 :func:`.paley.para_resonant_commutator`), so :func:`G_rhs` pairs a single
 field resonantly with the Wick square and keeps the rest of the second
-correction as one binary product.  A step builds six block stacks: the four
-of the symbols, the remainder ``v + w - iwick3`` and that paired field.
+correction as the quartic counterterm.  A step builds four block stacks: the
+two of the symbols it reads (``wick2`` and ``iwick3``), the remainder
+``v + w - iwick3`` and that paired field; and two resonant cores, that
+pairing and the symbol ``res_iwick3_wick2``.
 """
 
 from __future__ import annotations
@@ -311,11 +313,10 @@ def F_rhs(v, w, syms, f2t: float, part: DyadicPartition, cache: dict | None = No
     square itself (whose zero mode carries the -f2 c constant).
     """
     cache = {} if cache is None else cache
-    N, dim = part.grid.N, part.grid.dim
     xm = _xm(cache, v, w, syms)
     bxm = _stk(cache, part, "xm", xm)
     bw2 = _stk(cache, part, "wick2", syms["wick2"])
-    return -3.0 * _para_lt_core(bxm, bw2, N, dim) + f2t * syms["wick2"]
+    return -3.0 * _para_lt_core(bxm, bw2, part.grid.N) + f2t * syms["wick2"]
 
 
 def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
@@ -340,8 +341,13 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     ``res(-3 xm para_lt iwick2, wick2)`` of ``com2`` by bilinearity.  The
     three resonant pairings with the Wick square are therefore one,
     ``res(v + w - f2 (iwick2 - low), wick2)``, and what is left of ``com2``
-    is the binary product ``3 xm (res_iwick2_wick2 + 2 ct)``.  ``-X^3 + d2
-    X^2`` is the single ternary product ``X X (d2 - X)``.  Inside ``d0`` the
+    is the binary product ``3 xm (res_iwick2_wick2 + 2 ct)``.  Its
+    ``res_iwick2_wick2`` part cancels: with ``xm = X - iwick3``, the
+    ``-9 xm res_iwick2_wick2`` it contributes, the ``9 res_iwick2_wick2 X``
+    in ``d1 X`` and the ``-9 iwick3 res_iwick2_wick2`` in ``d0`` sum to zero,
+    so neither coefficient carries that symbol and the correction is the
+    quartic counterterm ``-18 ct xm``.  ``-X^3 + d2 X^2`` is the single
+    ternary product ``X X (d2 - X)``.  Inside ``d0`` the
     bracket of ``lin`` with the quadratic symbols of ``iwick3`` (nonresonant
     pairing with its square, resonant pairing with its resonant
     self-pairing, and the commutator with its self-paraproduct) collapses to
@@ -355,7 +361,6 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     lin = syms["lin"]
     iw2 = syms["iwick2"]
     iw3 = syms["iwick3"]
-    r22 = syms["res_iwick2_wick2"]
 
     xm = _xm(cache, v, w, syms)
     bxm = _stk(cache, part, "xm", xm)
@@ -363,11 +368,8 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     X = v + w
 
     low = part.weight(-1) * iw2 + part.weight(0) * iw2
-    paired = _resonant_core(part.padded_blocks(X - f2t * (iw2 - low)), bw2, N, dim)
-    raw22 = r22.copy()
-    raw22[zero] += 2.0 * ct
-    com2_rest = product_spectra([xm, raw22], N, dim=dim)
-    pgt = _para_lt_core(bw2, bxm, N, dim)
+    paired = _resonant_core(part.padded_blocks(X - f2t * (iw2 - low)), bw2, N)
+    pgt = _para_lt_core(bw2, bxm, N)
 
     d2 = 3.0 * (iw3 - lin)
     d2[zero] += f2t
@@ -375,24 +377,17 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
 
     prod_iw3_lin = product_spectra([iw3, lin], N, dim=dim)
     iw3sq = product_spectra([iw3, iw3], N, dim=dim)
-    d1 = (
-        6.0 * prod_iw3_lin
-        - 3.0 * iw3sq
-        + 9.0 * r22
-        - 2.0 * f2t * iw3
-        + 2.0 * f2t * lin
-    )
+    d1 = 6.0 * prod_iw3_lin - 3.0 * iw3sq - 2.0 * f2t * iw3 + 2.0 * f2t * lin
     d1X = product_spectra([d1, X], N, dim=dim)
 
     d0 = (
         product_spectra([iw3, iw3, iw3], N, dim=dim)
-        - 9.0 * product_spectra([iw3, r22], N, dim=dim)
         + f2t * iw3sq
         - 2.0 * f2t * prod_iw3_lin
         - 3.0 * product_spectra([lin, iw3sq], N, dim=dim)
     )
 
-    return cube_d2X2 - 3.0 * paired - 9.0 * com2_rest - 3.0 * pgt + d1X + d0
+    return cube_d2X2 - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt + d1X + d0
 
 
 def reconstruct_phi(

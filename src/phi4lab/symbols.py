@@ -29,6 +29,7 @@ degree in the noise amplitude.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,56 @@ SYMBOL_NAMES = tuple(CATALOG)
 
 _PATH_NAMES = SYMBOL_NAMES + ("wick3", "i_res_iwick3_wick2")
 
-# the spectra whose block stacks values() builds and stack() serves
+# the spectra whose block stacks stack() serves: values() builds those of
+# wick2 and iwick3, which stepping reads; those of lin and iwick2 are built
+# with the catalog-only pairings res_iwick3_lin and res_iwick2_wick2, on
+# their first read within a step
 _STACKED = ("lin", "wick2", "iwick2", "iwick3")
+
+
+class _StepValues(Mapping):
+    """The symbol values of one step, keyed by ``_PATH_NAMES``.
+
+    ``res_iwick3_lin`` and ``res_iwick2_wick2``, which only the catalog reads,
+    are built on first read, with the block stacks of ``lin`` and ``iwick2``
+    that only they pair.  The mapping holds the step's arrays and never its
+    stepper: nothing here sits in a reference cycle, so a step's arrays are
+    freed as soon as the stepper and its callers let go of them.
+    """
+
+    def __init__(self, partition, vals: dict, stacks: dict, ctj: float):
+        self._part = partition
+        self._vals = vals
+        self._stacks = stacks
+        self._ctj = ctj
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        val = self._vals.get(name)
+        if val is None:
+            val = self._vals[name] = self._pairing(name)
+        return val
+
+    def __iter__(self):
+        return iter(_PATH_NAMES)
+
+    def __len__(self) -> int:
+        return len(_PATH_NAMES)
+
+    def stack(self, name: str) -> np.ndarray:
+        s = self._stacks.get(name)
+        if s is None:
+            s = self._stacks[name] = self._part.padded_blocks(self._vals[name])
+        return s
+
+    def _pairing(self, name: str) -> np.ndarray:
+        N = self._part.grid.N
+        if name == "res_iwick3_lin":
+            return _resonant_core(self.stack("iwick3"), self.stack("lin"), N)
+        if name == "res_iwick2_wick2":
+            r22 = _resonant_core(self.stack("iwick2"), self.stack("wick2"), N)
+            r22[(0,) * r22.ndim] -= 2.0 * self._ctj
+            return r22
+        raise KeyError(name)
 
 
 class SymbolStepper:
@@ -95,7 +144,10 @@ class SymbolStepper:
     in the number of steps, so this is the engine used for long runs;
     :func:`build_ensemble` wraps it when full paths fit in memory.  Block
     point values on the binary-product grid are cached per step and shared
-    with the solver through :meth:`stack`.
+    with the solver through :meth:`stack`.  A step builds what stepping
+    reads (the stacks of ``wick2`` and ``iwick3`` and their pairing); the
+    pairings only the catalog reads, with the stacks only they pair, wait
+    for their first read.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -128,23 +180,23 @@ class SymbolStepper:
         self.iw3 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iww = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
-        self._vals: dict[str, np.ndarray] | None = None
-        self._stacks: dict[str, np.ndarray] = {}
+        self._vals: _StepValues | None = None
 
     def stack(self, name: str) -> np.ndarray:
         """Padded block point values of ``lin``, ``wick2``, ``iwick2`` or ``iwick3``."""
         if name not in _STACKED:
             raise KeyError(f"no block stack of {name!r}; stacked: {_STACKED}")
-        if name not in self._stacks:
-            self.values()
-        return self._stacks[name]
+        return self.values().stack(name)
 
-    def values(self) -> dict[str, np.ndarray]:
-        """Current values of every symbol (half-layout arrays), computed once."""
+    def values(self) -> Mapping[str, np.ndarray]:
+        """Current values of every symbol (half-layout arrays), each computed once.
+
+        A mapping over the symbol names: ``res_iwick3_lin`` and
+        ``res_iwick2_wick2`` are computed on their first read, the rest now.
+        """
         if self._vals is not None:
             return self._vals
-        grid = self.grid
-        N, dim = grid.N, grid.dim
+        N, dim = self.grid.N, self.grid.dim
         j = self.j
         zero = (0,) * dim
         lin = self.lin.state
@@ -154,25 +206,18 @@ class SymbolStepper:
         w2[zero] -= cj
         w3 = product_spectra([lin, lin, lin], N, band=self.band) - 3.0 * cj * lin
         part = self.partition
-        bl = self._stacks["lin"] = part.padded_blocks(lin)
-        bw2 = self._stacks["wick2"] = part.padded_blocks(w2)
-        bi2 = self._stacks["iwick2"] = part.padded_blocks(self.iw2)
-        bi3 = self._stacks["iwick3"] = part.padded_blocks(self.iw3)
-        r3l = _resonant_core(bi3, bl, N, dim)
-        r22 = _resonant_core(bi2, bw2, N, dim)
-        r22[zero] -= 2.0 * ctj
-        r32 = _resonant_core(bi3, bw2, N, dim) - 6.0 * ctj * lin
-        self._vals = {
+        stacks = {"wick2": part.padded_blocks(w2), "iwick3": part.padded_blocks(self.iw3)}
+        r32 = _resonant_core(stacks["iwick3"], stacks["wick2"], N) - 6.0 * ctj * lin
+        vals = {
             "lin": lin,
             "wick2": w2,
             "wick3": w3,
             "iwick2": self.iw2,
             "iwick3": self.iw3,
-            "res_iwick3_lin": r3l,
-            "res_iwick2_wick2": r22,
             "res_iwick3_wick2": r32,
             "i_res_iwick3_wick2": self.iww,
         }
+        self._vals = _StepValues(part, vals, stacks, ctj)
         return self._vals
 
     def step(self) -> None:
@@ -187,7 +232,6 @@ class SymbolStepper:
         self.lin.step()
         self.j += 1
         self._vals = None
-        self._stacks = {}
 
 
 class SymbolEnsemble:

@@ -298,13 +298,15 @@ class TestVarianceCurves:
 
     def test_kernel_for_another_grid_is_refused(self):
         # a kernel for another horizon would scale every step's variance
-        # for the wrong dt
+        # for the wrong dt; one for another damping a(t) would return 0.575
+        # here in place of 0.337
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.25, 8)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
         for kern in (StepKernel(grid, TimeGrid(0.5, 8), cs),
                      StepKernel(grid, TimeGrid(0.25, 16), cs),
-                     StepKernel(TorusGrid(8, 1), tg, cs)):
+                     StepKernel(TorusGrid(8, 1), tg, cs),
+                     StepKernel(grid, tg, CoefficientSet(f2=0.0, a=2.0, T=0.5))):
             with pytest.raises(ValueError, match="kernel"):
                 lin_variance_path(grid, tg, 3, cs, 1.0, kernel=kern)
         own = StepKernel(grid, tg, cs)
@@ -383,7 +385,8 @@ class TestQuarticConstant:
         monkeypatch.setattr(noise, "lin_variance_path", boom)
         for kern in (StepKernel(grid, TimeGrid(0.5, 6), cs),
                      StepKernel(grid, TimeGrid(0.25, 12), cs),
-                     StepKernel(TorusGrid(8, 1), tg, cs)):
+                     StepKernel(TorusGrid(8, 1), tg, cs),
+                     StepKernel(grid, tg, CoefficientSet(f2=0.0, a=2.0, T=0.5))):
             with pytest.raises(ValueError, match="kernel"):
                 quartic_renorm_mc(grid, tg, 2, cs, seed=25, replicas=2, kernel=kern)
 

@@ -18,6 +18,8 @@ Oracles used here:
 """
 
 import csv
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -273,26 +275,59 @@ class TestRemainderRhs:
         assert rel(got, expected) <= 1e-11
 
     @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
-    def test_one_step_builds_six_binary_grid_stacks(self, monkeypatch, N, dim):
-        # four symbol stacks (lin, wick2, iwick2, iwick3) plus the remainder
-        # xm and the one field paired with wick2, each on the binary grid
+    def test_one_step_builds_four_binary_grid_stacks(self, monkeypatch, N, dim):
+        # the two symbol stacks stepping reads (wick2, iwick3) plus the
+        # remainder xm and the one field paired with wick2, each on the
+        # binary grid; two resonant cores, that pairing and res_iwick3_wick2.
+        # The catalog-only pairings and the stacks of lin and iwick2 are
+        # never built on this route
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
         vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, N // 2 - 1, 11), co, 0.6, ctilde=0.02))
         vw.step()
         shapes = []
+        cores = []
         build = paley.DyadicPartition.padded_blocks
+        core = paley._resonant_core
 
         def counted(self, c):
             out = build(self, c)
             shapes.append(out.shape)
             return out
 
+        def counted_core(bf, bg, N):
+            cores.append(bf.shape)
+            return core(bf, bg, N)
+
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
+        for mod in (symbols, solvers):
+            monkeypatch.setattr(mod, "_resonant_core", counted_core)
         vw.rhs()
         nblocks = vw.partition.nblocks
-        assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 6
+        assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 4
+        assert len(cores) == 2
+
+    def test_a_step_frees_its_stacks_without_the_cyclic_collector(self):
+        # nothing that holds a step's arrays may sit in a reference cycle:
+        # with the cyclic collector off, reference counting alone frees the
+        # stacks of step j, lazily built ones included, once the route has
+        # stepped past it
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.1, 4)
+        co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02))
+        vw.step()
+        sym = vw.sym
+        gc.collect()
+        gc.disable()
+        try:
+            sym.values()["res_iwick2_wick2"]
+            refs = [weakref.ref(sym.stack(name)) for name in ("wick2", "iwick3", "lin", "iwick2")]
+            vw.step()
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
 
     def test_reconstruction_builds_no_stack(self, monkeypatch):
         # phi reads the streamed states of lin, iwick3 and the integral of

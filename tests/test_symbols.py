@@ -95,8 +95,9 @@ class TestStepper:
         assert ens.c[0] == 0.0 and ens.ctilde[0] == 0.0
 
     def test_stack_cached_per_step(self, monkeypatch):
-        # asking for a stack before the values builds each of the four
-        # symbol stacks once, and no stack twice
+        # the values build the stacks of wick2 and iwick3, which stepping
+        # reads; those of lin and iwick2 wait for a catalog-only pairing (or
+        # a stack() call), and no stack is built twice within a step
         grid, tg, co = small_setup()
         st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(tg.M + 1))
         built = []
@@ -108,15 +109,18 @@ class TestStepper:
 
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
         a = st.stack("wick2")
-        assert len(built) == 4
+        assert len(built) == 2
         assert st.stack("wick2") is a
-        st.values()
+        vals = st.values()
+        vals["res_iwick3_lin"]
+        vals["res_iwick2_wick2"]
+        assert len(built) == 4
         for name in ("lin", "iwick2", "iwick3"):
             st.stack(name)
         assert len(built) == 4
         st.step()
         assert st.stack("wick2") is not a
-        assert len(built) == 8
+        assert len(built) == 6
         with pytest.raises(KeyError):
             st.stack("no_such_spectrum")
         with pytest.raises(KeyError):

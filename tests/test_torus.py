@@ -9,6 +9,9 @@ from phi4lab.grids import (
     RealField,
     SpectralField,
     TorusGrid,
+    _band_points,
+    _conj_reflect,
+    _points_band,
     binary_size,
     dealiased_product,
     dft,
@@ -18,9 +21,39 @@ from phi4lab.grids import (
     product_spectra,
     random_band_field,
     spectral_truncate,
-    unpad_half,
 )
-from phi4lab.paley import para_gt, para_lt, resonant
+from phi4lab.paley import (
+    DyadicPartition,
+    _para_lt_core,
+    _resonant_core,
+    para_gt,
+    para_lt,
+    resonant,
+)
+
+
+def unpad_half(C, P, N):
+    """Dense restriction of a half-layout P-grid spectrum to the N-grid band.
+
+    The reference the line-pruned forward transform is compared against:
+    fine-grid frequencies +N/2 and -N/2 alias to the one coarse Nyquist slot
+    and are summed there, axis by axis.
+    """
+    dim = C.ndim
+    h = N // 2
+    cur = C
+    for ax in range(dim - 1):
+        src = np.moveaxis(cur, ax, 0)
+        nxt = np.zeros((N,) + src.shape[1:], dtype=np.complex128)
+        nxt[:h] = src[:h]
+        nxt[h + 1 :] = src[P - h + 1 :]
+        nxt[h] = src[h] + src[P - h]
+        cur = np.moveaxis(nxt, 0, ax)
+    out = np.zeros(cur.shape[:-1] + (h + 1,), dtype=np.complex128)
+    out[..., :h] = cur[..., :h]
+    nyq = cur[..., h]
+    out[..., h] = nyq + _conj_reflect(nyq)
+    return out
 
 
 def _full_band(N, dim, bound):
@@ -303,3 +336,75 @@ def test_closed_band_binary_products_match_doubled_grid(N, dim):
     assert np.max(np.abs(prod - ref)) <= 1e-13 * scale
     pieces = (para_lt(f, g) + para_gt(f, g) + resonant(f, g)).coeffs
     assert np.max(np.abs(pieces - ref)) <= 1e-13 * scale
+
+
+def _dense_points(c, N, P):
+    dim = c.ndim
+    return np.fft.irfftn(pad_half(c * float(P) ** dim, N, P), s=(P,) * dim, axes=tuple(range(dim)))
+
+
+def _dense_product(cs, N, band):
+    """product_spectra written with dense transforms on every axis."""
+    dim = cs[0].ndim
+    P = binary_size(N) if len(cs) == 2 else 2 * N
+    pts = None
+    for c in cs:
+        p = _dense_points(c, N, P)
+        pts = p.copy() if pts is None else pts * p
+    out = unpad_half(np.fft.rfftn(pts) / P**dim, P, N)
+    if band is not None and band < N // 2:
+        out = np.where(TorusGrid(N, dim).kinf <= band, out, 0.0)
+    return out
+
+
+_PRUNED_CASES = [(N, dim) for dim in (1, 2, 3) for N in (8, 10, 12, 16, 32)] + [(48, 3)]
+
+
+class TestLinePrunedTransforms:
+    """The pruned transform pair against the dense path, byte for byte."""
+
+    @staticmethod
+    def _full_band(N, dim, rng):
+        # full-band input that carries the Nyquist slot, as core outputs do
+        c = np.fft.rfftn(rng.standard_normal((N,) * dim)) / N**dim
+        assert np.any(c[..., N // 2] != 0)
+        return c
+
+    @pytest.mark.parametrize("N, dim", _PRUNED_CASES)
+    def test_pair_equals_the_dense_transforms(self, N, dim):
+        rng = np.random.default_rng(700 + N + dim)
+        c = self._full_band(N, dim, rng)
+        for P in (binary_size(N), 2 * N):
+            assert _band_points(c, N, P).tobytes() == _dense_points(c, N, P).tobytes()
+            pts = rng.standard_normal((P,) * dim)
+            dense = unpad_half(np.fft.rfftn(pts) / P**dim, P, N)
+            assert _points_band(pts, N).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("N, dim", _PRUNED_CASES)
+    def test_products_equal_the_dense_path(self, N, dim):
+        rng = np.random.default_rng(800 + N + dim)
+        f, g, h = (self._full_band(N, dim, rng) for _ in range(3))
+        for cs in ([f, g], [f, g, h], [f, f], [f, f, g], [f, f, f]):
+            for band in (None, N // 2 - 1, N // 4):
+                got = product_spectra(cs, N, band=band)
+                assert got.tobytes() == _dense_product(cs, N, band).tobytes()
+
+    @pytest.mark.parametrize("N, dim", [(8, 1), (10, 2), (16, 2), (12, 3), (32, 3)])
+    def test_core_outputs_equal_the_dense_restriction(self, N, dim):
+        rng = np.random.default_rng(900 + N + dim)
+        part = DyadicPartition(TorusGrid(N, dim))
+        bf = part.padded_blocks(self._full_band(N, dim, rng))
+        bg = part.padded_blocks(self._full_band(N, dim, rng))
+        P = binary_size(N)
+        acc = np.zeros_like(bf[0])
+        S = np.zeros_like(bf[0])
+        for j in range(2, bf.shape[0]):
+            S += bf[j - 2]
+            acc += S * bg[j]
+        dense = unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
+        assert _para_lt_core(bf, bg, N).tobytes() == dense.tobytes()
+        acc = np.zeros_like(bf[0])
+        for j in range(bf.shape[0]):
+            acc += bg[j] * bf[max(0, j - 1) : j + 2].sum(axis=0)
+        dense = unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
+        assert _resonant_core(bf, bg, N).tobytes() == dense.tobytes()
