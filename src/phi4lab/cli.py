@@ -13,6 +13,10 @@ renorm
     quadrature) and the quartic constant (Monte Carlo) at mid-horizon,
     with linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
     grid ``N = 2n + 2``, the smallest on which its Wick square is centred.
+    Each row carries ``dt * L_max``, with ``dt`` the step of the grid the
+    quartic constant is estimated on and ``L_max = 4 pi^2 dim n^2`` the
+    largest band eigenvalue: where it is large, the time step, not the
+    cutoff, regulates the discrete quartic constant.
 simulate
     Run the remainder system at the configured parameters and write the
     norm table plus the final reconstructed field.
@@ -22,7 +26,9 @@ tail
     rate ratios between levels.
 equivalence
     Gap between the direct renormalized solve and the remainder-route
-    reconstruction, with its dt-refinement ratio.
+    reconstruction at dt and dt/2.  The routes are one discrete map, so the
+    gap is rounding plus the band truncation of intermediate products
+    (about 1e-9 relative at cutoff N/2 - 1); needs a positive noise level.
 
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
@@ -204,8 +210,11 @@ def _check_sigma_zero() -> tuple[bool, dict]:
                              ctilde=0.0, forcing=[0.3, 0.1])
     same = bool(np.array_equal(det.coeffs, ren.coeffs))
     sym = SymbolStepper(NoiseRealization(grid, tg, 3, seed=0), co, 0.0, ctilde=0.0)
-    v_zero = bool(np.all(solve_vw(sym)["v"].coeffs == 0.0))
-    return same and v_zero, {"direct_bitwise": same, "v_identically_zero": v_zero}
+    vw = solve_vw(sym, forcing=[0.3, 0.1])
+    v_zero = bool(np.all(vw["v"].coeffs == 0.0))
+    vw_same = bool(np.array_equal(det.coeffs, vw["phi"].coeffs))
+    return same and v_zero and vw_same, {"direct_bitwise": same, "v_identically_zero": v_zero,
+                                         "vw_bitwise": vw_same}
 
 
 def _check_homogeneity() -> tuple[bool, dict]:
@@ -221,12 +230,18 @@ def _check_homogeneity() -> tuple[bool, dict]:
     return off <= 1e-6 and scale_err <= 1e-8, {"off_order_rel": off, "scale_rel_err": scale_err}
 
 
+# the routes are one discrete map; at this configuration the band truncation
+# of intermediate products leaves relative gaps of 1.9e-9 (dt) and 2.5e-9 (dt/2)
+_EQUIVALENCE_SMOKE_GAP = 1e-8
+
+
 def _check_equivalence_smoke() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     co = CoefficientSet(0.5, -1.0, 0.25)
     rep = equivalence_report(grid, 0.25, 20, 3, co, 0.1, seed=5, ctilde_replicas=8)
-    ok = np.isfinite(rep["gap"]) and rep["gap"] < 0.1 and rep["ratio"] < 0.9
-    return bool(ok), {"gap": rep["gap"], "ratio": rep["ratio"]}
+    ok = all(np.isfinite(g) and g <= _EQUIVALENCE_SMOKE_GAP
+             for g in (rep["gap"], rep["gap_refined"]))
+    return bool(ok), {"gap": rep["gap"], "gap_refined": rep["gap_refined"]}
 
 
 def _check_tail_trivials() -> tuple[bool, dict]:
@@ -327,13 +342,15 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
         rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, cfg.master_seed,
                                cfg.replicas, sigma=sigma)
+        # dt of the grid c~ was estimated on, times the largest band eigenvalue
+        dt_lmax = cfg.T / (len(rep["times"]) - 1) * 4.0 * np.pi**2 * cfg.dimension * n**2
         ct_val = float(np.interp(tmid, rep["times"], rep["estimate"]))
         ct_se = float(np.interp(tmid, rep["times"], rep["se"]))
-        rows.append((n, c_val, ct_val, ct_se))
+        rows.append((n, c_val, ct_val, ct_se, dt_lmax))
     with open(out_dir / "renorm.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "c_n", "ctilde_n", "ctilde_se"])
-        for n, c_val, ct_val, ct_se in rows:
+        for n, c_val, ct_val, ct_se, _ in rows:
             writer.writerow([n, f"{c_val:.12g}", f"{ct_val:.12g}", f"{ct_se:.12g}"])
     ns = [r[0] for r in rows]
     report = {
@@ -341,7 +358,8 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "replicas": cfg.replicas,
         "c_fit_vs_n": _linear_fit(ns, [r[1] for r in rows]),
         "ctilde_fit_vs_log_n": _linear_fit(np.log(ns), [r[2] for r in rows]),
-        "rows": [{"n": n, "c": c, "ctilde": ct, "ctilde_se": se} for n, c, ct, se in rows],
+        "rows": [{"n": n, "c": c, "ctilde": ct, "ctilde_se": se, "dt_L_max": dl}
+                 for n, c, ct, se, dl in rows],
     }
     _dump_json(report, out_dir / "renorm_fits.json")
     files = ["renorm.csv", "renorm_fits.json"]
@@ -430,6 +448,9 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    if cfg.sigmas[0] == 0.0:
+        raise ConfigError([("sigma", "equivalence needs a positive noise level: at sigma = 0 "
+                                     "the direct solution is zero and the relative gap is 0/0")])
     t0 = time.perf_counter()
     rep = equivalence_report(cfg.grid(), cfg.T, cfg.steps, cfg.cutoff, cfg.coeffs(),
                              cfg.sigmas[0], cfg.master_seed,
@@ -464,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "renorm": "sweep cutoffs and fit the renormalization constants",
         "simulate": "run the remainder system and dump the reconstruction",
         "tail": "estimate and fit exceedance curves per noise level",
-        "equivalence": "direct-vs-reconstruction gap and refinement ratio",
+        "equivalence": "direct-vs-reconstruction gap at dt and dt/2",
     }
     for name in ("verify", "symbols", "renorm", "simulate", "tail", "equivalence"):
         p = sub.add_parser(name, help=helps[name])

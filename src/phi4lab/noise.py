@@ -11,8 +11,13 @@ replicas, and exact refinement couplings (a coarse increment is the sum of
 its fine halves).
 
 The damped integrator ``I(f)(t) = int_0^t e^{alpha(t,u)} e^{(t-u) Lap} f(u) du``
-is discretized with the left-endpoint exponential rule
-``I(t_{j+1}) = P_j (I(t_j) + dt f(t_j))``.  The noise itself is injected with
+is discretized with the first-order exponential time-differencing (ETD1) rule
+``I(t_{j+1}) = P_j I(t_j) + E_j f(t_j)``, ``P_j`` the damped heat step and
+``E_j`` the integral of the propagator over the step with the damping at its
+step mean (:meth:`StepKernel.etd_weight`).  Every stepper in the package (the direct
+solvers, the symbol integrals, the remainder pair and the quartic-constant
+Monte Carlo) takes this one step, so the two solution routes are one discrete
+map.  The noise itself is injected with
 the exact per-step variance kernel (closed form for constant damping,
 boundary-layer Gauss-Legendre quadrature for polynomial damping), so the
 discrete stochastic convolution has the exact continuum marginal law at every
@@ -216,7 +221,8 @@ class StepKernel:
     ``propagator(j)`` is the damped heat step, ``variance(j)`` the exact
     in-step variance of the stochastic convolution at unit noise amplitude,
     and ``etd_weight(j)`` the classical first-order exponential forcing
-    weight ``dt phi1(a dt - L dt)`` used by the direct solvers.
+    weight ``dt phi1(a dt - L dt)`` that every stepper applies to its
+    right-hand side.
 
     For non-constant damping the variance quadrature runs at most once per
     step per kernel: its row (one value per distinct ``|w|^2``) is kept by
@@ -454,7 +460,9 @@ def quartic_renorm_mc(
     inner product (Parseval), so no block decompositions are formed here.
     The simulation runs at unit noise amplitude and is scaled by
     ``sigma**4``, which is exact because every factor is homogeneous in the
-    amplitude.
+    amplitude.  The time integral of the Wick square takes the same ETD step
+    as :class:`.symbols.SymbolStepper`, so one replica's pairing is the zero
+    mode of that stepper's uncentred ``res_iwick2_wick2`` on the same stream.
 
     A prebuilt ``kernel`` for another grid or time grid is refused.  Returns
     a dict with the requested grid times, the estimates, standard errors, and
@@ -471,7 +479,6 @@ def quartic_renorm_mc(
     kern = _kernel_for(grid, timegrid, coeffs, kernel)
     N, dim = grid.N, grid.dim
     band = min(2 * cutoff, N // 2 - 1)
-    dt = timegrid.dt
     zero = (0,) * dim
 
     # exact unit-amplitude variance path for the Wick subtraction
@@ -491,7 +498,7 @@ def quartic_renorm_mc(
                 raw[r, wanted[j]] = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
             if j == M:
                 break
-            iw2 = kern.propagator(j) * (iw2 + dt * w2)
+            iw2 = kern.propagator(j) * iw2 + kern.etd_weight(j) * w2
             lin.step()
 
     raw_mean = raw.mean(axis=0)

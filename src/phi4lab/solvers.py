@@ -12,9 +12,19 @@ Three routes to a solution path live here:
   polynomial ensemble of :mod:`.symbols`, with the right-hand sides
   :func:`F_rhs` and :func:`G_rhs` assembled term by term from paraproducts,
   resonant products and the two commutator corrections.  The full solution is
-  re-assembled by :func:`reconstruct_phi`, which must agree with the direct
-  route up to time-discretization error; :func:`equivalence_report` measures
-  that gap and its behaviour under step refinement.
+  re-assembled by :func:`reconstruct_phi`.
+
+The two stochastic routes are one discrete map.  Every stepper takes the ETD1
+step ``u <- P u + E f`` of :class:`.noise.StepKernel`, and the remainder
+right-hand sides are evaluated on the field the reconstruction rebuilds, so
+the reconstructed step equals the direct step whenever the right-hand sides
+agree at a fixed state.  They agree to rounding while ``7 cutoff <= N/2 - 1``.
+Above that, the remainder route cuts some intermediate products at the grid
+band (the Wick powers, ``d1`` and ``iwick3**2`` in :func:`G_rhs`) where the
+direct cube carries them whole; at cutoff ``N/2 - 1`` this leaves a gap of
+about 1e-9 relative.  At ``sigma = 0`` the remainder route is the
+deterministic solver bit for bit.  :func:`equivalence_report` measures the
+gap.
 
 Each solve records its path through :func:`.noise.record` and returns a
 :class:`SolutionPath` (one per recorded field for the remainder route).
@@ -28,10 +38,11 @@ Wick square, the bracket paraproduct of the first cancels the leading term of
 the second (the trilinear commutator of
 :func:`.paley.para_resonant_commutator`), so :func:`G_rhs` pairs a single
 field resonantly with the Wick square and keeps the rest of the second
-correction as the quartic counterterm.  A step builds four block stacks: the
-two of the symbols it reads (``wick2`` and ``iwick3``), the remainder
-``v + w - iwick3`` and that paired field; and two resonant cores, that
-pairing and the symbol ``res_iwick3_wick2``.
+correction as the quartic counterterm.  A step builds three block stacks: the
+two of the symbols it reads (``wick2`` and ``iwick3``) and the remainder
+``X - iwick3``, whose sum with the ``iwick3`` stack is the stack of the paired
+field ``X``; and two resonant cores, that pairing and the symbol
+``res_iwick3_wick2``.
 """
 
 from __future__ import annotations
@@ -283,9 +294,11 @@ def solve_renormalized(
 # The functions below operate on one time slice: ``v`` and ``w`` are
 # half-layout spectra, ``syms`` is the symbol-name -> spectrum mapping of
 # SymbolStepper.values(), ``f2t`` and ``ct`` the coefficient and quartic
-# constant at the same time.  ``cache`` shares padded block stacks and
-# intermediate values between F and G within one step; entries are keyed by
-# name and never mutated.
+# constant at the same time.  VWStepper hands them ``v + 3 iww`` (``iww`` the
+# streamed integral of res_iwick3_wick2) in place of ``v``, so that
+# ``lin + v + w - iwick3`` is the solution it reconstructs.  ``cache`` shares
+# padded block stacks and intermediate values between F and G within one
+# step; entries are keyed by name and never mutated.
 
 
 def _stk(cache: dict, part: DyadicPartition, name: str, spec: np.ndarray) -> np.ndarray:
@@ -328,20 +341,21 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     upper-paraproduct pairings of the remainder with the Wick square,
     ``-3 res(w, wick2) - 3 wick2 para_lt xm``; and the random polynomial
     ``d2 X^2 + d1 X + d0``.  The first correction is
-    ``com1 = v + (3 xm - f2) para_lt iwick2``; the second, ``com2``, is the
+    ``com1 = v + 3 xm para_lt iwick2``; the second, ``com2``, is the
     trilinear commutator of :func:`.paley.para_resonant_commutator` applied
     to ``(-3 xm, iwick2, wick2)``, in which the resonant pairing of
     ``iwick2`` with ``wick2`` enters unsubtracted (the stored symbol plus
-    twice the quartic constant).
+    twice the quartic constant).  Summed with ``F``, ``3 res_iwick3_wick2``
+    and ``-wick3``, these groups are the direct nonlinearity at
+    ``phi = lin + xm``: every ``f2`` term lives in ``F`` and the random
+    polynomial.
 
-    The assembly telescopes.  The constant part of the bracket in ``com1``
-    meets only the two lowest blocks of ``iwick2``
-    (``const para_lt g = const (g - low)``, ``low`` the ball block and block
-    0 of ``g``), and its ``3 xm para_lt iwick2`` cancels the leading term
-    ``res(-3 xm para_lt iwick2, wick2)`` of ``com2`` by bilinearity.  The
-    three resonant pairings with the Wick square are therefore one,
-    ``res(v + w - f2 (iwick2 - low), wick2)``, and what is left of ``com2``
-    is the binary product ``3 xm (res_iwick2_wick2 + 2 ct)``.  Its
+    The assembly telescopes.  The ``3 xm para_lt iwick2`` of ``com1`` cancels
+    the leading term ``res(-3 xm para_lt iwick2, wick2)`` of ``com2`` by
+    bilinearity, so the three resonant pairings with the Wick square are one,
+    ``res(X, wick2)``, and what is left of ``com2`` is the binary product
+    ``3 xm (res_iwick2_wick2 + 2 ct)``.  The block stack of ``X`` is the sum
+    of the stacks of ``xm`` and ``iwick3``, both built for other terms.  The
     ``res_iwick2_wick2`` part cancels: with ``xm = X - iwick3``, the
     ``-9 xm res_iwick2_wick2`` it contributes, the ``9 res_iwick2_wick2 X``
     in ``d1 X`` and the ``-9 iwick3 res_iwick2_wick2`` in ``d0`` sum to zero,
@@ -359,7 +373,6 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     N, dim = grid.N, grid.dim
     zero = (0,) * dim
     lin = syms["lin"]
-    iw2 = syms["iwick2"]
     iw3 = syms["iwick3"]
 
     xm = _xm(cache, v, w, syms)
@@ -367,8 +380,7 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     bw2 = _stk(cache, part, "wick2", syms["wick2"])
     X = v + w
 
-    low = part.weight(-1) * iw2 + part.weight(0) * iw2
-    paired = _resonant_core(part.padded_blocks(X - f2t * (iw2 - low)), bw2, N)
+    paired = _resonant_core(bxm + _stk(cache, part, "iwick3", iw3), bw2, N)
     pgt = _para_lt_core(bw2, bxm, N)
 
     d2 = 3.0 * (iw3 - lin)
@@ -408,12 +420,14 @@ def reconstruct_phi(
 
 
 class VWStepper:
-    """Coupled exponential-Euler stepping of the remainder pair.
+    """Coupled ETD1 stepping of the remainder pair.
 
     Wraps a fresh :class:`SymbolStepper` (consumed as stepping advances) and
     keeps ``(v, w)`` starting from zero.  Right-hand sides are evaluated at
-    the left endpoint, projected onto the open band, and propagated with the
-    same exact damped heat kernel the symbols use.
+    the left endpoint on ``(v + 3 iww, w)``, ``iww`` the streamed integral of
+    ``res_iwick3_wick2``, so they see the solution the reconstruction
+    rebuilds; they are projected onto the open band and stepped with the
+    propagator and ETD weight the symbols and the direct route use.
     """
 
     def __init__(self, symbols: SymbolStepper, forcing=None):
@@ -437,11 +451,12 @@ class VWStepper:
         """Both right-hand sides at the current time, open-band projected."""
         sym = self.sym
         syms = sym.values()
-        cache = {"stk:wick2": sym.stack("wick2")}
+        cache = {"stk:wick2": sym.stack("wick2"), "stk:iwick3": sym.stack("iwick3")}
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
-        F = F_rhs(self.v, self.w, syms, f2t, self.partition, cache)
-        G = G_rhs(self.v, self.w, syms, f2t, ct, self.partition, cache)
+        v = self.v + 3.0 * sym.iww
+        F = F_rhs(v, self.w, syms, f2t, self.partition, cache)
+        G = G_rhs(v, self.w, syms, f2t, ct, self.partition, cache)
         if self.forcing is not None:
             G = G.copy()
             G[(0,) * self.grid.dim] += float(self.forcing(self.t))
@@ -452,9 +467,9 @@ class VWStepper:
             raise ValueError("already at the final time")
         F, G = self.rhs()
         P = self.sym.kernel.propagator(self.j)
-        dt = self.timegrid.dt
-        self.v = P * (self.v + dt * F)
-        self.w = P * (self.w + dt * G)
+        E = self.sym.kernel.etd_weight(self.j)
+        self.v = P * self.v + E * F
+        self.w = P * self.w + E * G
         self.sym.step()
         self.j += 1
         _check_blowup(self.grid, self.w, self.t, self.j)
@@ -499,7 +514,7 @@ def solve_vw(
         "n": symbols.noise.cutoff,
         "seed": symbols.noise.seed,
         "sigma": symbols.sigma,
-        "scheme": "exp-euler-leftpoint",
+        "scheme": "etd1",
     }
     return {name: SolutionPath(grid, times, path, meta) for name, path in out.items()}
 
@@ -519,14 +534,19 @@ def equivalence_report(
 
     Both routes run in lockstep on one noise realization, which fixes their
     grid, horizon, band and stream; the coarse run steps the aggregated
-    increments of the fine one, so the dt-refinement ratio is measured on a
-    single Brownian path.  The quartic constant is estimated once by
+    increments of the fine one, so both resolutions see a single Brownian
+    path.  The quartic constant is estimated once by
     :func:`.noise.quartic_constant` and interpolated, and the same path is
     handed to both routes (the decomposition holds for any shared quartic
     constant, so Monte Carlo error there does not open a gap).
 
-    Returns the relative sup-norm gap at ``dt`` and ``dt/2``, their ratio,
-    and the gap for each extra seed at the base resolution.
+    The routes are one discrete map, so the gap does not shrink with dt: it
+    is rounding where ``7 cutoff <= N/2 - 1``, where every intermediate
+    product of the remainder right-hand sides fits the grid band, and the
+    band truncation of those products otherwise.  Returns the relative
+    sup-norm gap at ``dt`` and ``dt/2``, their ratio (for information), and
+    the gap for each extra seed at the base resolution.  The gaps are
+    relative to the direct solution, which vanishes at ``sigma = 0``.
     """
     rep = quartic_constant(grid, T, M, cutoff, coeffs, seed, ctilde_replicas, sigma=sigma)
 

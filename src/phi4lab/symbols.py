@@ -19,7 +19,8 @@ band and stream, and the steppers and builders below read them from it:
   six times the quartic constant times ``lin``.
 
 The damped integral of ``res_iwick3_wick2`` is streamed alongside because the
-solution reconstruction needs it.
+solution reconstruction needs it.  Every damped integral takes the ETD1 step
+of :mod:`.noise`, ``I <- P I + E f``, which is the step of the direct solvers.
 
 All products are dealiased one-pass products truncated to the open grid band,
 so the multilinear identities between these objects hold exactly at the
@@ -225,10 +226,10 @@ class SymbolStepper:
             raise ValueError("already at the final time")
         vals = self.values()
         P = self.kernel.propagator(self.j)
-        dt = self.timegrid.dt
-        self.iw2 = P * (self.iw2 + dt * vals["wick2"])
-        self.iw3 = P * (self.iw3 + dt * vals["wick3"])
-        self.iww = P * (self.iww + dt * vals["res_iwick3_wick2"])
+        E = self.kernel.etd_weight(self.j)
+        self.iw2 = P * self.iw2 + E * vals["wick2"]
+        self.iw3 = P * self.iw3 + E * vals["wick3"]
+        self.iww = P * self.iww + E * vals["res_iwick3_wick2"]
         self.lin.step()
         self.j += 1
         self._vals = None

@@ -84,6 +84,9 @@ class TestVerify:
         assert "partition_of_unity" in names
         assert "sigma_zero_degeneration" in names
         assert all(c["passed"] for c in report["checks"])
+        by_name = {c["name"]: c["detail"] for c in report["checks"]}
+        assert by_name["sigma_zero_degeneration"]["vw_bitwise"] is True
+        assert by_name["route_equivalence_smoke"]["gap_refined"] <= 1e-8
 
     def test_widened_partition_fails_unity_check(self):
         grid = TorusGrid(16, 2)
@@ -142,6 +145,18 @@ class TestConfigErrorsAtCli:
         path.write_text(json.dumps(_doc(sigma=sigma, replicas=5)))
         out = tmp_path / "out"
         rc = main(["tail", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["sigma"]
+        assert list(out.iterdir()) == []
+
+    def test_equivalence_with_a_zero_noise_level_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # at sigma = 0 the direct solution is zero and so is the route gap;
+        # their ratio is 0/0, so the command refuses before computing anything
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(sigma=0.0, f2=0.5)))
+        out = tmp_path / "out"
+        rc = main(["equivalence", "--config", str(path), "--out", str(out)])
         err = json.loads(capsys.readouterr().err)
         assert rc == 2
         assert err["fields"] == ["sigma"]
@@ -278,6 +293,10 @@ class TestExperimentCommands:
         assert cs == sorted(cs)
         assert set(report["c_fit_vs_n"]) == {"slope", "intercept", "r_squared"}
         assert report["c_fit_vs_n"]["slope"] > 0.0
+        # the constants are estimated on the command's own 8-step grid
+        # (dt = 0.0625), so dt * L_max = 0.0625 * 4 pi^2 * 2 * n^2
+        dl = [row["dt_L_max"] for row in report["rows"]]
+        assert np.allclose(dl, [0.0625 * 8.0 * np.pi**2 * n**2 for n in ns], rtol=1e-14)
 
     def test_simulate_outputs(self, tmp_path):
         cfg = _cfg(sigma=0.05)
@@ -293,7 +312,7 @@ class TestExperimentCommands:
     def test_equivalence_report_written(self, tmp_path):
         cfg = _cfg(dt=0.05, ctilde_replicas=4)
         report = cmd_equivalence(cfg, tmp_path)
-        assert {"gap", "ratio", "dt", "gap_refined"} <= set(report)
+        assert {"gap", "dt", "gap_refined"} <= set(report)
         doc = json.loads((tmp_path / "equivalence.json").read_text())
         assert doc["gap"] == report["gap"]
 

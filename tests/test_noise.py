@@ -337,7 +337,7 @@ class TestQuarticConstant:
         for j in range(8):
             w2 = product_spectra([lin.state, lin.state], grid.N, band=band)
             w2[0, 0, 0] -= c
-            iw2 = kern.propagator(j) * (iw2 + tg.dt * w2)
+            iw2 = kern.propagator(j) * iw2 + kern.etd_weight(j) * w2
             var = kern.propagator(j) ** 2 * var + kern.variance(j)
             c = float(np.sum(hw * np.where(mask, var, 0.0)))
             lin.step()
@@ -347,6 +347,30 @@ class TestQuarticConstant:
         inner = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
         res = resonant(SpectralField(grid, iw2), SpectralField(grid, w2))
         assert abs(inner - res.coeff((0, 0, 0)).real) < 1e-12 * max(1.0, abs(inner))
+
+    @pytest.mark.parametrize("N,dim,cutoff", [(8, 3, 2), (16, 2, 5)])
+    def test_one_replica_is_the_symbol_stepper_pairing(self, N, dim, cutoff):
+        # the Monte Carlo's iwick2 recursion is the symbol stepper's: with one
+        # replica, its raw pairing is the zero mode of the uncentred
+        # res_iwick2_wick2 of that replica's stream at every grid time, so
+        # subtracting twice the estimate centres the symbol it is built for
+        from phi4lab.noise import ROLE_RENORM
+        from phi4lab.symbols import SymbolStepper
+
+        grid = TorusGrid(N, dim)
+        tg = TimeGrid(0.25, 8)
+        cs = CoefficientSet(f2=0.4, a=[-1.0, 0.5], T=0.25)
+        rep = quartic_renorm_mc(grid, tg, cutoff, cs, seed=19, replicas=1)
+        nz = NoiseRealization(grid, tg, cutoff, 19, replica=0, role=ROLE_RENORM)
+        st = SymbolStepper(nz, cs, 1.0, ctilde=0.0)
+        zero = (0,) * dim
+        for j in range(tg.M + 1):
+            r22 = st.values()["res_iwick2_wick2"][zero]
+            assert abs(r22.imag) <= 1e-12 * abs(r22.real)
+            assert abs(rep["raw_mean"][j] - r22.real) <= 1e-12 * abs(r22.real)
+            if j < tg.M:
+                st.step()
+        assert rep["raw_mean"][-1] > 0.0
 
     def test_sigma_scaling_exact(self):
         grid = TorusGrid(8, 3)

@@ -2,8 +2,9 @@
 
 Oracles used here:
 
-* closed-form summation of the left-endpoint damped integrals (exact
-  propagator products via the antiderivative of the drift),
+* closed-form summation of the ETD1 damped integrals (exact propagator
+  products via the antiderivative of the drift, and the closed-form ETD1
+  weight),
 * Gaussian moment identities for Wick powers at a point,
   E[(g^2-1)^2] = 2 and E[(g^3-3g)^2] = 6 for standard Gaussian g,
 * exact amplitude homogeneity at a power-of-two amplitude ratio, which
@@ -168,8 +169,10 @@ class TestStepper:
 class TestIntegralOracle:
     """Stored integrals against the unrolled propagator sum.
 
-    The recursion I_{j+1} = P_j (I_j + dt f_j) telescopes to
-    I_m = sum_{j<m} exp(alpha(t_m, t_j) - L (t_m - t_j)) dt f_j,
+    The recursion I_{j+1} = P_j I_j + E_j f_j telescopes to
+    I_m = sum_{j<m} exp(alpha(t_m, t_{j+1}) - L (t_m - t_{j+1})) E_j f_j,
+    with E_j = dt (e^z - 1) / z at z = alpha(t_{j+1}, t_j) - L dt (the
+    in-step integral of the propagator with the damping at its step mean),
     which we evaluate directly from the stored integrand paths.
     """
 
@@ -178,6 +181,10 @@ class TestIntegralOracle:
         ens = build_ensemble(NoiseRealization(grid, tg, 3, seed=23), co, 0.9,
                              ctilde=0.9**4 * unit_ctilde(tg))
         L = 4.0 * np.pi**2 * grid.k2
+        E = []
+        for j in range(tg.M):
+            z = co.alpha(tg.ts[j + 1], tg.ts[j]) - L * tg.dt
+            E.append(tg.dt * np.expm1(z) / z)
         for int_name, src_name in [
             ("iwick2", "wick2"),
             ("iwick3", "wick3"),
@@ -188,8 +195,8 @@ class TestIntegralOracle:
                 tm = tg.ts[m]
                 acc = np.zeros(grid.hshape, dtype=np.complex128)
                 for j in range(m):
-                    tj = tg.ts[j]
-                    acc += np.exp(co.alpha(tm, tj) - L * (tm - tj)) * tg.dt * src[j]
+                    tj1 = tg.ts[j + 1]
+                    acc += np.exp(co.alpha(tm, tj1) - L * (tm - tj1)) * E[j] * src[j]
                 got = ens.path(int_name)[m]
                 scale = max(np.max(np.abs(acc)), 1e-300)
                 assert np.max(np.abs(got - acc)) < 1e-12 * scale, (int_name, m)
