@@ -33,6 +33,11 @@ Conventions used throughout the package:
   reads.  Every line transformed is the line a dense transform sees and
   every line skipped is zero or discarded, so the results are bitwise those
   of the dense ``irfftn``/``rfftn`` pair.
+* A transform whose input has no nonzero entry returns zeros without an
+  FFT.  Every route starts from the zero state, whose first step would
+  otherwise transform nothing but zeros: ``1/M`` of the remainder route's
+  work over ``M`` steps and ``1/(M + 1)`` of each Monte Carlo replica's
+  products, a share that fades as runs get longer.
 """
 
 from __future__ import annotations
@@ -369,6 +374,11 @@ def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
     return out
 
 
+def _all_zero(a: np.ndarray) -> bool:
+    """Whether ``a`` has no nonzero entry, in which case its transform is zeros."""
+    return not a.any()
+
+
 def _band_points(c: np.ndarray, N: int, P: int) -> np.ndarray:
     """Point values on the ``P``-grid of a half-layout ``N``-grid spectrum.
 
@@ -381,6 +391,8 @@ def _band_points(c: np.ndarray, N: int, P: int) -> np.ndarray:
     the line the dense transform sees, and every line skipped is zero.
     """
     dim = c.ndim
+    if _all_zero(c):
+        return np.zeros((P,) * dim)
     # scale the small band before padding rather than the big point array
     a = _gather_band(c * float(P) ** dim, N)
     rows = _band_rows(N, P)
@@ -407,6 +419,8 @@ def _points_band(pts: np.ndarray, N: int) -> np.ndarray:
     dim = pts.ndim
     P = pts.shape[0]
     h = N // 2
+    if _all_zero(pts):
+        return np.zeros((N,) * (dim - 1) + (h + 1,), dtype=np.complex128)
     rows = _band_rows(N, P)
     a = np.fft.rfftn(pts, axes=(dim - 1,))[..., : h + 1]
     for ax in range(dim - 2, -1, -1):
@@ -421,9 +435,7 @@ def _points_band(pts: np.ndarray, N: int) -> np.ndarray:
     return a
 
 
-def product_spectra(
-    cs: Sequence[np.ndarray], N: int, band: int | None = None, dim: int | None = None
-) -> np.ndarray:
+def product_spectra(cs: Sequence[np.ndarray], N: int, band: int | None = None) -> np.ndarray:
     """One-pass dealiased product of 2 or 3 half-layout spectra.
 
     All factors are interpolated onto one finer grid (``binary_size(N)`` points
@@ -431,10 +443,18 @@ def product_spectra(
     and the result is restricted back to the ``N``-grid band (optionally
     further to ``max_i |w_i| <= band``).  Repeated array objects are
     transformed once.
+
+    Each call transforms its factors afresh and cuts its result at the band.
+    A polynomial in several fields is therefore better formed whole: take
+    the point values of each field once with :func:`_band_points` on the
+    ``2N`` grid, where any cubic in open-band fields is alias free,
+    evaluate the polynomial there and bring it back with one
+    :func:`_points_band`.  The cubic right-hand sides of :mod:`.solvers` and
+    the Wick cube of :mod:`.symbols` do so.
     """
     if not 2 <= len(cs) <= 3:
         raise ValueError("only binary and ternary products are dealiased exactly")
-    dim = cs[0].ndim if dim is None else dim
+    dim = cs[0].ndim
     P = binary_size(N) if len(cs) == 2 else 2 * N
     cache: dict[int, np.ndarray] = {}
     pts = None

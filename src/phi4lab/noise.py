@@ -224,11 +224,11 @@ class StepKernel:
     weight ``dt phi1(a dt - L dt)`` that every stepper applies to its
     right-hand side.
 
-    For non-constant damping the variance quadrature runs at most once per
-    step per kernel: its row (one value per distinct ``|w|^2``) is kept by
-    ``j`` and expanded onto the half spectrum on every call, so replicas
-    sharing a kernel pay for the quadrature once and the kernel holds
-    O(M x distinct |w|^2) values, not O(M x grid).
+    For non-constant damping the variance quadrature and the ETD weight run
+    at most once per step per kernel: each keeps its row (one value per
+    distinct ``|w|^2``) by ``j`` and expands it onto the half spectrum on
+    every call, so the steppers and replicas sharing a kernel pay for them
+    once and the kernel holds O(M x distinct |w|^2) values, not O(M x grid).
     """
 
     def __init__(self, grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet):
@@ -249,6 +249,7 @@ class StepKernel:
         self._gl = roots_legendre(_GL_NODES)
         self._cache: dict[str, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
+        self._etd_rows: dict[int, np.ndarray] = {}
 
     def propagator(self, j: int) -> np.ndarray:
         if self._const:
@@ -263,7 +264,10 @@ class StepKernel:
             if "etd" not in self._cache:
                 self._cache["etd"] = dt * _phi1(self._alphas[0] - self.L * dt)
             return self._cache["etd"]
-        return dt * _phi1(self._alphas[j] - self.L * dt)
+        row = self._etd_rows.get(j)
+        if row is None:
+            row = self._etd_rows[j] = dt * _phi1(self._alphas[j] - self._Ld * dt)
+        return row[self._linv].reshape(self.grid.hshape)
 
     def variance(self, j: int) -> np.ndarray:
         """Exact unit-amplitude variance injected over step ``j``, per mode."""

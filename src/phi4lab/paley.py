@@ -27,6 +27,7 @@ import numpy as np
 from .grids import (
     SpectralField,
     TorusGrid,
+    _all_zero,
     _check_same_grid,
     _pad_index,
     _points_band,
@@ -168,10 +169,13 @@ class DyadicPartition:
         zero-pads the rest itself.  Every 1-D line it transforms is the line a
         dense transform would see and the lines it skips are zero, so the
         values are bitwise those of one dense batched transform, at a fraction
-        of its cost for the low blocks (FFT pruning).
+        of its cost for the low blocks (FFT pruning).  An all-zero spectrum
+        gives zeros without a transform, as in :mod:`.grids`.
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
+        if _all_zero(c):
+            return np.zeros((self.nblocks,) + (P,) * dim)
         padded = pad_half(c * float(P) ** dim, N, P)
         out = np.empty((self.nblocks,) + (P,) * dim)
         axes = tuple(range(dim))

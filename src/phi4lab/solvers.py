@@ -10,21 +10,21 @@ Three routes to a solution path live here:
   quadratic and quartic counterterms, exact per-mode noise variance.
 * :func:`solve_vw` integrates the coupled remainder system driven by the
   polynomial ensemble of :mod:`.symbols`, with the right-hand sides
-  :func:`F_rhs` and :func:`G_rhs` assembled term by term from paraproducts,
-  resonant products and the two commutator corrections.  The full solution is
-  re-assembled by :func:`reconstruct_phi`.
+  :func:`F_rhs` and :func:`G_rhs` assembled from paraproducts, resonant
+  products, the two commutator corrections and one cubic formed pointwise on
+  the alias-free ``2N`` grid.  :func:`reconstruct_phi` re-assembles phi.
 
 The two stochastic routes are one discrete map.  Every stepper takes the ETD1
 step ``u <- P u + E f`` of :class:`.noise.StepKernel`, and the remainder
 right-hand sides are evaluated on the field the reconstruction rebuilds, so
 the reconstructed step equals the direct step whenever the right-hand sides
-agree at a fixed state.  They agree to rounding while ``7 cutoff <= N/2 - 1``.
-Above that, the remainder route cuts some intermediate products at the grid
-band (the Wick powers, ``d1`` and ``iwick3**2`` in :func:`G_rhs`) where the
-direct cube carries them whole; at cutoff ``N/2 - 1`` this leaves a gap of
-about 1e-9 relative.  At ``sigma = 0`` the remainder route is the
-deterministic solver bit for bit.  :func:`equivalence_report` measures the
-gap.
+agree at a fixed state.  They agree to rounding while ``5 cutoff <= N/2 - 1``
+(at most 3.1e-15 relative on 32^2, 64^2, 16^3, 24^3 and 32^3).  Above that
+``res_iwick3_wick2`` reaches the Nyquist slot, which the right-hand sides see
+through ``v + 3 iww`` and the reconstruction drops; from ``2 cutoff > N/2 - 1``
+on the Wick square is cut at the band, and at cutoff ``N/2 - 1`` the route gap
+is about 1e-9 relative (:func:`equivalence_report` measures it).  At
+``sigma = 0`` the remainder route is the deterministic solver bit for bit.
 
 Each solve records its path through :func:`.noise.record` and returns a
 :class:`SolutionPath` (one per recorded field for the remainder route).
@@ -52,7 +52,7 @@ import csv
 import numpy as np
 
 from .coeffs import CoefficientSet, as_poly
-from .grids import RealField, SpectralField, TorusGrid, idft, product_spectra
+from .grids import RealField, SpectralField, TorusGrid, _band_points, _points_band, idft, product_spectra
 from .noise import (
     NoiseRealization,
     StepKernel,
@@ -135,6 +135,21 @@ def _coerce_state(grid: TorusGrid, phi0) -> np.ndarray:
     return out
 
 
+def _reaction_points(x: np.ndarray, g2, out: np.ndarray | None = None) -> np.ndarray:
+    """``x x (g2 - x)`` pointwise: the one operation order of every route's cubic."""
+    y = np.subtract(g2, x, out=out)
+    y *= x
+    y *= x
+    return y
+
+
+def _reaction(grid: TorusGrid, u: np.ndarray, g2: float) -> np.ndarray:
+    """Spectrum of ``u u (g2 - u)`` for an open-band ``u``, cut to the open band."""
+    N = grid.N
+    y = _reaction_points(_band_points(u, N, 2 * N), g2)
+    return np.where(grid.kinf <= N // 2 - 1, _points_band(y, N), 0.0)
+
+
 def solve_deterministic(
     grid: TorusGrid,
     timegrid: TimeGrid,
@@ -156,19 +171,14 @@ def solve_deterministic(
     """
     g2, g0 = _as_timefunc(g2), _as_timefunc(g0)
     kern = StepKernel(grid, timegrid, CoefficientSet(0.0, g1, timegrid.T))
-    band = grid.N // 2 - 1
-    mask = grid.kinf <= band
-    phi = np.where(mask, _coerce_state(grid, phi0), 0.0)
+    phi = np.where(grid.kinf <= grid.N // 2 - 1, _coerce_state(grid, phi0), 0.0)
     zero = (0,) * grid.dim
     j = 0
 
     def step():
         nonlocal phi, j
         t = timegrid.ts[j]
-        rhs = -product_spectra([phi, phi, phi], grid.N, band=band)
-        g2t = float(g2(t))
-        if g2t != 0.0:
-            rhs += g2t * product_spectra([phi, phi], grid.N, band=band)
+        rhs = _reaction(grid, phi, float(g2(t)))
         rhs[zero] += float(g0(t))
         phi = kern.propagator(j) * phi + kern.etd_weight(j) * rhs
         j += 1
@@ -236,14 +246,12 @@ class RenormalizedStepper:
         """The reaction at the current state (half layout), counterterms included."""
         grid, j = self.grid, self.j
         f2t = float(self.coeffs.f2(self.t))
-        rhs = np.zeros(grid.hshape, dtype=np.complex128)
         if self.include_cubic:
-            rhs -= product_spectra([self.phi, self.phi, self.phi], grid.N, band=self.band)
+            rhs = _reaction(grid, self.phi, f2t)
             rhs += (3.0 * self.c[j] - 18.0 * self.ctilde[j]) * self.phi
-        if f2t != 0.0:
-            rhs += f2t * product_spectra([self.phi, self.phi], grid.N, band=self.band)
-            if self.include_cubic:
-                rhs[(0,) * grid.dim] -= f2t * self.c[j]
+            rhs[(0,) * grid.dim] -= f2t * self.c[j]
+        else:
+            rhs = f2t * product_spectra([self.phi, self.phi], grid.N, band=self.band)
         if self.forcing is not None:
             rhs[(0,) * grid.dim] += float(self.forcing(self.t))
         return rhs
@@ -298,7 +306,8 @@ def solve_renormalized(
 # streamed integral of res_iwick3_wick2) in place of ``v``, so that
 # ``lin + v + w - iwick3`` is the solution it reconstructs.  ``cache`` shares
 # padded block stacks and intermediate values between F and G within one
-# step; entries are keyed by name and never mutated.
+# step; entries are keyed by name and never mutated, but G, the last reader,
+# takes the stack of xm out and sums the iwick3 stack into it in place.
 
 
 def _stk(cache: dict, part: DyadicPartition, name: str, spec: np.ndarray) -> np.ndarray:
@@ -360,46 +369,37 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     ``-9 xm res_iwick2_wick2`` it contributes, the ``9 res_iwick2_wick2 X``
     in ``d1 X`` and the ``-9 iwick3 res_iwick2_wick2`` in ``d0`` sum to zero,
     so neither coefficient carries that symbol and the correction is the
-    quartic counterterm ``-18 ct xm``.  ``-X^3 + d2 X^2`` is the single
-    ternary product ``X X (d2 - X)``.  Inside ``d0`` the
-    bracket of ``lin`` with the quadratic symbols of ``iwick3`` (nonresonant
-    pairing with its square, resonant pairing with its resonant
-    self-pairing, and the commutator with its self-paraproduct) collapses to
-    the binary product ``lin * iwick3**2``.  Each rewrite is exact up to
-    rounding, and the tests assert them against the literal forms.
+    quartic counterterm ``-18 ct xm``.  Inside ``d0`` the bracket of ``lin``
+    with the quadratic symbols of ``iwick3`` (nonresonant pairing with its
+    square, resonant pairing with its resonant self-pairing, and the
+    commutator with its self-paraproduct) collapses to ``lin iwick3**2``.
+    The cube and the random polynomial are one cubic in the ``2N``-grid point
+    values ``x``, ``l``, ``a`` of ``X``, ``lin``, ``iwick3`` (``l`` and ``a``
+    from ``syms.points``): ``x x (d2 - x) + d1 x + d0`` with
+    ``d2 = 3 (a - l) + f2``, ``d1 = a (6 l - 3 a - 2 f2) + 2 f2 l`` and
+    ``d0 = a^2 (a + f2 - 3 l) - 2 f2 a l``, brought back with one forward
+    transform.  Each rewrite is exact up to rounding, and the tests assert
+    them against the literal forms.
     """
     cache = {} if cache is None else cache
-    grid = part.grid
-    N, dim = grid.N, grid.dim
-    zero = (0,) * dim
-    lin = syms["lin"]
-    iw3 = syms["iwick3"]
-
+    N = part.grid.N
     xm = _xm(cache, v, w, syms)
-    bxm = _stk(cache, part, "xm", xm)
+    bx = _stk(cache, part, "xm", xm)
     bw2 = _stk(cache, part, "wick2", syms["wick2"])
-    X = v + w
+    pgt = _para_lt_core(bw2, bx, N)
+    del cache["stk:xm"]
+    bx += _stk(cache, part, "iwick3", syms["iwick3"])
+    paired = _resonant_core(bx, bw2, N)
+    del bx
 
-    paired = _resonant_core(bxm + _stk(cache, part, "iwick3", iw3), bw2, N)
-    pgt = _para_lt_core(bw2, bxm, N)
-
-    d2 = 3.0 * (iw3 - lin)
-    d2[zero] += f2t
-    cube_d2X2 = product_spectra([X, X, d2 - X], N, dim=dim)
-
-    prod_iw3_lin = product_spectra([iw3, lin], N, dim=dim)
-    iw3sq = product_spectra([iw3, iw3], N, dim=dim)
-    d1 = 6.0 * prod_iw3_lin - 3.0 * iw3sq - 2.0 * f2t * iw3 + 2.0 * f2t * lin
-    d1X = product_spectra([d1, X], N, dim=dim)
-
-    d0 = (
-        product_spectra([iw3, iw3, iw3], N, dim=dim)
-        + f2t * iw3sq
-        - 2.0 * f2t * prod_iw3_lin
-        - 3.0 * product_spectra([lin, iw3sq], N, dim=dim)
-    )
-
-    return cube_d2X2 - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt + d1X + d0
+    l, a = syms.points("lin"), syms.points("iwick3")
+    x = _band_points(v + w, N, 2 * N)
+    d2 = (a - l) * 3.0 + f2t
+    y = _reaction_points(x, d2, out=d2)
+    y += ((l * 2.0 - a) * 3.0 - 2.0 * f2t) * a * x
+    y += (l * -3.0 + a + f2t) * a * a
+    y += (x - a) * l * (2.0 * f2t)
+    return _points_band(y, N) - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt
 
 
 def reconstruct_phi(
@@ -541,9 +541,9 @@ def equivalence_report(
     constant, so Monte Carlo error there does not open a gap).
 
     The routes are one discrete map, so the gap does not shrink with dt: it
-    is rounding where ``7 cutoff <= N/2 - 1``, where every intermediate
-    product of the remainder right-hand sides fits the grid band, and the
-    band truncation of those products otherwise.  Returns the relative
+    is rounding where ``5 cutoff <= N/2 - 1`` and the band truncation of the
+    Wick square and ``res_iwick3_wick2`` otherwise (see the module
+    docstring).  Returns the relative
     sup-norm gap at ``dt`` and ``dt/2``, their ratio (for information), and
     the gap for each extra seed at the base resolution.  The gaps are
     relative to the direct solution, which vanishes at ``sigma = 0``.

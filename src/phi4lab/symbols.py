@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, product_spectra
+from .grids import TorusGrid, _band_points, _points_band, product_spectra
 from .noise import (
     LinearPath,
     NoiseRealization,
@@ -98,15 +98,18 @@ class _StepValues(Mapping):
 
     ``res_iwick3_lin`` and ``res_iwick2_wick2``, which only the catalog reads,
     are built on first read, with the block stacks of ``lin`` and ``iwick2``
-    that only they pair.  The mapping holds the step's arrays and never its
-    stepper: nothing here sits in a reference cycle, so a step's arrays are
-    freed as soon as the stepper and its callers let go of them.
+    that only they pair.  Beside the stacks it keeps the point values of
+    ``lin`` and ``iwick3`` on the ``2N`` grid (:meth:`points`).  The mapping
+    holds the step's arrays and never its stepper: nothing here sits in a
+    reference cycle, so a step's arrays are freed as soon as the stepper and
+    its callers let go of them.
     """
 
-    def __init__(self, partition, vals: dict, stacks: dict, ctj: float):
+    def __init__(self, partition, vals: dict, stacks: dict, points: dict, ctj: float):
         self._part = partition
         self._vals = vals
         self._stacks = stacks
+        self._points = points
         self._ctj = ctj
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -126,6 +129,10 @@ class _StepValues(Mapping):
         if s is None:
             s = self._stacks[name] = self._part.padded_blocks(self._vals[name])
         return s
+
+    def points(self, name: str) -> np.ndarray:
+        """Point values of ``lin`` or ``iwick3`` on the ``2N`` grid; read only."""
+        return self._points[name]
 
     def _pairing(self, name: str) -> np.ndarray:
         N = self._part.grid.N
@@ -148,7 +155,10 @@ class SymbolStepper:
     with the solver through :meth:`stack`.  A step builds what stepping
     reads (the stacks of ``wick2`` and ``iwick3`` and their pairing); the
     pairings only the catalog reads, with the stacks only they pair, wait
-    for their first read.
+    for their first read.  The point values of ``lin`` and ``iwick3`` on the
+    ``2N`` grid are taken once per step: the Wick cube is formed from those
+    of ``lin``, and the step's mapping hands both to the cubic right-hand
+    side of :func:`.solvers.G_rhs`.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -205,7 +215,9 @@ class SymbolStepper:
         ctj = self.ctilde[j]
         w2 = product_spectra([lin, lin], N, band=self.band)
         w2[zero] -= cj
-        w3 = product_spectra([lin, lin, lin], N, band=self.band) - 3.0 * cj * lin
+        points = {"lin": _band_points(lin, N, 2 * N), "iwick3": _band_points(self.iw3, N, 2 * N)}
+        cube = _points_band(points["lin"] * points["lin"] * points["lin"], N)
+        w3 = np.where(self.grid.kinf <= self.band, cube, 0.0) - 3.0 * cj * lin
         part = self.partition
         stacks = {"wick2": part.padded_blocks(w2), "iwick3": part.padded_blocks(self.iw3)}
         r32 = _resonant_core(stacks["iwick3"], stacks["wick2"], N) - 6.0 * ctj * lin
@@ -218,7 +230,7 @@ class SymbolStepper:
             "res_iwick3_wick2": r32,
             "i_res_iwick3_wick2": self.iww,
         }
-        self._vals = _StepValues(part, vals, stacks, ctj)
+        self._vals = _StepValues(part, vals, stacks, points, ctj)
         return self._vals
 
     def step(self) -> None:

@@ -182,7 +182,7 @@ class TestStepKernel:
 
 
 class TestStepKernelRows:
-    """With non-constant damping each step's quadrature row is computed once."""
+    """With non-constant damping each step's quadrature and ETD rows are computed once."""
 
     GRID = TorusGrid(8, 2)
     TG = TimeGrid(0.5, 6)
@@ -212,6 +212,29 @@ class TestStepKernelRows:
         for r in range(5):
             stat(r, 3)
         assert sorted(calls) == sorted(self.TG.ts[1:])
+
+    def test_etd_weight_equals_fresh_evaluation(self):
+        grid, tg, cs = self.GRID, self.TG, self.COEFFS
+        L = 4.0 * np.pi**2 * grid.k2.astype(np.float64)
+        kern = StepKernel(grid, tg, cs)
+        for _ in range(2):  # the second pass reads the stored rows
+            for j in range(tg.M):
+                fresh = tg.dt * noise._phi1(cs.alpha(tg.ts[j + 1], tg.ts[j]) - L * tg.dt)
+                got = kern.etd_weight(j)
+                assert got.shape == fresh.shape
+                assert got.tobytes() == fresh.tobytes()
+
+    def test_etd_weight_runs_once_per_step_across_replicas(self, monkeypatch):
+        calls = []
+        phi1 = noise._phi1
+
+        def counting(z):
+            calls.append(np.size(z))
+            return phi1(z)
+
+        monkeypatch.setattr(noise, "_phi1", counting)
+        quartic_renorm_mc(self.GRID, self.TG, 3, self.COEFFS, 7, replicas=5)
+        assert len(calls) == self.TG.M
 
 
 class TestLinearPath:

@@ -18,7 +18,9 @@ Oracles used here:
 * the two routes as one discrete map: at a fixed state the remainder
   right-hand sides plus the symbol integrands equal the direct nonlinearity,
   to rounding where every intermediate product fits the grid band, and the
-  route gap is bounded by the band truncation elsewhere.
+  route gap is bounded by the band truncation elsewhere,
+* zero in, zero out: a transform of an all-zero input runs no FFT and gives
+  the values the FFT would.
 """
 
 import csv
@@ -29,11 +31,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from phi4lab import noise, paley, solvers, symbols
+from phi4lab import grids, noise, paley, solvers, symbols
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import linear_solution_path
 from phi4lab.grids import SpectralField, TorusGrid, binary_size, dealiased_product, random_band_field
-from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid
+from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid, quartic_renorm_mc
 from phi4lab.paley import besov_norm, nonresonant, para_gt, para_lt, para_resonant_commutator, resonant
 from phi4lab.solvers import (
     F_rhs,
@@ -225,6 +227,9 @@ class TestRemainderRhs:
         assert rel(telescoped, literal) <= 1e-12
 
     def test_G_matches_public_assembly(self, rhs_setup):
+        # every cubic term is one three-field product, as G forms the cube
+        # and the random polynomial whole; the quadratic d1 parts pair with X
+        # as binary products
         s = rhs_setup
         grid, syms, f2t, ct = s["grid"], s["syms"], s["f2t"], s["ct"]
         fld = lambda c: SpectralField(grid, c)
@@ -244,22 +249,18 @@ class TestRemainderRhs:
         d2[(0, 0)] += f2t
         nr_il = nonresonant(iw3, lin).coeffs
         iw3sq = dealiased_product(iw3, iw3)
-        d1 = (
-            6.0 * (nr_il + r3l) - 3.0 * iw3sq.coeffs + 9.0 * r22
-            - 2.0 * f2t * syms["iwick3"] + 2.0 * f2t * syms["lin"]
-        )
-        bracket = (
-            nonresonant(lin, iw3sq).coeffs
-            + resonant(resonant(iw3, iw3), lin).coeffs
-            + 2.0 * dealiased_product(iw3, fld(r3l)).coeffs
-            + 2.0 * para_resonant_commutator(iw3, iw3, lin).coeffs
+        d1_quadratic = 9.0 * r22 - 2.0 * f2t * syms["iwick3"] + 2.0 * f2t * syms["lin"]
+        d1X = (
+            6.0 * dealiased_product(iw3, lin, X).coeffs
+            - 3.0 * dealiased_product(iw3, iw3, X).coeffs
+            + dealiased_product(fld(d1_quadratic), X).coeffs
         )
         d0 = (
             dealiased_product(iw3, iw3, iw3).coeffs
             - 9.0 * dealiased_product(iw3, fld(r22)).coeffs
             + f2t * iw3sq.coeffs
             - 2.0 * f2t * (r3l + nr_il)
-            - 3.0 * bracket
+            - 3.0 * dealiased_product(lin, iw3, iw3).coeffs
         )
         expected = (
             -dealiased_product(X, X, X).coeffs
@@ -267,7 +268,7 @@ class TestRemainderRhs:
             - 3.0 * resonant(fld(w), w2).coeffs
             - 3.0 * para_gt(xm, w2).coeffs
             + dealiased_product(fld(d2), X, X).coeffs
-            + dealiased_product(fld(d1), X).coeffs
+            + d1X
             + d0
         )
         got = G_rhs(v, w, syms, f2t, ct, s["part"])
@@ -280,7 +281,9 @@ class TestRemainderRhs:
         # is X = xm + iwick3, whose stack is the sum of two already built.
         # Two resonant cores, that pairing and res_iwick3_wick2.  The
         # catalog-only pairings and the stacks of lin and iwick2 are never
-        # built on this route
+        # built on this route.  One binary product (wick2); the Wick cube
+        # and the cubic of G read the point values of lin, iwick3 and X on
+        # the 2N grid: 3 inverse and 2 forward transforms there
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
@@ -300,13 +303,34 @@ class TestRemainderRhs:
             cores.append(bf.shape)
             return core(bf, bg, N)
 
+        products, inverse, forward = [], [], []
+        product, to_points, to_band = grids.product_spectra, grids._band_points, grids._points_band
+
+        def counted_product(cs, *args, **kwargs):
+            products.append(len(cs))
+            return product(cs, *args, **kwargs)
+
+        def counted_points(c, N_, P):
+            inverse.append(P)
+            return to_points(c, N_, P)
+
+        def counted_band(pts, N_):
+            forward.append(pts.shape)
+            return to_band(pts, N_)
+
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
         for mod in (symbols, solvers):
             monkeypatch.setattr(mod, "_resonant_core", counted_core)
+            monkeypatch.setattr(mod, "product_spectra", counted_product)
+            monkeypatch.setattr(mod, "_band_points", counted_points)
+            monkeypatch.setattr(mod, "_points_band", counted_band)
         vw.rhs()
         nblocks = vw.partition.nblocks
         assert shapes == [(nblocks,) + (binary_size(N),) * dim] * 3
         assert len(cores) == 2
+        assert products == [2]
+        assert inverse == [2 * N] * 3
+        assert forward == [(2 * N,) * dim] * 2
 
     def test_a_step_frees_its_stacks_without_the_cyclic_collector(self):
         # nothing that holds a step's arrays may sit in a reference cycle:
@@ -459,6 +483,27 @@ class TestVWRoute:
             assert np.array_equal(vw["phi"], det.coeffs)
             assert np.max(np.abs(det.coeffs[-1])) > 0.1
 
+    def test_noiseless_routes_agree_bitwise_from_a_rough_state(self):
+        # every route forms its cubic reaction through one helper in one
+        # operation order, so the sigma = 0 reductions hold bit for bit from
+        # any state, not only from a flat one
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.05, 10)
+        co = CoefficientSet(0.8, [-1.0, -0.5], 0.05)
+        phi0 = random_band_field(grid, np.random.default_rng(3), grid.N // 2 - 1, 0.5)
+        det = solve_deterministic(grid, tg, [0.8], [-1.0, -0.5], 0.6, phi0)
+        nz = NoiseRealization(grid, tg, 3, 1)
+        direct = RenormalizedStepper(nz, co, 0.0, c=np.zeros(tg.M + 1), ctilde=0.0, forcing=0.6)
+        vw = VWStepper(SymbolStepper(nz, co, 0.0, ctilde=0.0), forcing=0.6)
+        direct.phi = phi0.coeffs.copy()
+        vw.w = phi0.coeffs.copy()
+        for j in range(1, tg.M + 1):
+            direct.step()
+            vw.step()
+            assert np.array_equal(direct.phi, det.coeffs[j])
+            assert np.array_equal(vw.reconstruct(), det.coeffs[j])
+        assert np.max(np.abs(det.coeffs[-1][grid.kinf > 0])) > 1e-3
+
     def test_phibar_shifts_reconstruction_only(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.3, 30)
@@ -487,7 +532,7 @@ class TestVWRoute:
         # one report covers three claims: the reconstruction tracks the
         # direct solve at dt and dt/2 on a common noise path, and fresh seeds
         # move both routes together.  At cutoff 3 on 8^2 the band truncation
-        # of intermediate products leaves relative gaps of 2.1e-8 (dt),
+        # of the Wick square leaves relative gaps of 2.1e-8 (dt),
         # 2.3e-8 (dt/2) and at most 4.4e-8 over the extra seeds
         grid = TorusGrid(8, 2)
         co = CoefficientSet(0.7, [-1.0, -0.5], 0.3)
@@ -504,8 +549,8 @@ class TestVWRoute:
 
     @pytest.mark.parametrize("N,dim", [(16, 2), (16, 3)])
     def test_routes_agree_to_rounding_when_products_fit_the_band(self, N, dim):
-        # at 7 cutoff <= N/2 - 1 no intermediate product is cut at the band,
-        # so the routes differ by rounding alone (measured 2.7e-16 to 3.6e-16)
+        # at 5 cutoff <= N/2 - 1 no intermediate product is cut at the band,
+        # so the routes differ by rounding alone (measured 3.0e-16 to 3.6e-16)
         co = CoefficientSet(0.5, [-1.0, 0.5], 0.1)
         rep = equivalence_report(TorusGrid(N, dim), 0.1, 10, 1, co, 0.5, 5, ctilde_replicas=4)
         assert rep["sup_direct"] > 0.1
@@ -529,20 +574,29 @@ class TestOneDiscreteMap:
     exactly when, at a fixed state, the v/w right-hand sides plus the symbol
     integrands of the reconstruction (``-wick3 + 3 res_iwick3_wick2``) equal
     the direct nonlinearity at the reconstructed phi.  The identity is
-    algebraic; the remainder route cuts some intermediate products (the Wick
-    powers, ``d1`` and ``iwick3**2``) at the grid band where the direct cube
-    carries them whole, so it holds to rounding while ``7 cutoff <= N/2 - 1``
-    and to that truncation above.
+    algebraic.  The cube and the random polynomial of ``G`` are formed whole
+    on the ``2N`` grid, so it holds to rounding while ``5 cutoff <= N/2 - 1``.
+    Above that the pairing ``res_iwick3_wick2`` (band ``5 cutoff``) reaches
+    the Nyquist slot: the remainder sees that part of its integral ``iww``
+    through ``v + 3 iww``, and the reconstruction drops it.  From
+    ``2 cutoff > N/2 - 1`` on, the Wick square is also cut at the band, where
+    the direct cube carries ``lin**2`` whole.
     """
 
     @pytest.mark.parametrize("N,dim,cutoff,sigma,tol", [
         # every intermediate product fits the band: measured 1.6e-16 to 1.1e-15
         (32, 2, 2, 1.0, 1e-13),
         (16, 3, 1, 1.0, 1e-13),
-        # cutoff below N/4, truncation left: measured at most 1.3e-9 (2-D,
-        # seeds 1-3) and 1.8e-8 (3-D); it grows like sigma**4
-        (32, 2, 7, 0.5, 5e-9),
-        (16, 3, 3, 0.25, 5e-8),
+        # 5 cutoff = N/2 - 1, the edge of that rule: measured 2.1e-16 to 3.9e-16
+        (32, 2, 3, 1.0, 1e-13),
+        # cutoff below N/4 (seeds 1-3): measured 2.1e-11 to 2.9e-11 in 2-D
+        # and 2.6e-10 to 7.1e-10 in 3-D; it grows like sigma**4
+        (32, 2, 7, 0.5, 1e-10),
+        (16, 3, 3, 0.25, 2e-9),
+        # cutoff N/2 - 1, where the Wick square is cut at the band (seeds 1-3):
+        # measured 5.0e-5 to 1.2e-4 in 2-D and 1.4e-4 to 1.5e-4 in 3-D
+        (32, 2, 15, 0.5, 3e-4),
+        (16, 3, 7, 0.25, 3e-4),
     ])
     def test_fixed_state_identity(self, N, dim, cutoff, sigma, tol):
         grid = TorusGrid(N, dim)
@@ -562,6 +616,79 @@ class TestOneDiscreteMap:
         band = grid.kinf <= grid.N // 2 - 1
         got = np.where(band, -syms["wick3"] + 3.0 * syms["res_iwick3_wick2"], 0.0) + F + G
         assert rel(got, direct.nonlinearity()) <= tol
+
+
+_FFTS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn")
+
+
+def _log_ffts(monkeypatch, log: list) -> None:
+    for name in _FFTS:
+        orig = getattr(np.fft, name)
+
+        def logged(*args, _orig=orig, _name=name, **kwargs):
+            log.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, logged)
+
+
+class TestZeroRule:
+    """Every route starts from the zero state, and zeros transform to zeros for free."""
+
+    GRID = TorusGrid(8, 2)
+    TG = TimeGrid(0.1, 3)
+    CO = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+
+    @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
+    def test_first_vw_step_transforms_only_its_noise_increment(self, monkeypatch, N, dim):
+        grid = TorusGrid(N, dim)
+        vw = VWStepper(SymbolStepper(NoiseRealization(grid, self.TG, N // 2 - 1, 11), self.CO, 0.6,
+                                     ctilde=0.02))
+        log = []
+        _log_ffts(monkeypatch, log)
+        vw.step()
+        assert log == ["rfftn"]
+        log.clear()
+        vw.step()
+        assert log.count("rfftn") > 1
+
+    def test_monte_carlo_transforms_nothing_at_step_zero(self, monkeypatch):
+        log, per_product = [], []
+        _log_ffts(monkeypatch, log)
+        product = noise.product_spectra
+
+        def counted(*args, **kwargs):
+            before = len(log)
+            out = product(*args, **kwargs)
+            per_product.append(len(log) - before)
+            return out
+
+        monkeypatch.setattr(noise, "product_spectra", counted)
+        quartic_renorm_mc(self.GRID, self.TG, 3, self.CO, 7, replicas=2)
+        steps = self.TG.M + 1
+        assert len(per_product) == 2 * steps
+        assert per_product[0] == per_product[steps] == 0
+        assert all(n > 0 for k, n in enumerate(per_product) if k % steps)
+
+    def test_outputs_equal_without_the_rule(self, monkeypatch):
+        grid, tg, co = self.GRID, self.TG, self.CO
+
+        def run():
+            nz = NoiseRealization(grid, tg, 3, 11)
+            ct = quartic_renorm_mc(grid, tg, 3, co, 7, replicas=2)["estimate"]
+            vw = solve_vw(SymbolStepper(nz, co, 0.6, ctilde=ct))
+            direct = solve_renormalized(grid, tg, 3, co, 0.6, seed=11, ctilde=ct)
+            ens = build_ensemble(nz, co, 0.6, ctilde=ct)
+            return ([ct, direct.coeffs] + [p.coeffs for p in vw.values()]
+                    + [ens.path(n) for n in sorted(ens.paths)])
+
+        with_rule = run()
+        for mod in (grids, paley):
+            monkeypatch.setattr(mod, "_all_zero", lambda a: False)
+        without_rule = run()
+        # a transform of zeros may give -0.0, so compare values, not bytes
+        assert len(with_rule) == len(without_rule)
+        assert all(np.array_equal(a, b) for a, b in zip(with_rule, without_rule))
 
 
 class TestSolutionIO:

@@ -408,3 +408,33 @@ class TestLinePrunedTransforms:
             acc += bg[j] * bf[max(0, j - 1) : j + 2].sum(axis=0)
         dense = unpad_half(np.fft.rfftn(acc) / P**dim, P, N)
         assert _resonant_core(bf, bg, N).tobytes() == dense.tobytes()
+
+
+_FFTS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn")
+
+
+class TestZeroInZeroOut:
+    """An all-zero input transforms to zeros without an FFT."""
+
+    @pytest.mark.parametrize("N, dim", [(8, 1), (10, 2), (12, 3)])
+    def test_zero_input_runs_no_transform(self, monkeypatch, N, dim):
+        grid = TorusGrid(N, dim)
+        part = DyadicPartition(grid)
+        zero = np.zeros(grid.hshape, dtype=np.complex128)
+        # the values a dense transform of zeros gives, taken before the patch
+        dense_points = {P: _dense_points(zero, N, P) for P in (binary_size(N), 2 * N)}
+        dense_band = unpad_half(np.fft.rfftn(np.zeros((2 * N,) * dim)), 2 * N, N)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform of an all-zero input")
+
+        for name in _FFTS:
+            monkeypatch.setattr(np.fft, name, refuse)
+        for P, dense in dense_points.items():
+            got = _band_points(zero, N, P)
+            assert got.dtype == dense.dtype and np.array_equal(got, dense)
+        got = _points_band(np.zeros((2 * N,) * dim), N)
+        assert got.dtype == dense_band.dtype and np.array_equal(got, dense_band)
+        stack = part.padded_blocks(zero)
+        assert stack.shape == (part.nblocks,) + (binary_size(N),) * dim
+        assert not stack.any()
