@@ -457,13 +457,18 @@ def product_spectra(cs: Sequence[np.ndarray], N: int, band: int | None = None) -
     dim = cs[0].ndim
     P = binary_size(N) if len(cs) == 2 else 2 * N
     cache: dict[int, np.ndarray] = {}
-    pts = None
     for c in cs:
         if id(c) not in cache:
             cache[id(c)] = _band_points(c, N, P)
-        p = cache[id(c)]
-        pts = p.copy() if pts is None else pts * p
-    out = _points_band(pts, N)
+    pts = [cache[id(c)] for c in cs]
+    # multiply in place into the first factor's fresh point array, unless a
+    # factor after the second reads that array again
+    if any(c is cs[0] for c in cs[2:]):
+        pts = [pts[0] * pts[1]] + pts[2:]
+    acc = pts[0]
+    for p in pts[1:]:
+        np.multiply(acc, p, out=acc)
+    out = _points_band(acc, N)
     if band is not None and band < N // 2:
         out = np.where(_kinf_array(N, dim) <= band, out, 0.0)
     return out

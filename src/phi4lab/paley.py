@@ -127,17 +127,41 @@ class DyadicPartition:
     def blocks(self, spec: SpectralField) -> list[SpectralField]:
         return [self.block(spec, k) for k in self.indices]
 
+    @cached_property
+    def _complex_weights(self) -> np.ndarray:
+        """The block weights cast to complex128 once.
+
+        numpy multiplies a real by a complex array after casting the real one
+        through a temporary buffer; with the cast done here the products are
+        the same bits and need no buffer.
+        """
+        return self._weights.astype(np.complex128)
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """Scratch complex block stack that :meth:`block_values` weights into."""
+        return np.empty(self._weights.shape, dtype=np.complex128)
+
     def block_values(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid point values of every block of the spectrum ``c`` (stacked).
 
         The result has shape ``(nblocks,) + grid.shape``.  When ``out`` is
         given (a float64 array of that shape) the values are written into it
         and it is returned; its previous contents are ignored, so one buffer
-        can be reused across calls.  (``irfftn`` takes ``out`` from numpy 2.0.)
+        can be reused across calls.  The weighted spectra go into one complex
+        stack kept on the partition and are inverse-transformed there, axis
+        by axis in ``irfftn``'s order (so the values are bitwise those of
+        ``irfftn``), and only the last real transform writes a new array or
+        ``out``.  The shared stack makes the method not reentrant.
         """
-        axes = tuple(range(1, self.grid.dim + 1))
-        stack = self._weights * c[None]
-        vals = np.fft.irfftn(stack, s=self.grid.shape, axes=axes, out=out)
+        dim = self.grid.dim
+        stack = self._stack
+        # one product per block: a broadcast product goes through buffers
+        for w, s in zip(self._complex_weights, stack):
+            np.multiply(w, c, out=s)
+        for ax in range(1, dim):
+            np.fft.ifft(stack, axis=ax, out=stack)
+        vals = np.fft.irfft(stack, n=self.grid.N, axis=dim, out=out)
         vals *= self.grid.npoints
         return vals
 

@@ -211,14 +211,24 @@ class TestBlockBuffer:
             for alpha in (-0.55, 0.0, 0.7):
                 assert besov_norm(f, alpha, part, out=buf) == besov_norm(f, alpha, part)
 
-    def test_block_values_fill_the_buffer(self):
-        grid = TorusGrid(16, 2)
-        part = default_partition(grid)
-        f = random_band_field(grid, np.random.default_rng(42))
-        buf = np.full((part.nblocks,) + grid.shape, np.nan)
-        vals = part.block_values(f.coeffs, out=buf)
-        assert vals is buf
-        assert np.array_equal(vals, part.block_values(f.coeffs))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_values_equal_the_dense_transform_bitwise(self, dim):
+        # each partition's scratch stack is reused across fields, with the
+        # other grids' partitions used in between
+        rng = np.random.default_rng(42 + dim)
+        parts = [DyadicPartition(TorusGrid(N, dim)) for N in (8, 12, 16, 32, 64)]
+        for _ in range(2):
+            for part in parts:
+                grid = part.grid
+                c = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
+                axes = tuple(range(1, dim + 1))
+                dense = np.fft.irfftn(part._weights * c[None], s=grid.shape, axes=axes)
+                dense *= grid.npoints
+                buf = np.full((part.nblocks,) + grid.shape, np.nan)
+                vals = part.block_values(c, out=buf)
+                assert vals is buf
+                assert np.array_equal(vals, dense)
+                assert np.array_equal(part.block_values(c), dense)
 
 
 class TestCroppedBlockTransforms:

@@ -239,16 +239,22 @@ class TestTailEstimate:
         assert curve.ci_low[1] == 0.0
         assert abs(curve.ci_high[1] - (1.0 - 0.025 ** (1.0 / n))) < 1e-12
 
+    # largest relative gap to beta.ppf measured over every k and the three
+    # levels: 6.5e-15 (n = 50), 1.1e-14 (100), 1.6e-14 (200), 6.1e-14 (1000)
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
     @pytest.mark.parametrize("n", [50, 100, 200, 1000])
-    def test_confidence_bounds_equal_beta_quantiles(self, n):
+    def test_confidence_bounds_equal_beta_quantiles(self, n, level):
         from scipy.stats import beta
 
         k = np.arange(n + 1)
-        tail = (1.0 - 0.95) / 2.0
-        low, high = _clopper_pearson(k, n, level=0.95)
+        tail = (1.0 - level) / 2.0
+        low, high = _clopper_pearson(k, n, level=level)
         assert low[0] == 0.0 and high[n] == 1.0
-        assert np.array_equal(low[1:], beta.ppf(tail, k[1:], n - k[1:] + 1))
-        assert np.array_equal(high[:-1], beta.ppf(1.0 - tail, k[:-1] + 1, n - k[:-1]))
+        np.testing.assert_allclose(low[1:], beta.ppf(tail, k[1:], n - k[1:] + 1), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(high[:-1], beta.ppf(1.0 - tail, k[:-1] + 1, n - k[:-1]), rtol=1e-13, atol=0)
+        # the edges in closed form: P(Bin(n, U) = 0) = tail and P(Bin(n, L) = n) = tail
+        assert high[0] == pytest.approx(1.0 - tail ** (1.0 / n), rel=1e-13, abs=0)
+        assert low[n] == pytest.approx(tail ** (1.0 / n), rel=1e-13, abs=0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="h_grid"):
@@ -363,6 +369,24 @@ class TestLinearStatisticTails:
         stat = linear_sup_statistic(grid, TimeGrid(0.5, 8), 4, DAMPED, 0.1, -0.6)
         assert stat(0, 7) == stat(0, 7)
         assert stat(0, 7) != stat(1, 7)
+
+    def test_warm_replica_allocates_no_block_stacks(self):
+        # one block stack at 64^2 is 7 x 64^2 doubles = 224 KiB; a warm replica
+        # peaked at 725 KiB with a buffer per replica and a weighted stack and
+        # transform temporary per step, and at 203 KiB with them kept
+        import tracemalloc
+
+        grid = TorusGrid(64, 2)
+        tg = TimeGrid(0.25, 20)
+        stat = linear_sup_statistic(grid, tg, 31, CoefficientSet(0.0, -1.0, 0.25), 1.0, -0.5)
+        stat(0, 7)
+        tracemalloc.start()
+        try:
+            stat(1, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 1024
 
 
 class TestChaosFamilyTails:

@@ -384,7 +384,7 @@ class TestLinePrunedTransforms:
     def test_products_equal_the_dense_path(self, N, dim):
         rng = np.random.default_rng(800 + N + dim)
         f, g, h = (self._full_band(N, dim, rng) for _ in range(3))
-        for cs in ([f, g], [f, g, h], [f, f], [f, f, g], [f, f, f]):
+        for cs in ([f, g], [f, g, h], [f, f], [f, f, g], [f, g, f], [f, f, f]):
             for band in (None, N // 2 - 1, N // 4):
                 got = product_spectra(cs, N, band=band)
                 assert got.tobytes() == _dense_product(cs, N, band).tobytes()
