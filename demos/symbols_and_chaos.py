@@ -35,7 +35,7 @@ def main():
     sym = SymbolStepper(NoiseRealization(grid, tg, 7, seed=3), coeffs, sigma=0.5, ctilde=0.0)
     for _ in range(tg.M):
         sym.step()
-    vals = sym.values()
+    vals = sym.catalog()
     print(f"symbol norms at t = {tg.T}:")
     for name in SYMBOL_NAMES:
         alpha = CATALOG[name].regularity - 0.05

@@ -10,8 +10,9 @@ symbols
     over time; dumps the final quintic-symbol field.
 renorm
     Sweep band cutoffs and tabulate the quadratic constant (exact
-    quadrature) and the quartic constant (Monte Carlo) at mid-horizon,
-    with linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
+    quadrature) and the quartic constant (Monte Carlo over
+    ``ctilde_replicas`` paths, as every command estimates it) at
+    mid-horizon, with linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
     grid ``N = 2n + 2``, the smallest on which its Wick square is centred.
     Each row carries ``dt * L_max``, with ``dt`` the step of the grid the
     quartic constant is estimated on and ``L_max = 4 pi^2 dim n^2`` the
@@ -206,8 +207,7 @@ def _check_sigma_zero() -> tuple[bool, dict]:
     tg = TimeGrid(0.4, 40)
     co = CoefficientSet(0.7, [-1.0, -0.5], 0.4)
     det = solve_deterministic(grid, tg, [0.7], [-1.0, -0.5], [0.3, 0.1], 0.0)
-    ren = solve_renormalized(grid, tg, 3, co, 0.0, c=np.zeros(tg.M + 1),
-                             ctilde=0.0, forcing=[0.3, 0.1])
+    ren = solve_renormalized(grid, tg, 3, co, 0.0, ctilde=0.0, forcing=[0.3, 0.1])
     same = bool(np.array_equal(det.coeffs, ren.coeffs))
     sym = SymbolStepper(NoiseRealization(grid, tg, 3, seed=0), co, 0.0, ctilde=0.0)
     vw = solve_vw(sym, forcing=[0.3, 0.1])
@@ -313,7 +313,7 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     alphas = {name: CATALOG[name].regularity - cfg.lam for name in SYMBOL_NAMES}
 
     def norm(name):
-        return besov_norm(SpectralField(grid, sym.values()[name]), alphas[name], sym.partition)
+        return besov_norm(SpectralField(grid, sym.catalog()[name]), alphas[name], sym.partition)
 
     times, norms = record(tg, cfg.record_every, sym.step,
                           {name: (lambda name=name: norm(name)) for name in SYMBOL_NAMES})
@@ -341,7 +341,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
         gridn = TorusGrid(2 * n + 2, cfg.dimension)
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
         rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, cfg.master_seed,
-                               cfg.replicas, sigma=sigma)
+                               cfg.ctilde_replicas, sigma=sigma)
         # dt of the grid c~ was estimated on, times the largest band eigenvalue
         dt_lmax = cfg.T / (len(rep["times"]) - 1) * 4.0 * np.pi**2 * cfg.dimension * n**2
         ct_val = float(np.interp(tmid, rep["times"], rep["estimate"]))
@@ -355,7 +355,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ns = [r[0] for r in rows]
     report = {
         "t": tmid,
-        "replicas": cfg.replicas,
+        "ctilde_replicas": cfg.ctilde_replicas,
         "c_fit_vs_n": _linear_fit(ns, [r[1] for r in rows]),
         "ctilde_fit_vs_log_n": _linear_fit(np.log(ns), [r[2] for r in rows]),
         "rows": [{"n": n, "c": c, "ctilde": ct, "ctilde_se": se, "dt_L_max": dl}

@@ -473,7 +473,6 @@ def quartic_renorm_mc(
     seed: int,
     replicas: int,
     sigma: float = 1.0,
-    time_indices=None,
     kernel: StepKernel | None = None,
 ) -> dict:
     """Monte Carlo estimate of the quartic renormalization constant.
@@ -492,17 +491,11 @@ def quartic_renorm_mc(
     mode of that stepper's uncentred ``res_iwick2_wick2`` on the same stream.
 
     A prebuilt ``kernel`` for another grid or time grid is refused.  Returns
-    a dict with the requested grid times, the estimates, standard errors, and
-    the raw (unhalved) pairing means.
+    a dict with the grid times, the estimates, standard errors, and the raw
+    (unhalved) pairing means, one per grid time.
     """
     _require_centred_cutoff(grid, cutoff)
     M = timegrid.M
-    if time_indices is None:
-        time_indices = list(range(M + 1))
-    time_indices = [int(i) for i in time_indices]
-    for i in time_indices:
-        if not 0 <= i <= M:
-            raise ValueError(f"time index {i} outside [0, {M}]")
     kern = _kernel_for(grid, timegrid, coeffs, kernel)
     N, dim = grid.N, grid.dim
     band = min(2 * cutoff, N // 2 - 1)
@@ -512,8 +505,7 @@ def quartic_renorm_mc(
     c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0, kernel=kern)
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
 
-    raw = np.zeros((replicas, len(time_indices)))
-    wanted = {ti: k for k, ti in enumerate(time_indices)}
+    raw = np.zeros((replicas, M + 1))
     for r in range(replicas):
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=ROLE_RENORM)
         lin = LinearPath(noise, coeffs, 1.0, kernel=kern)
@@ -521,8 +513,7 @@ def quartic_renorm_mc(
         for j in range(M + 1):
             w2 = product_spectra([lin.state, lin.state], N, band=band)
             w2[zero] -= c_unit[j]
-            if j in wanted:
-                raw[r, wanted[j]] = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
+            raw[r, j] = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
             if j == M:
                 break
             iw2 = kern.propagator(j) * iw2 + kern.etd_weight(j) * w2
@@ -532,7 +523,7 @@ def quartic_renorm_mc(
     raw_se = raw.std(axis=0, ddof=1) / np.sqrt(replicas) if replicas > 1 else np.zeros_like(raw_mean)
     scale = sigma**4
     return {
-        "times": timegrid.ts[time_indices],
+        "times": timegrid.ts.copy(),
         "estimate": 0.5 * scale * raw_mean,
         "se": 0.5 * scale * raw_se,
         "raw_mean": scale * raw_mean,

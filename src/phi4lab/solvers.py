@@ -38,11 +38,7 @@ Wick square, the bracket paraproduct of the first cancels the leading term of
 the second (the trilinear commutator of
 :func:`.paley.para_resonant_commutator`), so :func:`G_rhs` pairs a single
 field resonantly with the Wick square and keeps the rest of the second
-correction as the quartic counterterm.  A step builds three block stacks: the
-two of the symbols it reads (``wick2`` and ``iwick3``) and the remainder
-``X - iwick3``, whose sum with the ``iwick3`` stack is the stack of the paired
-field ``X``; and two resonant cores, that pairing and the symbol
-``res_iwick3_wick2``.
+correction as the quartic counterterm.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import csv
 import numpy as np
 
 from .coeffs import CoefficientSet, as_poly
-from .grids import RealField, SpectralField, TorusGrid, _band_points, _points_band, idft, product_spectra
+from .grids import RealField, SpectralField, TorusGrid, _band_points, _points_band, idft
 from .noise import (
     NoiseRealization,
     StepKernel,
@@ -64,7 +60,7 @@ from .noise import (
     quartic_constant,
     record,
 )
-from .paley import DyadicPartition, _para_lt_core, _resonant_core
+from .paley import _para_lt_core, _resonant_core
 from .symbols import SymbolStepper
 
 __all__ = [
@@ -194,18 +190,16 @@ class RenormalizedStepper:
 
     ``noise`` fixes the grid, horizon, band and stream.  Nonlinearity
     ``-phi^3 + f2 phi^2 + (3c - 18ct) phi - f2 c`` with the quadratic
-    constant ``c`` (exact variance path) and the quartic constant ``ct``;
-    noise injected with the exact per-mode in-step variance, so with the
-    nonlinearity switched off the recursion is identical to the streamed
-    stochastic convolution.
+    constant ``c`` (the exact variance path of the stochastic convolution,
+    zero at ``sigma = 0``) and the quartic constant ``ct``; noise injected
+    with the exact per-mode in-step variance, so from the zero state the
+    first step is the first step of the streamed stochastic convolution.
 
-    ``c`` defaults to the exact variance path.  The quartic constant
-    ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
-    ``sigma``; it scales exactly as ``sigma**4`` times the unit-amplitude one.
-
-    ``include_cubic=False`` drops the cubic term together with both
-    counterterms.  ``forcing`` adds an optional spatially constant source,
-    shared with the remainder route for the noiseless consistency checks.
+    The quartic constant ``ctilde`` (a scalar or one value per grid time) is
+    an input at amplitude ``sigma``; it scales exactly as ``sigma**4`` times
+    the unit-amplitude one.  ``forcing`` adds an optional spatially constant
+    source, shared with the remainder route for the noiseless consistency
+    checks.
     """
 
     def __init__(
@@ -214,10 +208,8 @@ class RenormalizedStepper:
         coeffs: CoefficientSet,
         sigma: float,
         kernel: StepKernel | None = None,
-        c=None,
         *,
         ctilde,
-        include_cubic: bool = True,
         forcing=None,
     ):
         grid, timegrid = noise.grid, noise.timegrid
@@ -227,13 +219,9 @@ class RenormalizedStepper:
         self.timegrid = timegrid
         self.coeffs = coeffs
         self.sigma = float(sigma)
-        self.band = grid.N // 2 - 1
         self.kernel = _kernel_for(grid, timegrid, coeffs, kernel)
-        self.include_cubic = bool(include_cubic)
         self.forcing = None if forcing is None else _as_timefunc(forcing)
-        if c is None:
-            c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
-        self.c = _constant_path(c, timegrid, "variance")
+        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         self.phi = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
@@ -246,12 +234,9 @@ class RenormalizedStepper:
         """The reaction at the current state (half layout), counterterms included."""
         grid, j = self.grid, self.j
         f2t = float(self.coeffs.f2(self.t))
-        if self.include_cubic:
-            rhs = _reaction(grid, self.phi, f2t)
-            rhs += (3.0 * self.c[j] - 18.0 * self.ctilde[j]) * self.phi
-            rhs[(0,) * grid.dim] -= f2t * self.c[j]
-        else:
-            rhs = f2t * product_spectra([self.phi, self.phi], grid.N, band=self.band)
+        rhs = _reaction(grid, self.phi, f2t)
+        rhs += (3.0 * self.c[j] - 18.0 * self.ctilde[j]) * self.phi
+        rhs[(0,) * grid.dim] -= f2t * self.c[j]
         if self.forcing is not None:
             rhs[(0,) * grid.dim] += float(self.forcing(self.t))
         return rhs
@@ -291,7 +276,6 @@ def solve_renormalized(
         "seed": seed,
         "sigma": st.sigma,
         "scheme": "etd1",
-        "include_cubic": st.include_cubic,
     }
     return SolutionPath(grid, times, out["phi"], meta)
 
@@ -299,49 +283,26 @@ def solve_renormalized(
 # ---------------------------------------------------------------------------
 # right-hand sides of the coupled remainder system
 #
-# The functions below operate on one time slice: ``v`` and ``w`` are
-# half-layout spectra, ``syms`` is the symbol-name -> spectrum mapping of
-# SymbolStepper.values(), ``f2t`` and ``ct`` the coefficient and quartic
-# constant at the same time.  VWStepper hands them ``v + 3 iww`` (``iww`` the
+# The functions below operate on one time slice of half-layout spectra, with
+# ``f2t`` and ``ct`` the coefficient and quartic constant at that time, and
+# take every array they read as an argument; VWStepper.rhs builds the block
+# stacks and pairings they read.  It hands them ``v + 3 iww`` (``iww`` the
 # streamed integral of res_iwick3_wick2) in place of ``v``, so that
-# ``lin + v + w - iwick3`` is the solution it reconstructs.  ``cache`` shares
-# padded block stacks and intermediate values between F and G within one
-# step; entries are keyed by name and never mutated, but G, the last reader,
-# takes the stack of xm out and sums the iwick3 stack into it in place.
+# ``lin + v + w - iwick3`` is the solution it reconstructs.
 
 
-def _stk(cache: dict, part: DyadicPartition, name: str, spec: np.ndarray) -> np.ndarray:
-    key = "stk:" + name
-    s = cache.get(key)
-    if s is None:
-        s = part.padded_blocks(spec)
-        cache[key] = s
-    return s
-
-
-def _xm(cache: dict, v: np.ndarray, w: np.ndarray, syms: dict) -> np.ndarray:
-    out = cache.get("val:xm")
-    if out is None:
-        out = v + w - syms["iwick3"]
-        cache["val:xm"] = out
-    return out
-
-
-def F_rhs(v, w, syms, f2t: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
+def F_rhs(bxm: np.ndarray, bw2: np.ndarray, wick2: np.ndarray, f2t: float, N: int) -> np.ndarray:
     """Right-hand side of the v equation.
 
     ``-3 (v + w - iwick3) para_lt wick2 + f2 wick2``: the singular paraproduct
     against the Wick square, plus the quadratic coefficient riding on the Wick
-    square itself (whose zero mode carries the -f2 c constant).
+    square itself (whose zero mode carries the -f2 c constant).  ``bxm`` and
+    ``bw2`` are the padded block stacks of ``v + w - iwick3`` and ``wick2``.
     """
-    cache = {} if cache is None else cache
-    xm = _xm(cache, v, w, syms)
-    bxm = _stk(cache, part, "xm", xm)
-    bw2 = _stk(cache, part, "wick2", syms["wick2"])
-    return -3.0 * _para_lt_core(bxm, bw2, part.grid.N) + f2t * syms["wick2"]
+    return -3.0 * _para_lt_core(bxm, bw2, N) + f2t * wick2
 
 
-def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict | None = None) -> np.ndarray:
+def G_rhs(x, xm, paired, pgt, lin_pts, iw3_pts, f2t: float, ct: float, N: int) -> np.ndarray:
     """Right-hand side of the w equation.
 
     Its defining form has five groups, with ``X = v + w`` and
@@ -362,38 +323,27 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     The assembly telescopes.  The ``3 xm para_lt iwick2`` of ``com1`` cancels
     the leading term ``res(-3 xm para_lt iwick2, wick2)`` of ``com2`` by
     bilinearity, so the three resonant pairings with the Wick square are one,
-    ``res(X, wick2)``, and what is left of ``com2`` is the binary product
-    ``3 xm (res_iwick2_wick2 + 2 ct)``.  The block stack of ``X`` is the sum
-    of the stacks of ``xm`` and ``iwick3``, both built for other terms.  The
-    ``res_iwick2_wick2`` part cancels: with ``xm = X - iwick3``, the
-    ``-9 xm res_iwick2_wick2`` it contributes, the ``9 res_iwick2_wick2 X``
-    in ``d1 X`` and the ``-9 iwick3 res_iwick2_wick2`` in ``d0`` sum to zero,
-    so neither coefficient carries that symbol and the correction is the
-    quartic counterterm ``-18 ct xm``.  Inside ``d0`` the bracket of ``lin``
-    with the quadratic symbols of ``iwick3`` (nonresonant pairing with its
-    square, resonant pairing with its resonant self-pairing, and the
-    commutator with its self-paraproduct) collapses to ``lin iwick3**2``.
-    The cube and the random polynomial are one cubic in the ``2N``-grid point
-    values ``x``, ``l``, ``a`` of ``X``, ``lin``, ``iwick3`` (``l`` and ``a``
-    from ``syms.points``): ``x x (d2 - x) + d1 x + d0`` with
-    ``d2 = 3 (a - l) + f2``, ``d1 = a (6 l - 3 a - 2 f2) + 2 f2 l`` and
+    ``paired = res(X, wick2)``, and what is left of ``com2`` is the binary
+    product ``3 xm (res_iwick2_wick2 + 2 ct)``.  The ``res_iwick2_wick2``
+    part cancels: with ``xm = X - iwick3``, the ``-9 xm res_iwick2_wick2`` it
+    contributes, the ``9 res_iwick2_wick2 X`` in ``d1 X`` and the
+    ``-9 iwick3 res_iwick2_wick2`` in ``d0`` sum to zero, so neither
+    coefficient carries that symbol and the correction is the quartic
+    counterterm ``-18 ct xm``.  Inside ``d0`` the bracket of ``lin`` with the
+    quadratic symbols of ``iwick3`` (nonresonant pairing with its square,
+    resonant pairing with its resonant self-pairing, and the commutator with
+    its self-paraproduct) collapses to ``lin iwick3**2``.  The cube and the
+    random polynomial are one cubic in the ``2N``-grid point values ``x``,
+    ``l``, ``a`` of ``X``, ``lin``, ``iwick3`` (``lin_pts`` and ``iw3_pts``):
+    ``x x (d2 - x) + d1 x + d0`` with ``d2 = 3 (a - l) + f2``,
+    ``d1 = a (6 l - 3 a - 2 f2) + 2 f2 l`` and
     ``d0 = a^2 (a + f2 - 3 l) - 2 f2 a l``, brought back with one forward
-    transform.  Each rewrite is exact up to rounding, and the tests assert
-    them against the literal forms.
+    transform.  So ``G`` reads ``x = X``, ``xm``, the pairing ``paired`` and
+    the upper paraproduct ``pgt = wick2 para_lt xm``.  Each rewrite is exact
+    up to rounding, and the tests assert them against the literal forms.
     """
-    cache = {} if cache is None else cache
-    N = part.grid.N
-    xm = _xm(cache, v, w, syms)
-    bx = _stk(cache, part, "xm", xm)
-    bw2 = _stk(cache, part, "wick2", syms["wick2"])
-    pgt = _para_lt_core(bw2, bx, N)
-    del cache["stk:xm"]
-    bx += _stk(cache, part, "iwick3", syms["iwick3"])
-    paired = _resonant_core(bx, bw2, N)
-    del bx
-
-    l, a = syms.points("lin"), syms.points("iwick3")
-    x = _band_points(v + w, N, 2 * N)
+    l, a = lin_pts, iw3_pts
+    x = _band_points(x, N, 2 * N)
     d2 = (a - l) * 3.0 + f2t
     y = _reaction_points(x, d2, out=d2)
     y += ((l * 2.0 - a) * 3.0 - 2.0 * f2t) * a * x
@@ -402,21 +352,14 @@ def G_rhs(v, w, syms, f2t: float, ct: float, part: DyadicPartition, cache: dict 
     return _points_band(y, N) - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt
 
 
-def reconstruct_phi(
-    syms: dict, v: np.ndarray, w: np.ndarray, grid: TorusGrid, phibar: float = 0.0
-) -> np.ndarray:
+def reconstruct_phi(syms: dict, v: np.ndarray, w: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Reassemble the solution spectrum from one slice of the decomposition.
 
-    ``phibar + lin - iwick3 + 3 * (integral of res_iwick3_wick2) + v + w``,
-    projected onto the open band the dynamical states live in; ``phibar`` is
-    the value of the flat reference path at this time (zero for the recentred
-    equation itself).
+    ``lin - iwick3 + 3 * (integral of res_iwick3_wick2) + v + w``, projected
+    onto the open band the dynamical states live in.
     """
     phi = syms["lin"] - syms["iwick3"] + 3.0 * syms["i_res_iwick3_wick2"] + v + w
-    phi = np.where(grid.kinf <= grid.N // 2 - 1, phi, 0.0)
-    if phibar != 0.0:
-        phi[(0,) * grid.dim] += phibar
-    return phi
+    return np.where(grid.kinf <= grid.N // 2 - 1, phi, 0.0)
 
 
 class VWStepper:
@@ -428,6 +371,12 @@ class VWStepper:
     ``res_iwick3_wick2``, so they see the solution the reconstruction
     rebuilds; they are projected onto the open band and stepped with the
     propagator and ETD weight the symbols and the direct route use.
+
+    A step builds three block stacks: the two of the symbols it reads
+    (``wick2`` and ``iwick3``, from the symbol stepper's ``stacks``) and the
+    remainder ``xm = X - iwick3``, whose sum with the ``iwick3`` stack is the
+    stack of the field ``X`` that :func:`G_rhs` pairs with the Wick square;
+    and two resonant cores, that pairing and the symbol ``res_iwick3_wick2``.
     """
 
     def __init__(self, symbols: SymbolStepper, forcing=None):
@@ -451,14 +400,21 @@ class VWStepper:
         """Both right-hand sides at the current time, open-band projected."""
         sym = self.sym
         syms = sym.values()
-        cache = {"stk:wick2": sym.stack("wick2"), "stk:iwick3": sym.stack("iwick3")}
+        N = self.grid.N
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
-        v = self.v + 3.0 * sym.iww
-        F = F_rhs(v, self.w, syms, f2t, self.partition, cache)
-        G = G_rhs(v, self.w, syms, f2t, ct, self.partition, cache)
+        bw2 = sym.stacks["wick2"]
+        x = self.v + 3.0 * sym.iww + self.w
+        xm = x - syms["iwick3"]
+        bx = self.partition.padded_blocks(xm)
+        F = F_rhs(bx, bw2, syms["wick2"], f2t, N)
+        pgt = _para_lt_core(bw2, bx, N)
+        # the stack of X is that of xm plus that of iwick3; drop it before G's cubic
+        bx += sym.stacks["iwick3"]
+        paired = _resonant_core(bx, bw2, N)
+        del bx
+        G = G_rhs(x, xm, paired, pgt, sym.points["lin"], sym.points["iwick3"], f2t, ct, N)
         if self.forcing is not None:
-            G = G.copy()
             G[(0,) * self.grid.dim] += float(self.forcing(self.t))
         return np.where(self._mask, F, 0.0), np.where(self._mask, G, 0.0)
 
@@ -475,7 +431,7 @@ class VWStepper:
         _check_blowup(self.grid, self.w, self.t, self.j)
         _check_blowup(self.grid, self.v, self.t, self.j)
 
-    def reconstruct(self, phibar: float = 0.0) -> np.ndarray:
+    def reconstruct(self) -> np.ndarray:
         """The solution spectrum at the current time, from the streamed symbol states.
 
         Reads ``lin``, ``iwick3`` and the integral of ``res_iwick3_wick2``
@@ -483,32 +439,20 @@ class VWStepper:
         """
         sym = self.sym
         syms = {"lin": sym.lin.state, "iwick3": sym.iw3, "i_res_iwick3_wick2": sym.iww}
-        return reconstruct_phi(syms, self.v, self.w, self.grid, phibar)
+        return reconstruct_phi(syms, self.v, self.w, self.grid)
 
 
-def solve_vw(
-    symbols: SymbolStepper,
-    record_every: int = 1,
-    forcing=None,
-    phibar=None,
-) -> dict[str, SolutionPath]:
+def solve_vw(symbols: SymbolStepper, record_every: int = 1, forcing=None) -> dict[str, SolutionPath]:
     """Integrate the coupled remainder system over the whole time grid.
 
     Consumes the supplied symbol stepper and records ``v``, ``w`` and the
     reconstructed solution ``phi`` every ``record_every`` steps and at the
     end; returns one :class:`SolutionPath` per name, sharing times and meta.
-    ``phibar`` (a flat reference path, callable or scalar) is added to the
-    recorded reconstruction only; the remainder system itself is recentred.
     """
     vw = VWStepper(symbols, forcing=forcing)
-    phibar = None if phibar is None else _as_timefunc(phibar)
     grid, timegrid = vw.grid, vw.timegrid
-
-    def phi():
-        return vw.reconstruct(0.0 if phibar is None else float(phibar(vw.t)))
-
     times, out = record(timegrid, record_every, vw.step,
-                        {"v": lambda: vw.v, "w": lambda: vw.w, "phi": phi})
+                        {"v": lambda: vw.v, "w": lambda: vw.w, "phi": vw.reconstruct})
     meta = {
         "dt": timegrid.dt,
         "n": symbols.noise.cutoff,

@@ -21,6 +21,9 @@ band and stream, and the steppers and builders below read them from it:
 The damped integral of ``res_iwick3_wick2`` is streamed alongside because the
 solution reconstruction needs it.  Every damped integral takes the ETD1 step
 of :mod:`.noise`, ``I <- P I + E f``, which is the step of the direct solvers.
+Stepping and the remainder route read every object but ``res_iwick3_lin`` and
+``res_iwick2_wick2``: :meth:`SymbolStepper.values` builds those it reads, and
+:meth:`SymbolStepper.catalog` adds the two pairings for the catalog's readers.
 
 All products are dealiased one-pass products truncated to the open grid band,
 so the multilinear identities between these objects hold exactly at the
@@ -30,7 +33,6 @@ degree in the noise amplitude.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,63 +88,8 @@ SYMBOL_NAMES = tuple(CATALOG)
 
 _PATH_NAMES = SYMBOL_NAMES + ("wick3", "i_res_iwick3_wick2")
 
-# the spectra whose block stacks stack() serves: values() builds those of
-# wick2 and iwick3, which stepping reads; those of lin and iwick2 are built
-# with the catalog-only pairings res_iwick3_lin and res_iwick2_wick2, on
-# their first read within a step
-_STACKED = ("lin", "wick2", "iwick2", "iwick3")
-
-
-class _StepValues(Mapping):
-    """The symbol values of one step, keyed by ``_PATH_NAMES``.
-
-    ``res_iwick3_lin`` and ``res_iwick2_wick2``, which only the catalog reads,
-    are built on first read, with the block stacks of ``lin`` and ``iwick2``
-    that only they pair.  Beside the stacks it keeps the point values of
-    ``lin`` and ``iwick3`` on the ``2N`` grid (:meth:`points`).  The mapping
-    holds the step's arrays and never its stepper: nothing here sits in a
-    reference cycle, so a step's arrays are freed as soon as the stepper and
-    its callers let go of them.
-    """
-
-    def __init__(self, partition, vals: dict, stacks: dict, points: dict, ctj: float):
-        self._part = partition
-        self._vals = vals
-        self._stacks = stacks
-        self._points = points
-        self._ctj = ctj
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        val = self._vals.get(name)
-        if val is None:
-            val = self._vals[name] = self._pairing(name)
-        return val
-
-    def __iter__(self):
-        return iter(_PATH_NAMES)
-
-    def __len__(self) -> int:
-        return len(_PATH_NAMES)
-
-    def stack(self, name: str) -> np.ndarray:
-        s = self._stacks.get(name)
-        if s is None:
-            s = self._stacks[name] = self._part.padded_blocks(self._vals[name])
-        return s
-
-    def points(self, name: str) -> np.ndarray:
-        """Point values of ``lin`` or ``iwick3`` on the ``2N`` grid; read only."""
-        return self._points[name]
-
-    def _pairing(self, name: str) -> np.ndarray:
-        N = self._part.grid.N
-        if name == "res_iwick3_lin":
-            return _resonant_core(self.stack("iwick3"), self.stack("lin"), N)
-        if name == "res_iwick2_wick2":
-            r22 = _resonant_core(self.stack("iwick2"), self.stack("wick2"), N)
-            r22[(0,) * r22.ndim] -= 2.0 * self._ctj
-            return r22
-        raise KeyError(name)
+# the resonant pairings only the catalog reads; SymbolStepper.catalog() adds them
+_CATALOG_ONLY = ("res_iwick3_lin", "res_iwick2_wick2")
 
 
 class SymbolStepper:
@@ -150,15 +97,17 @@ class SymbolStepper:
 
     ``noise`` fixes the grid, horizon, band and stream.  Memory stays bounded
     in the number of steps, so this is the engine used for long runs;
-    :func:`build_ensemble` wraps it when full paths fit in memory.  Block
-    point values on the binary-product grid are cached per step and shared
-    with the solver through :meth:`stack`.  A step builds what stepping
-    reads (the stacks of ``wick2`` and ``iwick3`` and their pairing); the
-    pairings only the catalog reads, with the stacks only they pair, wait
-    for their first read.  The point values of ``lin`` and ``iwick3`` on the
-    ``2N`` grid are taken once per step: the Wick cube is formed from those
-    of ``lin``, and the step's mapping hands both to the cubic right-hand
-    side of :func:`.solvers.G_rhs`.
+    :func:`build_ensemble` wraps it when full paths fit in memory.
+
+    :meth:`values` builds what stepping reads, once per step: every symbol
+    but the two pairings only the catalog reads, which :meth:`catalog` adds.
+    Beside the values it keeps two plain dicts for the step, emptied by
+    :meth:`step`: ``stacks``, the padded block point values of ``wick2`` and
+    ``iwick3`` on the binary-product grid, and ``points``, the point values
+    of ``lin`` and ``iwick3`` on the ``2N`` grid.  The Wick cube is formed
+    from those of ``lin``; :class:`.solvers.VWStepper` reads both dicts for
+    its right-hand sides.  None of these holds the stepper, so a step's
+    arrays are freed by reference counting once the stepper lets go of them.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -191,19 +140,15 @@ class SymbolStepper:
         self.iw3 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iww = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
-        self._vals: _StepValues | None = None
+        self.stacks: dict[str, np.ndarray] = {}
+        self.points: dict[str, np.ndarray] = {}
+        self._vals: dict[str, np.ndarray] | None = None
 
-    def stack(self, name: str) -> np.ndarray:
-        """Padded block point values of ``lin``, ``wick2``, ``iwick2`` or ``iwick3``."""
-        if name not in _STACKED:
-            raise KeyError(f"no block stack of {name!r}; stacked: {_STACKED}")
-        return self.values().stack(name)
+    def values(self) -> dict[str, np.ndarray]:
+        """Current values (half-layout arrays) of what stepping reads, built once per step.
 
-    def values(self) -> Mapping[str, np.ndarray]:
-        """Current values of every symbol (half-layout arrays), each computed once.
-
-        A mapping over the symbol names: ``res_iwick3_lin`` and
-        ``res_iwick2_wick2`` are computed on their first read, the rest now.
+        Every name of ``_PATH_NAMES`` but ``res_iwick3_lin`` and
+        ``res_iwick2_wick2``; fills ``stacks`` and ``points``.
         """
         if self._vals is not None:
             return self._vals
@@ -212,16 +157,15 @@ class SymbolStepper:
         zero = (0,) * dim
         lin = self.lin.state
         cj = self.c[j]
-        ctj = self.ctilde[j]
         w2 = product_spectra([lin, lin], N, band=self.band)
         w2[zero] -= cj
-        points = {"lin": _band_points(lin, N, 2 * N), "iwick3": _band_points(self.iw3, N, 2 * N)}
-        cube = _points_band(points["lin"] * points["lin"] * points["lin"], N)
+        pts = self.points = {"lin": _band_points(lin, N, 2 * N), "iwick3": _band_points(self.iw3, N, 2 * N)}
+        cube = _points_band(pts["lin"] * pts["lin"] * pts["lin"], N)
         w3 = np.where(self.grid.kinf <= self.band, cube, 0.0) - 3.0 * cj * lin
         part = self.partition
-        stacks = {"wick2": part.padded_blocks(w2), "iwick3": part.padded_blocks(self.iw3)}
-        r32 = _resonant_core(stacks["iwick3"], stacks["wick2"], N) - 6.0 * ctj * lin
-        vals = {
+        stk = self.stacks = {"wick2": part.padded_blocks(w2), "iwick3": part.padded_blocks(self.iw3)}
+        r32 = _resonant_core(stk["iwick3"], stk["wick2"], N) - 6.0 * self.ctilde[j] * lin
+        self._vals = {
             "lin": lin,
             "wick2": w2,
             "wick3": w3,
@@ -230,8 +174,23 @@ class SymbolStepper:
             "res_iwick3_wick2": r32,
             "i_res_iwick3_wick2": self.iww,
         }
-        self._vals = _StepValues(part, vals, stacks, points, ctj)
         return self._vals
+
+    def catalog(self) -> dict[str, np.ndarray]:
+        """:meth:`values` with the catalog-only pairings added: every name of ``_PATH_NAMES``.
+
+        ``res_iwick3_lin`` and ``res_iwick2_wick2`` pair the stacks of
+        ``lin`` and ``iwick2``, which only they read; those are built here and
+        dropped, the pairings kept with the step's values.
+        """
+        vals = self.values()
+        if "res_iwick3_lin" not in vals:
+            part, N = self.partition, self.grid.N
+            vals["res_iwick3_lin"] = _resonant_core(self.stacks["iwick3"], part.padded_blocks(vals["lin"]), N)
+            r22 = _resonant_core(part.padded_blocks(vals["iwick2"]), self.stacks["wick2"], N)
+            r22[(0,) * r22.ndim] -= 2.0 * self.ctilde[self.j]
+            vals["res_iwick2_wick2"] = r22
+        return vals
 
     def step(self) -> None:
         if self.j >= self.timegrid.M:
@@ -245,6 +204,8 @@ class SymbolStepper:
         self.lin.step()
         self.j += 1
         self._vals = None
+        self.stacks = {}
+        self.points = {}
 
 
 class SymbolEnsemble:
@@ -285,8 +246,8 @@ def build_ensemble(
     # every stored path is one complex128 half spectrum per grid time
     _recorded_indices(noise.timegrid, 1, len(names) * 16 * int(np.prod(noise.grid.hshape)))
     stepper = SymbolStepper(noise, coeffs, sigma, ctilde=ctilde)
-    _, paths = record(noise.timegrid, 1, stepper.step,
-                      {n: (lambda n=n: stepper.values()[n]) for n in names})
+    read = stepper.catalog if set(names) & set(_CATALOG_ONLY) else stepper.values
+    _, paths = record(noise.timegrid, 1, stepper.step, {n: (lambda n=n: read()[n]) for n in names})
     return SymbolEnsemble(paths, stepper.c, stepper.ctilde)
 
 

@@ -298,6 +298,21 @@ class TestExperimentCommands:
         dl = [row["dt_L_max"] for row in report["rows"]]
         assert np.allclose(dl, [0.0625 * 8.0 * np.pi**2 * n**2 for n in ns], rtol=1e-14)
 
+    def test_renorm_reads_ctilde_replicas(self, tmp_path):
+        # the quartic constant is a Monte Carlo over ctilde_replicas paths, as
+        # in every other command, and the count is echoed; the tail replica
+        # count does not enter.  With the default of 24 every row has a
+        # positive standard error (one replica would give zero)
+        doc = _doc(replicas=1)
+        del doc["ctilde_replicas"]
+        for sub in ("one", "forty"):
+            (tmp_path / sub).mkdir()
+        report = cmd_renorm(ExperimentConfig.from_dict(doc), tmp_path / "one")
+        assert report["ctilde_replicas"] == 24
+        assert all(row["ctilde_se"] > 0.0 for row in report["rows"])
+        other = cmd_renorm(ExperimentConfig.from_dict({**doc, "replicas": 40}), tmp_path / "forty")
+        assert other["rows"] == report["rows"]
+
     def test_simulate_outputs(self, tmp_path):
         cfg = _cfg(sigma=0.05)
         report = cmd_simulate(cfg, tmp_path)

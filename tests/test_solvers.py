@@ -106,26 +106,25 @@ class TestRenormalized:
         co = CoefficientSet(0.7, [-1.0, -0.5], T)
         det = solve_deterministic(grid, tg, [0.7], [-1.0, -0.5], [0.3, 0.1], 0.0)
         ren = solve_renormalized(
-            grid, tg, 3, co, 0.0,
-            c=np.zeros(M + 1), ctilde=0.0, forcing=[0.3, 0.1],
+            grid, tg, 3, co, 0.0, ctilde=0.0, forcing=[0.3, 0.1],
         )
         assert np.array_equal(det.coeffs, ren.coeffs)
 
-    def test_cubic_free_reproduces_convolution(self):
-        grid = TorusGrid(8, 2)
-        T, M = 0.4, 40
-        tg = TimeGrid(T, M)
-        co = CoefficientSet(0.0, [-1.0, -0.5], T)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_first_step_from_zero_is_the_convolution_step(self, dim):
+        # the reaction and both counterterms vanish at the zero state (c is
+        # zero at t = 0), so the first step injects the noise increment alone
+        grid = TorusGrid(8, dim)
+        tg = TimeGrid(0.4, 40)
+        co = CoefficientSet(0.7, [-1.0, -0.5], 0.4)
         kern = StepKernel(grid, tg, co)
         noise = NoiseRealization(grid, tg, 3, 77)
-        st = RenormalizedStepper(
-            noise, co, 0.4, kern, c=np.zeros(M + 1), ctilde=0.0, include_cubic=False,
-        )
+        st = RenormalizedStepper(noise, co, 0.4, kern, ctilde=0.01)
         lp = LinearPath(noise, co, 0.4, kernel=kern)
-        for _ in range(M):
-            st.step()
-            lp.step()
-            assert np.array_equal(st.phi, lp.state)
+        st.step()
+        lp.step()
+        assert np.max(np.abs(lp.state)) > 0.0
+        assert np.array_equal(st.phi, lp.state)
 
     def test_dt_self_convergence(self):
         # all band modes must satisfy L dt < 1 on the coarsest grid, else the
@@ -153,8 +152,6 @@ class TestRenormalized:
         co = CoefficientSet(0.5, -1.0, 0.2)
         noise = NoiseRealization(grid, tg, 3, 0)
         with pytest.raises(ValueError, match="one value per grid time"):
-            RenormalizedStepper(noise, co, 0.1, c=np.zeros(5), ctilde=0.0)
-        with pytest.raises(ValueError, match="one value per grid time"):
             RenormalizedStepper(noise, co, 0.1, ctilde=np.zeros(5))
         # a kernel for another horizon, step count or grid would inject
         # increments scaled for the wrong dt or broadcast across a wrong axis
@@ -162,7 +159,7 @@ class TestRenormalized:
                      StepKernel(grid, TimeGrid(0.2, 20), co),
                      StepKernel(TorusGrid(8, 1), tg, co)):
             with pytest.raises(ValueError, match="kernel"):
-                RenormalizedStepper(noise, co, 0.1, kern, c=np.zeros(11), ctilde=0.0)
+                RenormalizedStepper(noise, co, 0.1, kern, ctilde=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +177,30 @@ def rhs_setup():
     t = tg.ts[sym.j]
     return {
         "grid": grid, "tg": tg, "co": co, "sym": sym, "v": v, "w": w,
-        "syms": sym.values(), "part": sym.partition,
+        "syms": sym.catalog(), "stacks": sym.stacks, "points": sym.points, "part": sym.partition,
         "f2t": float(co.f2(t)), "ct": float(sym.ctilde[sym.j]),
     }
+
+
+def _F(s, v, w):
+    """F_rhs at ``(v, w)`` on the symbols of ``s``, with the stacks VWStepper.rhs reads."""
+    xm = v + w - s["syms"]["iwick3"]
+    bw2 = s["stacks"]["wick2"]
+    return F_rhs(s["part"].padded_blocks(xm), bw2, s["syms"]["wick2"], s["f2t"], s["grid"].N)
+
+
+def _G(s, v, w):
+    """G_rhs at ``(v, w)`` on the symbols of ``s``, its pairings with the Wick
+    square formed by the public operations."""
+    grid, syms = s["grid"], s["syms"]
+    fld = lambda c: SpectralField(grid, c)
+    x = v + w
+    xm = x - syms["iwick3"]
+    w2 = fld(syms["wick2"])
+    paired = resonant(fld(x), w2).coeffs
+    pgt = para_gt(fld(xm), w2).coeffs
+    pts = s["points"]
+    return G_rhs(x, xm, paired, pgt, pts["lin"], pts["iwick3"], s["f2t"], s["ct"], grid.N)
 
 
 class TestRemainderRhs:
@@ -190,11 +208,9 @@ class TestRemainderRhs:
         # every symbol starts at zero, so both right-hand sides do too
         s = rhs_setup
         fresh = SymbolStepper(NoiseRealization(s["grid"], s["tg"], 4, 11), s["co"], 0.6, ctilde=0.02)
-        syms0 = fresh.values()
-        z = np.zeros(s["grid"].hshape, dtype=np.complex128)
-        f2t0 = float(s["co"].f2(0.0))
-        assert np.max(np.abs(F_rhs(z, z, syms0, f2t0, s["part"]))) == 0.0
-        assert np.max(np.abs(G_rhs(z, z, syms0, f2t0, 0.02, s["part"]))) == 0.0
+        F, G = VWStepper(fresh).rhs()
+        assert np.max(np.abs(F)) == 0.0
+        assert np.max(np.abs(G)) == 0.0
 
     def test_F_matches_public_assembly(self, rhs_setup):
         s = rhs_setup
@@ -202,7 +218,7 @@ class TestRemainderRhs:
         xm = SpectralField(grid, s["v"] + s["w"] - syms["iwick3"])
         w2 = SpectralField(grid, syms["wick2"])
         expected = (-3.0 * para_lt(xm, w2)).coeffs + s["f2t"] * syms["wick2"]
-        got = F_rhs(s["v"], s["w"], syms, s["f2t"], s["part"])
+        got = _F(s, s["v"], s["w"])
         assert rel(got, expected) <= 1e-12
 
     def test_commutator_pairings_telescope(self, rhs_setup):
@@ -271,7 +287,7 @@ class TestRemainderRhs:
             + d1X
             + d0
         )
-        got = G_rhs(v, w, syms, f2t, ct, s["part"])
+        got = _G(s, v, w)
         assert rel(got, expected) <= 1e-11
 
     @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
@@ -319,9 +335,9 @@ class TestRemainderRhs:
             return to_band(pts, N_)
 
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
+        monkeypatch.setattr(symbols, "product_spectra", counted_product)
         for mod in (symbols, solvers):
             monkeypatch.setattr(mod, "_resonant_core", counted_core)
-            monkeypatch.setattr(mod, "product_spectra", counted_product)
             monkeypatch.setattr(mod, "_band_points", counted_points)
             monkeypatch.setattr(mod, "_points_band", counted_band)
         vw.rhs()
@@ -332,24 +348,36 @@ class TestRemainderRhs:
         assert inverse == [2 * N] * 3
         assert forward == [(2 * N,) * dim] * 2
 
-    def test_a_step_frees_its_stacks_without_the_cyclic_collector(self):
+    def test_a_step_frees_its_stacks_without_the_cyclic_collector(self, monkeypatch):
         # nothing that holds a step's arrays may sit in a reference cycle:
-        # with the cyclic collector off, reference counting alone frees the
-        # stacks of step j, lazily built ones included, once the route has
-        # stepped past it
+        # with the cyclic collector off, reference counting alone frees every
+        # stack of step j (the catalog's and the remainder's included), its
+        # 2N-grid points and its values once the route has stepped past it
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
         vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02))
         vw.step()
         sym = vw.sym
+        refs = []
+        build = paley.DyadicPartition.padded_blocks
+
+        def kept(self, c):
+            out = build(self, c)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", kept)
         gc.collect()
         gc.disable()
         try:
-            sym.values()["res_iwick2_wick2"]
-            refs = [weakref.ref(sym.stack(name)) for name in ("wick2", "iwick3", "lin", "iwick2")]
+            vals = sym.catalog()
+            refs += [weakref.ref(a) for a in (*sym.points.values(), vals["res_iwick2_wick2"])]
+            del vals
             vw.step()
-            assert [r() for r in refs] == [None] * 4
+            # the stacks of wick2, iwick3, lin and iwick2 and the remainder xm
+            assert len(refs) == 5 + 3
+            assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
 
@@ -370,9 +398,9 @@ class TestRemainderRhs:
             return build(self, c)
 
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
-        phi = vw.reconstruct(0.25)
+        phi = vw.reconstruct()
         assert calls == []
-        expected = reconstruct_phi(vw.sym.values(), vw.v, vw.w, grid, phibar=0.25)
+        expected = reconstruct_phi(vw.sym.values(), vw.v, vw.w, grid)
         assert np.array_equal(phi, expected)
 
     def test_nonresonant_complement_identity(self, rhs_setup):
@@ -409,15 +437,16 @@ class TestRemainderRhs:
         sym0 = SymbolStepper(NoiseRealization(grid, s["tg"], 4, 3), s["co"], 0.0, ctilde=0.0)
         for _ in range(2):
             sym0.step()
-        syms0 = sym0.values()
-        f2t = float(s["co"].f2(s["tg"].ts[2]))
-        assert np.max(np.abs(F_rhs(v, w, syms0, f2t, s["part"]))) == 0.0
+        s0 = {**s, "syms": sym0.values(), "stacks": sym0.stacks, "points": sym0.points,
+              "f2t": float(s["co"].f2(s["tg"].ts[2])), "ct": 0.0}
+        f2t = s0["f2t"]
+        assert np.max(np.abs(_F(s0, v, w))) == 0.0
         X = SpectralField(grid, v + w)
         expected = (
             -dealiased_product(X, X, X).coeffs
             + f2t * dealiased_product(X, X).coeffs
         )
-        got = G_rhs(v, w, syms0, f2t, 0.0, s["part"])
+        got = _G(s0, v, w)
         assert rel(got, expected) <= 1e-13
 
     def test_F_bound_fitted_constant(self, rhs_setup):
@@ -435,7 +464,7 @@ class TestRemainderRhs:
             rng = np.random.default_rng(100 + k)
             v = random_band_field(grid, rng, grid.N // 2 - 1, 0.3).coeffs
             w = random_band_field(grid, rng, grid.N // 2 - 1, 0.2).coeffs
-            F = F_rhs(v, w, syms, s["f2t"], part)
+            F = _F(s, v, w)
             nF = besov_norm(SpectralField(grid, F), -1 - eps, part)
             nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps, part)
             nw = besov_norm(SpectralField(grid, w), 1.5 - 2 * eps, part)
@@ -454,7 +483,7 @@ class TestRemainderRhs:
             rng = np.random.default_rng(200 + k)
             v = random_band_field(grid, rng, grid.N // 2 - 1, 0.3).coeffs
             w = random_band_field(grid, rng, grid.N // 2 - 1, 0.2).coeffs
-            G = G_rhs(v, w, syms, s["f2t"], s["ct"], part)
+            G = _G(s, v, w)
             nG = besov_norm(SpectralField(grid, G), -0.5 - eps, part)
             assert np.isfinite(nG)
             nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps, part)
@@ -493,7 +522,7 @@ class TestVWRoute:
         phi0 = random_band_field(grid, np.random.default_rng(3), grid.N // 2 - 1, 0.5)
         det = solve_deterministic(grid, tg, [0.8], [-1.0, -0.5], 0.6, phi0)
         nz = NoiseRealization(grid, tg, 3, 1)
-        direct = RenormalizedStepper(nz, co, 0.0, c=np.zeros(tg.M + 1), ctilde=0.0, forcing=0.6)
+        direct = RenormalizedStepper(nz, co, 0.0, ctilde=0.0, forcing=0.6)
         vw = VWStepper(SymbolStepper(nz, co, 0.0, ctilde=0.0), forcing=0.6)
         direct.phi = phi0.coeffs.copy()
         vw.w = phi0.coeffs.copy()
@@ -503,21 +532,6 @@ class TestVWRoute:
             assert np.array_equal(direct.phi, det.coeffs[j])
             assert np.array_equal(vw.reconstruct(), det.coeffs[j])
         assert np.max(np.abs(det.coeffs[-1][grid.kinf > 0])) > 1e-3
-
-    def test_phibar_shifts_reconstruction_only(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.3, 30)
-        co = CoefficientSet(0.8, [-1.0, -0.5], 0.3)
-        noise = NoiseRealization(grid, tg, 3, 1)
-        base = solve_vw(SymbolStepper(noise, co, 0.0, ctilde=0.0), forcing=0.4)
-        shifted = solve_vw(
-            SymbolStepper(noise, co, 0.0, ctilde=0.0), forcing=0.4, phibar=0.5,
-        )
-        diff = shifted["phi"].coeffs - base["phi"].coeffs
-        assert np.allclose(diff[:, 0, 0], 0.5)
-        diff[:, 0, 0] = 0.0
-        assert np.max(np.abs(diff)) == 0.0
-        assert np.array_equal(shifted["w"].coeffs, base["w"].coeffs)
 
     def test_small_noise_stays_small(self):
         grid = TorusGrid(8, 2)

@@ -95,10 +95,10 @@ class TestStepper:
             assert np.all(path[0] == 0.0), name
         assert ens.c[0] == 0.0 and ens.ctilde[0] == 0.0
 
-    def test_stack_cached_per_step(self, monkeypatch):
+    def test_values_build_two_stacks_once_per_step(self, monkeypatch):
         # the values build the stacks of wick2 and iwick3, which stepping
-        # reads; those of lin and iwick2 wait for a catalog-only pairing (or
-        # a stack() call), and no stack is built twice within a step
+        # reads; the catalog pairs those of lin and iwick2 on top, once per
+        # step, and step() lets go of the step's stacks and points
         grid, tg, co = small_setup()
         st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(tg.M + 1))
         built = []
@@ -109,23 +109,39 @@ class TestStepper:
             return build(self, c)
 
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
-        a = st.stack("wick2")
-        assert len(built) == 2
-        assert st.stack("wick2") is a
         vals = st.values()
-        vals["res_iwick3_lin"]
-        vals["res_iwick2_wick2"]
+        assert set(vals) == set(symbols._PATH_NAMES) - set(symbols._CATALOG_ONLY)
+        assert sorted(st.stacks) == ["iwick3", "wick2"]
+        assert sorted(st.points) == ["iwick3", "lin"]
+        assert len(built) == 2
+        a = st.stacks["wick2"]
+        assert st.values() is vals and st.stacks["wick2"] is a
+        cat = st.catalog()
+        assert cat is vals and set(cat) == set(symbols._PATH_NAMES)
         assert len(built) == 4
-        for name in ("lin", "iwick2", "iwick3"):
-            st.stack(name)
+        st.catalog()
+        st.values()
         assert len(built) == 4
         st.step()
-        assert st.stack("wick2") is not a
+        assert st.stacks == {} and st.points == {}
+        assert st.values() is not vals
+        assert st.stacks["wick2"] is not a
         assert len(built) == 6
-        with pytest.raises(KeyError):
-            st.stack("no_such_spectrum")
-        with pytest.raises(KeyError):
-            st.stack("wick3")
+
+    @pytest.mark.parametrize("name", symbols._PATH_NAMES)
+    def test_ensemble_path_is_the_catalog_value(self, name):
+        # a path stored alone equals the catalog's value at every grid time,
+        # whether it is read through values() or catalog()
+        grid, tg, co = small_setup()
+        ct = unit_ctilde(tg)
+        ens = build_ensemble(NoiseRealization(grid, tg, 4, seed=5), co, 1.0, ctilde=ct, names=(name,))
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=5), co, 1.0, ctilde=ct)
+        path = ens.path(name)
+        for j in range(tg.M + 1):
+            assert path[j].tobytes() == st.catalog()[name].tobytes(), j
+            if j < tg.M:
+                st.step()
+        assert np.max(np.abs(path[-1])) > 0.0
 
     def test_step_past_end_rejected(self):
         grid, tg, co = small_setup(M=2)
@@ -279,7 +295,7 @@ def centering_samples():
         st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=77, replica=r), co, 1.0, kern, ctilde=ct)
         for _ in range(tg.M):
             st.step()
-        v = st.values()
+        v = st.catalog()
         out["w2_zero"][r] = v["wick2"][zero].real
         out["pair_raw"][r] = v["res_iwick2_wick2"][zero].real + 2.0 * ct[-1]
         out["lin_energy"][r] = float(np.sum(hw * np.abs(v["lin"]) ** 2))
