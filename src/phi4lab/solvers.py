@@ -18,12 +18,13 @@ The two stochastic routes are one discrete map.  Every stepper takes the ETD1
 step ``u <- P u + E f`` of :class:`.noise.StepKernel`, and the remainder
 right-hand sides are evaluated on the field the reconstruction rebuilds, so
 the reconstructed step equals the direct step whenever the right-hand sides
-agree at a fixed state.  They agree to rounding while ``5 cutoff <= N/2 - 1``
-(at most 3.1e-15 relative on 32^2, 64^2, 16^3, 24^3 and 32^3).  Above that
-``res_iwick3_wick2`` reaches the Nyquist slot, which the right-hand sides see
-through ``v + 3 iww`` and the reconstruction drops; from ``2 cutoff > N/2 - 1``
-on the Wick square is cut at the band, and at cutoff ``N/2 - 1`` the route gap
-is about 1e-9 relative (:func:`equivalence_report` measures it).  At
+agree at a fixed state.  They agree to rounding while ``2 cutoff <= N/2 - 1``
+(at most 3.2e-15 relative on 32^2, 64^2, 16^3, 24^3 and 32^3): the integral
+``iww`` of ``res_iwick3_wick2`` (band ``5 cutoff``) enters the right-hand
+sides projected onto the open band, the part the reconstruction keeps.  From
+``2 cutoff > N/2 - 1`` on the Wick square is cut at the band, and at cutoff
+``N/2 - 1`` the route gap is about 1e-9 relative (:func:`equivalence_report`
+measures it).  At
 ``sigma = 0`` the remainder route is the deterministic solver bit for bit.
 
 Each solve records its path through :func:`.noise.record` and returns a
@@ -286,9 +287,10 @@ def solve_renormalized(
 # The functions below operate on one time slice of half-layout spectra, with
 # ``f2t`` and ``ct`` the coefficient and quartic constant at that time, and
 # take every array they read as an argument; VWStepper.rhs builds the block
-# stacks and pairings they read.  It hands them ``v + 3 iww`` (``iww`` the
-# streamed integral of res_iwick3_wick2) in place of ``v``, so that
-# ``lin + v + w - iwick3`` is the solution it reconstructs.
+# stacks and pairings they read.  It hands them ``v + 3 P(iww)`` in place of
+# ``v``, with ``iww`` the streamed integral of res_iwick3_wick2 and ``P`` the
+# projection onto the open band, so that ``lin + v + w - iwick3`` is the
+# solution it reconstructs.
 
 
 def F_rhs(bxm: np.ndarray, bw2: np.ndarray, wick2: np.ndarray, f2t: float, N: int) -> np.ndarray:
@@ -367,10 +369,11 @@ class VWStepper:
 
     Wraps a fresh :class:`SymbolStepper` (consumed as stepping advances) and
     keeps ``(v, w)`` starting from zero.  Right-hand sides are evaluated at
-    the left endpoint on ``(v + 3 iww, w)``, ``iww`` the streamed integral of
-    ``res_iwick3_wick2``, so they see the solution the reconstruction
-    rebuilds; they are projected onto the open band and stepped with the
-    propagator and ETD weight the symbols and the direct route use.
+    the left endpoint on ``(v + 3 P(iww), w)``, ``iww`` the streamed integral
+    of ``res_iwick3_wick2`` and ``P`` the projection onto the open band, so
+    they see the solution the reconstruction rebuilds; they are projected onto
+    the open band and stepped with the propagator and ETD weight the symbols
+    and the direct route use.
 
     A step builds three block stacks: the two of the symbols it reads
     (``wick2`` and ``iwick3``, from the symbol stepper's ``stacks``) and the
@@ -404,7 +407,7 @@ class VWStepper:
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
         bw2 = sym.stacks["wick2"]
-        x = self.v + 3.0 * sym.iww + self.w
+        x = self.v + 3.0 * np.where(self._mask, sym.iww, 0.0) + self.w
         xm = x - syms["iwick3"]
         bx = self.partition.padded_blocks(xm)
         F = F_rhs(bx, bw2, syms["wick2"], f2t, N)
@@ -485,9 +488,8 @@ def equivalence_report(
     constant, so Monte Carlo error there does not open a gap).
 
     The routes are one discrete map, so the gap does not shrink with dt: it
-    is rounding where ``5 cutoff <= N/2 - 1`` and the band truncation of the
-    Wick square and ``res_iwick3_wick2`` otherwise (see the module
-    docstring).  Returns the relative
+    is rounding where ``2 cutoff <= N/2 - 1`` and the band truncation of the
+    Wick square otherwise (see the module docstring).  Returns the relative
     sup-norm gap at ``dt`` and ``dt/2``, their ratio (for information), and
     the gap for each extra seed at the base resolution.  The gaps are
     relative to the direct solution, which vanishes at ``sigma = 0``.

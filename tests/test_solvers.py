@@ -561,12 +561,13 @@ class TestVWRoute:
         assert len(rep["seed_gaps"]) == 9
         assert all(g < 1e-7 for g in rep["seed_gaps"].values())
 
-    @pytest.mark.parametrize("N,dim", [(16, 2), (16, 3)])
-    def test_routes_agree_to_rounding_when_products_fit_the_band(self, N, dim):
-        # at 5 cutoff <= N/2 - 1 no intermediate product is cut at the band,
-        # so the routes differ by rounding alone (measured 3.0e-16 to 3.6e-16)
+    @pytest.mark.parametrize("N,dim,cutoff", [(16, 2, 1), (16, 3, 1), (16, 2, 3), (16, 3, 3)])
+    def test_routes_agree_to_rounding_when_the_wick_square_fits_the_band(self, N, dim, cutoff):
+        # at 2 cutoff <= N/2 - 1 the Wick square is not cut at the band and
+        # the remainder sees iww projected onto it, so the routes differ by
+        # rounding alone (measured 2.3e-16 to 3.5e-16)
         co = CoefficientSet(0.5, [-1.0, 0.5], 0.1)
-        rep = equivalence_report(TorusGrid(N, dim), 0.1, 10, 1, co, 0.5, 5, ctilde_replicas=4)
+        rep = equivalence_report(TorusGrid(N, dim), 0.1, 10, cutoff, co, 0.5, 5, ctilde_replicas=4)
         assert rep["sup_direct"] > 0.1
         assert rep["gap"] < 1e-14
         assert rep["gap_refined"] < 1e-14
@@ -589,24 +590,25 @@ class TestOneDiscreteMap:
     integrands of the reconstruction (``-wick3 + 3 res_iwick3_wick2``) equal
     the direct nonlinearity at the reconstructed phi.  The identity is
     algebraic.  The cube and the random polynomial of ``G`` are formed whole
-    on the ``2N`` grid, so it holds to rounding while ``5 cutoff <= N/2 - 1``.
-    Above that the pairing ``res_iwick3_wick2`` (band ``5 cutoff``) reaches
-    the Nyquist slot: the remainder sees that part of its integral ``iww``
-    through ``v + 3 iww``, and the reconstruction drops it.  From
-    ``2 cutoff > N/2 - 1`` on, the Wick square is also cut at the band, where
-    the direct cube carries ``lin**2`` whole.
+    on the ``2N`` grid, and the remainder sees the integral ``iww`` of
+    ``res_iwick3_wick2`` projected onto the open band, the part the
+    reconstruction keeps; so it holds to rounding while
+    ``2 cutoff <= N/2 - 1``.  Above that the Wick square is cut at the band,
+    where the direct cube carries ``lin**2`` whole.
     """
 
     @pytest.mark.parametrize("N,dim,cutoff,sigma,tol", [
-        # every intermediate product fits the band: measured 1.6e-16 to 1.1e-15
-        (32, 2, 2, 1.0, 1e-13),
-        (16, 3, 1, 1.0, 1e-13),
-        # 5 cutoff = N/2 - 1, the edge of that rule: measured 2.1e-16 to 3.9e-16
-        (32, 2, 3, 1.0, 1e-13),
-        # cutoff below N/4 (seeds 1-3): measured 2.1e-11 to 2.9e-11 in 2-D
-        # and 2.6e-10 to 7.1e-10 in 3-D; it grows like sigma**4
-        (32, 2, 7, 0.5, 1e-10),
-        (16, 3, 3, 0.25, 2e-9),
+        # the Wick square fits the band (seeds 1-3): measured 1.7e-16 to
+        # 9.7e-16, from 5 cutoff <= N/2 - 1 up to its edge 2 cutoff = N/2 - 1
+        (32, 2, 2, 1.0, 1e-14),
+        (16, 3, 1, 1.0, 1e-14),
+        (32, 2, 3, 1.0, 1e-14),
+        (32, 2, 4, 1.0, 1e-14),
+        (32, 2, 5, 1.0, 1e-14),
+        (32, 2, 6, 1.0, 1e-14),
+        (16, 3, 2, 1.0, 1e-14),
+        (32, 2, 7, 0.5, 1e-14),
+        (16, 3, 3, 0.25, 1e-14),
         # cutoff N/2 - 1, where the Wick square is cut at the band (seeds 1-3):
         # measured 5.0e-5 to 1.2e-4 in 2-D and 1.4e-4 to 1.5e-4 in 3-D
         (32, 2, 15, 0.5, 3e-4),
