@@ -11,8 +11,8 @@ symbols
 renorm
     Sweep band cutoffs and tabulate the quadratic constant (exact
     quadrature) and the quartic constant (Monte Carlo over
-    ``ctilde_replicas`` paths, as every command estimates it) at
-    mid-horizon, with linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
+    ``ctilde_replicas`` paths, as in every command) at mid-horizon, with
+    linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
     grid ``N = 2n + 2``, the smallest on which its Wick square is centred.
     Each row carries ``dt * L_max``, with ``dt`` the step of the grid the
     quartic constant is estimated on and ``L_max = 4 pi^2 dim n^2`` the

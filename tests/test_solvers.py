@@ -352,7 +352,8 @@ class TestRemainderRhs:
         # nothing that holds a step's arrays may sit in a reference cycle:
         # with the cyclic collector off, reference counting alone frees every
         # stack of step j (the catalog's and the remainder's included), its
-        # 2N-grid points and its values once the route has stepped past it
+        # 2N-grid points and its catalog pairings once the route has stepped
+        # past it
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
