@@ -15,7 +15,6 @@ from phi4lab.grids import TorusGrid
 from phi4lab.noise import (
     LinearPath,
     NoiseRealization,
-    StepKernel,
     TimeGrid,
     lin_variance_curve,
     lin_variance_path,
@@ -25,12 +24,11 @@ from phi4lab.noise import (
 
 def sampled_mode_variance(grid, timegrid, cutoff, coeffs, sigma, replicas, seed):
     """Sample variance of the zero mode at the final time over replicas."""
-    kern = StepKernel(grid, timegrid, coeffs)
     zero = (0,) * grid.dim
     finals = np.empty(replicas)
     for r in range(replicas):
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r)
-        walker = LinearPath(noise, coeffs, sigma, kernel=kern)
+        walker = LinearPath(noise, coeffs, sigma)
         for _ in range(timegrid.M):
             walker.step()
         finals[r] = walker.state[zero].real

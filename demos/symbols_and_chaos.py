@@ -39,7 +39,7 @@ def main():
     print(f"symbol norms at t = {tg.T}:")
     for name in SYMBOL_NAMES:
         alpha = CATALOG[name].regularity - 0.05
-        nrm = besov_norm(SpectralField(grid, vals[name]), alpha, sym.partition)
+        nrm = besov_norm(SpectralField(grid, vals[name]), alpha)
         print(f"  {name:18s} |.|_{alpha:+.2f} = {nrm:.4f}")
 
     # Amplitude decomposition of the deepest symbol (degree 5).  The same

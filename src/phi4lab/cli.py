@@ -67,7 +67,7 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (LinearPath, NoiseRealization, StepKernel, TimeGrid, _recorded_indices,
+from .noise import (LinearPath, NoiseRealization, TimeGrid, _recorded_indices,
                     lin_variance_curve, quartic_constant, quartic_renorm_mc, record)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
@@ -189,10 +189,9 @@ def _check_ou_variance() -> tuple[bool, dict]:
     tg = TimeGrid(1.0, 32)
     co = CoefficientSet(0.0, -1.0, 1.0)
     sigma, reps = 0.3, 400
-    kern = StepKernel(grid, tg, co)
     finals = np.empty(reps)
     for r in range(reps):
-        lp = LinearPath(NoiseRealization(grid, tg, 8, 6, replica=r), co, sigma, kernel=kern)
+        lp = LinearPath(NoiseRealization(grid, tg, 8, 6, replica=r), co, sigma)
         for _ in range(tg.M):
             lp.step()
         finals[r] = lp.state[(0,) * grid.dim].real
@@ -313,7 +312,7 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     alphas = {name: CATALOG[name].regularity - cfg.lam for name in SYMBOL_NAMES}
 
     def norm(name):
-        return besov_norm(SpectralField(grid, sym.catalog()[name]), alphas[name], sym.partition)
+        return besov_norm(SpectralField(grid, sym.catalog()[name]), alphas[name])
 
     times, norms = record(tg, cfg.record_every, sym.step,
                           {name: (lambda name=name: norm(name)) for name in SYMBOL_NAMES})
@@ -509,9 +508,7 @@ def main(argv=None) -> int:
         return 0 if report["passed"] else 1
 
     try:
-        cfg = ExperimentConfig.from_json(args.config)
-        if args.seed is not None:
-            cfg.master_seed = int(args.seed)
+        cfg = ExperimentConfig.from_json(args.config, master_seed=args.seed)
         if args.out is not None:
             cfg.out_dir = str(args.out)
         out_dir = Path(cfg.out_dir)

@@ -4,6 +4,10 @@ Everything here works on recorded paths, so all suprema and Hölder constants
 are exact maxima over grid times and grid-time pairs.  The block transform
 behind the Besov norm is linear, which lets pair differences reuse one matrix
 of scaled block point values per path instead of re-transforming every pair.
+The dyadic partition and the step kernel are looked up from the grid (and
+the time grid and damping), never passed: :func:`.paley.default_partition`
+and :func:`.noise.step_kernel` keep one of each per key.  Paths longer than
+``PAIR_CAP`` times are subsampled evenly before any pair enumeration.
 
 The quantitative continuity bound :func:`grr_bound` converts a double time
 integral of p-th power increments into an explicit-constant bound on the
@@ -29,7 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
 from .grids import SpectralField
-from .noise import LinearPath, NoiseRealization, StepKernel, record
+from .noise import LinearPath, NoiseRealization, record
 from .paley import besov_norm, default_partition
 from .solvers import SolutionPath
 
@@ -71,13 +75,14 @@ def _unpack(path):
     return times, data, grid
 
 
-def _pair_indices(n: int, cap: int) -> np.ndarray:
-    if n <= cap:
+def _pair_indices(n: int) -> np.ndarray:
+    """All ``n`` indices, or ``PAIR_CAP`` of them spread evenly when ``n`` exceeds it."""
+    if n <= PAIR_CAP:
         return np.arange(n)
-    return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
+    return np.unique(np.round(np.linspace(0, n - 1, PAIR_CAP)).astype(int))
 
 
-def _feature_rows(times, data, grid, index, partition):
+def _feature_rows(times, data, grid, index):
     """One row per time whose pairwise sup differences realize the path norm.
 
     Spectral data is expanded into dyadic block point values scaled by
@@ -87,7 +92,7 @@ def _feature_rows(times, data, grid, index, partition):
     """
     if grid is None:
         return data.reshape(len(times), -1).astype(np.float64, copy=False)
-    part = default_partition(grid) if partition is None else partition
+    part = default_partition(grid)
     scales = 2.0 ** (index * np.arange(-1, part.K + 1))
     rows = np.empty((len(times), part.nblocks * grid.npoints))
     for i in range(len(times)):
@@ -96,20 +101,20 @@ def _feature_rows(times, data, grid, index, partition):
     return rows
 
 
-def holder_constant(path, beta: float, gamma: float, partition=None, cap: int = PAIR_CAP) -> float:
+def holder_constant(path, beta: float, gamma: float) -> float:
     """Exact ``gamma``-Hölder constant of the path over recorded time pairs.
 
     ``max ||f(t) - f(s)|| / |t - s|**gamma`` with the spatial norm of
     smoothness ``beta`` (ignored for plain paths).  Requires ``gamma`` in
-    (0, 1].  Paths longer than ``cap`` times are subsampled evenly before the
-    O(M^2) pair enumeration.
+    (0, 1].  Paths longer than ``PAIR_CAP`` times are subsampled evenly
+    before the O(M^2) pair enumeration.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     times, data, grid = _unpack(path)
-    idx = _pair_indices(len(times), cap)
+    idx = _pair_indices(len(times))
     times = times[idx]
-    rows = _feature_rows(times, data[idx], grid, beta, partition)
+    rows = _feature_rows(times, data[idx], grid, beta)
     best = 0.0
     for lag in range(1, len(times)):
         diff = rows[lag:] - rows[:-lag]
@@ -119,7 +124,7 @@ def holder_constant(path, beta: float, gamma: float, partition=None, cap: int = 
     return best
 
 
-def grr_bound(path, p, gamma_prime: float, beta=None, partition=None, cap: int = PAIR_CAP) -> float:
+def grr_bound(path, p, gamma_prime: float, beta=None) -> float:
     """Explicit-constant continuity bound from a double integral of increments.
 
     Computes ``B``, the trapezoidal double time integral of
@@ -139,9 +144,9 @@ def grr_bound(path, p, gamma_prime: float, beta=None, partition=None, cap: int =
     times, data, grid = _unpack(path)
     if grid is not None and beta is None:
         raise ValueError("spectral paths need the spatial smoothness index beta")
-    idx = _pair_indices(len(times), cap)
+    idx = _pair_indices(len(times))
     times = times[idx]
-    rows = _feature_rows(times, data[idx], grid, beta, partition)
+    rows = _feature_rows(times, data[idx], grid, beta)
     n = len(times)
     dist = np.zeros((n, n))
     for i in range(n - 1):
@@ -456,15 +461,13 @@ def linear_solution_path(
     coeffs,
     sigma: float,
     record_every: int = 1,
-    kernel=None,
 ) -> SolutionPath:
     """Record the damped stochastic convolution of one noise realization.
 
     :class:`~.noise.LinearPath` recorded by :func:`~.noise.record`.  The
-    noise fixes the grid, horizon, band and stream; pass a prebuilt
-    ``kernel`` when sweeping replicas.
+    noise fixes the grid, horizon, band and stream.
     """
-    walker = LinearPath(noise, coeffs, sigma, kernel=kernel)
+    walker = LinearPath(noise, coeffs, sigma)
     times, out = record(noise.timegrid, record_every, walker.step, {"state": lambda: walker.state})
     meta = {
         "kind": "linear",
@@ -477,24 +480,24 @@ def linear_solution_path(
     return SolutionPath(noise.grid, times, out["state"], meta)
 
 
-def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha, partition=None):
+def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha):
     """Replica statistic: running sup of the linear path's smoothness-``alpha`` norm.
 
-    Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`;
-    the step kernel and one block-stack buffer are built once per statistic
-    and shared by every replica and step, so the callable is not reentrant.
+    Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`.
+    One block-stack buffer is built per statistic and shared by every replica
+    and step, so the callable is not reentrant; the step kernel is the one
+    :func:`~.noise.step_kernel` keeps for the grid, time grid and damping, so
+    statistics at other noise levels share it.
     """
-    part = default_partition(grid) if partition is None else partition
-    kernel = StepKernel(grid, timegrid, coeffs)
-    buf = np.empty((part.nblocks,) + grid.shape)
+    buf = np.empty((default_partition(grid).nblocks,) + grid.shape)
 
     def statistic(replica, seed):
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=replica)
-        walker = LinearPath(noise, coeffs, sigma, kernel=kernel)
+        walker = LinearPath(noise, coeffs, sigma)
         best = 0.0
         for _ in range(timegrid.M):
             walker.step()
-            best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, part, out=buf))
+            best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, out=buf))
         return best
 
     return statistic

@@ -141,11 +141,18 @@ class ExperimentConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, master_seed: int | None = None) -> "ExperimentConfig":
+        """Load and validate a JSON config; ``master_seed``, if given, replaces the file's.
+
+        The replacement goes into the document before validation, so a seed
+        the schema rejects is reported like one written in the file.
+        """
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError([("<document>", "config must be a JSON object")])
+        if master_seed is not None:
+            doc["master_seed"] = master_seed
         return cls.from_dict(doc)
 
     def _cross_field_problems(self):

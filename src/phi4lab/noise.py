@@ -24,6 +24,11 @@ discrete stochastic convolution has the exact continuum marginal law at every
 grid time, and the quadratic renormalization constant can be evaluated
 without discretization bias.
 
+The step kernel is a function of the grid, the time grid and the damping
+``a(t)`` alone, so no caller builds or passes one: :func:`step_kernel` looks
+it up, one read-only kernel per key, and every path of a configuration shares
+it.  A path whose noise names another grid or horizon gets another kernel.
+
 :func:`record` steps any state over a :class:`TimeGrid` and keeps named
 fields of it at every ``every``-th grid time and at ``T``; every recorded
 path in the package (solver routes, the symbol ensemble, the stochastic
@@ -32,9 +37,10 @@ convolution, the symbol norm table) goes through it, under one memory budget.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
@@ -48,6 +54,7 @@ __all__ = [
     "record",
     "NoiseRealization",
     "StepKernel",
+    "step_kernel",
     "LinearPath",
     "lin_variance_curve",
     "lin_variance_path",
@@ -220,36 +227,39 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 class StepKernel:
-    """Per-step spectral arrays shared by all paths of one configuration.
+    """Per-step spectral arrays of one grid, time grid and damping ``a(t)``.
 
     ``propagator(j)`` is the damped heat step, ``variance(j)`` the exact
     in-step variance of the stochastic convolution at unit noise amplitude,
     and ``etd_weight(j)`` the classical first-order exponential forcing
     weight ``dt phi1(a dt - L dt)`` that every stepper applies to its
-    right-hand side.
+    right-hand side.  ``a`` is the damping polynomial (``CoefficientSet.a``),
+    the only coefficient a kernel reads.
+
+    The package looks kernels up through :func:`step_kernel`, which keeps one
+    per key, so every path, stepper and replica of a configuration in the
+    process shares one kernel.  Every array the kernel keeps is read-only:
+    an in-place write would change the steps of every other path.
 
     For non-constant damping the variance quadrature and the ETD weight run
     at most once per step per kernel: each keeps its row (one value per
     distinct ``|w|^2``) by ``j`` and expands it onto the half spectrum on
-    every call, so the steppers and replicas sharing a kernel pay for them
-    once and the kernel holds O(M x distinct |w|^2) values, not O(M x grid).
+    every call, so the kernel holds O(M x distinct |w|^2) values, not
+    O(M x grid).
     """
 
-    def __init__(self, grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet):
+    def __init__(self, grid: TorusGrid, timegrid: TimeGrid, a: Polynomial):
         self.grid = grid
         self.timegrid = timegrid
-        self.coeffs = coeffs
-        self.L = 4.0 * np.pi**2 * grid.k2.astype(np.float64)
-        self._E = np.exp(-self.L * timegrid.dt)
+        self._L = _frozen(4.0 * np.pi**2 * grid.k2.astype(np.float64))
+        self._E = _frozen(np.exp(-self._L * timegrid.dt))
+        self._A = A = a.integ()
         ts = timegrid.ts
-        self._alphas = np.array(
-            [coeffs.alpha(ts[j + 1], ts[j]) for j in range(timegrid.M)]
-        )
-        self._const = coeffs.a.degree() == 0
-        self._A = coeffs.a.integ()
+        self._alphas = _frozen(np.array([float(A(t1) - A(t0)) for t0, t1 in zip(ts[:-1], ts[1:])]))
+        self._const = a.degree() == 0
         lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
-        self._Ld = 4.0 * np.pi**2 * lv.astype(np.float64)
-        self._linv = inv
+        self._Ld = _frozen(4.0 * np.pi**2 * lv.astype(np.float64))
+        self._linv = _frozen(inv)
         self._gl = _gauss_legendre()
         self._cache: dict[str, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
@@ -258,7 +268,7 @@ class StepKernel:
     def propagator(self, j: int) -> np.ndarray:
         if self._const:
             if "P" not in self._cache:
-                self._cache["P"] = np.exp(self._alphas[0]) * self._E
+                self._cache["P"] = _frozen(np.exp(self._alphas[0]) * self._E)
             return self._cache["P"]
         return np.exp(self._alphas[j]) * self._E
 
@@ -266,11 +276,11 @@ class StepKernel:
         dt = self.timegrid.dt
         if self._const:
             if "etd" not in self._cache:
-                self._cache["etd"] = dt * _phi1(self._alphas[0] - self.L * dt)
+                self._cache["etd"] = _frozen(dt * _phi1(self._alphas[0] - self._L * dt))
             return self._cache["etd"]
         row = self._etd_rows.get(j)
         if row is None:
-            row = self._etd_rows[j] = dt * _phi1(self._alphas[j] - self._Ld * dt)
+            row = self._etd_rows[j] = _frozen(dt * _phi1(self._alphas[j] - self._Ld * dt))
         return row[self._linv].reshape(self.grid.hshape)
 
     def variance(self, j: int) -> np.ndarray:
@@ -278,8 +288,8 @@ class StepKernel:
         if self._const:
             if "v" not in self._cache:
                 dt = self.timegrid.dt
-                z = 2.0 * (self._alphas[0] - self.L * dt)
-                self._cache["v"] = dt * _phi1(z)
+                z = 2.0 * (self._alphas[0] - self._L * dt)
+                self._cache["v"] = _frozen(dt * _phi1(z))
             return self._cache["v"]
         return self._variance_gl(j)
 
@@ -288,8 +298,33 @@ class StepKernel:
         if row is None:
             t1 = self.timegrid.ts[j + 1]
             row = _damped_kernel_integral(self._Ld, self._A, t1, self.timegrid.dt, self._gl)
-            self._rows[j] = row
+            self._rows[j] = _frozen(row)
         return row[self._linv].reshape(self.grid.hshape)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
+
+
+def step_kernel(grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet) -> StepKernel:
+    """The step kernel of ``grid``, ``timegrid`` and the damping ``coeffs.a``.
+
+    One kernel per key, kept for the process: the key is everything a kernel
+    reads, namely the grid, ``T``, ``M`` and the coefficients, domain and
+    window of ``a``.  Two callers with equal keys share one kernel, and so
+    its stored rows; a caller with any other grid, horizon, step count or
+    damping gets its own.
+    """
+    a = coeffs.a
+    damping = (tuple(a.coef.tolist()), tuple(a.domain.tolist()), tuple(a.window.tolist()))
+    return _cached_kernel(grid, timegrid.T, timegrid.M, *damping)
+
+
+@lru_cache(maxsize=8)
+def _cached_kernel(grid: TorusGrid, T: float, M: int, coef, domain, window) -> StepKernel:
+    return StepKernel(grid, TimeGrid(T, M), Polynomial(coef, domain, window))
 
 
 @cache
@@ -329,28 +364,6 @@ def _damped_kernel_integral(Ld: np.ndarray, A, t1: float, span: float, gl) -> np
     return out
 
 
-def _kernel_for(grid: TorusGrid, timegrid: TimeGrid, coeffs: CoefficientSet,
-                kernel: StepKernel | None) -> StepKernel:
-    """The step kernel of ``grid``, ``timegrid`` and the damping ``coeffs.a``.
-
-    ``kernel`` if it was built for them, else a new one.  ``a(t)`` is the
-    only coefficient a kernel reads.
-    """
-    if kernel is None:
-        return StepKernel(grid, timegrid, coeffs)
-    kt = kernel.timegrid
-    if kernel.grid != grid or kt.T != timegrid.T or kt.M != timegrid.M:
-        raise ValueError(
-            f"kernel built for {kernel.grid} and {kt} does not fit {grid} and {timegrid}"
-        )
-    if kernel.coeffs.a != coeffs.a:
-        raise ValueError(
-            f"kernel built for damping a = {kernel.coeffs.a.coef.tolist()} does not fit "
-            f"a = {coeffs.a.coef.tolist()}"
-        )
-    return kernel
-
-
 class LinearPath:
     """Streamed damped stochastic convolution of one noise replica.
 
@@ -359,10 +372,10 @@ class LinearPath:
     docstring.
     """
 
-    def __init__(self, noise, coeffs: CoefficientSet, sigma: float, kernel: StepKernel | None = None):
+    def __init__(self, noise, coeffs: CoefficientSet, sigma: float):
         self.noise = noise
         self.sigma = float(sigma)
-        self.kernel = _kernel_for(noise.grid, noise.timegrid, coeffs, kernel)
+        self.kernel = step_kernel(noise.grid, noise.timegrid, coeffs)
         self.state = np.zeros(noise.grid.hshape, dtype=np.complex128)
         self.j = 0
 
@@ -421,16 +434,14 @@ def lin_variance_path(
     cutoff: int,
     coeffs: CoefficientSet,
     sigma: float,
-    kernel: StepKernel | None = None,
 ) -> np.ndarray:
     """Variance of the discrete convolution at every grid time, by recursion.
 
-    Uses the same per-step kernels as :class:`LinearPath`, so it is exactly
-    the second moment of the sampled paths; it agrees with
+    Uses the step kernel of :class:`LinearPath` (:func:`step_kernel`), so it
+    is exactly the second moment of the sampled paths; it agrees with
     :func:`lin_variance_curve` to quadrature accuracy.
-    A prebuilt ``kernel`` for another grid or time grid is refused.
     """
-    kern = _kernel_for(grid, timegrid, coeffs, kernel)
+    kern = step_kernel(grid, timegrid, coeffs)
     mask = (grid.kinf <= cutoff).astype(np.float64)
     hw = grid.half_weights * mask
     var = np.zeros(grid.hshape)
@@ -473,7 +484,6 @@ def quartic_renorm_mc(
     seed: int,
     replicas: int,
     sigma: float = 1.0,
-    kernel: StepKernel | None = None,
 ) -> dict:
     """Monte Carlo estimate of the quartic renormalization constant.
 
@@ -490,25 +500,24 @@ def quartic_renorm_mc(
     as :class:`.symbols.SymbolStepper`, so one replica's pairing is the zero
     mode of that stepper's uncentred ``res_iwick2_wick2`` on the same stream.
 
-    A prebuilt ``kernel`` for another grid or time grid is refused.  Returns
-    a dict with the grid times, the estimates, standard errors, and the raw
-    (unhalved) pairing means, one per grid time.
+    Returns a dict with the grid times, the estimates, standard errors, and
+    the raw (unhalved) pairing means, one per grid time.
     """
     _require_centred_cutoff(grid, cutoff)
     M = timegrid.M
-    kern = _kernel_for(grid, timegrid, coeffs, kernel)
+    kern = step_kernel(grid, timegrid, coeffs)
     N, dim = grid.N, grid.dim
     band = min(2 * cutoff, N // 2 - 1)
     zero = (0,) * dim
 
     # exact unit-amplitude variance path for the Wick subtraction
-    c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0, kernel=kern)
+    c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0)
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
 
     raw = np.zeros((replicas, M + 1))
     for r in range(replicas):
         noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=ROLE_RENORM)
-        lin = LinearPath(noise, coeffs, 1.0, kernel=kern)
+        lin = LinearPath(noise, coeffs, 1.0)
         iw2 = np.zeros(grid.hshape, dtype=np.complex128)
         for j in range(M + 1):
             w2 = product_spectra([lin.state, lin.state], N, band=band)

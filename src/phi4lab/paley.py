@@ -15,6 +15,10 @@ transposed part (``para_gt``), and the diagonal ``|k - l| <= 1`` part
 :func:`.grids.binary_size` (the smallest even 5-smooth size above ``3N/2``),
 where the product of two closed-band factors is alias free, so the three
 pieces sum to the dealiased product exactly.
+
+The partition is a function of the grid alone, so no function here takes
+one: each looks it up with :func:`default_partition`, which keeps one
+partition (and its scratch stacks) per grid for the process.
 """
 
 from __future__ import annotations
@@ -211,11 +215,8 @@ class DyadicPartition:
 
 @lru_cache(maxsize=8)
 def default_partition(grid: TorusGrid) -> DyadicPartition:
+    """The dyadic partition of ``grid``, one per grid for the process."""
     return DyadicPartition(grid)
-
-
-def _part(f: SpectralField, partition: DyadicPartition | None) -> DyadicPartition:
-    return default_partition(f.grid) if partition is None else partition
 
 
 def lp_norm(values: np.ndarray, p: float) -> float:
@@ -227,19 +228,14 @@ def lp_norm(values: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
 
 
-def besov_norm(
-    spec: SpectralField,
-    alpha: float,
-    partition: DyadicPartition | None = None,
-    out: np.ndarray | None = None,
-) -> float:
+def besov_norm(spec: SpectralField, alpha: float, out: np.ndarray | None = None) -> float:
     """Holder-Besov norm: ``max_k 2**(alpha k) sup |block_k|`` over grid points.
 
     ``out`` is an optional scratch buffer for the block stack, as in
     :meth:`DyadicPartition.block_values`; it is overwritten (with the
     absolute block values) and the norm does not depend on its contents.
     """
-    part = _part(spec, partition)
+    part = default_partition(spec.grid)
     vals = part.block_values(spec.coeffs, out=out)
     np.abs(vals, out=vals)
     sups = np.max(vals, axis=tuple(range(1, vals.ndim)))
@@ -265,66 +261,48 @@ def _resonant_core(bf: np.ndarray, bg: np.ndarray, N: int) -> np.ndarray:
     return _points_band(acc, N)
 
 
-def para_lt(
-    f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None
-) -> SpectralField:
+def para_lt(f: SpectralField, g: SpectralField) -> SpectralField:
     """Paraproduct with ``f`` strictly below ``g`` in frequency (f modulates g)."""
     _check_same_grid(f, g)
-    part = _part(f, partition)
+    part = default_partition(f.grid)
     bf = part.padded_blocks(f.coeffs)
     bg = part.padded_blocks(g.coeffs)
     return SpectralField(f.grid, _para_lt_core(bf, bg, f.grid.N))
 
 
-def para_gt(
-    f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None
-) -> SpectralField:
+def para_gt(f: SpectralField, g: SpectralField) -> SpectralField:
     """Paraproduct with ``f`` strictly above ``g`` in frequency."""
-    return para_lt(g, f, partition)
+    return para_lt(g, f)
 
 
-def resonant(
-    f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None
-) -> SpectralField:
+def resonant(f: SpectralField, g: SpectralField) -> SpectralField:
     """Diagonal part of the product: blocks of ``f`` and ``g`` within one level."""
     _check_same_grid(f, g)
-    part = _part(f, partition)
+    part = default_partition(f.grid)
     bf = part.padded_blocks(f.coeffs)
     bg = part.padded_blocks(g.coeffs)
     return SpectralField(f.grid, _resonant_core(bf, bg, f.grid.N))
 
 
-def nonresonant(
-    f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None
-) -> SpectralField:
+def nonresonant(f: SpectralField, g: SpectralField) -> SpectralField:
     """Full dealiased product minus its resonant part."""
-    return dealiased_product(f, g) - resonant(f, g, partition)
+    return dealiased_product(f, g) - resonant(f, g)
 
 
-def para_resonant_commutator(
-    f: SpectralField,
-    g: SpectralField,
-    h: SpectralField,
-    partition: DyadicPartition | None = None,
-) -> SpectralField:
+def para_resonant_commutator(f: SpectralField, g: SpectralField, h: SpectralField) -> SpectralField:
     """Trilinear commutator ``resonant(para_lt(f, g), h) - f * resonant(g, h)``.
 
     For fields of the regularities met here this is smoother than either term
     alone, which is what makes the diagonal pairings in the solver well
     defined; it is evaluated literally from its definition.
     """
-    part = _part(f, partition)
-    lhs = resonant(para_lt(f, g, part), h, part)
-    rhs = dealiased_product(f, resonant(g, h, part))
+    lhs = resonant(para_lt(f, g), h)
+    rhs = dealiased_product(f, resonant(g, h))
     return lhs - rhs
 
 
 def bernstein_ratios(
-    spec: SpectralField,
-    p: float,
-    q: float,
-    partition: DyadicPartition | None = None,
-    tiny: float = 1e-300,
+    spec: SpectralField, p: float, q: float, tiny: float = 1e-300
 ) -> dict[int, float]:
     """Per-block ratio ``||d_k f||_q / (2**(k d (1/p - 1/q)) ||d_k f||_p)``.
 
@@ -332,7 +310,7 @@ def bernstein_ratios(
     """
     if q < p:
         raise ValueError("q must be >= p")
-    part = _part(spec, partition)
+    part = default_partition(spec.grid)
     vals = part.block_values(spec.coeffs)
     d = spec.grid.dim
     out = {}
@@ -344,13 +322,7 @@ def bernstein_ratios(
     return out
 
 
-def schauder_ratio(
-    spec: SpectralField,
-    t: float,
-    alpha: float,
-    beta: float,
-    partition: DyadicPartition | None = None,
-) -> float:
+def schauder_ratio(spec: SpectralField, t: float, alpha: float, beta: float) -> float:
     """Smoothing ratio ``t**((beta-alpha)/2) ||P_t f||_beta / ||f||_alpha``.
 
     Bounded uniformly in ``t`` and ``f`` when ``beta >= alpha``; used as an
@@ -360,9 +332,8 @@ def schauder_ratio(
         raise ValueError("beta must be >= alpha")
     if t <= 0:
         raise ValueError("t must be positive")
-    part = _part(spec, partition)
-    denom = besov_norm(spec, alpha, part)
+    denom = besov_norm(spec, alpha)
     if denom == 0:
         return 0.0
-    num = besov_norm(heat_propagate(spec, 0.0, t), beta, part)
+    num = besov_norm(heat_propagate(spec, 0.0, t), beta)
     return float(t ** ((beta - alpha) / 2.0) * num / denom)

@@ -15,17 +15,18 @@ Three routes to a solution path live here:
   the alias-free ``2N`` grid.  :func:`reconstruct_phi` re-assembles phi.
 
 The two stochastic routes are one discrete map.  Every stepper takes the ETD1
-step ``u <- P u + E f`` of :class:`.noise.StepKernel`, and the remainder
-right-hand sides are evaluated on the field the reconstruction rebuilds, so
-the reconstructed step equals the direct step whenever the right-hand sides
-agree at a fixed state.  They agree to rounding while ``2 cutoff <= N/2 - 1``
-(at most 3.2e-15 relative on 32^2, 64^2, 16^3, 24^3 and 32^3): the integral
-``iww`` of ``res_iwick3_wick2`` (band ``5 cutoff``) enters the right-hand
-sides projected onto the open band, the part the reconstruction keeps.  From
-``2 cutoff > N/2 - 1`` on the Wick square is cut at the band, and at cutoff
-``N/2 - 1`` the route gap is about 1e-9 relative (:func:`equivalence_report`
-measures it).  At
-``sigma = 0`` the remainder route is the deterministic solver bit for bit.
+step ``u <- P u + E f`` of one :class:`.noise.StepKernel`, looked up by
+:func:`.noise.step_kernel` from the grid, time grid and damping, and the
+remainder right-hand sides are evaluated on the field the reconstruction
+rebuilds, so the reconstructed step equals the direct step whenever the
+right-hand sides agree at a fixed state.  They agree to rounding while
+``2 cutoff <= N/2 - 1`` (at most 3.2e-15 relative on 32^2, 64^2, 16^3, 24^3
+and 32^3): the integral ``iww`` of ``res_iwick3_wick2`` (band ``5 cutoff``)
+enters the right-hand sides projected onto the open band, the part the
+reconstruction keeps.  From ``2 cutoff > N/2 - 1`` on the Wick square is cut
+at the band, and at cutoff ``N/2 - 1`` the route gap is about 1e-9 relative
+(:func:`equivalence_report` measures it).  At ``sigma = 0`` the remainder
+route is the deterministic solver bit for bit.
 
 Each solve records its path through :func:`.noise.record` and returns a
 :class:`SolutionPath` (one per recorded field for the remainder route).
@@ -52,14 +53,13 @@ from .coeffs import CoefficientSet, as_poly
 from .grids import RealField, SpectralField, TorusGrid, _band_points, _points_band, idft
 from .noise import (
     NoiseRealization,
-    StepKernel,
     TimeGrid,
     _constant_path,
-    _kernel_for,
     _require_centred_cutoff,
     lin_variance_path,
     quartic_constant,
     record,
+    step_kernel,
 )
 from .paley import _para_lt_core, _resonant_core
 from .symbols import SymbolStepper
@@ -167,7 +167,7 @@ def solve_deterministic(
     state); it is truncated to the open band.
     """
     g2, g0 = _as_timefunc(g2), _as_timefunc(g0)
-    kern = StepKernel(grid, timegrid, CoefficientSet(0.0, g1, timegrid.T))
+    kern = step_kernel(grid, timegrid, CoefficientSet(0.0, g1, timegrid.T))
     phi = np.where(grid.kinf <= grid.N // 2 - 1, _coerce_state(grid, phi0), 0.0)
     zero = (0,) * grid.dim
     j = 0
@@ -189,7 +189,8 @@ def solve_deterministic(
 class RenormalizedStepper:
     """Direct exponential-Euler step for the renormalized stochastic equation.
 
-    ``noise`` fixes the grid, horizon, band and stream.  Nonlinearity
+    ``noise`` fixes the grid, horizon, band and stream, and with ``coeffs``
+    the step kernel (:func:`.noise.step_kernel`).  Nonlinearity
     ``-phi^3 + f2 phi^2 + (3c - 18ct) phi - f2 c`` with the quadratic
     constant ``c`` (the exact variance path of the stochastic convolution,
     zero at ``sigma = 0``) and the quartic constant ``ct``; noise injected
@@ -208,7 +209,6 @@ class RenormalizedStepper:
         noise: NoiseRealization,
         coeffs: CoefficientSet,
         sigma: float,
-        kernel: StepKernel | None = None,
         *,
         ctilde,
         forcing=None,
@@ -220,9 +220,9 @@ class RenormalizedStepper:
         self.timegrid = timegrid
         self.coeffs = coeffs
         self.sigma = float(sigma)
-        self.kernel = _kernel_for(grid, timegrid, coeffs, kernel)
+        self.kernel = step_kernel(grid, timegrid, coeffs)
         self.forcing = None if forcing is None else _as_timefunc(forcing)
-        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
+        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
         self.phi = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
@@ -498,10 +498,9 @@ def equivalence_report(
 
     def one_gap(noise) -> tuple[float, float]:
         tg = noise.timegrid
-        kern = StepKernel(grid, tg, coeffs)
         ct = np.interp(tg.ts, rep["times"], rep["estimate"])
-        direct = RenormalizedStepper(noise, coeffs, sigma, kern, ctilde=ct)
-        vw = VWStepper(SymbolStepper(noise, coeffs, sigma, kern, ctilde=ct))
+        direct = RenormalizedStepper(noise, coeffs, sigma, ctilde=ct)
+        vw = VWStepper(SymbolStepper(noise, coeffs, sigma, ctilde=ct))
         sup_d = 0.0
         sup_gap = 0.0
         for j in range(tg.M + 1):

@@ -42,14 +42,13 @@ from .grids import TorusGrid, _band_points, _points_band, product_spectra
 from .noise import (
     LinearPath,
     NoiseRealization,
-    StepKernel,
     TimeGrid,
     _constant_path,
-    _kernel_for,
     _recorded_indices,
     _require_centred_cutoff,
     lin_variance_path,
     record,
+    step_kernel,
 )
 from .paley import _resonant_core, default_partition
 
@@ -95,7 +94,8 @@ _CATALOG_ONLY = ("res_iwick3_lin", "res_iwick2_wick2")
 class SymbolStepper:
     """Advances the whole ensemble of one noise realization a step at a time.
 
-    ``noise`` fixes the grid, horizon, band and stream.  Memory stays bounded
+    ``noise`` fixes the grid, horizon, band and stream, and with ``coeffs``
+    the step kernel (:func:`.noise.step_kernel`).  Memory stays bounded
     in the number of steps, so this is the engine used for long runs;
     :func:`build_ensemble` wraps it when full paths fit in memory.
 
@@ -119,7 +119,6 @@ class SymbolStepper:
         noise: NoiseRealization,
         coeffs: CoefficientSet,
         sigma: float,
-        kernel: StepKernel | None = None,
         *,
         ctilde,
     ):
@@ -131,11 +130,11 @@ class SymbolStepper:
         self.coeffs = coeffs
         self.sigma = float(sigma)
         self.band = grid.N // 2 - 1
-        self.kernel = _kernel_for(grid, timegrid, coeffs, kernel)
+        self.kernel = step_kernel(grid, timegrid, coeffs)
         self.partition = default_partition(grid)
-        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma, kernel=self.kernel)
+        self.c = lin_variance_path(grid, timegrid, noise.cutoff, coeffs, self.sigma)
         self.ctilde = _constant_path(ctilde, timegrid, "quartic constant")
-        self.lin = LinearPath(noise, coeffs, self.sigma, kernel=self.kernel)
+        self.lin = LinearPath(noise, coeffs, self.sigma)
         self.iw2 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iw3 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iww = np.zeros(grid.hshape, dtype=np.complex128)

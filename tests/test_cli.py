@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import phi4lab
-from phi4lab import cli
+from phi4lab import cli, noise
 from phi4lab.cli import (
     check_partition_unity,
     cmd_equivalence,
@@ -182,6 +182,20 @@ class TestConfigErrorsAtCli:
         assert "~798 MiB" in err["message"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_override_outside_the_schema_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, seed):
+        # --seed enters the document before validation, so a seed the schema
+        # rejects is named like one written in the file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc()))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out), "--seed", seed])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["master_seed"]
+        assert not out.exists()
+
     def test_threads_flag_is_gone(self, capsys):
         # replicas run one after another in tail_estimate; a pool size would change nothing
         with pytest.raises(SystemExit):
@@ -251,6 +265,24 @@ class TestTailCommand:
         cmd_tail(_cfg(replicas=5), tmp_path)
         man = RunManifest.load(tmp_path / "manifest.json")
         assert man.seeds == [[7, r] for r in range(5)] + [[8, r] for r in range(5)]
+
+    def test_levels_share_one_step_kernel(self, tmp_path, monkeypatch):
+        # a kernel depends on the grid, time grid and damping alone, so with
+        # polynomial damping each step's variance quadrature runs once for
+        # the whole command, not once per noise level
+        calls = []
+        quad = noise._damped_kernel_integral
+
+        def counting(*args):
+            calls.append(args[2])
+            return quad(*args)
+
+        monkeypatch.setattr(noise, "_damped_kernel_integral", counting)
+        noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
+        cfg = _cfg(a=[-1.0, 0.5], replicas=3)
+        assert len(cfg.sigmas) == 2
+        cmd_tail(cfg, tmp_path)
+        assert sorted(calls) == sorted(cfg.timegrid().ts[1:])
 
     def test_seed_override_changes_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from phi4lab import concentration
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import (
     TailCurve,
@@ -42,8 +43,8 @@ from phi4lab.concentration import (
     tail_report_json,
 )
 from phi4lab.grids import SpectralField, TorusGrid
-from phi4lab.noise import NoiseRealization, StepKernel, TimeGrid, quartic_renorm_mc
-from phi4lab.paley import besov_norm, default_partition
+from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc
+from phi4lab.paley import besov_norm
 from phi4lab.solvers import SolutionPath
 from phi4lab.symbols import SymbolStepper
 
@@ -64,28 +65,30 @@ class TestPathNorms:
     def test_spectral_holder_matches_per_pair_besov(self):
         grid = TorusGrid(16, 3)
         path = linear_solution_path(NoiseRealization(grid, TimeGrid(1.0, 24), 8, seed=3), DAMPED, 0.1)
-        part = default_partition(grid)
         best = 0.0
         for i in range(len(path)):
             for j in range(i + 1, len(path)):
-                d = besov_norm(SpectralField(grid, path.coeffs[j] - path.coeffs[i]), -0.7, part)
+                d = besov_norm(SpectralField(grid, path.coeffs[j] - path.coeffs[i]), -0.7)
                 best = max(best, d / (path.times[j] - path.times[i]) ** 0.05)
         fast = holder_constant(path, -0.7, 0.05)
         assert abs(fast - best) <= 1e-12 * best
 
-    def test_subsampling_cap_keeps_linear_path_exact(self):
+    def test_subsampling_cap_keeps_linear_path_exact(self, monkeypatch):
         # the identity path attains its ratio on every pair, so the evenly
         # subsampled enumeration must still return exactly 1
         ts = np.linspace(0.0, 1.0, 1500)
         assert holder_constant((ts, ts.copy()), 0.0, 1.0) == 1.0
-        assert holder_constant((ts, ts.copy()), 0.0, 1.0, cap=16) == 1.0
+        monkeypatch.setattr(concentration, "PAIR_CAP", 16)
+        assert holder_constant((ts, ts.copy()), 0.0, 1.0) == 1.0
 
-    def test_subsampling_is_a_lower_bound_on_rough_paths(self):
+    def test_subsampling_is_a_lower_bound_on_rough_paths(self, monkeypatch):
         rng = np.random.default_rng(7)
         ts = np.linspace(0.0, 1.0, 801)
         walk = np.cumsum(rng.standard_normal(801)) * 0.05
-        full = holder_constant((ts, walk), 0.0, 0.5, cap=801)
-        sub = holder_constant((ts, walk), 0.0, 0.5, cap=64)
+        monkeypatch.setattr(concentration, "PAIR_CAP", 801)
+        full = holder_constant((ts, walk), 0.0, 0.5)
+        monkeypatch.setattr(concentration, "PAIR_CAP", 64)
+        sub = holder_constant((ts, walk), 0.0, 0.5)
         assert 0.0 < sub <= full
 
     def test_gamma_outside_unit_interval_rejected(self):
@@ -396,21 +399,19 @@ class TestChaosFamilyTails:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(1.0, 16)
         sig, seed, reps = 0.7, 77, 250
-        part = default_partition(grid)
-        kern = StepKernel(grid, tg, DAMPED)
-        ct = quartic_renorm_mc(grid, tg, 3, DAMPED, seed, replicas=64, sigma=sig, kernel=kern)
+        ct = quartic_renorm_mc(grid, tg, 3, DAMPED, seed, replicas=64, sigma=sig)
         family = {"lin": 1, "iwick3": 3, "res_iwick3_wick2": 5}
         sups = {name: np.zeros(reps) for name in family}
         for r in range(reps):
             sym = SymbolStepper(
-                NoiseRealization(grid, tg, 3, seed, replica=r), DAMPED, sig, kern,
+                NoiseRealization(grid, tg, 3, seed, replica=r), DAMPED, sig,
                 ctilde=ct["estimate"],
             )
             for _ in range(tg.M):
                 sym.step()
                 vals = sym.values()
                 for name in family:
-                    b = besov_norm(SpectralField(grid, vals[name]), -0.6, part)
+                    b = besov_norm(SpectralField(grid, vals[name]), -0.6)
                     sups[name][r] = max(sups[name][r], b)
         hgrids = {
             "lin": np.linspace(1.1, 2.4, 8),

@@ -158,7 +158,7 @@ class TestStepKernel:
         grid = TorusGrid(8, 3)
         tg = TimeGrid(0.5, 10)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         closed = kern.variance(3)
         gl = kern._variance_gl(3)
         assert np.max(np.abs(closed - gl) / closed) < 1e-12
@@ -169,8 +169,8 @@ class TestStepKernel:
         tg = TimeGrid(0.5, 5)
         cs_poly = CoefficientSet(f2=0.0, a=[-1.0, 0.0], T=0.5)  # degree 1, constant value
         cs_const = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        kp = StepKernel(grid, tg, cs_poly)
-        kc = StepKernel(grid, tg, cs_const)
+        kp = StepKernel(grid, tg, cs_poly.a)
+        kc = StepKernel(grid, tg, cs_const.a)
         assert np.max(np.abs(kp.variance(2) - kc.variance(2))) < 1e-14
         assert np.max(np.abs(kp.propagator(2) - kc.propagator(2))) < 1e-15
 
@@ -178,7 +178,7 @@ class TestStepKernel:
         grid = TorusGrid(8, 1)
         tg = TimeGrid(1.0, 10)
         cs = CoefficientSet(f2=0.0, a=0.0, T=1.0)
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         w = kern.etd_weight(0)
         assert abs(w[0] - tg.dt) < 1e-14  # zero mode: plain Euler weight
         assert np.all(w <= tg.dt + 1e-14)
@@ -187,10 +187,25 @@ class TestStepKernel:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(1.0, 4)
         cs = CoefficientSet(f2=0.0, a=[-0.5, 1.0], T=1.0)
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         j = 2
         expect = np.exp(cs.alpha(tg.ts[j + 1], tg.ts[j]) - 4 * np.pi**2 * grid.k2 * tg.dt)
         assert np.max(np.abs(kern.propagator(j) - expect)) < 1e-14
+
+    def test_kept_arrays_are_read_only(self):
+        # a looked-up kernel steps every path of its key, so no caller may write into it
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.5, 5)
+        const = noise.step_kernel(grid, tg, CoefficientSet(f2=0.0, a=-1.0, T=0.5))
+        for arr in (const.propagator(2), const.etd_weight(2), const.variance(2)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        poly = noise.step_kernel(grid, tg, CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.5))
+        poly.variance(2)
+        poly.etd_weight(2)
+        for row in (poly._rows[2], poly._etd_rows[2], poly._E, poly._L, poly._linv):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
 
 
 class TestStepKernelRows:
@@ -205,7 +220,7 @@ class TestStepKernelRows:
         lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
         Ld = 4.0 * np.pi**2 * lv.astype(np.float64)
         gl = noise._gauss_legendre()
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         for _ in range(2):  # the second pass reads the stored rows
             for j in range(tg.M):
                 row = noise._damped_kernel_integral(Ld, cs.a.integ(), tg.ts[j + 1], tg.dt, gl)
@@ -237,6 +252,7 @@ class TestStepKernelRows:
             return quad(*args)
 
         monkeypatch.setattr(noise, "_damped_kernel_integral", counting)
+        noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
         stat = linear_sup_statistic(self.GRID, self.TG, 4, self.COEFFS, 0.5, -0.55)
         for r in range(5):
             stat(r, 3)
@@ -245,7 +261,7 @@ class TestStepKernelRows:
     def test_etd_weight_equals_fresh_evaluation(self):
         grid, tg, cs = self.GRID, self.TG, self.COEFFS
         L = 4.0 * np.pi**2 * grid.k2.astype(np.float64)
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         for _ in range(2):  # the second pass reads the stored rows
             for j in range(tg.M):
                 fresh = tg.dt * noise._phi1(cs.alpha(tg.ts[j + 1], tg.ts[j]) - L * tg.dt)
@@ -262,6 +278,7 @@ class TestStepKernelRows:
             return phi1(z)
 
         monkeypatch.setattr(noise, "_phi1", counting)
+        noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
         quartic_renorm_mc(self.GRID, self.TG, 3, self.COEFFS, 7, replicas=5)
         assert len(calls) == self.TG.M
 
@@ -271,11 +288,10 @@ class TestLinearPath:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 8)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        kern = StepKernel(grid, tg, cs)
 
         def run(sigma):
             noise = NoiseRealization(grid, tg, 4, seed=11, replica=0)
-            p = LinearPath(noise, cs, sigma, kernel=kern)
+            p = LinearPath(noise, cs, sigma)
             for _ in range(8):
                 p.step()
             return p.state
@@ -290,13 +306,12 @@ class TestLinearPath:
         grid = TorusGrid(2, 1)
         tg = TimeGrid(1.0, 16)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=1.0)
-        kern = StepKernel(grid, tg, cs)
         sigma = 0.8
         R = 3000
         vals = np.empty(R)
         for r in range(R):
             noise = NoiseRealization(grid, tg, 0, seed=2024, replica=r)
-            p = LinearPath(noise, cs, sigma, kernel=kern)
+            p = LinearPath(noise, cs, sigma)
             for _ in range(16):
                 p.step()
             vals[r] = p.state[0].real
@@ -327,14 +342,13 @@ class TestVarianceCurves:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 10)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        kern = StepKernel(grid, tg, cs)
         sigma = 0.7
         R = 500
         vals = np.empty(R)
         hw = grid.half_weights
         for r in range(R):
             noise = NoiseRealization(grid, tg, 4, seed=77, replica=r)
-            p = LinearPath(noise, cs, sigma, kernel=kern)
+            p = LinearPath(noise, cs, sigma)
             for _ in range(10):
                 p.step()
             vals[r] = np.sum(hw * np.abs(p.state) ** 2)
@@ -348,22 +362,46 @@ class TestVarianceCurves:
         with pytest.raises(ValueError):
             lin_variance_curve(grid, 4, cs, 1.0, [-0.1])
 
-    def test_kernel_for_another_grid_is_refused(self):
-        # a kernel for another horizon would scale every step's variance
-        # for the wrong dt; one for another damping a(t) would return 0.575
-        # here in place of 0.337
+    def test_kernel_lookup_is_keyed_by_grid_horizon_steps_and_damping(self):
+        # each variant changes one thing a kernel reads; in either call order,
+        # each gets its own kernel, so each variance path is the recursion of
+        # a fresh kernel bit for bit (a shared one would give a = 2 the 0.337
+        # of a = -1, or a = -1 the 0.575 of a = 2)
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.25, 8)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-        for kern in (StepKernel(grid, TimeGrid(0.5, 8), cs),
-                     StepKernel(grid, TimeGrid(0.25, 16), cs),
-                     StepKernel(TorusGrid(8, 1), tg, cs),
-                     StepKernel(grid, tg, CoefficientSet(f2=0.0, a=2.0, T=0.5))):
-            with pytest.raises(ValueError, match="kernel"):
-                lin_variance_path(grid, tg, 3, cs, 1.0, kernel=kern)
-        own = StepKernel(grid, tg, cs)
-        assert np.array_equal(lin_variance_path(grid, tg, 3, cs, 1.0, kernel=own),
-                              lin_variance_path(grid, tg, 3, cs, 1.0))
+
+        def fresh(grid, tg, cs):
+            kern = StepKernel(grid, tg, cs.a)
+            hw = grid.half_weights * (grid.kinf <= 3)
+            var = np.zeros(grid.hshape)
+            out = [0.0]
+            for j in range(tg.M):
+                var = kern.propagator(j) ** 2 * var + kern.variance(j)
+                out.append(float(np.sum(hw * var)))
+            return np.array(out)
+
+        base = (grid, tg, cs)
+        variants = [(grid, TimeGrid(0.5, 8), cs), (grid, TimeGrid(0.25, 16), cs),
+                    (TorusGrid(8, 1), tg, cs), (grid, tg, CoefficientSet(f2=0.0, a=2.0, T=0.5))]
+        for variant in variants:
+            for order in ((base, variant), (variant, base)):
+                noise._cached_kernel.cache_clear()
+                for g, t, c in order:
+                    got = lin_variance_path(g, t, 3, c, 1.0)
+                    assert got.tobytes() == fresh(g, t, c).tobytes()
+        assert abs(lin_variance_path(grid, tg, 3, cs, 1.0)[-1] - 0.337) < 5e-4
+        assert abs(lin_variance_path(grid, tg, 3, variants[-1][2], 1.0)[-1] - 0.575) < 5e-4
+
+    def test_equal_keys_share_one_kernel(self):
+        grid = TorusGrid(8, 2)
+        cs = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.5)
+        kern = noise.step_kernel(grid, TimeGrid(0.25, 8), cs)
+        # another TimeGrid, grid object and f2 with the same key: the same kernel
+        other = CoefficientSet(f2=0.7, a=[-1.0, 0.5], T=1.0)
+        assert noise.step_kernel(TorusGrid(8, 2), TimeGrid(0.25, 8), other) is kern
+        nudged = CoefficientSet(f2=0.0, a=[-1.0, 0.4], T=0.5)
+        assert noise.step_kernel(grid, TimeGrid(0.25, 8), nudged) is not kern
 
 
 class TestQuarticConstant:
@@ -373,13 +411,13 @@ class TestQuarticConstant:
         grid = TorusGrid(8, 3)
         tg = TimeGrid(0.25, 8)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
-        kern = StepKernel(grid, tg, cs)
+        kern = StepKernel(grid, tg, cs.a)
         noise = NoiseRealization(grid, tg, 2, seed=13, replica=0, role=1)
         from phi4lab.grids import product_spectra
         from phi4lab.noise import ROLE_RENORM
         from phi4lab.paley import default_partition
 
-        lin = LinearPath(noise, cs, 1.0, kernel=kern)
+        lin = LinearPath(noise, cs, 1.0)
         var = np.zeros(grid.hshape)
         iw2 = np.zeros(grid.hshape, dtype=np.complex128)
         band = min(4, grid.N // 2 - 1)
@@ -448,23 +486,6 @@ class TestQuarticConstant:
         rep = quartic_renorm_mc(grid, tg, 3, cs, seed=23, replicas=96)
         assert rep["estimate"][8] > 0
         assert rep["estimate"][8] > 2 * rep["se"][8]
-
-    def test_kernel_for_another_grid_is_refused(self, monkeypatch):
-        # refused up front, before the variance path is computed with it
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.25, 6)
-        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("the variance path ran on a foreign kernel")
-
-        monkeypatch.setattr(noise, "lin_variance_path", boom)
-        for kern in (StepKernel(grid, TimeGrid(0.5, 6), cs),
-                     StepKernel(grid, TimeGrid(0.25, 12), cs),
-                     StepKernel(TorusGrid(8, 1), tg, cs),
-                     StepKernel(grid, tg, CoefficientSet(f2=0.0, a=2.0, T=0.5))):
-            with pytest.raises(ValueError, match="kernel"):
-                quartic_renorm_mc(grid, tg, 2, cs, seed=25, replicas=2, kernel=kern)
 
     def test_quartic_constant_runs_on_the_coarse_grid(self):
         grid = TorusGrid(8, 2)

@@ -35,7 +35,7 @@ from phi4lab import grids, noise, paley, solvers, symbols
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import linear_solution_path
 from phi4lab.grids import SpectralField, TorusGrid, binary_size, dealiased_product, random_band_field
-from phi4lab.noise import LinearPath, NoiseRealization, StepKernel, TimeGrid, quartic_renorm_mc
+from phi4lab.noise import LinearPath, NoiseRealization, TimeGrid, quartic_renorm_mc
 from phi4lab.paley import besov_norm, nonresonant, para_gt, para_lt, para_resonant_commutator, resonant
 from phi4lab.solvers import (
     F_rhs,
@@ -117,10 +117,10 @@ class TestRenormalized:
         grid = TorusGrid(8, dim)
         tg = TimeGrid(0.4, 40)
         co = CoefficientSet(0.7, [-1.0, -0.5], 0.4)
-        kern = StepKernel(grid, tg, co)
         noise = NoiseRealization(grid, tg, 3, 77)
-        st = RenormalizedStepper(noise, co, 0.4, kern, ctilde=0.01)
-        lp = LinearPath(noise, co, 0.4, kernel=kern)
+        st = RenormalizedStepper(noise, co, 0.4, ctilde=0.01)
+        lp = LinearPath(noise, co, 0.4)
+        assert st.kernel is lp.kernel
         st.step()
         lp.step()
         assert np.max(np.abs(lp.state)) > 0.0
@@ -153,13 +153,6 @@ class TestRenormalized:
         noise = NoiseRealization(grid, tg, 3, 0)
         with pytest.raises(ValueError, match="one value per grid time"):
             RenormalizedStepper(noise, co, 0.1, ctilde=np.zeros(5))
-        # a kernel for another horizon, step count or grid would inject
-        # increments scaled for the wrong dt or broadcast across a wrong axis
-        for kern in (StepKernel(grid, TimeGrid(0.4, 10), co),
-                     StepKernel(grid, TimeGrid(0.2, 20), co),
-                     StepKernel(TorusGrid(8, 1), tg, co)):
-            with pytest.raises(ValueError, match="kernel"):
-                RenormalizedStepper(noise, co, 0.1, kern, ctilde=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -455,40 +448,40 @@ class TestRemainderRhs:
         # |wick2| in the matching norms; the fitted constant should not move
         # much across states
         s = rhs_setup
-        grid, syms, part = s["grid"], s["syms"], s["part"]
+        grid, syms = s["grid"], s["syms"]
         eps = 0.05
         f2sup = max(abs(float(s["co"].f2(t))) for t in s["tg"].ts)
-        nV = besov_norm(SpectralField(grid, syms["wick2"]), -1 - eps, part)
-        nI3 = besov_norm(SpectralField(grid, syms["iwick3"]), 0.5 - eps, part)
+        nV = besov_norm(SpectralField(grid, syms["wick2"]), -1 - eps)
+        nI3 = besov_norm(SpectralField(grid, syms["iwick3"]), 0.5 - eps)
         fitted = []
         for k in range(6):
             rng = np.random.default_rng(100 + k)
             v = random_band_field(grid, rng, grid.N // 2 - 1, 0.3).coeffs
             w = random_band_field(grid, rng, grid.N // 2 - 1, 0.2).coeffs
             F = _F(s, v, w)
-            nF = besov_norm(SpectralField(grid, F), -1 - eps, part)
-            nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps, part)
-            nw = besov_norm(SpectralField(grid, w), 1.5 - 2 * eps, part)
+            nF = besov_norm(SpectralField(grid, F), -1 - eps)
+            nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps)
+            nw = besov_norm(SpectralField(grid, w), 1.5 - 2 * eps)
             fitted.append(nF / ((nv + nw + nI3 + f2sup) * nV))
         assert all(np.isfinite(c) and c < 1.0 for c in fitted)
         assert max(fitted) / min(fitted) < 3.0
 
     def test_G_norm_finite_with_stable_constant(self, rhs_setup):
         s = rhs_setup
-        grid, syms, part = s["grid"], s["syms"], s["part"]
+        grid, syms = s["grid"], s["syms"]
         eps = 0.05
-        nV = besov_norm(SpectralField(grid, syms["wick2"]), -1 - eps, part)
-        nI3 = besov_norm(SpectralField(grid, syms["iwick3"]), 0.5 - eps, part)
+        nV = besov_norm(SpectralField(grid, syms["wick2"]), -1 - eps)
+        nI3 = besov_norm(SpectralField(grid, syms["iwick3"]), 0.5 - eps)
         fitted = []
         for k in range(6):
             rng = np.random.default_rng(200 + k)
             v = random_band_field(grid, rng, grid.N // 2 - 1, 0.3).coeffs
             w = random_band_field(grid, rng, grid.N // 2 - 1, 0.2).coeffs
             G = _G(s, v, w)
-            nG = besov_norm(SpectralField(grid, G), -0.5 - eps, part)
+            nG = besov_norm(SpectralField(grid, G), -0.5 - eps)
             assert np.isfinite(nG)
-            nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps, part)
-            nw = besov_norm(SpectralField(grid, w), 1.5 - 2 * eps, part)
+            nv = besov_norm(SpectralField(grid, v), 1 - 2 * eps)
+            nw = besov_norm(SpectralField(grid, w), 1.5 - 2 * eps)
             fitted.append(nG / ((1 + nv + nw) ** 3 * (1 + nV + nI3) ** 2))
         assert max(fitted) / min(fitted) < 10.0
 
@@ -620,10 +613,9 @@ class TestOneDiscreteMap:
         tg = TimeGrid(0.5, 40)
         co = CoefficientSet([0.3, 0.2], [-1.0, 0.5], 0.5)
         ct = sigma**4 * np.linspace(0.0, 1e-3, tg.M + 1)
-        kern = StepKernel(grid, tg, co)
         nz = NoiseRealization(grid, tg, cutoff, 1)
-        vw = VWStepper(SymbolStepper(nz, co, sigma, kern, ctilde=ct))
-        direct = RenormalizedStepper(nz, co, sigma, kern, ctilde=ct)
+        vw = VWStepper(SymbolStepper(nz, co, sigma, ctilde=ct))
+        direct = RenormalizedStepper(nz, co, sigma, ctilde=ct)
         for _ in range(6):
             vw.step()
             direct.step()

@@ -18,6 +18,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
   together with a value the noise realization already fixes (``grid``,
   ``timegrid``, ``cutoff``, ``seed`` or ``replica``): a path is named by its
   noise alone, so there is no second copy of those values to disagree with.
+* No public function or constructor of ``src/phi4lab`` takes a ``kernel`` or
+  a ``partition``: the step kernel and the dyadic partition are looked up
+  from what fixes them.  ``cli.check_partition_unity`` is the one exception,
+  so that its test can inject a faulty partition.
 """
 
 import ast
@@ -182,14 +186,22 @@ def test_every_module_level_import_is_used(path):
 _NOISE_FIXES = ("grid", "timegrid", "cutoff", "seed", "replica")
 
 
-def _takes_loose_noise(fn: ast.FunctionDef) -> bool:
+def _params(fn: ast.FunctionDef) -> set[str]:
     args = fn.args
     params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    for extra in (args.vararg, args.kwarg):
+        if extra is not None:
+            params.add(extra.arg)
+    return params
+
+
+def _takes_loose_noise(fn: ast.FunctionDef) -> bool:
+    params = _params(fn)
     return "noise" in params and not params.isdisjoint(_NOISE_FIXES)
 
 
-def _loose_noise_parameters(package) -> dict[str, list[str]]:
-    """Public functions and constructors taking ``noise`` beside a value it fixes."""
+def _public_apis_where(package, takes) -> dict[str, list[str]]:
+    """Public functions, and classes by their constructor, whose signature ``takes``."""
     found = {}
     for path in package:
         names = []
@@ -201,11 +213,16 @@ def _loose_noise_parameters(package) -> dict[str, list[str]]:
                 fns = [node]
             else:
                 continue
-            if not node.name.startswith("_") and any(map(_takes_loose_noise, fns)):
+            if not node.name.startswith("_") and any(map(takes, fns)):
                 names.append(node.name)
         if names:
             found[path.stem] = names
     return found
+
+
+def _loose_noise_parameters(package) -> dict[str, list[str]]:
+    """Public functions and constructors taking ``noise`` beside a value it fixes."""
+    return _public_apis_where(package, _takes_loose_noise)
 
 
 def test_no_public_api_takes_noise_beside_what_it_fixes():
@@ -227,3 +244,34 @@ def test_the_check_sees_noise_beside_a_loose_parameter(tmp_path):
         "def _helper(noise, timegrid):\n    pass\n"
     )
     assert _loose_noise_parameters([mod]) == {"loose": ["Stepper", "run"]}
+
+
+# what the package looks up from what fixes it: the step kernel from the grid,
+# time grid and damping (noise.step_kernel), the dyadic partition from the grid
+# (paley.default_partition); a passed copy could disagree with its key
+_LOOKED_UP = ("kernel", "partition")
+# the unity check takes a partition so that its test can hand it a faulty one
+_TAKES_A_PARTITION = {"cli": ["check_partition_unity"]}
+
+
+def _takes_looked_up(fn: ast.FunctionDef) -> bool:
+    return not _params(fn).isdisjoint(_LOOKED_UP)
+
+
+def test_no_public_api_takes_a_kernel_or_a_partition():
+    assert _public_apis_where(PACKAGE, _takes_looked_up) == _TAKES_A_PARTITION
+
+
+def test_the_check_sees_a_kernel_or_a_partition_parameter(tmp_path):
+    mod = tmp_path / "passed.py"
+    mod.write_text(
+        "class Path:\n"
+        "    def __init__(self, noise, coeffs, kernel=None):\n        pass\n\n"
+        "class Walker:\n"
+        "    def __init__(self, noise, coeffs):\n        pass\n\n"
+        "def norm(spec, alpha, *, partition=None):\n    pass\n\n"
+        "def blocks(spec, out=None):\n    pass\n\n"
+        "def _helper(spec, partition):\n    pass\n"
+    )
+    assert _public_apis_where([mod], _takes_looked_up) == {"passed": ["Path", "norm"]}
+

@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from phi4lab import paley, symbols
+from phi4lab import noise, paley, symbols
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import SpectralField, TorusGrid
 from phi4lab.noise import (
     LinearPath,
     NoiseRealization,
-    StepKernel,
     TimeGrid,
     lin_variance_curve,
     lin_variance_path,
@@ -167,7 +166,8 @@ class TestStepper:
         assert st.timegrid is coarse.timegrid
         assert (st.timegrid.M, st.timegrid.dt) == (half.M, half.dt)
         assert np.array_equal(st.c, lin_variance_path(grid, half, 4, co, 0.8))
-        lp = LinearPath(coarse, co, 0.8, kernel=StepKernel(grid, half, co))
+        assert st.kernel is noise.step_kernel(grid, half, co)
+        lp = LinearPath(coarse, co, 0.8)
         for _ in range(half.M):
             st.step()
             lp.step()
@@ -279,8 +279,7 @@ def centering_samples():
     """Final-time statistics over independent replicas with a shared
     quartic-constant estimate from the dedicated stream."""
     grid, tg, co = small_setup()
-    kern = StepKernel(grid, tg, co)
-    report = quartic_renorm_mc(grid, tg, 4, co, seed=77, replicas=256, sigma=1.0, kernel=kern)
+    report = quartic_renorm_mc(grid, tg, 4, co, seed=77, replicas=256, sigma=1.0)
     ct = report["estimate"]
     reps = 256
     out = {
@@ -292,7 +291,7 @@ def centering_samples():
     hw = grid.half_weights
     zero = (0, 0)
     for r in range(reps):
-        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=77, replica=r), co, 1.0, kern, ctilde=ct)
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=77, replica=r), co, 1.0, ctilde=ct)
         for _ in range(tg.M):
             st.step()
         v = st.catalog()
