@@ -14,7 +14,7 @@ import numpy as np
 
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import SpectralField, TorusGrid
-from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc
+from phi4lab.noise import NoiseRealization, TimeGrid, quartic_constant
 from phi4lab.paley import besov_norm
 from phi4lab.symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
 
@@ -45,10 +45,10 @@ def main():
     # Amplitude decomposition of the deepest symbol (degree 5).  The same
     # seed is rebuilt at six amplitudes; the Vandermonde solve recovers the
     # amplitude-power kernels, and only the degree-5 component carries mass.
-    # The quartic constant is estimated once at unit amplitude; each
-    # amplitude s then runs with s**4 times it.
+    # The quartic constant is computed once, exactly, at unit amplitude;
+    # each amplitude s then runs with s**4 times it.
     grid8, tg16 = TorusGrid(8, 2), TimeGrid(0.5, 16)
-    ct = quartic_renorm_mc(grid8, tg16, 3, coeffs, seed=9, replicas=64)["estimate"]
+    ct = quartic_constant(grid8, tg16.T, tg16.M, 3, coeffs)["estimate"]
     dec = chaos_components(NoiseRealization(grid8, tg16, 3, seed=9), coeffs,
                            name="res_iwick3_wick2", ctilde=ct)
     mass = dec.mass(1.0)

@@ -10,14 +10,17 @@ symbols
     over time; dumps the final quintic-symbol field.
 renorm
     Sweep band cutoffs and tabulate the quadratic constant (exact
-    quadrature) and the quartic constant (Monte Carlo over
-    ``ctilde_replicas`` paths, as in every command) at mid-horizon, with
-    linear and logarithmic fit summaries.  Cutoff ``n`` runs on the
-    grid ``N = 2n + 2``, the smallest on which its Wick square is centred.
-    Each row carries ``dt * L_max``, with ``dt`` the step of the grid the
-    quartic constant is estimated on and ``L_max = 4 pi^2 dim n^2`` the
-    largest band eigenvalue: where it is large, the time step, not the
-    cutoff, regulates the discrete quartic constant.
+    quadrature) and the quartic constant at mid-horizon, with linear and
+    logarithmic fit summaries.  The quartic constant is the exact Isserlis
+    sum of :func:`.noise.quartic_constant`, as in every command: O(M^2)
+    dealiased products on ``min(50, M)`` steps.  ``ctilde_mc`` and
+    ``ctilde_se`` cross-check it with a Monte Carlo over
+    ``ctilde_replicas`` paths, the only output that key sizes.  Cutoff
+    ``n`` runs on the grid ``N = 2n + 2``, the smallest on which its Wick
+    square is centred.  Each row carries ``dt * L_max``, with ``dt`` the
+    step of the grid the quartic constant is computed on and ``L_max = 4
+    pi^2 dim n^2`` the largest band eigenvalue: where it is large, the time
+    step, not the cutoff, regulates the discrete quartic constant.
 simulate
     Run the remainder system at the configured parameters and write the
     norm table plus the final reconstructed field.
@@ -117,8 +120,7 @@ def write_field_bin(path, values: np.ndarray, meta: dict) -> None:
 def _ctilde_path(cfg: ExperimentConfig, grid: TorusGrid, tg: TimeGrid,
                  co: CoefficientSet, sigma: float) -> np.ndarray:
     """Quartic constant at amplitude ``sigma``, interpolated onto ``tg``."""
-    rep = quartic_constant(grid, cfg.T, tg.M, cfg.cutoff, co, cfg.master_seed,
-                           cfg.ctilde_replicas, sigma=sigma)
+    rep = quartic_constant(grid, cfg.T, tg.M, cfg.cutoff, co, sigma=sigma)
     return np.interp(tg.ts, rep["times"], rep["estimate"])
 
 
@@ -220,7 +222,7 @@ def _check_homogeneity() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     tg = TimeGrid(0.5, 8)
     co = CoefficientSet(0.3, -1.0, 0.5)
-    ct = quartic_renorm_mc(grid, tg, 2, co, 3, replicas=8)["estimate"]
+    ct = quartic_constant(grid, tg.T, tg.M, 2, co)["estimate"]
     dec = chaos_components(NoiseRealization(grid, tg, 2, seed=3), co, "res_iwick3_wick2", ctilde=ct)
     m1, m2 = dec.mass(1.0), dec.mass(2.0)
     top = max(m1.values())
@@ -237,7 +239,7 @@ _EQUIVALENCE_SMOKE_GAP = 1e-8
 def _check_equivalence_smoke() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     co = CoefficientSet(0.5, -1.0, 0.25)
-    rep = equivalence_report(grid, 0.25, 20, 3, co, 0.1, seed=5, ctilde_replicas=8)
+    rep = equivalence_report(grid, 0.25, 20, 3, co, 0.1, seed=5)
     ok = all(np.isfinite(g) and g <= _EQUIVALENCE_SMOKE_GAP
              for g in (rep["gap"], rep["gap_refined"]))
     return bool(ok), {"gap": rep["gap"], "gap_refined": rep["gap_refined"]}
@@ -339,26 +341,30 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     for n in cfg.cutoff_list:
         gridn = TorusGrid(2 * n + 2, cfg.dimension)
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
-        rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, cfg.master_seed,
-                               cfg.ctilde_replicas, sigma=sigma)
-        # dt of the grid c~ was estimated on, times the largest band eigenvalue
-        dt_lmax = cfg.T / (len(rep["times"]) - 1) * 4.0 * np.pi**2 * cfg.dimension * n**2
+        rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, sigma=sigma)
+        coarse = TimeGrid(cfg.T, len(rep["times"]) - 1)
+        mc = quartic_renorm_mc(gridn, coarse, n, co, cfg.master_seed,
+                               replicas=cfg.ctilde_replicas, sigma=sigma)
+        # dt of the grid c~ is computed on, times the largest band eigenvalue
+        dt_lmax = coarse.dt * 4.0 * np.pi**2 * cfg.dimension * n**2
         ct_val = float(np.interp(tmid, rep["times"], rep["estimate"]))
-        ct_se = float(np.interp(tmid, rep["times"], rep["se"]))
-        rows.append((n, c_val, ct_val, ct_se, dt_lmax))
+        ct_mc = float(np.interp(tmid, mc["times"], mc["estimate"]))
+        ct_se = float(np.interp(tmid, mc["times"], mc["se"]))
+        rows.append((n, c_val, ct_val, ct_mc, ct_se, dt_lmax))
     with open(out_dir / "renorm.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "c_n", "ctilde_n", "ctilde_se"])
-        for n, c_val, ct_val, ct_se, _ in rows:
-            writer.writerow([n, f"{c_val:.12g}", f"{ct_val:.12g}", f"{ct_se:.12g}"])
+        writer.writerow(["n", "c_n", "ctilde_n", "ctilde_mc", "ctilde_se"])
+        for n, *vals, _ in rows:
+            writer.writerow([n] + [f"{v:.12g}" for v in vals])
     ns = [r[0] for r in rows]
     report = {
         "t": tmid,
         "ctilde_replicas": cfg.ctilde_replicas,
         "c_fit_vs_n": _linear_fit(ns, [r[1] for r in rows]),
         "ctilde_fit_vs_log_n": _linear_fit(np.log(ns), [r[2] for r in rows]),
-        "rows": [{"n": n, "c": c, "ctilde": ct, "ctilde_se": se, "dt_L_max": dl}
-                 for n, c, ct, se, dl in rows],
+        "rows": [{"n": n, "c": c, "ctilde": ct, "ctilde_mc": ct_mc, "ctilde_se": se,
+                  "dt_L_max": dl}
+                 for n, c, ct, ct_mc, se, dl in rows],
     }
     _dump_json(report, out_dir / "renorm_fits.json")
     files = ["renorm.csv", "renorm_fits.json"]
@@ -369,7 +375,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
-    # v, w and phi at every recorded time: refuse before the c~ Monte Carlo runs
+    # v, w and phi at every recorded time: refuse before c~ is computed
     try:
         _recorded_indices(tg, cfg.record_every, 3 * 16 * int(np.prod(grid.hshape)))
     except ValueError as exc:
@@ -452,8 +458,7 @@ def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                      "the direct solution is zero and the relative gap is 0/0")])
     t0 = time.perf_counter()
     rep = equivalence_report(cfg.grid(), cfg.T, cfg.steps, cfg.cutoff, cfg.coeffs(),
-                             cfg.sigmas[0], cfg.master_seed,
-                             ctilde_replicas=cfg.ctilde_replicas)
+                             cfg.sigmas[0], cfg.master_seed)
     _dump_json(rep, out_dir / "equivalence.json")
     _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence")
     return rep

@@ -76,6 +76,8 @@ CONFIG_SCHEMA = {
         "master_seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "out_dir": {"type": "string", "minLength": 1},
         "record_every": {"type": "integer", "minimum": 1},
+        # replicas of renorm's Monte Carlo cross-check of the exact quartic
+        # constant; no other output depends on it
         "ctilde_replicas": {"type": "integer", "minimum": 1},
         "label": {"type": "string"},
     },

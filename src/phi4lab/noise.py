@@ -15,14 +15,17 @@ is discretized with the first-order exponential time-differencing (ETD1) rule
 ``I(t_{j+1}) = P_j I(t_j) + E_j f(t_j)``, ``P_j`` the damped heat step and
 ``E_j`` the integral of the propagator over the step with the damping at its
 step mean (:meth:`StepKernel.etd_weight`).  Every stepper in the package (the direct
-solvers, the symbol integrals, the remainder pair and the quartic-constant
-Monte Carlo) takes this one step, so the two solution routes are one discrete
-map.  The noise itself is injected with the exact per-step variance kernel
-(closed form for constant damping, boundary-layer Gauss-Legendre quadrature
-for polynomial damping, on the 48 nodes of numpy's ``leggauss``), so the
-discrete stochastic convolution has the exact continuum marginal law at every
-grid time, and the quadratic renormalization constant can be evaluated
-without discretization bias.
+solvers, the symbol integrals and the remainder pair) takes this one step, so
+the two solution routes are one discrete map.  The quartic constant the
+commands use is the exact mean of that discrete map: :func:`quartic_constant`
+sums the Isserlis pairings of the stepped covariances and ETD weights, O(M^2)
+dealiased products, and :func:`quartic_renorm_mc` samples the same pairing
+as its Monte Carlo oracle.  The noise itself is injected with the exact
+per-step variance kernel (closed form for constant damping, boundary-layer
+Gauss-Legendre quadrature for polynomial damping, on the 48 nodes of numpy's
+``leggauss``), so the discrete stochastic convolution has the exact continuum
+marginal law at every grid time, and the quadratic renormalization constant
+can be evaluated without discretization bias.
 
 The step kernel is a function of the grid, the time grid and the damping
 ``a(t)`` alone, so no caller builds or passes one: :func:`step_kernel` looks
@@ -68,7 +71,7 @@ ROLE_RENORM = 1
 _GL_NODES = 48
 # distinct eigenvalues per block of the variance quadrature
 _QUAD_ROWS = 128
-# time steps of the Monte Carlo behind quartic_constant; finer grids interpolate
+# time steps of the grid quartic_constant sums on; finer grids interpolate
 _COARSE_STEPS = 50
 # the in-step variance integrand is cut where exp(-2 L tau) has dropped to
 # exp(-40) ~ 4e-18 of its boundary value; the neglected tail is below roundoff
@@ -542,12 +545,46 @@ def quartic_renorm_mc(
 
 
 def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: CoefficientSet,
-                     seed: int, replicas: int, sigma: float = 1.0) -> dict:
-    """The quartic constant on ``[0, T]``, estimated once on a coarse time grid.
+                     sigma: float = 1.0) -> dict:
+    """The quartic constant on ``[0, T]``, exactly, on a coarse time grid.
 
-    Runs :func:`quartic_renorm_mc` on ``TimeGrid(T, min(_COARSE_STEPS, M))``;
-    callers interpolate ``estimate`` (and ``se``) from ``times`` onto their
-    own grid.  The steppers take the constant as an input and never estimate it.
+    Returns the expectation that :func:`quartic_renorm_mc` estimates, on
+    ``TimeGrid(T, min(_COARSE_STEPS, M))``; callers interpolate ``estimate``
+    from ``times`` onto their own grid.  The pairing is a product of two
+    Wick squares of one Gaussian path, so its mean is the Isserlis sum (the
+    product formula for Wiener chaos)
+
+        raw_j = sum_k w_pair(k) sum_{0<i<j} G_ij(k) 2 (C_ij * C_ij)(k),
+
+    with ``C_ij = P_{j-1}...P_i var_i`` the covariance of the stochastic
+    convolution between steps ``i`` and ``j`` (``var_i`` the band-masked
+    :func:`lin_variance_path` recursion, per mode), ``G_ij = P_{j-1}...P_{i+1}
+    E_i`` the ETD weight the symbol integral puts on step ``i``, and ``*`` the
+    convolution, taken by :func:`.grids.product_spectra` with the band cut of
+    the Wick square.  The estimate is ``0.5 sigma**4 raw``.  The sum costs
+    ``M (M - 1) / 2`` dealiased products, O(M^2), at most 1225 on the
+    coarse grid.  The steppers take the constant as an input and never
+    compute it.
     """
+    _require_centred_cutoff(grid, cutoff)
     coarse = TimeGrid(T, min(_COARSE_STEPS, int(M)))
-    return quartic_renorm_mc(grid, coarse, cutoff, coeffs, seed, replicas=replicas, sigma=sigma)
+    kern = step_kernel(grid, coarse, coeffs)
+    N = grid.N
+    band = min(2 * cutoff, N // 2 - 1)
+    mask = grid.kinf <= cutoff
+    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
+
+    raw = np.zeros(coarse.M + 1)
+    var = np.zeros(grid.hshape)
+    for i in range(1, coarse.M):
+        var = kern.propagator(i - 1) ** 2 * var + kern.variance(i - 1)
+        cov = np.where(mask, var, 0.0)
+        weight = kern.etd_weight(i)
+        for j in range(i + 1, coarse.M + 1):
+            prop = kern.propagator(j - 1)
+            cov = prop * cov
+            if j > i + 1:
+                weight = prop * weight
+            square = product_spectra([cov, cov], N, band=band).real
+            raw[j] += 2.0 * float(np.sum(w_pair * weight * square))
+    return {"times": coarse.ts.copy(), "estimate": 0.5 * sigma**4 * raw}

@@ -302,8 +302,11 @@ def chaos_components(
     degree; the decomposition is the instrument that verifies this.
 
     ``ctilde`` is the quartic constant at unit amplitude (a scalar or one
-    value per grid time); amplitude ``s`` runs with ``s**4 * ctilde``, which
-    equals a Monte Carlo at amplitude ``s`` on the same stream bit for bit.
+    value per grid time), such as the exact Isserlis sum of
+    :func:`.noise.quartic_constant` (``M (M - 1) / 2`` dealiased products,
+    O(M^2), over the pairs of steps ``0 < i < j``); amplitude ``s`` runs
+    with ``s**4 * ctilde``, which equals that sum at amplitude ``s`` bit for
+    bit.
     """
     if name not in CATALOG:
         raise ValueError(f"unknown symbol {name!r}; valid: {SYMBOL_NAMES}")

@@ -32,6 +32,7 @@ from phi4lab.cli import (
 )
 from phi4lab.config import ConfigError, ExperimentConfig, RunManifest
 from phi4lab.grids import TorusGrid
+from phi4lab.noise import quartic_constant
 from phi4lab.paley import DyadicPartition
 from phi4lab.symbols import SYMBOL_NAMES
 
@@ -165,9 +166,9 @@ class TestConfigErrorsAtCli:
     def test_simulate_over_the_recording_budget_exits_two_before_the_monte_carlo(
             self, tmp_path, capsys, monkeypatch):
         # v, w and phi at 1001 times of a 32^3 grid need ~798 MiB, over the
-        # 768 MiB recording budget; the refusal comes before c~ is estimated
+        # 768 MiB recording budget; the refusal comes before c~ is computed
         def boom(*args, **kwargs):
-            raise AssertionError("c~ Monte Carlo ran")
+            raise AssertionError("c~ computed")
 
         monkeypatch.setattr(cli, "_ctilde_path", boom)
         doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.001, "sigma": 0.5,
@@ -317,10 +318,16 @@ class TestExperimentCommands:
         report = cmd_renorm(cfg, tmp_path)
         with open(tmp_path / "renorm.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "c_n", "ctilde_n", "ctilde_se"]
+        assert rows[0] == ["n", "c_n", "ctilde_n", "ctilde_mc", "ctilde_se"]
         ns = [int(r[0]) for r in rows[1:]]
         cs = [float(r[1]) for r in rows[1:]]
         assert ns == [2, 3, 4]
+        # ctilde_n is the exact constant at mid-horizon, the column the fit reads
+        for n, row in zip(ns, report["rows"]):
+            rep = quartic_constant(TorusGrid(2 * n + 2, 2), 0.5, 8, n, cfg.coeffs(), sigma=0.1)
+            assert row["ctilde"] == float(np.interp(0.25, rep["times"], rep["estimate"]))
+        assert report["ctilde_fit_vs_log_n"] == cli._linear_fit(
+            np.log(ns), [row["ctilde"] for row in report["rows"]])
         # more modes in the band, more variance: the quadratic constant grows
         assert cs == sorted(cs)
         assert set(report["c_fit_vs_n"]) == {"slope", "intercept", "r_squared"}
@@ -331,19 +338,24 @@ class TestExperimentCommands:
         assert np.allclose(dl, [0.0625 * 8.0 * np.pi**2 * n**2 for n in ns], rtol=1e-14)
 
     def test_renorm_reads_ctilde_replicas(self, tmp_path):
-        # the quartic constant is a Monte Carlo over ctilde_replicas paths, as
-        # in every other command, and the count is echoed; the tail replica
-        # count does not enter.  With the default of 24 every row has a
-        # positive standard error (one replica would give zero)
+        # ctilde_replicas sizes the Monte Carlo cross-check and nothing else:
+        # the count is echoed, the tail replica count does not enter, and the
+        # exact constant does not move with it.  With the default of 24 every
+        # row has a positive standard error (one replica would give zero)
         doc = _doc(replicas=1)
         del doc["ctilde_replicas"]
-        for sub in ("one", "forty"):
+        for sub in ("one", "forty", "single"):
             (tmp_path / sub).mkdir()
         report = cmd_renorm(ExperimentConfig.from_dict(doc), tmp_path / "one")
         assert report["ctilde_replicas"] == 24
         assert all(row["ctilde_se"] > 0.0 for row in report["rows"])
         other = cmd_renorm(ExperimentConfig.from_dict({**doc, "replicas": 40}), tmp_path / "forty")
         assert other["rows"] == report["rows"]
+        single = cmd_renorm(ExperimentConfig.from_dict({**doc, "ctilde_replicas": 1}),
+                            tmp_path / "single")
+        assert [r["ctilde"] for r in single["rows"]] == [r["ctilde"] for r in report["rows"]]
+        assert [r["ctilde_mc"] for r in single["rows"]] != [r["ctilde_mc"] for r in report["rows"]]
+        assert all(row["ctilde_se"] == 0.0 for row in single["rows"])
 
     def test_simulate_outputs(self, tmp_path):
         cfg = _cfg(sigma=0.05)
@@ -355,6 +367,19 @@ class TestExperimentCommands:
         assert len(rows) - 1 == report["recorded_times"] == 5
         head = json.loads((tmp_path / "phi_final.f64.json").read_text())
         assert head["field"] == "phi" and head["time"] == 0.5
+
+    @pytest.mark.parametrize("command", [cmd_simulate, cmd_symbols, cmd_equivalence],
+                             ids=["simulate", "symbols", "equivalence"])
+    def test_outputs_do_not_depend_on_ctilde_replicas(self, tmp_path, command):
+        # the quartic constant is exact, so only renorm's Monte Carlo
+        # cross-check reads the replica count
+        digests = []
+        for reps in (1, 24):
+            out = tmp_path / str(reps)
+            out.mkdir()
+            command(_cfg(sigma=0.05, ctilde_replicas=reps), out)
+            digests.append(RunManifest.load(out / "manifest.json").outputs)
+        assert digests[0] and digests[0] == digests[1]
 
     def test_equivalence_report_written(self, tmp_path):
         cfg = _cfg(dt=0.05, ctilde_replicas=4)

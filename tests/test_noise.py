@@ -487,15 +487,75 @@ class TestQuarticConstant:
         assert rep["estimate"][8] > 0
         assert rep["estimate"][8] > 2 * rep["se"][8]
 
-    def test_quartic_constant_runs_on_the_coarse_grid(self):
+    def test_quartic_constant_is_the_isserlis_sum_on_the_coarse_grid(self):
+        # up to 50 steps the constant is the term-by-term Isserlis sum on the
+        # caller's own grid; past 50 it is the 50-step constant, bit for bit
         grid = TorusGrid(8, 2)
-        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
-        fine = noise.quartic_constant(grid, 0.25, 8, 3, cs, seed=24, replicas=3, sigma=0.5)
-        ref = quartic_renorm_mc(grid, TimeGrid(0.25, 8), 3, cs, seed=24, replicas=3, sigma=0.5)
-        assert np.array_equal(fine["times"], ref["times"])
-        assert np.array_equal(fine["estimate"], ref["estimate"])
-        coarse = noise.quartic_constant(grid, 0.25, 80, 3, cs, seed=24, replicas=2)
+        cs = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.25)
+        for M in (1, 2, 8):
+            got = noise.quartic_constant(grid, 0.25, M, 3, cs, sigma=0.5)
+            want = 0.5**4 * isserlis_reference(grid, TimeGrid(0.25, M), 3, cs)
+            assert np.array_equal(got["times"], TimeGrid(0.25, M).ts)
+            assert np.allclose(got["estimate"], want, rtol=1e-12, atol=0.0)
+        coarse = noise.quartic_constant(grid, 0.25, 80, 3, cs)
         assert np.array_equal(coarse["times"], TimeGrid(0.25, 50).ts)
+        at_cap = noise.quartic_constant(grid, 0.25, 50, 3, cs)
+        assert np.array_equal(coarse["estimate"], at_cap["estimate"])
+
+    @pytest.mark.parametrize("N,dim,cutoff,M", [(8, 2, 3, 3), (6, 3, 2, 3)])
+    def test_quartic_constant_within_monte_carlo_error(self, N, dim, cutoff, M):
+        # the exact constant is the mean the Monte Carlo samples: within 4
+        # standard errors at every grid time, and both are zero where the
+        # pairing has no earlier step to integrate (t_0 and t_1)
+        grid = TorusGrid(N, dim)
+        cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
+        exact = noise.quartic_constant(grid, 0.25, M, cutoff, cs)["estimate"]
+        mc = quartic_renorm_mc(grid, TimeGrid(0.25, M), cutoff, cs, seed=41, replicas=2000)
+        assert np.all(exact[:2] == 0.0) and np.all(mc["estimate"][:2] == 0.0)
+        assert np.all(mc["se"][2:] > 0.0)
+        z = (exact[2:] - mc["estimate"][2:]) / mc["se"][2:]
+        assert np.all(np.abs(z) <= 4.0), z
+        assert np.all(exact[2:] > 0.0)
+
+    def test_quartic_constant_scales_as_sigma_to_the_fourth_bitwise(self):
+        grid = TorusGrid(8, 3)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
+        one = noise.quartic_constant(grid, 0.25, 6, 2, cs)["estimate"]
+        for s in (2.0, 0.37):
+            other = noise.quartic_constant(grid, 0.25, 6, 2, cs, sigma=s)["estimate"]
+            assert np.array_equal(other, s**4 * one)
+
+
+def isserlis_reference(grid, tg, cutoff, cs):
+    """The unit-amplitude quartic constant written out term by term, O(M^3).
+
+    ``0.5 sum_k w_pair(k) sum_{0<i<j} G_ij(k) 2 (C_ij * C_ij)(k)`` with every
+    propagator product formed afresh for each pair of steps.
+    """
+    from phi4lab.paley import default_partition
+
+    kern = StepKernel(grid, tg, cs.a)
+    band = min(2 * cutoff, grid.N // 2 - 1)
+    mask = grid.kinf <= cutoff
+    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
+    var = [np.zeros(grid.hshape)]
+    for j in range(tg.M):
+        var.append(kern.propagator(j) ** 2 * var[-1] + kern.variance(j))
+
+    def propagate(lo, hi):
+        out = np.ones(grid.hshape)
+        for step in range(lo, hi):
+            out = out * kern.propagator(step)
+        return out
+
+    raw = np.zeros(tg.M + 1)
+    for j in range(tg.M + 1):
+        for i in range(1, j):
+            cov = propagate(i, j) * np.where(mask, var[i], 0.0)
+            weight = propagate(i + 1, j) * kern.etd_weight(i)
+            square = product_spectra([cov, cov], grid.N, band=band).real
+            raw[j] += np.sum(w_pair * weight * 2.0 * square)
+    return 0.5 * raw
 
 
 class TestWickCentring:
@@ -526,9 +586,9 @@ class TestWickCentring:
 
 
 def test_centred_routes_reject_cutoff_at_half_grid():
-    # the Wick square is centred only below N/2, so the steppers and the
-    # quartic estimator refuse N/2 and name the field; the noise and the
-    # linear path, which carry no Wick subtraction, still accept it
+    # the Wick square is centred only below N/2, so the steppers, the
+    # quartic constant and its estimator refuse N/2 and name the field; the
+    # noise and the linear path, which carry no Wick subtraction, accept it
     from phi4lab.solvers import RenormalizedStepper
     from phi4lab.symbols import SymbolStepper
 
@@ -542,6 +602,8 @@ def test_centred_routes_reject_cutoff_at_half_grid():
         RenormalizedStepper(at_half, cs, 1.0, ctilde=0.0)
     with pytest.raises(ValueError, match="cutoff"):
         quartic_renorm_mc(grid, tg, 4, cs, seed=0, replicas=2)
+    with pytest.raises(ValueError, match="cutoff"):
+        noise.quartic_constant(grid, tg.T, tg.M, 4, cs)
     path = LinearPath(at_half, cs, 1.0)
     for _ in range(tg.M):
         path.step()

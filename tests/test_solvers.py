@@ -547,7 +547,6 @@ class TestVWRoute:
         rep = equivalence_report(
             grid, 0.3, 30, 3, co, 0.2, 5,
             extra_seeds=tuple(range(6, 15)),
-            ctilde_replicas=8,
         )
         assert rep["sup_direct"] > 0.05
         assert rep["gap"] < 1e-7
@@ -561,7 +560,7 @@ class TestVWRoute:
         # the remainder sees iww projected onto it, so the routes differ by
         # rounding alone (measured 2.3e-16 to 3.5e-16)
         co = CoefficientSet(0.5, [-1.0, 0.5], 0.1)
-        rep = equivalence_report(TorusGrid(N, dim), 0.1, 10, cutoff, co, 0.5, 5, ctilde_replicas=4)
+        rep = equivalence_report(TorusGrid(N, dim), 0.1, 10, cutoff, co, 0.5, 5)
         assert rep["sup_direct"] > 0.1
         assert rep["gap"] < 1e-14
         assert rep["gap_refined"] < 1e-14

@@ -26,7 +26,7 @@ from phi4lab.noise import (
     TimeGrid,
     lin_variance_curve,
     lin_variance_path,
-    quartic_renorm_mc,
+    quartic_constant,
 )
 from phi4lab.paley import resonant
 from phi4lab.symbols import (
@@ -47,8 +47,8 @@ def small_setup(N=16, dim=2, T=0.2, M=8, f2=0.4, a=(-1.0, -0.5)):
 
 
 def unit_ctilde(tg):
-    """A fixed quartic constant path at unit amplitude, of the size a Monte
-    Carlo estimate has on the small setup; amplitude s takes s**4 times it."""
+    """A fixed quartic constant path at unit amplitude, of the size the exact
+    constant has on the small setup; amplitude s takes s**4 times it."""
     return np.linspace(0.0, 4e-4, tg.M + 1)
 
 
@@ -276,11 +276,10 @@ class TestWickMoments:
 
 @pytest.fixture(scope="module")
 def centering_samples():
-    """Final-time statistics over independent replicas with a shared
-    quartic-constant estimate from the dedicated stream."""
+    """Final-time statistics over independent replicas with the exact
+    quartic constant."""
     grid, tg, co = small_setup()
-    report = quartic_renorm_mc(grid, tg, 4, co, seed=77, replicas=256, sigma=1.0)
-    ct = report["estimate"]
+    ct = quartic_constant(grid, tg.T, tg.M, 4, co)["estimate"]
     reps = 256
     out = {
         "w2_zero": np.empty(reps),
@@ -301,7 +300,6 @@ def centering_samples():
         out["cov_cent"][r] = float(np.sum(hw * (v["res_iwick3_wick2"] * v["lin"].conj()).real))
     out["c"] = st.c
     out["ctilde"] = ct
-    out["ct_se"] = report["se"]
     return out
 
 
@@ -324,10 +322,10 @@ class TestCentering:
         se_main = raw.std(ddof=1) / np.sqrt(len(raw))
         # the raw pairing is significantly positive ...
         assert raw.mean() > 3.0 * se_main
-        # ... and subtracting twice the independently estimated constant
-        # centers it within combined sampling error
+        # ... and subtracting twice the exact constant centers it within
+        # sampling error
         resid = raw.mean() - 2.0 * s["ctilde"][-1]
-        assert abs(resid) < 4.0 * np.hypot(se_main, 2.0 * s["ct_se"][-1])
+        assert abs(resid) < 4.0 * se_main
 
     def test_first_chaos_subtraction_bounded(self, centering_samples):
         # the centered quintic resonant keeps its first-chaos covariance
