@@ -11,7 +11,8 @@ symbols
 renorm
     Sweep band cutoffs and tabulate the quadratic constant (exact
     quadrature) and the quartic constant at mid-horizon, with linear and
-    logarithmic fit summaries.  The quartic constant is the exact Isserlis
+    logarithmic fit summaries, so ``cutoff_list`` must hold at least two
+    distinct cutoffs.  The quartic constant is the exact Isserlis
     sum of :func:`.noise.quartic_constant`, as in every command: O(M^2)
     dealiased products on ``min(50, M)`` steps.  ``ctilde_mc`` and
     ``ctilde_se`` cross-check it with a Monte Carlo over
@@ -333,6 +334,9 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    if len(set(cfg.cutoff_list)) < 2:
+        raise ConfigError([("cutoff_list", "renorm fits the constants against the cutoff, "
+                                           "so it needs at least two distinct cutoffs")])
     t0 = time.perf_counter()
     co = cfg.coeffs()
     sigma = cfg.sigmas[0]
@@ -403,6 +407,10 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if 0.0 in cfg.sigmas:
         problems.append(("sigma", "tail runs need every noise level positive: "
                                   "thresholds scale with sigma"))
+    bases = ["tail_s" + f"{sig:g}".replace(".", "p") for sig in cfg.sigmas]
+    if len(set(bases)) < len(bases):
+        problems.append(("sigma", f"levels write files {', '.join(bases)}: two are equal "
+                                  "to 6 significant digits and would overwrite each other"))
     if problems:
         raise ConfigError(problems)
     t0 = time.perf_counter()
@@ -410,7 +418,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     alpha = -0.5 - cfg.eps
     sig0 = cfg.sigmas[0]
     files, results = [], []
-    for i, sig in enumerate(cfg.sigmas):
+    for i, (sig, base) in enumerate(zip(cfg.sigmas, bases)):
         curve = tail_estimate(
             linear_sup_statistic(grid, tg, cfg.cutoff, co, sig, alpha),
             cfg.h_grid * (sig / sig0), cfg.replicas, cfg.level_seed(i),
@@ -420,7 +428,6 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
             fit = gaussian_tail_fit(curve)
         except ValueError:
             fit = None
-        base = "tail_s" + f"{sig:g}".replace(".", "p")
         tail_curve_csv(curve, out_dir / f"{base}.csv")
         tail_report_json(curve, fit, out_dir / f"{base}.json", config=cfg.to_dict())
         files += [f"{base}.csv", f"{base}.json"]

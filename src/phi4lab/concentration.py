@@ -101,6 +101,18 @@ def _feature_rows(times, data, grid, index):
     return rows
 
 
+def _pair_distances(rows: np.ndarray) -> np.ndarray:
+    """Symmetric ``max |rows[j] - rows[i]|`` of every pair, in one pass over one buffer."""
+    n = len(rows)
+    dist = np.zeros((n, n))
+    buf = np.empty((max(n - 1, 0), rows.shape[1]))
+    for i in range(n - 1):
+        diff = np.subtract(rows[i + 1 :], rows[i], out=buf[: n - 1 - i])
+        np.abs(diff, out=diff)
+        dist[i, i + 1 :] = dist[i + 1 :, i] = diff.max(axis=1)
+    return dist
+
+
 def holder_constant(path, beta: float, gamma: float) -> float:
     """Exact ``gamma``-Hölder constant of the path over recorded time pairs.
 
@@ -114,14 +126,10 @@ def holder_constant(path, beta: float, gamma: float) -> float:
     times, data, grid = _unpack(path)
     idx = _pair_indices(len(times))
     times = times[idx]
-    rows = _feature_rows(times, data[idx], grid, beta)
-    best = 0.0
-    for lag in range(1, len(times)):
-        diff = rows[lag:] - rows[:-lag]
-        np.abs(diff, out=diff)
-        gaps = times[lag:] - times[:-lag]
-        best = max(best, float(np.max(np.max(diff, axis=1) / gaps**gamma)))
-    return best
+    dist = _pair_distances(_feature_rows(times, data[idx], grid, beta))
+    first, second = np.triu_indices(len(times), k=1)
+    return float(np.max(dist[first, second] / (times[second] - times[first]) ** gamma,
+                        initial=0.0))
 
 
 def grr_bound(path, p, gamma_prime: float, beta=None) -> float:
@@ -146,12 +154,7 @@ def grr_bound(path, p, gamma_prime: float, beta=None) -> float:
         raise ValueError("spectral paths need the spatial smoothness index beta")
     idx = _pair_indices(len(times))
     times = times[idx]
-    rows = _feature_rows(times, data[idx], grid, beta)
-    n = len(times)
-    dist = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = np.abs(rows[i + 1 :] - rows[i])
-        dist[i, i + 1 :] = dist[i + 1 :, i] = diff.max(axis=1)
+    dist = _pair_distances(_feature_rows(times, data[idx], grid, beta))
     gaps = np.abs(times[:, None] - times[None, :])
     integrand = np.zeros_like(dist)
     off = gaps > 0.0

@@ -27,10 +27,13 @@ Gauss-Legendre quadrature for polynomial damping, on the 48 nodes of numpy's
 marginal law at every grid time, and the quadratic renormalization constant
 can be evaluated without discretization bias.
 
-The step kernel is a function of the grid, the time grid and the damping
-``a(t)`` alone, so no caller builds or passes one: :func:`step_kernel` looks
-it up, one read-only kernel per key, and every path of a configuration shares
-it.  A path whose noise names another grid or horizon gets another kernel.
+The :class:`StepKernel` keeps, per step, one read-only row each of the
+propagator, the ETD weight, the in-step variance and the noise amplitude
+``sqrt(variance / dt)`` over the distinct ``|w|^2``; constant damping keeps
+one row for every step.  The kernel is a function of the grid, the time grid
+and the damping ``a(t)`` alone, so no caller builds or passes one:
+:func:`step_kernel` looks it up, one kernel per key, and every path of a
+configuration shares it.
 
 :func:`record` steps any state over a :class:`TimeGrid` and keeps named
 fields of it at every ``every``-th grid time and at ``T``; every recorded
@@ -232,30 +235,24 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 class StepKernel:
     """Per-step spectral arrays of one grid, time grid and damping ``a(t)``.
 
-    ``propagator(j)`` is the damped heat step, ``variance(j)`` the exact
-    in-step variance of the stochastic convolution at unit noise amplitude,
-    and ``etd_weight(j)`` the classical first-order exponential forcing
-    weight ``dt phi1(a dt - L dt)`` that every stepper applies to its
-    right-hand side.  ``a`` is the damping polynomial (``CoefficientSet.a``),
-    the only coefficient a kernel reads.
+    ``propagator(j)`` is the damped heat step, ``etd_weight(j)`` the
+    classical first-order exponential forcing weight ``dt phi1(a dt - L dt)``
+    that every stepper applies to its right-hand side, ``variance(j)`` the
+    exact in-step variance of the stochastic convolution at unit noise
+    amplitude, and ``amplitude(j)`` its noise factor ``sqrt(variance(j)/dt)``.
+    ``a`` is the damping polynomial (``CoefficientSet.a``).
 
-    The package looks kernels up through :func:`step_kernel`, which keeps one
-    per key, so every path, stepper and replica of a configuration in the
-    process shares one kernel.  Every array the kernel keeps is read-only:
-    an in-place write would change the steps of every other path.
-
-    For non-constant damping the variance quadrature and the ETD weight run
-    at most once per step per kernel: each keeps its row (one value per
-    distinct ``|w|^2``) by ``j`` and expands it onto the half spectrum on
-    every call, so the kernel holds O(M x distinct |w|^2) values, not
-    O(M x grid).
+    The kernel keeps one table: ``_rows[j]`` holds the four rows of step
+    ``j``, one value per distinct ``|w|^2``, built once on first use, so it
+    holds O(M x distinct |w|^2) values, not O(M x grid).  Each call gathers
+    its row onto the half spectrum as a fresh array.  Every array the kernel
+    keeps is read-only: :func:`step_kernel` shares one kernel among every
+    path, stepper and replica of a configuration in the process.
     """
 
     def __init__(self, grid: TorusGrid, timegrid: TimeGrid, a: Polynomial):
         self.grid = grid
         self.timegrid = timegrid
-        self._L = _frozen(4.0 * np.pi**2 * grid.k2.astype(np.float64))
-        self._E = _frozen(np.exp(-self._L * timegrid.dt))
         self._A = A = a.integ()
         ts = timegrid.ts
         self._alphas = _frozen(np.array([float(A(t1) - A(t0)) for t0, t1 in zip(ts[:-1], ts[1:])]))
@@ -263,46 +260,40 @@ class StepKernel:
         lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
         self._Ld = _frozen(4.0 * np.pi**2 * lv.astype(np.float64))
         self._linv = _frozen(inv)
-        self._gl = _gauss_legendre()
-        self._cache: dict[str, np.ndarray] = {}
-        self._rows: dict[int, np.ndarray] = {}
-        self._etd_rows: dict[int, np.ndarray] = {}
+        self._rows: dict[int, tuple[np.ndarray, ...]] = {}
 
     def propagator(self, j: int) -> np.ndarray:
-        if self._const:
-            if "P" not in self._cache:
-                self._cache["P"] = _frozen(np.exp(self._alphas[0]) * self._E)
-            return self._cache["P"]
-        return np.exp(self._alphas[j]) * self._E
+        return self._expand(self._step_rows(j)[0])
 
     def etd_weight(self, j: int) -> np.ndarray:
-        dt = self.timegrid.dt
-        if self._const:
-            if "etd" not in self._cache:
-                self._cache["etd"] = _frozen(dt * _phi1(self._alphas[0] - self._L * dt))
-            return self._cache["etd"]
-        row = self._etd_rows.get(j)
-        if row is None:
-            row = self._etd_rows[j] = _frozen(dt * _phi1(self._alphas[j] - self._Ld * dt))
-        return row[self._linv].reshape(self.grid.hshape)
+        return self._expand(self._step_rows(j)[1])
 
     def variance(self, j: int) -> np.ndarray:
         """Exact unit-amplitude variance injected over step ``j``, per mode."""
-        if self._const:
-            if "v" not in self._cache:
-                dt = self.timegrid.dt
-                z = 2.0 * (self._alphas[0] - self._L * dt)
-                self._cache["v"] = _frozen(dt * _phi1(z))
-            return self._cache["v"]
-        return self._variance_gl(j)
+        return self._expand(self._step_rows(j)[2])
 
-    def _variance_gl(self, j: int) -> np.ndarray:
-        row = self._rows.get(j)
-        if row is None:
-            t1 = self.timegrid.ts[j + 1]
-            row = _damped_kernel_integral(self._Ld, self._A, t1, self.timegrid.dt, self._gl)
-            self._rows[j] = _frozen(row)
+    def amplitude(self, j: int) -> np.ndarray:
+        """``sqrt(variance(j) / dt)``: the per-mode factor of a unit noise increment."""
+        return self._expand(self._step_rows(j)[3])
+
+    def _expand(self, row: np.ndarray) -> np.ndarray:
         return row[self._linv].reshape(self.grid.hshape)
+
+    def _step_rows(self, j: int) -> tuple[np.ndarray, ...]:
+        """Rows of step ``j``; the one place that tells constant damping apart."""
+        j = 0 if self._const else j
+        rows = self._rows.get(j)
+        if rows is None:
+            dt, Ld, alpha = self.timegrid.dt, self._Ld, self._alphas[j]
+            if self._const:
+                var = dt * _phi1(2.0 * (alpha - Ld * dt))
+            else:
+                var = _damped_kernel_integral(Ld, self._A, self.timegrid.ts[j + 1], dt,
+                                              _gauss_legendre())
+            rows = (np.exp(alpha) * np.exp(-Ld * dt), dt * _phi1(alpha - Ld * dt), var,
+                    np.sqrt(var / dt))
+            rows = self._rows[j] = tuple(_frozen(r) for r in rows)
+        return rows
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -383,10 +374,8 @@ class LinearPath:
         self.j = 0
 
     def step(self) -> None:
-        k = self.kernel
-        j = self.j
-        w = np.sqrt(k.variance(j) / self.noise.timegrid.dt)
-        self.state = k.propagator(j) * self.state + self.sigma * w * self.noise.increment(j)
+        k, j = self.kernel, self.j
+        self.state = k.propagator(j) * self.state + self.sigma * k.amplitude(j) * self.noise.increment(j)
         self.j += 1
 
 

@@ -250,8 +250,7 @@ class RenormalizedStepper:
         kern = self.kernel
         phi = kern.propagator(j) * self.phi + kern.etd_weight(j) * rhs
         if self.sigma != 0.0:
-            w = np.sqrt(kern.variance(j) / self.timegrid.dt)
-            phi = phi + self.sigma * w * self.noise.increment(j)
+            phi = phi + self.sigma * kern.amplitude(j) * self.noise.increment(j)
         self.phi = phi
         self.j += 1
         _check_blowup(self.grid, self.phi, self.t, self.j)

@@ -151,6 +151,38 @@ class TestConfigErrorsAtCli:
         assert err["fields"] == ["sigma"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sigma", [[0.1234567, 0.1234568], [0.5, 0.5]],
+                             ids=["same-6-digits", "repeated"])
+    def test_tail_with_levels_sharing_a_file_name_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, sigma):
+        # each level writes tail_s<sigma:g>.*, so two levels equal to 6
+        # significant digits would overwrite one curve with the other
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(sigma=sigma, replicas=5)))
+        out = tmp_path / "out"
+        rc = main(["tail", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["sigma"]
+        assert "tail_s0p" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cutoffs", [None, [3], [3, 3]], ids=["default", "one", "repeated"])
+    def test_renorm_with_fewer_than_two_cutoffs_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, cutoffs):
+        # the fits of the constants against the cutoff need two distinct points
+        doc = _doc(cutoff_list=cutoffs)
+        if cutoffs is None:
+            del doc["cutoff_list"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["renorm", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["cutoff_list"]
+        assert list(out.iterdir()) == []
+
     def test_equivalence_with_a_zero_noise_level_exits_two_and_writes_nothing(self, tmp_path, capsys):
         # at sigma = 0 the direct solution is zero and so is the route gap;
         # their ratio is 0/0, so the command refuses before computing anything

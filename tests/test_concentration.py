@@ -105,6 +105,71 @@ class TestPathNorms:
             holder_constant((np.linspace(0, 1, 5), np.zeros(4)), 0.0, 0.5)
 
 
+def _lag_loop_holder(path, beta, gamma):
+    """The Hölder constant by the per-lag loop the pair pass replaced."""
+    times, data, grid = concentration._unpack(path)
+    idx = concentration._pair_indices(len(times))
+    times = times[idx]
+    rows = concentration._feature_rows(times, data[idx], grid, beta)
+    best = 0.0
+    for lag in range(1, len(times)):
+        diff = np.abs(rows[lag:] - rows[:-lag])
+        gaps = times[lag:] - times[:-lag]
+        best = max(best, float(np.max(np.max(diff, axis=1) / gaps**gamma)))
+    return best
+
+
+def _row_loop_grr(path, p, gamma_prime, beta):
+    """The continuity bound with the per-row distance loop the pair pass replaced."""
+    times, data, grid = concentration._unpack(path)
+    idx = concentration._pair_indices(len(times))
+    times = times[idx]
+    rows = concentration._feature_rows(times, data[idx], grid, beta)
+    n = len(times)
+    dist = np.zeros((n, n))
+    for i in range(n - 1):
+        diff = np.abs(rows[i + 1 :] - rows[i])
+        dist[i, i + 1 :] = dist[i + 1 :, i] = diff.max(axis=1)
+    gaps = np.abs(times[:, None] - times[None, :])
+    integrand = np.zeros_like(dist)
+    off = gaps > 0.0
+    integrand[off] = dist[off] ** p / gaps[off] ** (gamma_prime * p + 1.0)
+    B = np.trapezoid(np.trapezoid(integrand, times, axis=1), times)
+    const = 8.0 * 4.0 ** (1.0 / p) * (gamma_prime + 1.0 / p) / (gamma_prime - 1.0 / p)
+    return float(const**p * B)
+
+
+class TestPairPass:
+    """One pass of pairwise sup distances serves the Hölder constant and the bound."""
+
+    @staticmethod
+    def _paths():
+        grid = TorusGrid(16, 2)
+        spectral = linear_solution_path(NoiseRealization(grid, TimeGrid(1.0, 40), 7, seed=3),
+                                        DAMPED, 0.1)
+        rng = np.random.default_rng(11)
+        ts = np.linspace(0.0, 1.0, 61)
+        plain = (ts, np.cumsum(rng.standard_normal((61, 5)), axis=0))
+        return {"spectral": spectral, "plain": plain, "one time": (ts[:1], plain[1][:1])}
+
+    def test_holder_constant_equals_the_lag_loop_bitwise(self):
+        for name, path in self._paths().items():
+            for beta, gamma in ((-0.7, 0.05), (0.0, 0.5), (-0.3, 1.0)):
+                assert holder_constant(path, beta, gamma) == _lag_loop_holder(path, beta, gamma), name
+
+    def test_grr_bound_equals_the_row_loop_bitwise(self):
+        for name, path in self._paths().items():
+            for p, gamma_prime in ((8, 0.5), (4, 0.3)):
+                got = grr_bound(path, p, gamma_prime, beta=-0.7)
+                assert got == _row_loop_grr(path, p, gamma_prime, -0.7), name
+
+    def test_distances_are_the_per_pair_sup(self):
+        rows = np.random.default_rng(5).standard_normal((9, 13))
+        dist = concentration._pair_distances(rows)
+        expect = np.array([[np.max(np.abs(a - b)) for b in rows] for a in rows])
+        assert dist.tobytes() == expect.tobytes()
+
+
 class TestRefinementStudy:
     def test_linear_path_holder_stable_under_time_refinement(self):
         # lam = 0.1: Hölder exponent lam/2 in smoothness -0.6 - lam, on one

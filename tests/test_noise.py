@@ -160,7 +160,11 @@ class TestStepKernel:
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
         kern = StepKernel(grid, tg, cs.a)
         closed = kern.variance(3)
-        gl = kern._variance_gl(3)
+        lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
+        Ld = 4.0 * np.pi**2 * lv.astype(np.float64)
+        row = noise._damped_kernel_integral(Ld, cs.a.integ(), tg.ts[4], tg.dt,
+                                            noise._gauss_legendre())
+        gl = row[inv].reshape(grid.hshape)
         assert np.max(np.abs(closed - gl) / closed) < 1e-12
 
     def test_polynomial_coefficient_variance_consistent_over_steps(self):
@@ -193,19 +197,41 @@ class TestStepKernel:
         assert np.max(np.abs(kern.propagator(j) - expect)) < 1e-14
 
     def test_kept_arrays_are_read_only(self):
-        # a looked-up kernel steps every path of its key, so no caller may write into it
+        # a looked-up kernel steps every path of its key, so no caller may write into
+        # what it keeps; what it hands out is a fresh gather, free to write
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.5, 5)
-        const = noise.step_kernel(grid, tg, CoefficientSet(f2=0.0, a=-1.0, T=0.5))
-        for arr in (const.propagator(2), const.etd_weight(2), const.variance(2)):
-            with pytest.raises(ValueError, match="read-only"):
-                arr *= 2.0
-        poly = noise.step_kernel(grid, tg, CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.5))
-        poly.variance(2)
-        poly.etd_weight(2)
-        for row in (poly._rows[2], poly._etd_rows[2], poly._E, poly._L, poly._linv):
-            with pytest.raises(ValueError, match="read-only"):
-                row[0] = 0.0
+        for a in (-1.0, [-1.0, 0.5]):
+            kern = noise.step_kernel(grid, tg, CoefficientSet(f2=0.0, a=a, T=0.5))
+            for method in (kern.propagator, kern.etd_weight, kern.variance, kern.amplitude):
+                out = method(2)
+                out *= 2.0
+                assert not np.array_equal(method(2), out)
+            assert kern._rows
+            kept = [row for rows in kern._rows.values() for row in rows]
+            assert len(kept) == 4 * len(kern._rows)
+            for arr in kept + [kern._Ld, kern._linv, kern._alphas]:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+
+    @pytest.mark.parametrize("a", [-1.0, [-1.0, 0.5]], ids=["constant", "polynomial"])
+    def test_amplitude_is_the_root_of_variance_over_dt(self, a):
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.5, 5)
+        kern = StepKernel(grid, tg, CoefficientSet(f2=0.0, a=a, T=0.5).a)
+        for j in range(tg.M):
+            assert kern.amplitude(j).tobytes() == np.sqrt(kern.variance(j) / tg.dt).tobytes()
+
+    def test_constant_damping_keeps_one_row(self):
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.5, 5)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
+        nz = NoiseRealization(grid, tg, 3, seed=5)
+        path = LinearPath(nz, cs, 0.5)
+        for _ in range(tg.M):
+            path.step()
+            path.kernel.etd_weight(path.j - 1)
+        assert list(path.kernel._rows) == [0]
 
 
 class TestStepKernelRows:
@@ -281,6 +307,23 @@ class TestStepKernelRows:
         noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
         quartic_renorm_mc(self.GRID, self.TG, 3, self.COEFFS, 7, replicas=5)
         assert len(calls) == self.TG.M
+
+    def test_rows_are_built_once_per_step_across_replicas(self):
+        # every replica of a configuration steps with the rows the first one built
+        noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
+        first = None
+        for r in range(4):
+            path = LinearPath(NoiseRealization(self.GRID, self.TG, 3, seed=5, replica=r),
+                              self.COEFFS, 0.5)
+            for _ in range(self.TG.M):
+                path.step()
+            if first is None:
+                kern, first = path.kernel, dict(path.kernel._rows)
+            assert path.kernel is kern
+        for j in range(self.TG.M):
+            kern.propagator(j), kern.etd_weight(j), kern.variance(j), kern.amplitude(j)
+        assert sorted(kern._rows) == list(range(self.TG.M))
+        assert all(kern._rows[j] is first[j] for j in kern._rows)
 
 
 class TestLinearPath:
