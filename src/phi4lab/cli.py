@@ -37,10 +37,12 @@ equivalence
 
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
-clock and a SHA-256 digest per output file.  Outputs are deterministic
-functions of (config, seed), and ``--out`` enters none of them: rerunning
-with equal manifests (ignoring the wall clock) reproduces every file byte
-for byte, in any output directory.
+clock, the number of processes the replicas ran on (``workers``: one per
+CPU the process may use, for ``tail``; 1 elsewhere) and a SHA-256 digest
+per output file.  Outputs are deterministic functions of (config, seed),
+and neither ``--out`` nor the worker count enters them: rerunning with
+equal manifests (ignoring the wall clock and workers) reproduces every
+file byte for byte, in any output directory.
 
 Binary field dumps are little-endian 64-bit floats in C order with a
 JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
@@ -65,6 +67,7 @@ from .concentration import (
     linear_solution_path,
     linear_sup_statistic,
     nelson_check,
+    replica_workers,
     tail_curve_csv,
     tail_estimate,
     tail_report_json,
@@ -455,6 +458,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
                                    command="tail")
     manifest.seeds = cfg.replica_seeds(len(cfg.sigmas))
+    manifest.workers = replica_workers(cfg.replicas)
     manifest.write(out_dir / "manifest.json")
     return report
 

@@ -20,6 +20,8 @@ replicas, carry exact binomial (Clopper-Pearson) intervals, and fit the
 Gaussian shape ``exp(logD - C h^2 / sigma^2)`` by weighted least squares on
 the log scale.  Thresholds whose count is zero are flagged rather than
 dropped silently: past those cells the tail is below Monte Carlo resolution.
+The replicas run on one forked process per CPU this process may use
+(:func:`replica_workers`), and the curve is the same on any number of them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -44,6 +49,7 @@ __all__ = [
     "grr_bound",
     "nelson_check",
     "tail_estimate",
+    "replica_workers",
     "gaussian_tail_fit",
     "tail_curve_csv",
     "tail_report_json",
@@ -333,6 +339,102 @@ def _clopper_pearson(counts, n: int, level: float = 0.95):
     return low, high
 
 
+def replica_workers(replicas: int) -> int:
+    """Processes :func:`tail_estimate` runs ``replicas`` replicas on.
+
+    One per CPU this process may run on (``os.sched_getaffinity``), and no
+    more than there are replicas.  One where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while other Python threads
+    run: a fork copies only the calling thread, so a lock another thread
+    holds at that moment would stay held in the child.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), replicas)
+
+
+def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
+    """``(values, failure)`` of the replicas ``worker, worker + workers, ...``.
+
+    ``values`` are the statistic's values in replica order.  The share stops
+    at its first replica that raises or gives a non-finite value, and
+    ``failure`` is then ``(replica, exception)``; it is ``None`` otherwise.
+    """
+    values = []
+    for i in range(worker, replicas, workers):
+        try:
+            value = float(statistic(i, seed))
+            if not math.isfinite(value):
+                raise ValueError(f"replica {i} gave the non-finite value {value}")
+        except Exception as exc:
+            return values, (i, exc)
+        values.append(value)
+    return values, None
+
+
+def _replica_values(statistic, replicas: int, seed) -> np.ndarray:
+    """``statistic(i, seed)`` for every replica ``i``, in replica order.
+
+    The calling process is worker 0 and forks the other
+    :func:`replica_workers`; worker ``w`` computes the replicas with
+    ``i % workers == w`` and a child sends its share back pickled over a
+    pipe, then leaves through ``os._exit``, so it never returns into the
+    caller.  A forked child inherits the statistic and its scratch buffers,
+    so nothing is pickled on the way in and no buffer is shared.  Every
+    child is reaped before this returns or raises, and one still running
+    when the caller fails is killed first.  Of the failures, the one at the
+    lowest replica index is raised, the one the serial loop would meet
+    first.
+    """
+    workers = replica_workers(replicas)
+    children = []  # (pid, read end of its pipe)
+    shares = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    for _, fd in children:
+                        os.close(fd)
+                    share = pickle.dumps(_replica_share(statistic, w, workers, replicas, seed))
+                    with os.fdopen(write, "wb") as out:
+                        out.write(share)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        shares.append(_replica_share(statistic, 0, workers, replicas, seed))
+        for w, (_, read) in enumerate(children, start=1):
+            with open(read, "rb", closefd=False) as src:
+                try:
+                    shares.append(pickle.load(src))
+                except EOFError:
+                    raise RuntimeError(f"replica worker {w} ended without sending "
+                                       "its values") from None
+    finally:
+        if len(shares) < workers:  # the caller fails: stop every child before reaping it
+            import signal  # here, not at the top: no command that succeeds pays for it
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values = np.empty(replicas)
+    for w, (share, _) in enumerate(shares):
+        values[w::workers] = share
+    return values
+
+
 def tail_estimate(
     statistic,
     h_grid,
@@ -347,10 +449,17 @@ def tail_estimate(
     ``statistic(replica, seed)`` is called once per replica index with
     ``seed = master_seed``; independence across replicas is the statistic's
     responsibility (the noise layer binds its streams to the (seed, replica)
-    pair, so passing both through is enough).  The whole curve is a
-    deterministic function of ``master_seed``.  Exceedance events are the
-    nested ``value > h``, which forces the raw counts to be non-increasing;
-    the returned curve re-checks that along with the range invariants.
+    pair, so passing both through is enough).  The statistic must be a pure
+    function of ``(replica, seed)``: the replicas run on
+    :func:`replica_workers` processes, forked from this one, and what a
+    replica run in a child changes (a list it appends to, a cache it
+    fills) is not seen by the caller.  The whole curve is a deterministic
+    function of ``master_seed``, whatever the number of workers.  A replica
+    that raises raises the same exception type and message here, and a
+    non-finite value is rejected with a ``ValueError`` naming its replica.
+    Exceedance events are the nested ``value > h``, which forces the raw
+    counts to be non-increasing; the returned curve re-checks that along
+    with the range invariants.
     """
     h = np.asarray(h_grid, dtype=np.float64)
     if h.ndim != 1 or len(h) == 0 or np.any(h < 0.0) or np.any(np.diff(h) <= 0.0):
@@ -358,9 +467,7 @@ def tail_estimate(
     replicas = int(replicas)
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
-    values = np.empty(replicas)
-    for i in range(replicas):
-        values[i] = float(statistic(i, master_seed))
+    values = _replica_values(statistic, replicas, master_seed)
     counts = (values[None, :] > h[:, None]).sum(axis=1)
     p_hat = counts / float(replicas)
     ci_low, ci_high = _clopper_pearson(counts, replicas)
@@ -488,9 +595,11 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha):
 
     Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`.
     One block-stack buffer is built per statistic and shared by every replica
-    and step, so the callable is not reentrant; the step kernel is the one
-    :func:`~.noise.step_kernel` keeps for the grid, time grid and damping, so
-    statistics at other noise levels share it.
+    and step, so the callable is not reentrant: call it from one thread at a
+    time.  The worker processes of :func:`tail_estimate` each get their own
+    copy of the buffer when they are forked, so they share none of it.  The
+    step kernel is the one :func:`~.noise.step_kernel` keeps for the grid,
+    time grid and damping, so statistics at other noise levels share it.
     """
     buf = np.empty((default_partition(grid).nblocks,) + grid.shape)
 

@@ -241,7 +241,9 @@ class RunManifest:
 
     ``outputs`` maps file names (relative to the output directory) to their
     SHA-256 digests, so equality of two manifests outside ``wall_clock``
-    certifies byte-identical outputs.
+    and ``workers`` certifies byte-identical outputs.  ``workers`` is the
+    number of processes the replicas ran on, 1 unless the command sets it;
+    like the wall clock it depends on the machine, not on the configuration.
     """
 
     def __init__(self, config_echo: dict, seeds, wall_clock: float, outputs: dict,
@@ -252,6 +254,7 @@ class RunManifest:
         self.wall_clock = float(wall_clock)
         self.outputs = dict(outputs)
         self.command = str(command)
+        self.workers = 1
 
     @classmethod
     def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float,
@@ -268,6 +271,7 @@ class RunManifest:
             "version": self.version,
             "seeds": self.seeds,
             "wall_clock": self.wall_clock,
+            "workers": self.workers,
             "outputs": self.outputs,
         }
 
@@ -280,11 +284,14 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         with open(path) as fh:
             doc = json.load(fh)
-        return cls(doc["config"], doc["seeds"], doc["wall_clock"], doc["outputs"],
-                   version=doc["version"], command=doc.get("command", ""))
+        manifest = cls(doc["config"], doc["seeds"], doc["wall_clock"], doc["outputs"],
+                       version=doc["version"], command=doc.get("command", ""))
+        manifest.workers = doc.get("workers", 1)
+        return manifest
 
     def equal_modulo_timing(self, other: "RunManifest") -> bool:
         a, b = self.to_dict(), other.to_dict()
-        a.pop("wall_clock")
-        b.pop("wall_clock")
+        for machine in ("wall_clock", "workers"):
+            a.pop(machine)
+            b.pop(machine)
         return a == b

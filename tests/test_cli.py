@@ -10,6 +10,7 @@ the time stamp.
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -230,7 +231,8 @@ class TestConfigErrorsAtCli:
         assert not out.exists()
 
     def test_threads_flag_is_gone(self, capsys):
-        # replicas run one after another in tail_estimate; a pool size would change nothing
+        # tail_estimate runs its replicas on one process per CPU the process may
+        # use, read from its CPU affinity, so there is no pool size to set
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["tail", "--config", "c.json", "--threads", "2"])
         assert "--threads" in capsys.readouterr().err
@@ -264,6 +266,40 @@ class TestTailCommand:
                 assert a.equal_modulo_timing(b)
             else:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_worker_count_enters_no_output(self, tmp_path, monkeypatch):
+        # the manifest records how many processes ran the replicas, and
+        # equal_modulo_timing leaves that out, as it leaves out the wall clock
+        manifests = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"w{cpus}"
+            out.mkdir()
+            cmd_tail(_cfg(replicas=9), out)
+            manifests.append(RunManifest.load(out / "manifest.json"))
+        assert [m.workers for m in manifests] == [1, 2]
+        assert manifests[0].equal_modulo_timing(manifests[1])
+        assert manifests[0].outputs == manifests[1].outputs
+
+    def test_blow_up_in_a_worker_exits_three(self, tmp_path, monkeypatch, capsys):
+        def blowing_up(*args):
+            def statistic(replica, seed):
+                if replica == 1:  # the child's first replica
+                    raise RuntimeError(f"blow-up at replica {replica}")
+                return 0.0
+
+            return statistic
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "linear_sup_statistic", blowing_up)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(replicas=4)))
+        assert main(["tail", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "blow-up"
+        assert err["message"] == "blow-up at replica 1"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_output_directory_enters_no_output(self, tmp_path, capsys):
         # one config and seed written to two directories: the level reports

@@ -16,12 +16,18 @@ Oracles used here:
   function is exactly exp(-5 h^2 / sigma^2), fitted back with and
   without binomial noise,
 * exact amplitude homogeneity of the noise recursion, which forces the
-  fitted h^2 rate at sigma and 2 sigma to differ by a factor 4.
+  fitted h^2 rate at sigma and 2 sigma to differ by a factor 4,
+* the serial replica loop: with any number of worker processes the values
+  come back in replica order, bitwise equal, and a failure in a child is
+  the one the serial loop would raise.
 """
 
 import csv
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -280,10 +286,19 @@ class TestTailEstimate:
         assert list(curve.p_hat) == [1.0, 1.0, 0.0]
         assert list(curve.zero_cells) == [False, False, True]
 
-    def test_statistic_receives_replica_and_master_seed(self):
-        seen = []
-        tail_estimate(lambda i, s: seen.append((i, s)) or 1.0, [0.5], 5, 42)
-        assert seen == [(i, 42) for i in range(5)]
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_statistic_receives_replica_and_master_seed(self, tmp_path, monkeypatch, cpus):
+        # a call in a child process leaves no trace in this one, so every
+        # call creates a file named by its arguments; exclusive creation
+        # fails on a second call with the same arguments, in any worker
+        _use_cpus(monkeypatch, cpus)
+
+        def stat(i, s):
+            (tmp_path / f"{i}-{s}").open("x").close()
+            return 1.0
+
+        tail_estimate(stat, [0.5], 5, 42)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{i}-42" for i in range(5)]
 
     def test_deterministic_given_master_seed(self):
         def stat(i, seed):
@@ -343,6 +358,129 @@ class TestTailEstimate:
             TailCurve([0.1, 0.2], [0.5, 0.5], [0.4, 0.4], [0.6, 0.6], counts=[50, 51], **ok)
         with pytest.raises(ValueError, match="shape"):
             TailCurve([0.1, 0.2], [0.8, 0.4, 0.1], [0.7, 0.3], [0.9, 0.5], **ok)
+
+
+def _use_cpus(monkeypatch, n):
+    """Let this process see ``n`` usable CPUs, so tail_estimate runs up to ``n`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_children():
+    # raises only when this process has no child at all, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exponential(i, seed):
+    return np.random.default_rng((seed, i)).exponential()
+
+
+class _Abort(BaseException):
+    """Stands for an interrupt: not an ``Exception``, so no share catches it."""
+
+
+class TestReplicaWorkers:
+    @pytest.mark.parametrize("replicas", [1, 5, 100])
+    def test_curve_is_bitwise_equal_for_every_worker_count(self, monkeypatch, replicas):
+        curves = []
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            assert concentration.replica_workers(replicas) == min(cpus, replicas)
+            curves.append(tail_estimate(_exponential, [0.2, 0.6, 1.8], replicas, 9))
+        for curve in curves[1:]:
+            for name in ("counts", "p_hat", "ci_low", "ci_high"):
+                assert np.array_equal(getattr(curve, name), getattr(curves[0], name))
+        _assert_no_children()
+
+    def test_values_come_back_in_replica_order(self, monkeypatch):
+        # the counts do not see the order of the values; the assembled array does
+        _use_cpus(monkeypatch, 3)
+        values = concentration._replica_values(_exponential, 100, 9)
+        assert np.array_equal(values, [_exponential(i, 9) for i in range(100)])
+        _assert_no_children()
+
+    def test_failure_in_a_child_raises_its_type_and_message(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 3:  # odd replicas run in the one child
+                raise RuntimeError("blow-up at replica 3")
+            return 1.0
+
+        with pytest.raises(RuntimeError, match=r"^blow-up at replica 3$"):
+            tail_estimate(stat, [0.5], 5, 0)
+        _assert_no_children()
+
+    def test_lowest_failing_replica_is_raised(self, monkeypatch):
+        # replica 1 fails in a child and replica 2 in this process: the serial
+        # loop meets replica 1 first, and so does every worker count
+        _use_cpus(monkeypatch, 3)
+
+        def stat(i, s):
+            if i in (1, 2):
+                raise KeyError(f"replica {i}")
+            return 1.0
+
+        with pytest.raises(KeyError, match="replica 1"):
+            tail_estimate(stat, [0.5], 6, 0)
+        _assert_no_children()
+
+    def test_child_that_dies_without_values_is_reported(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 1:
+                os._exit(7)
+            return 1.0
+
+        with pytest.raises(RuntimeError, match="replica worker 1 ended without sending"):
+            tail_estimate(stat, [0.5], 4, 0)
+        _assert_no_children()
+
+    def test_interrupted_caller_stops_its_children(self, monkeypatch):
+        # the child would sleep for a minute; it is killed and reaped at once
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 0:
+                raise _Abort
+            time.sleep(60.0)
+            return 1.0
+
+        start = time.monotonic()
+        with pytest.raises(_Abort):
+            tail_estimate(stat, [0.5], 2, 0)
+        assert time.monotonic() - start < 30.0
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_naming_its_replica(self, monkeypatch, cpus, bad):
+        # a NaN is never above a threshold, so it would count as a non-exceedance
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="replica 3 gave the non-finite value"):
+            tail_estimate(lambda i, s: bad if i == 3 else 1.0, [0.5], 5, 0)
+        _assert_no_children()
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert concentration.replica_workers(5) == 1
+        assert list(tail_estimate(_exponential, [0.5], 5, 9).counts) == [
+            sum(_exponential(i, 9) > 0.5 for i in range(5))]
+
+    def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert concentration.replica_workers(5) == 1
+        finally:
+            stop.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert concentration.replica_workers(5) == 3
 
 
 def _nested_gaussian_statistic(sig, rate):

@@ -166,15 +166,17 @@ class TestRunManifest:
         cfg = ExperimentConfig.from_dict(_doc())
         (tmp_path / "x.bin").write_bytes(np.arange(4.0).tobytes())
         man = RunManifest.collect(cfg, tmp_path, ["x.bin"], 0.25)
+        man.workers = 2
         man.write(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
         assert back.to_dict() == man.to_dict()
 
-    def test_equality_ignores_wall_clock_only(self, tmp_path):
+    def test_equality_ignores_wall_clock_and_workers_only(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_doc())
         (tmp_path / "x.csv").write_bytes(b"1\n")
         a = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0)
         b = RunManifest.collect(cfg, tmp_path, ["x.csv"], 9.0)
+        b.workers = 2
         assert a.equal_modulo_timing(b)
         (tmp_path / "x.csv").write_bytes(b"2\n")
         c = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0)

@@ -22,6 +22,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
   a ``partition``: the step kernel and the dyadic partition are looked up
   from what fixes them.  ``cli.check_partition_unity`` is the one exception,
   so that its test can inject a faulty partition.
+* No public function or constructor of ``src/phi4lab`` takes ``workers``,
+  ``processes``, ``threads`` or ``jobs``: the replica loop runs on one
+  process per CPU the process may use, and outputs do not depend on that
+  count, so there is nothing for a caller to set.
 """
 
 import ast
@@ -275,3 +279,29 @@ def test_the_check_sees_a_kernel_or_a_partition_parameter(tmp_path):
     )
     assert _public_apis_where([mod], _takes_looked_up) == {"passed": ["Path", "norm"]}
 
+
+# the replica loop sizes itself from the CPU affinity (concentration.replica_workers)
+_POOL_SIZES = ("workers", "processes", "threads", "jobs")
+
+
+def _takes_a_pool_size(fn: ast.FunctionDef) -> bool:
+    return not _params(fn).isdisjoint(_POOL_SIZES)
+
+
+def test_no_public_api_takes_a_pool_size():
+    assert _public_apis_where(PACKAGE, _takes_a_pool_size) == {}
+
+
+def test_the_check_sees_a_pool_size_parameter(tmp_path):
+    mod = tmp_path / "pooled.py"
+    mod.write_text(
+        "class Loop:\n"
+        "    def __init__(self, statistic, *, processes=1):\n        pass\n\n"
+        "def estimate(statistic, replicas, workers=None):\n    pass\n\n"
+        "def sweep(cfg, **jobs):\n    pass\n\n"
+        "def run(cfg, threads):\n    pass\n\n"
+        "def replica_workers(replicas):\n    pass\n\n"
+        "def _helper(statistic, workers):\n    pass\n"
+    )
+    assert _public_apis_where([mod], _takes_a_pool_size) == {
+        "pooled": ["Loop", "estimate", "sweep", "run"]}
