@@ -51,7 +51,8 @@ def main():
     nc = normalize_cubic([-2.0, -1.0], 0.5, -1.0, 0.2, T)
     for t in (0.0, 0.5, 1.0):
         print(f"t = {t:.1f}   lam = {nc.lam(t):.4f}   b2 = {nc.b2(t):+.4f}"
-              f"   b1 = {nc.b1(t):+.4f}   noise scale = {nc.noise_scale(t):.4f}")
+              f"   b1 = {nc.b1(t):+.4f}   b0 = {nc.b0(t):+.4f}"
+              f"   noise scale = {nc.noise_scale(t):.4f}")
 
 
 if __name__ == "__main__":

@@ -13,27 +13,21 @@ time grid).
 import numpy as np
 
 from phi4lab.coeffs import CoefficientSet
+from phi4lab.concentration import linear_zero_mode_statistic
 from phi4lab.grids import TorusGrid
 from phi4lab.noise import (
-    LinearPath,
-    NoiseRealization,
     TimeGrid,
     lin_variance_curve,
     lin_variance_path,
     quartic_constant,
+    replicate,
 )
 
 
 def sampled_mode_variance(grid, timegrid, cutoff, coeffs, sigma, replicas, seed):
     """Sample variance of the zero mode at the final time over replicas."""
-    zero = (0,) * grid.dim
-    finals = np.empty(replicas)
-    for r in range(replicas):
-        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r)
-        walker = LinearPath(noise, coeffs, sigma)
-        for _ in range(timegrid.M):
-            walker.step()
-        finals[r] = walker.state[zero].real
+    statistic = linear_zero_mode_statistic(grid, timegrid, cutoff, coeffs, sigma)
+    finals = replicate(statistic, replicas, seed)
     return float(np.var(finals, ddof=1)), float(np.std(finals, ddof=1) ** 2 * np.sqrt(2.0 / (replicas - 1)))
 
 

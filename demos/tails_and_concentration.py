@@ -25,7 +25,7 @@ from phi4lab.concentration import (
     tail_estimate,
 )
 from phi4lab.grids import TorusGrid
-from phi4lab.noise import NoiseRealization, TimeGrid
+from phi4lab.noise import NoiseRealization, TimeGrid, replicate
 
 
 def closed_form_section():
@@ -71,12 +71,14 @@ def moment_bounds_section():
     grid = TorusGrid(8, 3)
     tg = TimeGrid(1.0, 48)
     coeffs = CoefficientSet(0.0, -1.0, tg.T)
+
+    def bound_and_holder(replica, seed):
+        path = linear_solution_path(NoiseRealization(grid, tg, 4, seed, replica=replica),
+                                    coeffs, 0.1)
+        return grr_bound(path, p=8, gamma_prime=0.3, beta=-1.2), holder_constant(path, -1.2, 0.3)
+
     print("continuity bound vs Hölder constant (5 paths):")
-    for replica in range(5):
-        noise = NoiseRealization(grid, tg, 4, seed=8, replica=replica)
-        path = linear_solution_path(noise, coeffs, 0.1)
-        bound = grr_bound(path, p=8, gamma_prime=0.3, beta=-1.2)
-        hol = holder_constant(path, beta=-1.2, gamma=0.3)
+    for replica, (bound, hol) in enumerate(replicate(bound_and_holder, 5, 8)):
         print(f"  replica {replica}   bound {bound:.3e}   holder^8 {hol**8:.3e}")
 
     # Hypercontractivity: moments of a fixed Wiener chaos level grow at a

@@ -38,11 +38,12 @@ equivalence
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
 clock, the number of processes the replicas ran on (``workers``: one per
-CPU the process may use, for ``tail``; 1 elsewhere) and a SHA-256 digest
-per output file.  Outputs are deterministic functions of (config, seed),
-and neither ``--out`` nor the worker count enters them: rerunning with
-equal manifests (ignoring the wall clock and workers) reproduces every
-file byte for byte, in any output directory.
+CPU the process may use, for ``tail`` and ``renorm``, the two commands that
+run replicas; 1 elsewhere) and a SHA-256 digest per output file.  Outputs
+are deterministic functions of (config, seed), and neither ``--out`` nor
+the worker count enters them: rerunning with equal manifests (ignoring the
+wall clock and workers) reproduces every file byte for byte, in any output
+directory.
 
 Binary field dumps are little-endian 64-bit floats in C order with a
 JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
@@ -66,16 +67,16 @@ from .concentration import (
     holder_constant,
     linear_solution_path,
     linear_sup_statistic,
+    linear_zero_mode_statistic,
     nelson_check,
-    replica_workers,
     tail_curve_csv,
     tail_estimate,
     tail_report_json,
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (LinearPath, NoiseRealization, TimeGrid, _recorded_indices,
-                    lin_variance_curve, quartic_constant, quartic_renorm_mc, record)
+from .noise import (NoiseRealization, TimeGrid, _recorded_indices, lin_variance_curve,
+                    quartic_constant, quartic_renorm_mc, record, replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
 from .symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
@@ -139,9 +140,14 @@ def _linear_fit(x, y) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
 
 
-def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str) -> None:
+def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
+            seeds=None, workers: int = 1) -> None:
+    """Write the manifest; ``seeds`` defaults to the replica seeds of one level."""
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
                                    command=command)
+    if seeds is not None:
+        manifest.seeds = seeds
+    manifest.workers = workers
     manifest.write(out_dir / "manifest.json")
 
 
@@ -195,12 +201,7 @@ def _check_ou_variance() -> tuple[bool, dict]:
     tg = TimeGrid(1.0, 32)
     co = CoefficientSet(0.0, -1.0, 1.0)
     sigma, reps = 0.3, 400
-    finals = np.empty(reps)
-    for r in range(reps):
-        lp = LinearPath(NoiseRealization(grid, tg, 8, 6, replica=r), co, sigma)
-        for _ in range(tg.M):
-            lp.step()
-        finals[r] = lp.state[(0,) * grid.dim].real
+    finals = replicate(linear_zero_mode_statistic(grid, tg, 8, co, sigma), reps, 6)
     var_hat = float(np.var(finals))
     target = sigma**2 * (1.0 - np.exp(-2.0)) / 2.0
     z = abs(var_hat - target) / (target * np.sqrt(2.0 / reps))
@@ -375,7 +376,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
     _dump_json(report, out_dir / "renorm_fits.json")
     files = ["renorm.csv", "renorm_fits.json"]
-    _finish(cfg, out_dir, files, t0, "renorm")
+    _finish(cfg, out_dir, files, t0, "renorm", workers=replica_workers(cfg.ctilde_replicas))
     return report
 
 
@@ -455,11 +456,8 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
               "levels": results, "ratios": ratios, "replicas": cfg.replicas}
     _dump_json(report, out_dir / "tail_report.json")
     files.append("tail_report.json")
-    manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
-                                   command="tail")
-    manifest.seeds = cfg.replica_seeds(len(cfg.sigmas))
-    manifest.workers = replica_workers(cfg.replicas)
-    manifest.write(out_dir / "manifest.json")
+    _finish(cfg, out_dir, files, t0, "tail", seeds=cfg.replica_seeds(len(cfg.sigmas)),
+            workers=replica_workers(cfg.replicas))
     return report
 
 

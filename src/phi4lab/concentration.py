@@ -20,8 +20,11 @@ replicas, carry exact binomial (Clopper-Pearson) intervals, and fit the
 Gaussian shape ``exp(logD - C h^2 / sigma^2)`` by weighted least squares on
 the log scale.  Thresholds whose count is zero are flagged rather than
 dropped silently: past those cells the tail is below Monte Carlo resolution.
-The replicas run on one forked process per CPU this process may use
-(:func:`replica_workers`), and the curve is the same on any number of them.
+The replicas run through the package's one replica loop,
+:func:`.noise.replicate`, on one forked process per CPU this process may use,
+and the curve is the same on any number of them.  The replica statistics
+here (:func:`linear_sup_statistic`, :func:`linear_zero_mode_statistic`) are
+``(replica, seed) -> float`` callables for that loop.
 """
 
 from __future__ import annotations
@@ -29,16 +32,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import pickle
-import threading
 from statistics import NormalDist
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
 from .grids import SpectralField
-from .noise import LinearPath, NoiseRealization, record
+from .noise import LinearPath, NoiseRealization, record, replicate
 from .paley import besov_norm, default_partition
 from .solvers import SolutionPath
 
@@ -49,12 +49,12 @@ __all__ = [
     "grr_bound",
     "nelson_check",
     "tail_estimate",
-    "replica_workers",
     "gaussian_tail_fit",
     "tail_curve_csv",
     "tail_report_json",
     "linear_solution_path",
     "linear_sup_statistic",
+    "linear_zero_mode_statistic",
 ]
 
 # O(M^2) pair enumeration guard: longer paths are subsampled evenly.
@@ -339,102 +339,6 @@ def _clopper_pearson(counts, n: int, level: float = 0.95):
     return low, high
 
 
-def replica_workers(replicas: int) -> int:
-    """Processes :func:`tail_estimate` runs ``replicas`` replicas on.
-
-    One per CPU this process may run on (``os.sched_getaffinity``), and no
-    more than there are replicas.  One where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, and while other Python threads
-    run: a fork copies only the calling thread, so a lock another thread
-    holds at that moment would stay held in the child.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), replicas)
-
-
-def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
-    """``(values, failure)`` of the replicas ``worker, worker + workers, ...``.
-
-    ``values`` are the statistic's values in replica order.  The share stops
-    at its first replica that raises or gives a non-finite value, and
-    ``failure`` is then ``(replica, exception)``; it is ``None`` otherwise.
-    """
-    values = []
-    for i in range(worker, replicas, workers):
-        try:
-            value = float(statistic(i, seed))
-            if not math.isfinite(value):
-                raise ValueError(f"replica {i} gave the non-finite value {value}")
-        except Exception as exc:
-            return values, (i, exc)
-        values.append(value)
-    return values, None
-
-
-def _replica_values(statistic, replicas: int, seed) -> np.ndarray:
-    """``statistic(i, seed)`` for every replica ``i``, in replica order.
-
-    The calling process is worker 0 and forks the other
-    :func:`replica_workers`; worker ``w`` computes the replicas with
-    ``i % workers == w`` and a child sends its share back pickled over a
-    pipe, then leaves through ``os._exit``, so it never returns into the
-    caller.  A forked child inherits the statistic and its scratch buffers,
-    so nothing is pickled on the way in and no buffer is shared.  Every
-    child is reaped before this returns or raises, and one still running
-    when the caller fails is killed first.  Of the failures, the one at the
-    lowest replica index is raised, the one the serial loop would meet
-    first.
-    """
-    workers = replica_workers(replicas)
-    children = []  # (pid, read end of its pipe)
-    shares = []
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)
-                    for _, fd in children:
-                        os.close(fd)
-                    share = pickle.dumps(_replica_share(statistic, w, workers, replicas, seed))
-                    with os.fdopen(write, "wb") as out:
-                        out.write(share)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, read))
-        shares.append(_replica_share(statistic, 0, workers, replicas, seed))
-        for w, (_, read) in enumerate(children, start=1):
-            with open(read, "rb", closefd=False) as src:
-                try:
-                    shares.append(pickle.load(src))
-                except EOFError:
-                    raise RuntimeError(f"replica worker {w} ended without sending "
-                                       "its values") from None
-    finally:
-        if len(shares) < workers:  # the caller fails: stop every child before reaping it
-            import signal  # here, not at the top: no command that succeeds pays for it
-
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for pid, read in children:
-            os.close(read)
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    values = np.empty(replicas)
-    for w, (share, _) in enumerate(shares):
-        values[w::workers] = share
-    return values
-
-
 def tail_estimate(
     statistic,
     h_grid,
@@ -446,18 +350,16 @@ def tail_estimate(
 ) -> TailCurve:
     """Monte Carlo exceedance curve of a replica statistic.
 
-    ``statistic(replica, seed)`` is called once per replica index with
-    ``seed = master_seed``; independence across replicas is the statistic's
-    responsibility (the noise layer binds its streams to the (seed, replica)
-    pair, so passing both through is enough).  The statistic must be a pure
-    function of ``(replica, seed)``: the replicas run on
-    :func:`replica_workers` processes, forked from this one, and what a
-    replica run in a child changes (a list it appends to, a cache it
-    fills) is not seen by the caller.  The whole curve is a deterministic
-    function of ``master_seed``, whatever the number of workers.  A replica
-    that raises raises the same exception type and message here, and a
-    non-finite value is rejected with a ``ValueError`` naming its replica.
-    Exceedance events are the nested ``value > h``, which forces the raw
+    ``statistic(replica, seed)`` gives one float and is called once per
+    replica index with ``seed = master_seed``; independence across replicas
+    is the statistic's responsibility (the noise layer binds its streams to
+    the (seed, replica) pair, so passing both through is enough).  The
+    replicas run through :func:`.noise.replicate`, so the statistic must be
+    a pure function of ``(replica, seed)``, the whole curve is a
+    deterministic function of ``master_seed`` whatever the number of worker
+    processes, a replica that raises raises the same exception type and
+    message here, and a non-finite value is rejected with a ``ValueError``
+    naming its replica.  Exceedance events are the nested ``value > h``, which forces the raw
     counts to be non-increasing; the returned curve re-checks that along
     with the range invariants.
     """
@@ -465,9 +367,9 @@ def tail_estimate(
     if h.ndim != 1 or len(h) == 0 or np.any(h < 0.0) or np.any(np.diff(h) <= 0.0):
         raise ValueError("h_grid must be non-negative and strictly increasing")
     replicas = int(replicas)
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas}")
-    values = _replica_values(statistic, replicas, master_seed)
+    values = replicate(statistic, replicas, master_seed)
+    if values.ndim != 1:
+        raise ValueError(f"the statistic gave values of shape {values.shape[1:]}, not floats")
     counts = (values[None, :] > h[:, None]).sum(axis=1)
     p_hat = counts / float(replicas)
     ci_low, ci_high = _clopper_pearson(counts, replicas)
@@ -579,15 +481,7 @@ def linear_solution_path(
     """
     walker = LinearPath(noise, coeffs, sigma)
     times, out = record(noise.timegrid, record_every, walker.step, {"state": lambda: walker.state})
-    meta = {
-        "kind": "linear",
-        "sigma": float(sigma),
-        "cutoff": noise.cutoff,
-        "seed": noise.seed,
-        "replica": noise.replica,
-        "dt": noise.timegrid.dt,
-    }
-    return SolutionPath(noise.grid, times, out["state"], meta)
+    return SolutionPath(noise.grid, times, out["state"])
 
 
 def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha):
@@ -596,8 +490,8 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha):
     Returns a ``(replica, seed) -> float`` callable for :func:`tail_estimate`.
     One block-stack buffer is built per statistic and shared by every replica
     and step, so the callable is not reentrant: call it from one thread at a
-    time.  The worker processes of :func:`tail_estimate` each get their own
-    copy of the buffer when they are forked, so they share none of it.  The
+    time.  The worker processes of :func:`.noise.replicate` each get their
+    own copy of the buffer when they are forked, so they share none of it.  The
     step kernel is the one :func:`~.noise.step_kernel` keeps for the grid,
     time grid and damping, so statistics at other noise levels share it.
     """
@@ -611,5 +505,26 @@ def linear_sup_statistic(grid, timegrid, cutoff, coeffs, sigma, alpha):
             walker.step()
             best = max(best, besov_norm(SpectralField(grid, walker.state), alpha, out=buf))
         return best
+
+    return statistic
+
+
+def linear_zero_mode_statistic(grid, timegrid, cutoff, coeffs, sigma):
+    """Replica statistic: real part of the linear path's zero mode at ``T``.
+
+    Returns a ``(replica, seed) -> float`` callable for
+    :func:`.noise.replicate`.  For constant damping ``a`` the zero mode is
+    an Ornstein-Uhlenbeck process, whose variance at ``T`` is
+    ``sigma**2 (exp(2 a T) - 1) / (2 a)``: the check of ``verify`` and the
+    noise demo compare the sample variance against it.
+    """
+    zero = (0,) * grid.dim
+
+    def statistic(replica, seed):
+        walker = LinearPath(NoiseRealization(grid, timegrid, cutoff, seed, replica=replica),
+                            coeffs, sigma)
+        for _ in range(timegrid.M):
+            walker.step()
+        return walker.state[zero].real
 
     return statistic

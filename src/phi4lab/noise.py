@@ -1,5 +1,5 @@
-"""Band-limited white-in-time forcing, the damped stochastic convolution, and
-the one loop that records time paths.
+"""Band-limited white-in-time forcing, the damped stochastic convolution, the
+one loop that records time paths and the one loop that runs replicas.
 
 Noise model: every Fourier mode inside the cutoff band carries an
 independent Brownian motion with ``E|dW(w)|^2 = dt``.  Increments are
@@ -39,10 +39,21 @@ configuration shares it.
 fields of it at every ``every``-th grid time and at ``T``; every recorded
 path in the package (solver routes, the symbol ensemble, the stochastic
 convolution, the symbol norm table) goes through it, under one memory budget.
+
+:func:`replicate` evaluates a statistic of every replica of a seed, on one
+forked process per CPU this process may use (:func:`replica_workers`); every
+Monte Carlo in the package (the tail curves, the quartic constant's
+estimator, the OU check of ``verify`` and the demos) goes through it.  The
+counter-based streams make a replica a pure function of (seed, replica), so
+the values, assembled in replica order, are the same bits on any number of
+processes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from functools import cache, lru_cache
 
 import numpy as np
@@ -58,6 +69,8 @@ __all__ = [
     "ROLE_RENORM",
     "TimeGrid",
     "record",
+    "replica_workers",
+    "replicate",
     "NoiseRealization",
     "StepKernel",
     "step_kernel",
@@ -149,7 +162,153 @@ def _recorded_indices(timegrid: TimeGrid, every: int, bytes_per_time: int) -> li
     return idx
 
 
-class NoiseRealization:
+def replica_workers(replicas: int) -> int:
+    """Processes :func:`replicate` runs ``replicas`` replicas on.
+
+    One per CPU this process may run on (``os.sched_getaffinity``), and no
+    more than there are replicas.  One where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while other Python threads
+    run: a fork copies only the calling thread, so a lock another thread
+    holds at that moment would stay held in the child.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), replicas)
+
+
+def _shape_error(replica: int, shape: tuple, before: tuple) -> ValueError:
+    return ValueError(f"replica {replica} gave a value of shape {shape}, "
+                      f"where the replicas before it gave {before}")
+
+
+def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
+    """``(values, failure)`` of the replicas ``worker, worker + workers, ...``.
+
+    ``values`` stacks the statistic's float64 values in replica order.  The
+    share stops at its first replica that raises, gives a non-finite entry,
+    or gives a value of another shape than the share's first, and
+    ``failure`` is then ``(replica, exception)``; it is ``None`` otherwise.
+    """
+    values = []
+    for i in range(worker, replicas, workers):
+        try:
+            value = np.asarray(statistic(i, seed), dtype=np.float64)
+            bad = ~np.isfinite(value)
+            if bad.any():
+                at = "" if value.ndim == 0 else f" at index {tuple(np.argwhere(bad)[0].tolist())}"
+                raise ValueError(f"replica {i} gave the non-finite value {value[bad][0]}{at}")
+            if values and value.shape != values[0].shape:
+                raise _shape_error(i, value.shape, values[0].shape)
+        except Exception as exc:
+            return np.array(values), (i, exc)
+        values.append(value)
+    return np.array(values), None
+
+
+def replicate(statistic, replicas: int, seed) -> np.ndarray:
+    """``statistic(i, seed)`` for every replica ``i < replicas``, in replica order.
+
+    A replica's value is a float or a float array, and every replica's has
+    the shape of replica 0's: the result has shape ``(replicas,) + shape``.
+    The statistic must be a pure function of ``(replica, seed)``, as a
+    :class:`NoiseRealization` of that seed and replica is: what a replica
+    run in a child process changes (a list it appends to, a cache it fills)
+    is not seen by the caller.
+
+    The calling process is worker 0 and forks the other
+    :func:`replica_workers`; worker ``w`` computes the replicas with
+    ``i % workers == w`` and a child sends its share back pickled over a
+    pipe, then leaves through ``os._exit``, so it never returns into the
+    caller.  A forked child inherits the statistic and its scratch buffers,
+    so nothing is pickled on the way in and no buffer is shared.  Every
+    child is reaped before this returns or raises, and one still running
+    when the caller fails is killed first.
+
+    A replica that raises raises the same exception type and message here; a
+    non-finite entry, or a shape other than that of the replicas before it,
+    raises a ``ValueError`` naming the replica.  Of the failures, the one at
+    the lowest replica index is raised, the one a serial loop would meet
+    first, so the result and the error do not depend on the worker count.
+    """
+    replicas = int(replicas)
+    if replicas < 1:
+        raise ValueError(f"need at least one replica, got {replicas}")
+    workers = replica_workers(replicas)
+    children = []  # (pid, read end of its pipe)
+    shares = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    for _, fd in children:
+                        os.close(fd)
+                    share = pickle.dumps(_replica_share(statistic, w, workers, replicas, seed))
+                    with os.fdopen(write, "wb") as out:
+                        out.write(share)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        shares.append(_replica_share(statistic, 0, workers, replicas, seed))
+        for w, (_, read) in enumerate(children, start=1):
+            with open(read, "rb", closefd=False) as src:
+                try:
+                    shares.append(pickle.load(src))
+                except EOFError:
+                    raise RuntimeError(f"replica worker {w} ended without sending "
+                                       "its values") from None
+    finally:
+        if len(shares) < workers:  # the caller fails: stop every child before reaping it
+            import signal  # here, not at the top: no command that succeeds pays for it
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    # each share checked its own shapes; replica w, the first of its share,
+    # is checked here against replica 0
+    shape = shares[0][0].shape[1:]
+    failures = [(w, _shape_error(w, share.shape[1:], shape))
+                for w, (share, _) in enumerate(shares) if len(share) and share.shape[1:] != shape]
+    failures += [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values = np.empty((replicas,) + shape)
+    for w, (share, _) in enumerate(shares):
+        values[w::workers] = share
+    return values
+
+
+class _Increments:
+    """The increments of a realization, keeping the last one drawn.
+
+    The direct route and the v/w route step one realization in lockstep, so
+    each asks for the step the other has just drawn; the kept increment is
+    read-only, which makes handing it out twice safe.
+    """
+
+    _last: tuple = (None, None)
+
+    def increment(self, j: int) -> np.ndarray:
+        """Spectral Brownian increment over step ``j`` (half layout), read-only."""
+        last, dw = self._last
+        if j != last:
+            if not 0 <= j < self.timegrid.M:
+                raise ValueError(f"step {j} outside [0, {self.timegrid.M})")
+            dw = _frozen(self._draw(j))
+            self._last = (j, dw)
+        return dw
+
+
+class NoiseRealization(_Increments):
     """One replica of the band-limited space-time noise.
 
     Parameters
@@ -184,10 +343,7 @@ class NoiseRealization:
         self._mask = grid.kinf <= cutoff
         self._scale = np.sqrt(timegrid.dt) / grid.N ** (grid.dim / 2.0)
 
-    def increment(self, j: int) -> np.ndarray:
-        """Spectral Brownian increment over step ``j`` (half layout)."""
-        if not 0 <= j < self.timegrid.M:
-            raise ValueError(f"step {j} outside [0, {self.timegrid.M})")
+    def _draw(self, j: int) -> np.ndarray:
         ss = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.role, self.replica, j)
         )
@@ -204,7 +360,7 @@ class NoiseRealization:
         return _AggregatedNoise(self, factor)
 
 
-class _AggregatedNoise:
+class _AggregatedNoise(_Increments):
     def __init__(self, base: NoiseRealization, factor: int):
         self.base = base
         self.factor = factor
@@ -215,9 +371,7 @@ class _AggregatedNoise:
         self.role = base.role
         self.timegrid = TimeGrid(base.timegrid.T, base.timegrid.M // factor)
 
-    def increment(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.timegrid.M:
-            raise ValueError(f"step {j} outside [0, {self.timegrid.M})")
+    def _draw(self, j: int) -> np.ndarray:
         out = self.base.increment(j * self.factor)
         for i in range(1, self.factor):
             out = out + self.base.increment(j * self.factor + i)
@@ -491,6 +645,7 @@ def quartic_renorm_mc(
     amplitude.  The time integral of the Wick square takes the same ETD step
     as :class:`.symbols.SymbolStepper`, so one replica's pairing is the zero
     mode of that stepper's uncentred ``res_iwick2_wick2`` on the same stream.
+    The replicas run through :func:`replicate`.
 
     Returns a dict with the grid times, the estimates, standard errors, and
     the raw (unhalved) pairing means, one per grid time.
@@ -506,20 +661,23 @@ def quartic_renorm_mc(
     c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0)
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
 
-    raw = np.zeros((replicas, M + 1))
-    for r in range(replicas):
-        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=r, role=ROLE_RENORM)
+    def pairing(replica, seed):
+        """The unit-amplitude pairing of one replica at every grid time."""
+        noise = NoiseRealization(grid, timegrid, cutoff, seed, replica=replica, role=ROLE_RENORM)
         lin = LinearPath(noise, coeffs, 1.0)
         iw2 = np.zeros(grid.hshape, dtype=np.complex128)
+        row = np.empty(M + 1)
         for j in range(M + 1):
             w2 = product_spectra([lin.state, lin.state], N, band=band)
             w2[zero] -= c_unit[j]
-            raw[r, j] = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
+            row[j] = float(np.sum(w_pair * (iw2 * np.conj(w2)).real))
             if j == M:
                 break
             iw2 = kern.propagator(j) * iw2 + kern.etd_weight(j) * w2
             lin.step()
+        return row
 
+    raw = replicate(pairing, replicas, seed)
     raw_mean = raw.mean(axis=0)
     raw_se = raw.std(axis=0, ddof=1) / np.sqrt(replicas) if replicas > 1 else np.zeros_like(raw_mean)
     scale = sigma**4

@@ -95,17 +95,15 @@ def _check_blowup(grid: TorusGrid, c: np.ndarray, t: float, j: int) -> None:
 
 
 class SolutionPath:
-    """Time-indexed spectral solution with run metadata.
+    """Time-indexed spectral solution.
 
-    ``coeffs`` holds one half-layout spectrum per recorded time; ``meta``
-    records dt, cutoff, seed and scheme so a path is self-describing.
+    ``coeffs`` holds one half-layout spectrum per recorded time.
     """
 
-    def __init__(self, grid: TorusGrid, times: np.ndarray, coeffs: np.ndarray, meta: dict):
+    def __init__(self, grid: TorusGrid, times: np.ndarray, coeffs: np.ndarray):
         self.grid = grid
         self.times = np.asarray(times, dtype=np.float64)
         self.coeffs = coeffs
-        self.meta = dict(meta)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -182,8 +180,7 @@ def solve_deterministic(
         _check_blowup(grid, phi, timegrid.ts[j], j)
 
     times, out = record(timegrid, record_every, step, {"phi": lambda: phi})
-    meta = {"dt": timegrid.dt, "scheme": "etd1", "n": None, "seed": None, "sigma": 0.0}
-    return SolutionPath(grid, times, out["phi"], meta)
+    return SolutionPath(grid, times, out["phi"])
 
 
 class RenormalizedStepper:
@@ -270,14 +267,7 @@ def solve_renormalized(
     noise = NoiseRealization(grid, timegrid, cutoff, seed)
     st = RenormalizedStepper(noise, coeffs, sigma, **kwargs)
     times, out = record(timegrid, record_every, st.step, {"phi": lambda: st.phi})
-    meta = {
-        "dt": timegrid.dt,
-        "n": st.noise.cutoff,
-        "seed": seed,
-        "sigma": st.sigma,
-        "scheme": "etd1",
-    }
-    return SolutionPath(grid, times, out["phi"], meta)
+    return SolutionPath(grid, times, out["phi"])
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +439,13 @@ def solve_vw(symbols: SymbolStepper, record_every: int = 1, forcing=None) -> dic
 
     Consumes the supplied symbol stepper and records ``v``, ``w`` and the
     reconstructed solution ``phi`` every ``record_every`` steps and at the
-    end; returns one :class:`SolutionPath` per name, sharing times and meta.
+    end; returns one :class:`SolutionPath` per name, sharing the times.
     """
     vw = VWStepper(symbols, forcing=forcing)
     grid, timegrid = vw.grid, vw.timegrid
     times, out = record(timegrid, record_every, vw.step,
                         {"v": lambda: vw.v, "w": lambda: vw.w, "phi": vw.reconstruct})
-    meta = {
-        "dt": timegrid.dt,
-        "n": symbols.noise.cutoff,
-        "seed": symbols.noise.seed,
-        "sigma": symbols.sigma,
-        "scheme": "etd1",
-    }
-    return {name: SolutionPath(grid, times, path, meta) for name, path in out.items()}
+    return {name: SolutionPath(grid, times, path) for name, path in out.items()}
 
 
 def equivalence_report(

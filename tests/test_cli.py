@@ -425,6 +425,21 @@ class TestExperimentCommands:
         assert [r["ctilde_mc"] for r in single["rows"]] != [r["ctilde_mc"] for r in report["rows"]]
         assert all(row["ctilde_se"] == 0.0 for row in single["rows"])
 
+    def test_renorm_worker_count_enters_no_output(self, tmp_path, monkeypatch):
+        # the manifest records how many processes ran the Monte Carlo
+        # cross-check, and equal_modulo_timing leaves that out
+        manifests = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"w{cpus}"
+            out.mkdir()
+            cmd_renorm(_cfg(), out)
+            manifests.append(RunManifest.load(out / "manifest.json"))
+        assert [m.workers for m in manifests] == [1, 2]
+        assert manifests[0].equal_modulo_timing(manifests[1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_simulate_outputs(self, tmp_path):
         cfg = _cfg(sigma=0.05)
         report = cmd_simulate(cfg, tmp_path)
@@ -455,6 +470,31 @@ class TestExperimentCommands:
         assert {"gap", "dt", "gap_refined"} <= set(report)
         doc = json.loads((tmp_path / "equivalence.json").read_text())
         assert doc["gap"] == report["gap"]
+
+    def test_equivalence_draws_each_increment_twice(self, tmp_path, monkeypatch):
+        # the coarse and the fine pass each draw every fine increment once: the
+        # direct and v/w routes step one realization in lockstep and share the
+        # increment it keeps.  Drawing on every call writes the same file
+        draws = []
+        draw = noise.NoiseRealization._draw
+
+        def counting(nz, j):
+            draws.append((nz.seed, nz.role, nz.replica, j))
+            return draw(nz, j)
+
+        monkeypatch.setattr(noise.NoiseRealization, "_draw", counting)
+        cfg = _cfg(dt=0.05)
+        kept, every = tmp_path / "kept", tmp_path / "every"
+        kept.mkdir()
+        every.mkdir()
+        cmd_equivalence(cfg, kept)
+        assert len(set(draws)) == 2 * cfg.steps
+        assert len(draws) == 4 * cfg.steps
+        draws.clear()
+        monkeypatch.setattr(noise._Increments, "increment", lambda nz, j: nz._draw(j))
+        cmd_equivalence(cfg, every)
+        assert len(draws) == 8 * cfg.steps
+        assert (kept / "equivalence.json").read_bytes() == (every / "equivalence.json").read_bytes()
 
     def test_blowup_diagnostic(self, tmp_path, capsys):
         doc = {

@@ -17,17 +17,15 @@ Oracles used here:
   without binomial noise,
 * exact amplitude homogeneity of the noise recursion, which forces the
   fitted h^2 rate at sigma and 2 sigma to differ by a factor 4,
-* the serial replica loop: with any number of worker processes the values
-  come back in replica order, bitwise equal, and a failure in a child is
-  the one the serial loop would raise.
+* the serial replica loop: with any number of worker processes the curve
+  is bitwise equal (the loop itself, and the failures it raises, are
+  tested with the noise layer, its home).
 """
 
 import csv
 import json
 import math
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -49,7 +47,7 @@ from phi4lab.concentration import (
     tail_report_json,
 )
 from phi4lab.grids import SpectralField, TorusGrid
-from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc
+from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc, replica_workers, replicate
 from phi4lab.paley import besov_norm
 from phi4lab.solvers import SolutionPath
 from phi4lab.symbols import SymbolStepper
@@ -220,7 +218,7 @@ class TestGrrBound:
         with pytest.raises(ValueError, match="exceed 1/p"):
             grr_bound(path, 8, 0.125)
         grid = TorusGrid(8, 2)
-        spath = SolutionPath(grid, ts, np.zeros((11,) + grid.hshape, dtype=np.complex128), {})
+        spath = SolutionPath(grid, ts, np.zeros((11,) + grid.hshape, dtype=np.complex128))
         with pytest.raises(ValueError, match="beta"):
             grr_bound(spath, 8, 0.5)
 
@@ -361,7 +359,7 @@ class TestTailEstimate:
 
 
 def _use_cpus(monkeypatch, n):
-    """Let this process see ``n`` usable CPUs, so tail_estimate runs up to ``n`` workers."""
+    """Let this process see ``n`` usable CPUs, so the replica loop runs up to ``n`` workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -375,82 +373,19 @@ def _exponential(i, seed):
     return np.random.default_rng((seed, i)).exponential()
 
 
-class _Abort(BaseException):
-    """Stands for an interrupt: not an ``Exception``, so no share catches it."""
+class TestTailReplicas:
+    """The curve on the replica loop of :func:`phi4lab.noise.replicate`."""
 
-
-class TestReplicaWorkers:
     @pytest.mark.parametrize("replicas", [1, 5, 100])
     def test_curve_is_bitwise_equal_for_every_worker_count(self, monkeypatch, replicas):
         curves = []
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
-            assert concentration.replica_workers(replicas) == min(cpus, replicas)
+            assert replica_workers(replicas) == min(cpus, replicas)
             curves.append(tail_estimate(_exponential, [0.2, 0.6, 1.8], replicas, 9))
         for curve in curves[1:]:
             for name in ("counts", "p_hat", "ci_low", "ci_high"):
                 assert np.array_equal(getattr(curve, name), getattr(curves[0], name))
-        _assert_no_children()
-
-    def test_values_come_back_in_replica_order(self, monkeypatch):
-        # the counts do not see the order of the values; the assembled array does
-        _use_cpus(monkeypatch, 3)
-        values = concentration._replica_values(_exponential, 100, 9)
-        assert np.array_equal(values, [_exponential(i, 9) for i in range(100)])
-        _assert_no_children()
-
-    def test_failure_in_a_child_raises_its_type_and_message(self, monkeypatch):
-        _use_cpus(monkeypatch, 2)
-
-        def stat(i, s):
-            if i == 3:  # odd replicas run in the one child
-                raise RuntimeError("blow-up at replica 3")
-            return 1.0
-
-        with pytest.raises(RuntimeError, match=r"^blow-up at replica 3$"):
-            tail_estimate(stat, [0.5], 5, 0)
-        _assert_no_children()
-
-    def test_lowest_failing_replica_is_raised(self, monkeypatch):
-        # replica 1 fails in a child and replica 2 in this process: the serial
-        # loop meets replica 1 first, and so does every worker count
-        _use_cpus(monkeypatch, 3)
-
-        def stat(i, s):
-            if i in (1, 2):
-                raise KeyError(f"replica {i}")
-            return 1.0
-
-        with pytest.raises(KeyError, match="replica 1"):
-            tail_estimate(stat, [0.5], 6, 0)
-        _assert_no_children()
-
-    def test_child_that_dies_without_values_is_reported(self, monkeypatch):
-        _use_cpus(monkeypatch, 2)
-
-        def stat(i, s):
-            if i == 1:
-                os._exit(7)
-            return 1.0
-
-        with pytest.raises(RuntimeError, match="replica worker 1 ended without sending"):
-            tail_estimate(stat, [0.5], 4, 0)
-        _assert_no_children()
-
-    def test_interrupted_caller_stops_its_children(self, monkeypatch):
-        # the child would sleep for a minute; it is killed and reaped at once
-        _use_cpus(monkeypatch, 2)
-
-        def stat(i, s):
-            if i == 0:
-                raise _Abort
-            time.sleep(60.0)
-            return 1.0
-
-        start = time.monotonic()
-        with pytest.raises(_Abort):
-            tail_estimate(stat, [0.5], 2, 0)
-        assert time.monotonic() - start < 30.0
         _assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -462,25 +397,10 @@ class TestReplicaWorkers:
             tail_estimate(lambda i, s: bad if i == 3 else 1.0, [0.5], 5, 0)
         _assert_no_children()
 
-    def test_one_worker_without_fork(self, monkeypatch):
-        _use_cpus(monkeypatch, 3)
-        monkeypatch.delattr(os, "fork")
-        assert concentration.replica_workers(5) == 1
-        assert list(tail_estimate(_exponential, [0.5], 5, 9).counts) == [
-            sum(_exponential(i, 9) > 0.5 for i in range(5))]
-
-    def test_one_worker_while_another_thread_runs(self, monkeypatch):
-        _use_cpus(monkeypatch, 3)
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            assert concentration.replica_workers(5) == 1
-        finally:
-            stop.set()
-            other.join(timeout=10.0)
-        assert not other.is_alive()
-        assert concentration.replica_workers(5) == 3
+    def test_array_values_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2,\), not floats"):
+            tail_estimate(lambda i, s: [1.0, 2.0], [0.5], 3, 0)
+        _assert_no_children()
 
 
 def _nested_gaussian_statistic(sig, rate):
@@ -604,18 +524,21 @@ class TestChaosFamilyTails:
         sig, seed, reps = 0.7, 77, 250
         ct = quartic_renorm_mc(grid, tg, 3, DAMPED, seed, replicas=64, sigma=sig)
         family = {"lin": 1, "iwick3": 3, "res_iwick3_wick2": 5}
-        sups = {name: np.zeros(reps) for name in family}
-        for r in range(reps):
+
+        def running_sups(replica, seed):
             sym = SymbolStepper(
-                NoiseRealization(grid, tg, 3, seed, replica=r), DAMPED, sig,
+                NoiseRealization(grid, tg, 3, seed, replica=replica), DAMPED, sig,
                 ctilde=ct["estimate"],
             )
+            best = np.zeros(len(family))
             for _ in range(tg.M):
                 sym.step()
                 vals = sym.values()
-                for name in family:
-                    b = besov_norm(SpectralField(grid, vals[name]), -0.6)
-                    sups[name][r] = max(sups[name][r], b)
+                for k, name in enumerate(family):
+                    best[k] = max(best[k], besov_norm(SpectralField(grid, vals[name]), -0.6))
+            return best
+
+        sups = dict(zip(family, np.array(replicate(running_sups, reps, seed).T)))
         hgrids = {
             "lin": np.linspace(1.1, 2.4, 8),
             "iwick3": np.linspace(0.36, 0.56, 8),
@@ -687,5 +610,6 @@ class TestLinearSolutionPath:
         tg = TimeGrid(0.5, 12)
         a = linear_solution_path(NoiseRealization(grid, tg, 4, seed=5, replica=0), DAMPED, 0.3)
         b = linear_solution_path(NoiseRealization(grid, tg, 4, seed=5, replica=1), DAMPED, 0.3)
-        assert not np.array_equal(a.coeffs, b.coeffs)
-        assert a.meta["replica"] == 0 and b.meta["replica"] == 1
+        # equal at t = 0, where both start from zero, and apart at every later time
+        assert np.array_equal(a.coeffs[0], b.coeffs[0])
+        assert all(not np.array_equal(x, y) for x, y in zip(a.coeffs[1:], b.coeffs[1:]))

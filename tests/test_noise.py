@@ -1,4 +1,10 @@
-"""Noise stream, exact-variance kernel and renormalization constant checks."""
+"""Noise stream, exact-variance kernel, replica loop and renormalization
+constant checks."""
+
+import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ from scipy.special import roots_legendre
 
 from phi4lab import noise
 from phi4lab.coeffs import CoefficientSet
-from phi4lab.concentration import linear_sup_statistic
+from phi4lab.concentration import linear_sup_statistic, linear_zero_mode_statistic
 from phi4lab.grids import SpectralField, TorusGrid, product_spectra
 from phi4lab.noise import (
     LinearPath,
@@ -17,6 +23,8 @@ from phi4lab.noise import (
     lin_variance_path,
     quartic_renorm_mc,
     record,
+    replica_workers,
+    replicate,
 )
 from phi4lab.paley import resonant
 
@@ -76,7 +84,189 @@ class TestRecord:
             record(TimeGrid(1.0, 1000), 1, step, {"f": lambda: field})
 
 
+def _use_cpus(monkeypatch, n):
+    """Let this process see ``n`` usable CPUs, so the replica loop runs up to ``n`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_children():
+    # raises only when this process has no child at all, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exponential(i, seed):
+    return np.random.default_rng((seed, i)).exponential()
+
+
+def _triple(i, seed):
+    """An array-valued statistic: three draws of replica ``i``."""
+    return np.random.default_rng((seed, i)).normal(size=3)
+
+
+class _Abort(BaseException):
+    """Stands for an interrupt: not an ``Exception``, so no share catches it."""
+
+
+class TestReplicaWorkers:
+    """The one replica loop: any worker count gives the serial loop's values and errors."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_values_come_back_in_replica_order(self, monkeypatch, cpus):
+        # a tail curve's counts do not see the order of the values; this array does
+        _use_cpus(monkeypatch, cpus)
+        values = replicate(_exponential, 100, 9)
+        assert values.shape == (100,)
+        assert np.array_equal(values, [_exponential(i, 9) for i in range(100)])
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_array_values_come_back_in_replica_order(self, monkeypatch, cpus):
+        _use_cpus(monkeypatch, cpus)
+        values = replicate(_triple, 7, 4)
+        assert values.shape == (7, 3)
+        assert values.tobytes() == np.array([_triple(i, 4) for i in range(7)]).tobytes()
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [{1}, {4}, {1, 2, 3, 4, 5}], ids=["1", "4", "1-5"])
+    def test_shape_mismatch_rejected_naming_its_replica(self, monkeypatch, cpus, odd):
+        # replica 1 is the first of a child's share, where only the parent can
+        # compare it with replica 0; replica 4 is checked inside its share
+        _use_cpus(monkeypatch, cpus)
+
+        def stat(i, s):
+            return np.zeros(2 if i in odd else 3)
+
+        first = min(odd)
+        with pytest.raises(ValueError, match=rf"^replica {first} gave a value of shape \(2,\), "
+                                             r"where the replicas before it gave \(3,\)$"):
+            replicate(stat, 6, 0)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_array_entry_rejected_naming_its_replica(self, monkeypatch, cpus):
+        _use_cpus(monkeypatch, cpus)
+
+        def stat(i, s):
+            value = np.ones((2, 2))
+            if i == 3:
+                value[1, 0] = -math.inf
+            return value
+
+        with pytest.raises(ValueError, match=r"^replica 3 gave the non-finite value -inf "
+                                             r"at index \(1, 0\)$"):
+            replicate(stat, 5, 0)
+        _assert_no_children()
+
+    def test_failure_in_a_child_raises_its_type_and_message(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 3:  # odd replicas run in the one child
+                raise RuntimeError("blow-up at replica 3")
+            return 1.0
+
+        with pytest.raises(RuntimeError, match=r"^blow-up at replica 3$"):
+            replicate(stat, 5, 0)
+        _assert_no_children()
+
+    def test_lowest_failing_replica_is_raised(self, monkeypatch):
+        # replica 1 fails in a child and replica 2 in this process: the serial
+        # loop meets replica 1 first, and so does every worker count
+        _use_cpus(monkeypatch, 3)
+
+        def stat(i, s):
+            if i in (1, 2):
+                raise KeyError(f"replica {i}")
+            return 1.0
+
+        with pytest.raises(KeyError, match="replica 1"):
+            replicate(stat, 6, 0)
+        _assert_no_children()
+
+    def test_child_that_dies_without_values_is_reported(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 1:
+                os._exit(7)
+            return 1.0
+
+        with pytest.raises(RuntimeError, match="replica worker 1 ended without sending"):
+            replicate(stat, 4, 0)
+        _assert_no_children()
+
+    def test_interrupted_caller_stops_its_children(self, monkeypatch):
+        # the child would sleep for a minute; it is killed and reaped at once
+        _use_cpus(monkeypatch, 2)
+
+        def stat(i, s):
+            if i == 0:
+                raise _Abort
+            time.sleep(60.0)
+            return 1.0
+
+        start = time.monotonic()
+        with pytest.raises(_Abort):
+            replicate(stat, 2, 0)
+        assert time.monotonic() - start < 30.0
+        _assert_no_children()
+
+    def test_at_least_one_replica(self):
+        with pytest.raises(ValueError, match="need at least one replica, got 0"):
+            replicate(_exponential, 0, 0)
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert replica_workers(5) == 1
+        assert np.array_equal(replicate(_exponential, 5, 9), [_exponential(i, 9) for i in range(5)])
+
+    def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert replica_workers(5) == 1
+        finally:
+            stop.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert replica_workers(5) == 3
+
+    def test_quartic_monte_carlo_is_bitwise_equal_for_every_worker_count(self, monkeypatch):
+        grid = TorusGrid(8, 2)
+        tg = TimeGrid(0.25, 6)
+        cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
+        reps = []
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            reps.append(quartic_renorm_mc(grid, tg, 3, cs, seed=41, replicas=7))
+        for rep in reps[1:]:
+            for key in ("estimate", "se", "raw_mean"):
+                assert rep[key].tobytes() == reps[0][key].tobytes()
+        _assert_no_children()
+
+
 class TestNoiseRealization:
+    def test_increment_is_kept_and_read_only(self):
+        grid = TorusGrid(8, 2)
+        fine = NoiseRealization(grid, TimeGrid(1.0, 8), 4, seed=5)
+        coarse = fine.aggregate(2)
+        for nz in (fine, coarse):
+            dw = nz.increment(1)
+            assert nz.increment(1) is dw
+            assert not dw.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                dw[0, 0] = 1.0
+        # the kept increment is the one a fresh realization draws
+        fresh = NoiseRealization(grid, TimeGrid(1.0, 8), 4, seed=5)
+        assert np.array_equal(fine.increment(1), fresh.increment(1))
+        with pytest.raises(ValueError, match="step 8 outside"):
+            fine.increment(8)
+
     def test_deterministic_and_random_access(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(1.0, 8)
@@ -305,6 +495,8 @@ class TestStepKernelRows:
 
         monkeypatch.setattr(noise, "_phi1", counting)
         noise._cached_kernel.cache_clear()  # no rows kept from an earlier test
+        # one CPU: every replica runs in this process, where the count sees it
+        _use_cpus(monkeypatch, 1)
         quartic_renorm_mc(self.GRID, self.TG, 3, self.COEFFS, 7, replicas=5)
         assert len(calls) == self.TG.M
 
@@ -351,13 +543,7 @@ class TestLinearPath:
         cs = CoefficientSet(f2=0.0, a=-1.0, T=1.0)
         sigma = 0.8
         R = 3000
-        vals = np.empty(R)
-        for r in range(R):
-            noise = NoiseRealization(grid, tg, 0, seed=2024, replica=r)
-            p = LinearPath(noise, cs, sigma)
-            for _ in range(16):
-                p.step()
-            vals[r] = p.state[0].real
+        vals = replicate(linear_zero_mode_statistic(grid, tg, 0, cs, sigma), R, 2024)
         target = sigma**2 * (1 - np.exp(-2.0)) / 2.0
         vhat = vals.var(ddof=1)
         se = target * np.sqrt(2.0 / R)

@@ -25,6 +25,7 @@ Oracles used here:
 
 import csv
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -672,6 +673,8 @@ class TestZeroRule:
             return out
 
         monkeypatch.setattr(noise, "product_spectra", counted)
+        # one CPU: both replicas run in this process, where the log sees them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         quartic_renorm_mc(self.GRID, self.TG, 3, self.CO, 7, replicas=2)
         steps = self.TG.M + 1
         assert len(per_product) == 2 * steps

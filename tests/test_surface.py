@@ -12,6 +12,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
   ``src/phi4lab``: its name must be read somewhere outside its own body.
   The check is by name, so a method shares the fate of any attribute
   spelled the same way.
+* Every attribute a class of ``src/phi4lab`` stores on ``self`` is read as an
+  attribute (``obj.name``) somewhere in ``src/phi4lab`` or ``demos``.  The
+  check is by name, like the method check; an augmented assignment such as
+  ``self.j += 1`` stores, and does not count as a read.
 * Every module-level import of ``src/phi4lab`` and ``demos`` is used, so a
   deletion cannot leave an import behind (no linter is assumed).
 * No public function or constructor of ``src/phi4lab`` takes ``noise``
@@ -162,6 +166,50 @@ def test_the_check_sees_a_method_only_the_tests_use(tmp_path):
     assert _unreferenced_methods([mod], [], {"Path.step"}) == {}
 
 
+def _stored_on_self(tree: ast.Module) -> list[str]:
+    """``Class.name`` for every attribute the methods of a class store on ``self``."""
+    out = []
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            names = {node.attr for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            out += [f"{cls.name}.{name}" for name in sorted(names)]
+    return out
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_attributes(package, demos) -> dict[str, list[str]]:
+    trees = {path: _tree(path) for path in package + demos}
+    reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    missing = {}
+    for path in package:
+        names = [a for a in _stored_on_self(trees[path]) if a.split(".")[1] not in reads]
+        if names:
+            missing[path.stem] = names
+    return missing
+
+
+def test_every_stored_attribute_is_read():
+    assert _unread_attributes(PACKAGE, DEMOS) == {}
+
+
+def test_the_check_sees_an_attribute_nothing_reads(tmp_path):
+    mod = tmp_path / "stored.py"
+    mod.write_text(
+        "class Path:\n"
+        "    def __init__(self, grid):\n"
+        "        self.grid = grid\n        self.meta = {}\n        self.j = 0\n\n"
+        "    def step(self):\n        self.j += 1\n\n"
+        "def size(path):\n    return path.grid.N\n"
+    )
+    assert _unread_attributes([mod], []) == {"stored": ["Path.j", "Path.meta"]}
+
+
 def _bound_imports(tree: ast.Module) -> list[tuple[int, str]]:
     out = []
     for node in tree.body:
@@ -280,7 +328,7 @@ def test_the_check_sees_a_kernel_or_a_partition_parameter(tmp_path):
     assert _public_apis_where([mod], _takes_looked_up) == {"passed": ["Path", "norm"]}
 
 
-# the replica loop sizes itself from the CPU affinity (concentration.replica_workers)
+# the replica loop sizes itself from the CPU affinity (noise.replica_workers)
 _POOL_SIZES = ("workers", "processes", "threads", "jobs")
 
 

@@ -27,6 +27,7 @@ from phi4lab.noise import (
     lin_variance_curve,
     lin_variance_path,
     quartic_constant,
+    replicate,
 )
 from phi4lab.paley import resonant
 from phi4lab.symbols import (
@@ -254,17 +255,17 @@ class TestWickMoments:
     def test_second_moments(self):
         grid, tg, co = small_setup(N=20, dim=1, T=0.3, M=6, f2=0.0, a=-1.5)
         reps = 800
-        q2 = np.empty(reps)
-        q3 = np.empty(reps)
-        c_last = None
-        for r in range(reps):
+
+        def squares(replica, seed):
             ens = build_ensemble(
-                NoiseRealization(grid, tg, 3, seed=42, replica=r), co, 1.3,
+                NoiseRealization(grid, tg, 3, seed, replica=replica), co, 1.3,
                 ctilde=np.zeros(tg.M + 1), names=("wick2", "wick3"),
             )
-            q2[r] = SpectralField(grid, ens.path("wick2")[-1]).l2() ** 2
-            q3[r] = SpectralField(grid, ens.path("wick3")[-1]).l2() ** 2
-            c_last = ens.c[-1]
+            return [SpectralField(grid, ens.path(name)[-1]).l2() ** 2 for name in ("wick2", "wick3")]
+
+        q2, q3 = np.array(replicate(squares, reps, 42).T)
+        # the exact variance path every replica's ensemble carries
+        c_last = lin_variance_path(grid, tg, 3, co, 1.3)[-1]
         for q, const, power in [(q2, 2.0, 2), (q3, 6.0, 3)]:
             want = const * c_last**power
             se = q.std(ddof=1) / np.sqrt(reps)
@@ -281,24 +282,25 @@ def centering_samples():
     grid, tg, co = small_setup()
     ct = quartic_constant(grid, tg.T, tg.M, 4, co)["estimate"]
     reps = 256
-    out = {
-        "w2_zero": np.empty(reps),
-        "pair_raw": np.empty(reps),
-        "lin_energy": np.empty(reps),
-        "cov_cent": np.empty(reps),
-    }
     hw = grid.half_weights
     zero = (0, 0)
-    for r in range(reps):
-        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=77, replica=r), co, 1.0, ctilde=ct)
+
+    def final_statistics(replica, seed):
+        st = SymbolStepper(NoiseRealization(grid, tg, 4, seed, replica=replica), co, 1.0, ctilde=ct)
         for _ in range(tg.M):
             st.step()
         v = st.catalog()
-        out["w2_zero"][r] = v["wick2"][zero].real
-        out["pair_raw"][r] = v["res_iwick2_wick2"][zero].real + 2.0 * ct[-1]
-        out["lin_energy"][r] = float(np.sum(hw * np.abs(v["lin"]) ** 2))
-        out["cov_cent"][r] = float(np.sum(hw * (v["res_iwick3_wick2"] * v["lin"].conj()).real))
-    out["c"] = st.c
+        return [
+            v["wick2"][zero].real,
+            v["res_iwick2_wick2"][zero].real + 2.0 * ct[-1],
+            float(np.sum(hw * np.abs(v["lin"]) ** 2)),
+            float(np.sum(hw * (v["res_iwick3_wick2"] * v["lin"].conj()).real)),
+        ]
+
+    columns = np.array(replicate(final_statistics, reps, 77).T)
+    out = dict(zip(("w2_zero", "pair_raw", "lin_energy", "cov_cent"), columns))
+    # the exact variance path every replica's stepper carries
+    out["c"] = lin_variance_path(grid, tg, 4, co, 1.0)
     out["ctilde"] = ct
     return out
 
