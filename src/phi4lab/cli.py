@@ -37,13 +37,14 @@ equivalence
 
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, per-replica seed bindings, wall
-clock, the number of processes the replicas ran on (``workers``: one per
-CPU the process may use, for ``tail`` and ``renorm``, the two commands that
-run replicas; 1 elsewhere) and a SHA-256 digest per output file.  Outputs
-are deterministic functions of (config, seed), and neither ``--out`` nor
-the worker count enters them: rerunning with equal manifests (ignoring the
-wall clock and workers) reproduces every file byte for byte, in any output
-directory.
+clock, the number of processes the replicas or passes ran on (``workers``:
+one per CPU the process may use, for the replicas of ``tail`` and
+``renorm`` and the passes of ``equivalence``; 1 elsewhere, although the
+rows of every quartic constant run on the CPUs too) and a SHA-256 digest
+per output file.  Outputs are deterministic functions of (config, seed),
+and neither ``--out`` nor the worker count enters them: rerunning with
+equal manifests (ignoring the wall clock and workers) reproduces every file
+byte for byte, in any output directory.
 
 Binary field dumps are little-endian 64-bit floats in C order with a
 JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
@@ -469,7 +470,8 @@ def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rep = equivalence_report(cfg.grid(), cfg.T, cfg.steps, cfg.cutoff, cfg.coeffs(),
                              cfg.sigmas[0], cfg.master_seed)
     _dump_json(rep, out_dir / "equivalence.json")
-    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence")
+    # the report's two passes, coarse and fine, are the tasks of one replica loop
+    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence", workers=replica_workers(2))
     return rep
 
 

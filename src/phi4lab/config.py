@@ -242,8 +242,9 @@ class RunManifest:
     ``outputs`` maps file names (relative to the output directory) to their
     SHA-256 digests, so equality of two manifests outside ``wall_clock``
     and ``workers`` certifies byte-identical outputs.  ``workers`` is the
-    number of processes the replicas ran on, 1 unless the command sets it;
-    like the wall clock it depends on the machine, not on the configuration.
+    number of processes the replicas or passes ran on, 1 unless the command
+    sets it; like the wall clock it depends on the machine, not on the
+    configuration.
     """
 
     def __init__(self, config_echo: dict, seeds, wall_clock: float, outputs: dict,

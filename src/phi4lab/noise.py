@@ -40,13 +40,15 @@ fields of it at every ``every``-th grid time and at ``T``; every recorded
 path in the package (solver routes, the symbol ensemble, the stochastic
 convolution, the symbol norm table) goes through it, under one memory budget.
 
-:func:`replicate` evaluates a statistic of every replica of a seed, on one
-forked process per CPU this process may use (:func:`replica_workers`); every
-Monte Carlo in the package (the tail curves, the quartic constant's
-estimator, the OU check of ``verify`` and the demos) goes through it.  The
-counter-based streams make a replica a pure function of (seed, replica), so
-the values, assembled in replica order, are the same bits on any number of
-processes.
+:func:`replicate` runs any family of independent indexed tasks, on one
+forked process per CPU this process may use (:func:`replica_workers`):
+every Monte Carlo in the package (the tail curves, the quartic constant's
+estimator, the OU check of ``verify`` and the demos), the rows of the
+Isserlis sum of :func:`quartic_constant` and the passes of
+:func:`.solvers.equivalence_report` go through it.  The counter-based
+streams make a replica a pure function of (seed, replica), and a row or a
+pass is a pure function of its index, so the values, assembled in index
+order, are the same bits on any number of processes.
 """
 
 from __future__ import annotations
@@ -210,12 +212,15 @@ def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
 def replicate(statistic, replicas: int, seed) -> np.ndarray:
     """``statistic(i, seed)`` for every replica ``i < replicas``, in replica order.
 
-    A replica's value is a float or a float array, and every replica's has
-    the shape of replica 0's: the result has shape ``(replicas,) + shape``.
-    The statistic must be a pure function of ``(replica, seed)``, as a
-    :class:`NoiseRealization` of that seed and replica is: what a replica
-    run in a child process changes (a list it appends to, a cache it fills)
-    is not seen by the caller.
+    A replica is any independent indexed task: a Monte Carlo replica of
+    ``seed``, a row of the Isserlis sum of :func:`quartic_constant`, or a
+    pass of :func:`.solvers.equivalence_report` (the last two ignore
+    ``seed``).  A replica's value is a float or a float array, and every
+    replica's has the shape of replica 0's: the result has shape
+    ``(replicas,) + shape``.  The statistic must be a pure function of
+    ``(replica, seed)``, as a :class:`NoiseRealization` of that seed and
+    replica is: what a replica run in a child process changes (a list it
+    appends to, a cache it fills) is not seen by the caller.
 
     The calling process is worker 0 and forks the other
     :func:`replica_workers`; worker ``w`` computes the replicas with
@@ -712,26 +717,57 @@ def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: Coe
     ``M (M - 1) / 2`` dealiased products, O(M^2), at most 1225 on the
     coarse grid.  The steppers take the constant as an input and never
     compute it.
+
+    The rows of the sum are the tasks of one :func:`replicate` call: task
+    ``i - 1`` returns the contributions of step ``i`` to every ``raw_j``,
+    ``j > i`` (``M - i`` products), and worker ``w`` takes the rows with
+    ``(i - 1) % workers == w``, so the shares differ by at most one row.
+    The caller builds the step kernel's rows before the fork and every worker
+    reads them; each worker runs the ``var_i`` recursion itself, the same
+    operations in the same order as a serial loop.  The caller adds the rows
+    up in ``i`` order, so ``raw`` is the same bits at any worker count.  A
+    row that overflows (a fast-growing ``a(t)``) raises a ``RuntimeError``
+    that names the time as a blow-up, the lowest row first.
     """
     _require_centred_cutoff(grid, cutoff)
     coarse = TimeGrid(T, min(_COARSE_STEPS, int(M)))
     kern = step_kernel(grid, coarse, coeffs)
-    N = grid.N
+    M, N = coarse.M, grid.N
     band = min(2 * cutoff, N // 2 - 1)
     mask = grid.kinf <= cutoff
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
+    for j in range(M):  # every worker reads these rows; built before the fork, shared
+        kern._step_rows(j)
+    # this worker's var_i recursion, at i = done; replicate hands a worker its
+    # rows in increasing i, so the recursion only moves forward
+    var, done = np.zeros(grid.hshape), 0
 
-    raw = np.zeros(coarse.M + 1)
-    var = np.zeros(grid.hshape)
-    for i in range(1, coarse.M):
-        var = kern.propagator(i - 1) ** 2 * var + kern.variance(i - 1)
+    def row(task, _) -> np.ndarray:
+        """The contributions of step ``i = task + 1`` to ``raw_j``, zero at ``j <= i``."""
+        nonlocal var, done
+        i = task + 1
+        for k in range(done, i):
+            var = kern.propagator(k) ** 2 * var + kern.variance(k)
+        done = i
         cov = np.where(mask, var, 0.0)
         weight = kern.etd_weight(i)
-        for j in range(i + 1, coarse.M + 1):
+        out = np.zeros(M + 1)
+        for j in range(i + 1, M + 1):
             prop = kern.propagator(j - 1)
             cov = prop * cov
             if j > i + 1:
                 weight = prop * weight
             square = product_spectra([cov, cov], N, band=band).real
-            raw[j] += 2.0 * float(np.sum(w_pair * weight * square))
+            out[j] = 2.0 * float(np.sum(w_pair * weight * square))
+        bad = ~np.isfinite(out)
+        if bad.any():  # a growing a(t) overflowed the covariance: no constant to subtract
+            j = int(np.argmax(bad))
+            raise RuntimeError(f"blow-up: the quartic constant is {out[j]} at t = "
+                               f"{coarse.ts[j]:.6f} (step {j}, pairing step {i})")
+        return out
+
+    raw = np.zeros(M + 1)
+    if M > 1:
+        for contributions in replicate(row, M - 1, None):  # in i order, as a serial loop adds
+            raw += contributions
     return {"times": coarse.ts.copy(), "estimate": 0.5 * sigma**4 * raw}

@@ -59,6 +59,7 @@ from .noise import (
     lin_variance_path,
     quartic_constant,
     record,
+    replicate,
     step_kernel,
 )
 from .paley import _para_lt_core, _resonant_core
@@ -478,35 +479,49 @@ def equivalence_report(
     sup-norm gap at ``dt`` and ``dt/2``, their ratio (for information), and
     the gap for each extra seed at the base resolution.  The gaps are
     relative to the direct solution, which vanishes at ``sigma = 0``.
+
+    The constant's rows are spread over the workers of
+    :func:`.noise.replicate` first; the passes then run as the tasks of one
+    more call: task 0 the coarse pass, task 1 the fine pass and task ``2 + k``
+    the ``k``-th extra seed, each returning its ``(gap, sup_d)``.  Every pass
+    builds its own realization and draws its own increments, so the coarse
+    and the fine pass each draw every fine increment once (160 draws for 80
+    distinct increments at ``M = 40``), and the direct and remainder routes
+    of a pass share each draw.  A pass that fails raises its own exception
+    here, the lowest task first, as the serial loop would, and the report is
+    the same at any worker count.
     """
     rep = quartic_constant(grid, T, M, cutoff, coeffs, sigma=sigma)
+    tg = TimeGrid(T, M)
+    tg_fine = TimeGrid(T, 2 * M)
+    seeds = [int(s) for s in extra_seeds]
 
-    def one_gap(noise) -> tuple[float, float]:
-        tg = noise.timegrid
-        ct = np.interp(tg.ts, rep["times"], rep["estimate"])
+    def one_gap(task, _) -> tuple[float, float]:
+        """``(gap, sup_d)`` of pass ``task``: the coarse, the fine, then each extra seed."""
+        if task < 2:
+            noise = NoiseRealization(grid, tg_fine, cutoff, seed)
+            noise = noise.aggregate(2) if task == 0 else noise
+        else:
+            noise = NoiseRealization(grid, tg, cutoff, seeds[task - 2])
+        steps = noise.timegrid.M
+        ct = np.interp(noise.timegrid.ts, rep["times"], rep["estimate"])
         direct = RenormalizedStepper(noise, coeffs, sigma, ctilde=ct)
         vw = VWStepper(SymbolStepper(noise, coeffs, sigma, ctilde=ct))
         sup_d = 0.0
         sup_gap = 0.0
-        for j in range(tg.M + 1):
+        for j in range(steps + 1):
             pd = idft(SpectralField(grid, direct.phi)).values
             pv = idft(SpectralField(grid, vw.reconstruct())).values
             sup_d = max(sup_d, float(np.max(np.abs(pd))))
             sup_gap = max(sup_gap, float(np.max(np.abs(pd - pv))))
-            if j < tg.M:
+            if j < steps:
                 direct.step()
                 vw.step()
         return sup_gap / sup_d, sup_d
 
-    tg = TimeGrid(T, M)
-    tg_fine = TimeGrid(T, 2 * M)
-    base = NoiseRealization(grid, tg_fine, cutoff, seed)
-    gap, sup_d = one_gap(base.aggregate(2))
-    gap_f, _ = one_gap(base)
-    seed_gaps = {}
-    for s in extra_seeds:
-        g, _ = one_gap(NoiseRealization(grid, tg, cutoff, int(s)))
-        seed_gaps[int(s)] = g
+    passes = replicate(one_gap, 2 + len(seeds), None).tolist()
+    (gap, sup_d), (gap_f, _) = passes[:2]
+    seed_gaps = {s: g for s, (g, _) in zip(seeds, passes[2:])}
     return {
         "dt": tg.dt,
         "gap": gap,

@@ -474,7 +474,8 @@ class TestExperimentCommands:
     def test_equivalence_draws_each_increment_twice(self, tmp_path, monkeypatch):
         # the coarse and the fine pass each draw every fine increment once: the
         # direct and v/w routes step one realization in lockstep and share the
-        # increment it keeps.  Drawing on every call writes the same file
+        # increment it keeps.  Drawing on every call writes the same file.
+        # One CPU: both passes run in this process, where the count sees them
         draws = []
         draw = noise.NoiseRealization._draw
 
@@ -482,19 +483,83 @@ class TestExperimentCommands:
             draws.append((nz.seed, nz.role, nz.replica, j))
             return draw(nz, j)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(noise.NoiseRealization, "_draw", counting)
         cfg = _cfg(dt=0.05)
-        kept, every = tmp_path / "kept", tmp_path / "every"
-        kept.mkdir()
-        every.mkdir()
+        kept, every, two = tmp_path / "kept", tmp_path / "every", tmp_path / "two"
+        for out in (kept, every, two):
+            out.mkdir()
         cmd_equivalence(cfg, kept)
         assert len(set(draws)) == 2 * cfg.steps
         assert len(draws) == 4 * cfg.steps
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cmd_equivalence(cfg, two)
+        assert (kept / "equivalence.json").read_bytes() == (two / "equivalence.json").read_bytes()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         draws.clear()
         monkeypatch.setattr(noise._Increments, "increment", lambda nz, j: nz._draw(j))
         cmd_equivalence(cfg, every)
         assert len(draws) == 8 * cfg.steps
         assert (kept / "equivalence.json").read_bytes() == (every / "equivalence.json").read_bytes()
+
+    def test_equivalence_worker_count_enters_no_output(self, tmp_path, monkeypatch):
+        # the manifest records how many processes ran the passes, and
+        # equal_modulo_timing leaves that out
+        manifests = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"w{cpus}"
+            out.mkdir()
+            cmd_equivalence(_cfg(dt=0.05), out)
+            manifests.append(RunManifest.load(out / "manifest.json"))
+        assert [m.workers for m in manifests] == [1, 2]
+        assert manifests[0].equal_modulo_timing(manifests[1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_equivalence_blow_up_exits_three_at_any_worker_count(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # the coarse pass (task 0) and the fine pass both blow up; the coarse
+        # pass's error is raised, as the serial loop meets it first
+        doc = {"dimension": 1, "N": 8, "cutoff": 3, "T": 1.0, "dt": 0.05,
+               "sigma": 0.4, "a": 14.0, "master_seed": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        messages, errors = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            with pytest.raises(RuntimeError, match="blow-up") as exc:
+                cmd_equivalence(ExperimentConfig.from_dict(doc), tmp_path / f"lib{cpus}")
+            messages.append(str(exc.value))
+            assert main(["equivalence", "--config", str(path),
+                         "--out", str(tmp_path / f"cli{cpus}")]) == 3
+            errors.append(json.loads(capsys.readouterr().err))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("at t = 0.450000 (step 9)")  # dt = 0.05: the coarse pass
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == "blow-up" and errors[0]["message"] == messages[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_quartic_constant_exits_three_at_any_worker_count(
+            self, tmp_path, monkeypatch, capsys):
+        # a(t) = 800 overflows the covariance of the Isserlis sum: its row
+        # reports a blow-up, the lowest row first, instead of an unnamed
+        # non-finite value
+        doc = {"dimension": 1, "N": 8, "cutoff": 3, "T": 1.0, "dt": 0.05,
+               "sigma": 0.4, "a": 800.0, "master_seed": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            for command in ("equivalence", "simulate"):
+                assert main([command, "--config", str(path),
+                             "--out", str(tmp_path / f"{command}{cpus}")]) == 3
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "blow-up"
+                messages.append(err["message"])
+        assert messages == [messages[0]] * 4
+        assert messages[0].startswith("blow-up: the quartic constant is inf at t = ")
 
     def test_blowup_diagnostic(self, tmp_path, capsys):
         doc = {

@@ -755,6 +755,70 @@ class TestQuarticConstant:
             assert np.array_equal(other, s**4 * one)
 
 
+def serial_quartic_constant(grid, T, M, cutoff, cs, sigma=1.0):
+    """The serial double loop ``quartic_constant`` ran before its rows were
+    spread over the replica workers, kept as the bitwise reference."""
+    from phi4lab.paley import default_partition
+
+    coarse = TimeGrid(T, min(50, M))
+    kern = StepKernel(grid, coarse, cs.a)
+    band = min(2 * cutoff, grid.N // 2 - 1)
+    mask = grid.kinf <= cutoff
+    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
+    raw = np.zeros(coarse.M + 1)
+    var = np.zeros(grid.hshape)
+    for i in range(1, coarse.M):
+        var = kern.propagator(i - 1) ** 2 * var + kern.variance(i - 1)
+        cov = np.where(mask, var, 0.0)
+        weight = kern.etd_weight(i)
+        for j in range(i + 1, coarse.M + 1):
+            prop = kern.propagator(j - 1)
+            cov = prop * cov
+            if j > i + 1:
+                weight = prop * weight
+            square = product_spectra([cov, cov], grid.N, band=band).real
+            raw[j] += 2.0 * float(np.sum(w_pair * weight * square))
+    return {"times": coarse.ts.copy(), "estimate": 0.5 * sigma**4 * raw}
+
+
+class TestQuarticConstantRows:
+    """The rows of the Isserlis sum run as the tasks of the replica loop."""
+
+    @pytest.mark.parametrize("N,dim,cutoff,M", [(8, 2, 3, 8), (6, 3, 2, 6), (16, 2, 5, 20),
+                                                (8, 2, 3, 1), (8, 2, 3, 2)],
+                             ids=["8^2", "6^3", "16^2", "no-row", "one-row"])
+    def test_bitwise_equal_to_the_serial_loop_at_every_worker_count(self, monkeypatch,
+                                                                    N, dim, cutoff, M):
+        grid = TorusGrid(N, dim)
+        cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
+        want = serial_quartic_constant(grid, 0.25, M, cutoff, cs, sigma=0.7)
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            got = noise.quartic_constant(grid, 0.25, M, cutoff, cs, sigma=0.7)
+            assert np.array_equal(got["times"], want["times"])
+            assert np.array_equal(got["estimate"], want["estimate"])
+        _assert_no_children()
+
+    def test_step_rows_are_built_before_the_fork(self, monkeypatch):
+        # every row the workers read is in the caller's kernel when it forks,
+        # so no child builds its own copy
+        grid = TorusGrid(8, 2)
+        cs = CoefficientSet(f2=0.0, a=[-1.0, 0.25], T=0.25)
+        kern = noise.step_kernel(grid, TimeGrid(0.25, 7), cs)
+        at_fork = []
+        fork = os.fork
+
+        def recording_fork():
+            at_fork.append(sorted(kern._rows))
+            return fork()
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        noise.quartic_constant(grid, 0.25, 7, 3, cs)
+        assert at_fork == [list(range(7))] * 2
+        _assert_no_children()
+
+
 def isserlis_reference(grid, tg, cutoff, cs):
     """The unit-amplitude quartic constant written out term by term, O(M^3).
 

@@ -555,6 +555,22 @@ class TestVWRoute:
         assert len(rep["seed_gaps"]) == 9
         assert all(g < 1e-7 for g in rep["seed_gaps"].values())
 
+    def test_report_is_the_same_at_one_and_two_workers(self, monkeypatch):
+        # the passes are the tasks of one replica loop: coarse, fine, then the
+        # extra seeds, each a pure function of its task
+        grid = TorusGrid(8, 2)
+        co = CoefficientSet(0.7, [-1.0, -0.5], 0.3)
+        reps = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            reps.append(equivalence_report(grid, 0.3, 30, 3, co, 0.2, 5,
+                                           extra_seeds=(6, 7, 8, 6)))
+        assert reps[0] == reps[1]
+        assert list(reps[0]["seed_gaps"]) == [6, 7, 8]
+        assert all(type(v) is float for k, v in reps[0].items() if k != "seed_gaps")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("N,dim,cutoff", [(16, 2, 1), (16, 3, 1), (16, 2, 3), (16, 3, 3)])
     def test_routes_agree_to_rounding_when_the_wick_square_fits_the_band(self, N, dim, cutoff):
         # at 2 cutoff <= N/2 - 1 the Wick square is not cut at the band and
