@@ -1,10 +1,20 @@
 """Experiment configuration and run manifests.
 
 A run is described by a single JSON document validated against the schema
-published as :data:`CONFIG_SCHEMA`.  Constraints that relate several fields
-(band containment, the admissible window for the regularity budget, time
-grid divisibility) are checked after schema validation, and all violations
-are reported together, each tagged with the offending field.
+published as :data:`CONFIG_SCHEMA`.  A small built-in checker walks the
+schema in its own order and understands exactly the keywords the schema uses:
+``type``, ``minimum``, ``maximum``, ``exclusiveMinimum``, ``multipleOf`` (with
+an integer argument), ``minItems``, ``maxItems``, ``minLength``, ``items``,
+``anyOf``, ``required`` and ``additionalProperties: false``.  It follows
+JSON Schema 2020-12 and gives jsonschema's messages: 2.0 is an integer and a
+bool is not a number.  One rule goes beyond the schema: ``json`` accepts
+``NaN`` and ``Infinity``, and a non-finite number anywhere in the document is
+rejected.  A file that is not valid JSON is a config error too.
+
+Constraints that relate several fields (band containment, the admissible
+window for the regularity budget, time grid divisibility) are checked after
+schema validation, and all violations are reported together, each tagged
+with the offending field.
 
 :class:`RunManifest` records what a command produced: the configuration
 echo, the code version, the per-replica seed bindings and a content digest
@@ -16,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .coeffs import CoefficientSet, as_poly
@@ -83,7 +94,96 @@ CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+def _is_type(value, name: str) -> bool:
+    if name == "object":
+        return isinstance(value, dict)
+    if name == "array":
+        return isinstance(value, list)
+    if name == "string":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, Number)
+
+
+# the instances a keyword applies to; any other instance passes it
+_APPLIES_TO = {
+    "minimum": "number", "maximum": "number", "exclusiveMinimum": "number",
+    "multipleOf": "number", "minItems": "array", "maxItems": "array", "items": "array",
+    "minLength": "string", "required": "object", "additionalProperties": "object",
+    "properties": "object",
+}
+
+
+def _schema_errors(value, schema: dict, path=()):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that ``value`` breaks.
+
+    Keywords are applied in the schema's dict order and ``properties`` and
+    ``items`` descend where they stand, so the errors come in the order of
+    jsonschema's ``iter_errors``.
+    """
+    for key, arg in schema.items():
+        if key in _APPLIES_TO and not _is_type(value, _APPLIES_TO[key]):
+            continue
+        if key == "type":
+            names = arg if isinstance(arg, list) else [arg]
+            if not any(_is_type(value, name) for name in names):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "minimum":
+            if value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum":
+            if value > arg:
+                yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "multipleOf" and isinstance(arg, int):
+            if value % arg:
+                yield path, f"{value!r} is not a multiple of {arg}"
+        elif key in ("minItems", "minLength"):
+            if len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if len(value) > arg:
+                yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "items":
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif key == "anyOf":
+            if all(next(_schema_errors(value, sub, path), None) for sub in arg):
+                yield path, f"{value!r} is not valid under any of the given schemas"
+        elif key == "required":
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key not in ("$schema", "title"):
+            raise NotImplementedError(f"schema keyword {key}: {arg!r} is not supported")
+
+
+def _non_finite(value, path=()):
+    """Yield ``(path, message)`` for each NaN or infinity in a decoded JSON value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, path + (i,))
 
 
 class ConfigError(ValueError):
@@ -130,10 +230,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        problems = []
-        for err in sorted(_VALIDATOR.iter_errors(doc), key=lambda e: str(e.path)):
-            field = ".".join(str(p) for p in err.absolute_path) or "<document>"
-            problems.append((field, err.message))
+        found = [*_schema_errors(doc, CONFIG_SCHEMA), *_non_finite(doc)]
+        problems = [
+            (".".join(map(str, path)) or "<document>", message)
+            for path, message in sorted(found, key=lambda e: str(list(e[0])))
+        ]
         if problems:
             raise ConfigError(problems)
         cfg = cls(doc)
@@ -149,8 +250,11 @@ class ExperimentConfig:
         The replacement goes into the document before validation, so a seed
         the schema rejects is reported like one written in the file.
         """
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+                raise ConfigError([("<document>", f"not valid JSON: {exc}")]) from None
         if not isinstance(doc, dict):
             raise ConfigError([("<document>", "config must be a JSON object")])
         if master_seed is not None:

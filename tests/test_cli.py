@@ -230,6 +230,37 @@ class TestConfigErrorsAtCli:
         assert err["fields"] == ["master_seed"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("over, fields", [
+        ({"T": float("nan")}, ["T"]),
+        ({"sigma": float("inf")}, ["sigma"]),
+        ({"sigma": [0.1, float("inf")], "a": [float("nan")]}, ["a.0", "sigma.1"]),
+    ])
+    def test_non_finite_number_exits_two_and_writes_nothing(self, tmp_path, capsys, over,
+                                                           fields):
+        # json reads NaN and Infinity; T = NaN once crashed in the cross-field
+        # checks and sigma = Infinity ran into a blow-up
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(**over)))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["error"] == "config"
+        assert err["fields"] == fields
+        assert "is not a finite number" in err["message"]
+        assert not out.exists()
+
+    def test_malformed_json_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_doc(), indent=1)[:-30])
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["<document>"]
+        assert "not valid JSON: " in err["message"] and " column " in err["message"]
+        assert not out.exists()
+
     def test_threads_flag_is_gone(self, capsys):
         # tail_estimate runs its replicas on one process per CPU the process may
         # use, read from its CPU affinity, so there is no pool size to set
@@ -585,8 +616,33 @@ class TestExperimentCommands:
             cmd_tail(cfg, tmp_path)
 
 
+# test oracles only: no command may load any module of these packages
+_TEST_ONLY = ("scipy", "jsonschema", "referencing", "attrs", "rpds")
+
+
+def _loaded_test_only_modules(code):
+    """Modules of ``_TEST_ONLY`` that ``code`` loads beyond a bare ``python -c`` start.
+
+    ``code`` runs in a fresh interpreter, which then prints its
+    ``sys.modules``.  A module that site start-up already loads (a ``.pth``
+    file may import packages) is not counted.
+    """
+    listing = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    runs = [subprocess.run([sys.executable, "-c", text], capture_output=True, text=True,
+                           timeout=300) for text in (listing, code + "\n" + listing)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    bare, after = (set(json.loads(proc.stdout.strip().splitlines()[-1])) for proc in runs)
+    return sorted(m for m in after - bare if m.split(".")[0] in _TEST_ONLY)
+
+
+def test_the_import_check_sees_a_test_only_package():
+    assert "jsonschema" in _loaded_test_only_modules("import jsonschema")
+
+
 def test_commands_run_without_scipy(tmp_path):
-    """scipy is a test oracle only: no command imports any of it."""
+    """scipy and jsonschema are test oracles only: no command imports any of
+    them, or jsonschema's dependencies."""
     path = tmp_path / "cfg.json"
     # polynomial damping, so the Gauss-Legendre variance rows are built too
     path.write_text(json.dumps(_doc(a=[-1.0, 0.5], replicas=10)))
@@ -600,8 +656,5 @@ for command in ("verify", "simulate", "equivalence", "tail", "symbols", "renorm"
     if command != "verify":
         argv += ["--config", {str(path)!r}, "--out", {str(tmp_path)!r} + "/" + command]
     assert cli.main(argv) == 0, command
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert _loaded_test_only_modules(code) == []

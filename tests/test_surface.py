@@ -30,9 +30,14 @@ Both checks read the source with ``ast``; nothing is imported or run.
   ``processes``, ``threads`` or ``jobs``: the replica loop runs on one
   process per CPU the process may use, and outputs do not depend on that
   count, so there is nothing for a caller to set.
+* Every package ``src/phi4lab`` imports from outside the standard library is
+  a runtime dependency in ``pyproject.toml``, and every runtime dependency is
+  imported.  Test oracles (scipy, jsonschema) belong to the ``test`` extra.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -353,3 +358,34 @@ def test_the_check_sees_a_pool_size_parameter(tmp_path):
     )
     assert _public_apis_where([mod], _takes_a_pool_size) == {
         "pooled": ["Loop", "estimate", "sweep", "run"]}
+
+
+def _third_party_imports(package) -> set[str]:
+    """Top-level names of the absolute imports outside the standard library."""
+    names = set()
+    for path in package:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"phi4lab"}
+
+
+def test_runtime_dependencies_are_what_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        listed = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+             for dep in listed}
+    assert _third_party_imports(PACKAGE) == names
+
+
+def test_the_check_sees_a_third_party_import(tmp_path):
+    mod = tmp_path / "checked.py"
+    mod.write_text(
+        "import json\nimport numpy.linalg as la\nfrom . import grids\n"
+        "from phi4lab.noise import replicate\n\n"
+        "def check(doc):\n    from jsonschema import validate\n    return validate(doc, {})\n"
+    )
+    assert _third_party_imports([mod]) == {"numpy", "jsonschema"}
