@@ -46,8 +46,26 @@ and neither ``--out`` nor the worker count enters them: rerunning with
 equal manifests (ignoring the wall clock and workers) reproduces every file
 byte for byte, in any output directory.
 
-Binary field dumps are little-endian 64-bit floats in C order with a
-JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
+Output files
+------------
+This module renders every output file; the others compute.  CSV files go
+through one writer (header row first, csv-module rows ended by CRLF, times as
+``.10g`` and values as ``.12g``), JSON files through one dumper (indent 2,
+sorted keys, numpy values as numbers, a trailing newline).
+
+- verify: ``verify.json`` with ``--out``, the report it prints.
+- symbols: ``symbols.csv`` (time, Besov norm per symbol), ``ww_final.f64``.
+- renorm: ``renorm.csv`` (the constants per cutoff), ``renorm_fits.json``.
+- simulate: ``norms.csv`` (time, rms and sup of phi), ``phi_final.f64``.
+- tail: per level ``tail_s<sigma>.csv`` (h, p_hat, ci_low, ci_high) and
+  ``tail_s<sigma>.json`` (curve, counts, fit, config); ``tail_report.json``
+  (each level's fit, as its file records it, and the rate ratios).
+- equivalence: ``equivalence.json``.
+- every command but verify: ``manifest.json``, by
+  :meth:`.config.RunManifest.write` in the same JSON format.
+
+Binary field dumps (``.f64``) are little-endian 64-bit floats in C order with
+a JSON sidecar (same path plus ``.json``) holding shape and grid metadata.
 """
 
 from __future__ import annotations
@@ -63,6 +81,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet
 from .concentration import (
+    TailCurve,
     gaussian_tail_fit,
     grr_bound,
     holder_constant,
@@ -70,16 +89,14 @@ from .concentration import (
     linear_sup_statistic,
     linear_zero_mode_statistic,
     nelson_check,
-    tail_curve_csv,
     tail_estimate,
-    tail_report_json,
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
 from .noise import (NoiseRealization, TimeGrid, _recorded_indices, lin_variance_curve,
                     quartic_constant, quartic_renorm_mc, record, replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
-from .solvers import equivalence_report, norms_csv, solve_deterministic, solve_renormalized, solve_vw
+from .solvers import SolutionPath, equivalence_report, solve_deterministic, solve_renormalized, solve_vw
 from .symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
 
 __all__ = [
@@ -109,10 +126,20 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+
+
 def _dump_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_field_bin(path, values: np.ndarray, meta: dict) -> None:
@@ -121,6 +148,42 @@ def write_field_bin(path, values: np.ndarray, meta: dict) -> None:
     arr.tofile(path)
     _dump_json({"dtype": "<f8", "order": "C", "shape": list(arr.shape), **meta},
                str(path) + ".json")
+
+
+def norms_csv(sol: SolutionPath, path) -> list:
+    """Sub-sampled snapshot table: time, rms and sup norm per recorded time.
+
+    Returns the sup norms, one per recorded time.
+    """
+    rows, sups = [], []
+    for i, t in enumerate(sol.times):
+        sup = np.max(np.abs(sol.real_values(i)))
+        rows.append([f"{t:.10g}", f"{sol.field(i).l2():.12g}", f"{sup:.12g}"])
+        sups.append(sup)
+    _write_csv(path, ["time", "rms", "sup"], rows)
+    return sups
+
+
+def tail_curve_csv(curve: TailCurve, path) -> None:
+    """Write the curve as CSV with columns h, p_hat, ci_low, ci_high."""
+    columns = (curve.h_grid, curve.p_hat, curve.ci_low, curve.ci_high)
+    _write_csv(path, ["h", "p_hat", "ci_low", "ci_high"],
+               ([f"{v:.12g}" for v in row] for row in zip(*columns)))
+
+
+def _fit_entry(fit) -> dict | None:
+    """The fit as ``tail_s*.json`` and ``tail_report.json`` record it."""
+    return None if fit is None else {"slope_C": fit.slope_C, "intercept_logD": fit.intercept_logD,
+                                     "r_squared": fit.r_squared, "cells": fit.cells}
+
+
+def tail_report_json(curve: TailCurve, fit, path, config=None) -> None:
+    """Write the curve, optional fit parameters and a config echo as JSON."""
+    _dump_json({"label": curve.label, "sigma": curve.sigma, "T": curve.T,
+                "replicas": curve.replicas, "seed": curve.seed, "h_grid": curve.h_grid,
+                "p_hat": curve.p_hat, "ci_low": curve.ci_low, "ci_high": curve.ci_high,
+                "counts": curve.counts, "zero_cells": np.flatnonzero(curve.zero_cells),
+                "fit": _fit_entry(fit), "config": config}, path)
 
 
 def _ctilde_path(cfg: ExperimentConfig, grid: TorusGrid, tg: TimeGrid,
@@ -324,11 +387,9 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     times, norms = record(tg, cfg.record_every, sym.step,
                           {name: (lambda name=name: norm(name)) for name in SYMBOL_NAMES})
-    with open(out_dir / "symbols.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + list(SYMBOL_NAMES))
-        for i, t in enumerate(times):
-            writer.writerow([f"{t:.10g}"] + [f"{norms[name][i]:.12g}" for name in SYMBOL_NAMES])
+    _write_csv(out_dir / "symbols.csv", ["time"] + list(SYMBOL_NAMES),
+               ([f"{t:.10g}"] + [f"{norms[name][i]:.12g}" for name in SYMBOL_NAMES]
+                for i, t in enumerate(times)))
     write_field_bin(out_dir / "ww_final.f64",
                     idft(SpectralField(grid, sym.values()["res_iwick3_wick2"])).values,
                     {"field": "res_iwick3_wick2", "time": cfg.T, "N": cfg.N,
@@ -360,11 +421,8 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
         ct_mc = float(np.interp(tmid, mc["times"], mc["estimate"]))
         ct_se = float(np.interp(tmid, mc["times"], mc["se"]))
         rows.append((n, c_val, ct_val, ct_mc, ct_se, dt_lmax))
-    with open(out_dir / "renorm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "c_n", "ctilde_n", "ctilde_mc", "ctilde_se"])
-        for n, *vals, _ in rows:
-            writer.writerow([n] + [f"{v:.12g}" for v in vals])
+    _write_csv(out_dir / "renorm.csv", ["n", "c_n", "ctilde_n", "ctilde_mc", "ctilde_se"],
+               ([n] + [f"{v:.12g}" for v in vals] for n, *vals, _ in rows))
     ns = [r[0] for r in rows]
     report = {
         "t": tmid,
@@ -394,13 +452,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
     sym = SymbolStepper(noise, co, sigma, ctilde=ct)
     phi = solve_vw(sym, record_every=cfg.record_every)["phi"]
-    norms_csv(phi, out_dir / "norms.csv")
+    sups = norms_csv(phi, out_dir / "norms.csv")
     write_field_bin(out_dir / "phi_final.f64", idft(phi.field(-1)).values,
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,
                      "sigma": sigma, "seed": cfg.master_seed})
     files = ["norms.csv", "phi_final.f64", "phi_final.f64.json"]
     _finish(cfg, out_dir, files, t0, "simulate")
-    sups = phi.sup_norms()
     return {"files": files, "recorded_times": len(phi), "final_sup": float(sups[-1]),
             "max_sup": float(np.max(sups))}
 
@@ -436,14 +493,7 @@ def cmd_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
         tail_curve_csv(curve, out_dir / f"{base}.csv")
         tail_report_json(curve, fit, out_dir / f"{base}.json", config=cfg.to_dict())
         files += [f"{base}.csv", f"{base}.json"]
-        results.append({
-            "sigma": sig,
-            "curve_csv": f"{base}.csv",
-            "fit": None if fit is None else {
-                "slope_C": fit.slope_C, "intercept_logD": fit.intercept_logD,
-                "r_squared": fit.r_squared, "cells": fit.cells,
-            },
-        })
+        results.append({"sigma": sig, "curve_csv": f"{base}.csv", "fit": _fit_entry(fit)})
     ratios = []
     for a, b in zip(results, results[1:]):
         if a["fit"] and b["fit"]:
@@ -515,12 +565,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         report = cmd_verify()
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
-        print(text)
+        print(_json_text(report))
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "verify.json").write_text(text + "\n")
+            _dump_json(report, out_dir / "verify.json")
         return 0 if report["passed"] else 1
 
     try:
@@ -531,17 +580,16 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "fields": exc.fields, "message": str(exc)},
-                         indent=2, sort_keys=True), file=sys.stderr)
+        print(_json_text({"error": "config", "fields": exc.fields, "message": str(exc)}),
+              file=sys.stderr)
         return 2
     except RuntimeError as exc:
         if "blow-up" not in str(exc):
             raise
         diag = {"error": "blow-up", "message": str(exc), "config": cfg.to_dict()}
-        print(json.dumps(diag, indent=2, sort_keys=True, default=_json_default),
-              file=sys.stderr)
+        print(_json_text(diag), file=sys.stderr)
         return 3
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(_json_text(report))
     return 0
 
 

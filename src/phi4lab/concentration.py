@@ -29,8 +29,6 @@ here (:func:`linear_sup_statistic`, :func:`linear_zero_mode_statistic`) are
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from statistics import NormalDist
 
@@ -50,8 +48,6 @@ __all__ = [
     "nelson_check",
     "tail_estimate",
     "gaussian_tail_fit",
-    "tail_curve_csv",
-    "tail_report_json",
     "linear_solution_path",
     "linear_sup_statistic",
     "linear_zero_mode_statistic",
@@ -421,51 +417,6 @@ def gaussian_tail_fit(curve: TailCurve) -> GaussianFit:
     else:
         r_squared = 1.0 if ss_res == 0.0 else 0.0
     return GaussianFit(-coef[1], coef[0], r_squared, cells)
-
-
-def tail_curve_csv(curve: TailCurve, path) -> None:
-    """Write the curve as CSV with columns h, p_hat, ci_low, ci_high."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "p_hat", "ci_low", "ci_high"])
-        for i in range(len(curve)):
-            writer.writerow(
-                [
-                    f"{curve.h_grid[i]:.12g}",
-                    f"{curve.p_hat[i]:.12g}",
-                    f"{curve.ci_low[i]:.12g}",
-                    f"{curve.ci_high[i]:.12g}",
-                ]
-            )
-
-
-def tail_report_json(curve: TailCurve, fit, path, config=None) -> None:
-    """Write the curve, optional fit parameters and a config echo as JSON."""
-    doc = {
-        "label": curve.label,
-        "sigma": curve.sigma,
-        "T": curve.T,
-        "replicas": curve.replicas,
-        "seed": curve.seed,
-        "h_grid": [float(x) for x in curve.h_grid],
-        "p_hat": [float(x) for x in curve.p_hat],
-        "ci_low": [float(x) for x in curve.ci_low],
-        "ci_high": [float(x) for x in curve.ci_high],
-        "counts": None if curve.counts is None else [int(k) for k in curve.counts],
-        "zero_cells": [int(i) for i in np.flatnonzero(curve.zero_cells)],
-        "fit": None
-        if fit is None
-        else {
-            "slope_C": fit.slope_C,
-            "intercept_logD": fit.intercept_logD,
-            "r_squared": fit.r_squared,
-            "cells": fit.cells,
-        },
-        "config": config,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def linear_solution_path(

@@ -9,7 +9,8 @@ an integer argument), ``minItems``, ``maxItems``, ``minLength``, ``items``,
 JSON Schema 2020-12 and gives jsonschema's messages: 2.0 is an integer and a
 bool is not a number.  One rule goes beyond the schema: ``json`` accepts
 ``NaN`` and ``Infinity``, and a non-finite number anywhere in the document is
-rejected.  A file that is not valid JSON is a config error too.
+rejected.  A file that cannot be read, or is not valid JSON, is a config
+error too, on ``<document>``.
 
 Constraints that relate several fields (band containment, the admissible
 window for the regularity budget, time grid divisibility) are checked after
@@ -250,7 +251,11 @@ class ExperimentConfig:
         The replacement goes into the document before validation, so a seed
         the schema rejects is reported like one written in the file.
         """
-        with open(path, encoding="utf-8") as fh:
+        try:
+            fh = open(path, encoding="utf-8")
+        except OSError as exc:  # a missing file, a directory, no read permission
+            raise ConfigError([("<document>", f"cannot read {path}: {exc.strerror}")]) from None
+        with fh:
             try:
                 doc = json.load(fh)
             except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8

@@ -191,20 +191,15 @@ class SpectralField:
     The stored array has shape ``grid.hshape``.  Negative frequencies on the
     last axis are implicit by conjugation.  The two self-conjugate planes
     (last-axis frequency 0 and N/2) carry their own internal reflection
-    constraint; pass ``enforce=True`` to symmetrize data that was not
-    produced by a real-input transform.
+    constraint.
     """
 
-    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, enforce: bool = False):
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != grid.hshape:
             raise ValueError(f"coeffs shape {coeffs.shape} != half shape {grid.hshape}")
         self.grid = grid
         self.coeffs = coeffs
-        if enforce:
-            for idx in (0, grid.N // 2):
-                plane = self.coeffs[..., idx]
-                self.coeffs[..., idx] = 0.5 * (plane + _conj_reflect(plane))
 
     def coeff(self, omega: Sequence[int]) -> complex:
         """Coefficient at the integer frequency vector ``omega``.

@@ -301,12 +301,14 @@ def para_resonant_commutator(f: SpectralField, g: SpectralField, h: SpectralFiel
     return lhs - rhs
 
 
-def bernstein_ratios(
-    spec: SpectralField, p: float, q: float, tiny: float = 1e-300
-) -> dict[int, float]:
+# a block whose p-norm is below this carries no ratio
+_NEGLIGIBLE_MASS = 1e-300
+
+
+def bernstein_ratios(spec: SpectralField, p: float, q: float) -> dict[int, float]:
     """Per-block ratio ``||d_k f||_q / (2**(k d (1/p - 1/q)) ||d_k f||_p)``.
 
-    ``q >= p``.  Blocks with negligible mass are skipped.
+    ``q >= p``.  Blocks whose p-norm is below ``_NEGLIGIBLE_MASS`` are skipped.
     """
     if q < p:
         raise ValueError("q must be >= p")
@@ -316,7 +318,7 @@ def bernstein_ratios(
     out = {}
     for k, v in zip(part.indices, vals):
         denom = lp_norm(v, p)
-        if denom < tiny:
+        if denom < _NEGLIGIBLE_MASS:
             continue
         out[k] = lp_norm(v, q) / (2.0 ** (k * d * (1.0 / p - 1.0 / q)) * denom)
     return out

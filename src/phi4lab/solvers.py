@@ -45,8 +45,6 @@ correction as the quartic counterterm.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .coeffs import CoefficientSet, as_poly
@@ -76,7 +74,6 @@ __all__ = [
     "solve_vw",
     "reconstruct_phi",
     "equivalence_report",
-    "norms_csv",
 ]
 
 _BLOWUP_LIMIT = 1e6
@@ -114,9 +111,6 @@ class SolutionPath:
 
     def real_values(self, i: int) -> np.ndarray:
         return idft(self.field(i)).values
-
-    def sup_norms(self) -> np.ndarray:
-        return np.array([np.max(np.abs(self.real_values(i))) for i in range(len(self))])
 
 
 def _coerce_state(grid: TorusGrid, phi0) -> np.ndarray:
@@ -531,15 +525,3 @@ def equivalence_report(
         "sup_direct": sup_d,
         "seed_gaps": seed_gaps,
     }
-
-
-def norms_csv(sol: SolutionPath, path: str) -> None:
-    """Sub-sampled snapshot table: time, rms and sup norm per recorded time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "rms", "sup"])
-        for i in range(len(sol)):
-            writer.writerow(
-                [f"{sol.times[i]:.10g}", f"{sol.field(i).l2():.12g}",
-                 f"{np.max(np.abs(sol.real_values(i))):.12g}"]
-            )

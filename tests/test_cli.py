@@ -250,6 +250,19 @@ class TestConfigErrorsAtCli:
         assert "is not a finite number" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_two_and_writes_nothing(self, tmp_path, capsys, target):
+        # open() raised FileNotFoundError / IsADirectoryError through main once
+        path = tmp_path / target
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["error"] == "config"
+        assert err["fields"] == ["<document>"]
+        assert f"cannot read {path}: " in err["message"]
+        assert not out.exists()
+
     def test_malformed_json_exits_two_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_doc(), indent=1)[:-30])
@@ -360,6 +373,10 @@ class TestTailCommand:
         with open(tmp_path / "tail_s0p2.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert float(rows[0][0]) == pytest.approx(0.16)
+        # each level's fit is the one its own file records
+        for level in report["levels"]:
+            doc = json.loads((tmp_path / level["curve_csv"]).with_suffix(".json").read_text())
+            assert doc["fit"] == level["fit"]
 
     def test_manifest_lists_the_seeds_of_every_level(self, tmp_path):
         cmd_tail(_cfg(replicas=5), tmp_path)
@@ -479,6 +496,9 @@ class TestExperimentCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["time", "rms", "sup"]
         assert len(rows) - 1 == report["recorded_times"] == 5
+        sups = [float(r[2]) for r in rows[1:]]
+        assert report["final_sup"] == pytest.approx(sups[-1], rel=1e-11)
+        assert report["max_sup"] == pytest.approx(max(sups), rel=1e-11)
         head = json.loads((tmp_path / "phi_final.f64.json").read_text())
         assert head["field"] == "phi" and head["time"] == 0.5
 
@@ -638,6 +658,22 @@ def _loaded_test_only_modules(code):
 
 def test_the_import_check_sees_a_test_only_package():
     assert "jsonschema" in _loaded_test_only_modules("import jsonschema")
+
+
+def test_benchmark_trace_wraps_every_layer_it_names():
+    """The benchmark's trace mode wraps functions of the package by name, so a
+    renamed layer must fail here, not in a traced benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path[:0] = [{str(root / "perfbench")!r}, {str(root / "src")!r}]
+import phi4lab.cli
+import spans
+spans.install(spans.Tracer())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_run_without_scipy(tmp_path):

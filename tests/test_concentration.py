@@ -32,6 +32,7 @@ import pytest
 from scipy.stats import binom
 
 from phi4lab import concentration
+from phi4lab.cli import tail_curve_csv, tail_report_json
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import (
     TailCurve,
@@ -42,9 +43,7 @@ from phi4lab.concentration import (
     linear_solution_path,
     linear_sup_statistic,
     nelson_check,
-    tail_curve_csv,
     tail_estimate,
-    tail_report_json,
 )
 from phi4lab.grids import SpectralField, TorusGrid
 from phi4lab.noise import NoiseRealization, TimeGrid, quartic_renorm_mc, replica_workers, replicate

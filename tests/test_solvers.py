@@ -33,6 +33,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from phi4lab import grids, noise, paley, solvers, symbols
+from phi4lab.cli import norms_csv
 from phi4lab.coeffs import CoefficientSet
 from phi4lab.concentration import linear_solution_path
 from phi4lab.grids import SpectralField, TorusGrid, binary_size, dealiased_product, random_band_field
@@ -44,7 +45,6 @@ from phi4lab.solvers import (
     RenormalizedStepper,
     VWStepper,
     equivalence_report,
-    norms_csv,
     reconstruct_phi,
     solve_deterministic,
     solve_renormalized,
@@ -85,7 +85,7 @@ class TestDeterministic:
         rng = np.random.default_rng(1)
         phi0 = random_band_field(grid, rng, grid.N // 2 - 1, 0.5)
         sol = solve_deterministic(grid, tg, 0.0, -1.0, 0.0, phi0)
-        sups = sol.sup_norms()
+        sups = np.array([np.max(np.abs(sol.real_values(i))) for i in range(len(sol))])
         assert np.all(np.diff(sups) <= 1e-12)
         assert sups[-1] < 0.1 * sups[0]
 
@@ -725,7 +725,7 @@ class TestSolutionIO:
         co = CoefficientSet(0.5, -1.0, 0.2)
         sol = solve_renormalized(grid, tg, 3, co, 0.2, 4, ctilde=0.0, record_every=2)
         path = tmp_path / "norms.csv"
-        norms_csv(sol, str(path))
+        sups = norms_csv(sol, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["time", "rms", "sup"]
@@ -733,6 +733,9 @@ class TestSolutionIO:
         assert float(rows[1][0]) == 0.0
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.allclose(got, [sol.field(i).l2() for i in range(len(sol))], rtol=1e-10)
+        # the sups it returns are the ones it wrote, taken from the real values
+        assert [f"{s:.12g}" for s in sups] == [r[2] for r in rows[1:]]
+        assert sups == [np.max(np.abs(sol.real_values(i))) for i in range(len(sol))]
 
 
 def _walk(stepper, M, *readers):

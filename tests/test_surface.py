@@ -33,6 +33,9 @@ Both checks read the source with ``ast``; nothing is imported or run.
 * Every package ``src/phi4lab`` imports from outside the standard library is
   a runtime dependency in ``pyproject.toml``, and every runtime dependency is
   imported.  Test oracles (scipy, jsonschema) belong to the ``test`` extra.
+* Only ``cli`` and ``config`` import ``csv`` or ``json``: ``cli`` renders
+  every output file and ``config`` reads configs and writes manifests, while
+  the other modules compute.
 """
 
 import ast
@@ -360,15 +363,20 @@ def test_the_check_sees_a_pool_size_parameter(tmp_path):
         "pooled": ["Loop", "estimate", "sweep", "run"]}
 
 
+def _absolute_imports(path: Path) -> set[str]:
+    """Top-level names of a module's absolute imports, at any depth."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def _third_party_imports(package) -> set[str]:
     """Top-level names of the absolute imports outside the standard library."""
-    names = set()
-    for path in package:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    names = set().union(*(_absolute_imports(path) for path in package))
     return names - set(sys.stdlib_module_names) - {"phi4lab"}
 
 
@@ -389,3 +397,32 @@ def test_the_check_sees_a_third_party_import(tmp_path):
         "def check(doc):\n    from jsonschema import validate\n    return validate(doc, {})\n"
     )
     assert _third_party_imports([mod]) == {"numpy", "jsonschema"}
+
+
+# the modules that read or write files; the others compute
+_FILE_MODULES = ("cli", "config")
+_FILE_FORMATS = {"csv", "json"}
+
+
+def _file_formats_outside_the_file_modules(package) -> dict[str, list[str]]:
+    found = {}
+    for path in package:
+        formats = sorted(_absolute_imports(path) & _FILE_FORMATS)
+        if formats and path.stem not in _FILE_MODULES:
+            found[path.stem] = formats
+    return found
+
+
+def test_only_cli_and_config_import_a_file_format():
+    assert _file_formats_outside_the_file_modules(PACKAGE) == {}
+
+
+def test_the_check_sees_a_file_format_outside_cli_and_config(tmp_path):
+    (tmp_path / "cli.py").write_text("import csv\nimport json\n")
+    (tmp_path / "grids.py").write_text("import numpy as np\nfrom . import json_tools\n")
+    (tmp_path / "stats.py").write_text(
+        "import math\nfrom json import dumps\n\n"
+        "def save(rows, path):\n    import csv\n    return csv, dumps\n"
+    )
+    package = sorted(tmp_path.glob("*.py"))
+    assert _file_formats_outside_the_file_modules(package) == {"stats": ["csv", "json"]}
