@@ -24,7 +24,10 @@ renorm
     step, not the cutoff, regulates the discrete quartic constant.
 simulate
     Run the remainder system at the configured parameters and write the
-    norm table plus the final reconstructed field.
+    norm table plus the final reconstructed field.  Only the reconstructed
+    phi is recorded, one half spectrum per recorded time; a run whose
+    recording would exceed the 768 MiB budget of :func:`.noise.record`
+    exits 2 before the quartic constant is computed.
 tail
     Estimate exceedance curves of the stochastic-convolution sup norm at
     every configured noise level, fit the Gaussian shape, and report the
@@ -96,7 +99,8 @@ from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_ban
 from .noise import (NoiseRealization, TimeGrid, _recorded_indices, lin_variance_curve,
                     quartic_constant, quartic_renorm_mc, record, replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
-from .solvers import SolutionPath, equivalence_report, solve_deterministic, solve_renormalized, solve_vw
+from .solvers import (SolutionPath, VWStepper, equivalence_report, solve_deterministic,
+                      solve_renormalized, solve_vw)
 from .symbols import CATALOG, SYMBOL_NAMES, SymbolStepper, chaos_components
 
 __all__ = [
@@ -442,16 +446,17 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
-    # v, w and phi at every recorded time: refuse before c~ is computed
+    # phi, one half spectrum at every recorded time: refuse before c~ is computed
     try:
-        _recorded_indices(tg, cfg.record_every, 3 * 16 * int(np.prod(grid.hshape)))
+        _recorded_indices(tg, cfg.record_every, 16 * int(np.prod(grid.hshape)))
     except ValueError as exc:
-        raise ConfigError([("record_every", f"v, w and phi: {exc}")]) from None
+        raise ConfigError([("record_every", f"phi: {exc}")]) from None
     sigma = cfg.sigmas[0]
     ct = _ctilde_path(cfg, grid, tg, co, sigma)
     noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
-    sym = SymbolStepper(noise, co, sigma, ctilde=ct)
-    phi = solve_vw(sym, record_every=cfg.record_every)["phi"]
+    vw = VWStepper(SymbolStepper(noise, co, sigma, ctilde=ct))
+    times, out = record(tg, cfg.record_every, vw.step, {"phi": vw.reconstruct})
+    phi = SolutionPath(grid, times, out["phi"])
     sups = norms_csv(phi, out_dir / "norms.csv")
     write_field_bin(out_dir / "phi_final.f64", idft(phi.field(-1)).values,
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,

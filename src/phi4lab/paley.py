@@ -170,21 +170,24 @@ class DyadicPartition:
         return vals
 
     @cached_property
-    def _padded_weights(self) -> np.ndarray:
-        """The block weights gathered onto the half layout of the binary-product grid."""
+    def _padded_weights(self) -> tuple[np.ndarray, ...]:
+        """Per block, its weights on the half layout of the binary-product grid, cut.
+
+        Each block's weights are gathered onto that layout and kept, as one
+        contiguous array, only up to their last nonzero column on the last
+        axis; beyond it they are exactly 0.
+        """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
         src, dst = _pad_index(N, P, dim)
-        out = np.zeros((self.nblocks,) + (P,) * (dim - 1) + (P // 2 + 1,))
-        out[(slice(None),) + dst] = self._weights[(slice(None),) + src]
-        return out
-
-    @cached_property
-    def _padded_widths(self) -> tuple[int, ...]:
-        """Per block, the last-axis length beyond which its padded weights are exactly 0."""
-        w = self._padded_weights
-        live = np.any(w != 0.0, axis=tuple(range(1, w.ndim - 1)))
-        return tuple(int(np.flatnonzero(row)[-1]) + 1 for row in live)
+        dense = np.zeros((P,) * (dim - 1) + (P // 2 + 1,))
+        cut = []
+        for w in self._weights:
+            dense[dst] = w[src]
+            live = np.any(dense != 0.0, axis=tuple(range(dim - 1)))
+            width = int(np.flatnonzero(live)[-1]) + 1
+            cut.append(dense[..., :width].copy())
+        return tuple(cut)
 
     def padded_blocks(self, c: np.ndarray) -> np.ndarray:
         """Block point values on the binary-product grid (for one-pass paraproducts).
@@ -193,12 +196,13 @@ class DyadicPartition:
         of any two blocks is alias free; the result has shape
         ``(nblocks,) + (P,) * dim``.  The spectrum is padded once.  Each block
         is weighted and transformed on only the leading last-axis columns
-        where its weights are nonzero (``_padded_widths``); ``irfftn``
-        zero-pads the rest itself.  Every 1-D line it transforms is the line a
-        dense transform would see and the lines it skips are zero, so the
-        values are bitwise those of one dense batched transform, at a fraction
-        of its cost for the low blocks (FFT pruning).  An all-zero spectrum
-        gives zeros without a transform, as in :mod:`.grids`.
+        where its weights are nonzero, the width of its cut weights
+        (``_padded_weights``); ``irfftn`` zero-pads the rest itself.  Every
+        1-D line it transforms is the line a dense transform would see and
+        the lines it skips are zero, so the values are bitwise those of one
+        dense batched transform, at a fraction of its cost for the low blocks
+        (FFT pruning).  An all-zero spectrum gives zeros without a transform,
+        as in :mod:`.grids`.
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
@@ -207,8 +211,8 @@ class DyadicPartition:
         padded = pad_half(c * float(P) ** dim, N, P)
         out = np.empty((self.nblocks,) + (P,) * dim)
         axes = tuple(range(dim))
-        for k, width in enumerate(self._padded_widths):
-            block = self._padded_weights[k][..., :width] * padded[..., :width]
+        for k, w in enumerate(self._padded_weights):
+            block = w * padded[..., : w.shape[-1]]
             np.fft.irfftn(block, s=(P,) * dim, axes=axes, out=out[k])
         return out
 

@@ -327,6 +327,9 @@ def G_rhs(x, xm, paired, pgt, lin_pts, iw3_pts, f2t: float, ct: float, N: int) -
     transform.  So ``G`` reads ``x = X``, ``xm``, the pairing ``paired`` and
     the upper paraproduct ``pgt = wick2 para_lt xm``.  Each rewrite is exact
     up to rounding, and the tests assert them against the literal forms.
+    :meth:`VWStepper.rhs` forms ``paired`` as ``res(xm, wick2)`` plus the
+    unsubtracted ``res(iwick3, wick2)``, which the symbol stepper has already
+    paired: ``res_iwick3_wick2 + 6 ct lin``.
     """
     l, a = lin_pts, iw3_pts
     x = _band_points(x, N, 2 * N)
@@ -359,11 +362,16 @@ class VWStepper:
     the open band and stepped with the propagator and ETD weight the symbols
     and the direct route use.
 
-    A step builds three block stacks: the two of the symbols it reads
-    (``wick2`` and ``iwick3``, from the symbol stepper's ``stacks``) and the
-    remainder ``xm = X - iwick3``, whose sum with the ``iwick3`` stack is the
-    stack of the field ``X`` that :func:`G_rhs` pairs with the Wick square;
-    and two resonant cores, that pairing and the symbol ``res_iwick3_wick2``.
+    A step builds three block stacks and keeps at most two alive at once.
+    The symbol stepper builds those of ``wick2`` and ``iwick3``, pairs them
+    into the symbol ``res_iwick3_wick2`` and keeps only the first (its
+    ``stacks``); :meth:`rhs` builds the third, of the remainder
+    ``xm = X - iwick3``, beside it.  The field ``X`` that :func:`G_rhs` pairs
+    with the Wick square has no stack of its own: by bilinearity
+    ``res(X, wick2) = res(xm, wick2) + res(iwick3, wick2)``, the second term
+    the symbol with its ``-6 ct lin`` counterterm added back.  So a step runs
+    two resonant cores, and its third ``2N``-grid transform, of ``iwick3``,
+    runs once the ``xm`` stack is freed.
     """
 
     def __init__(self, symbols: SymbolStepper, forcing=None):
@@ -396,11 +404,12 @@ class VWStepper:
         bx = self.partition.padded_blocks(xm)
         F = F_rhs(bx, bw2, syms["wick2"], f2t, N)
         pgt = _para_lt_core(bw2, bx, N)
-        # the stack of X is that of xm plus that of iwick3; drop it before G's cubic
-        bx += sym.stacks["iwick3"]
-        paired = _resonant_core(bx, bw2, N)
+        # res(X, wick2) = res(xm, wick2) + res(iwick3, wick2), the latter the
+        # symbol without its counterterm; drop the stack before G's cubic
+        paired = _resonant_core(bx, bw2, N) + (syms["res_iwick3_wick2"] + 6.0 * ct * syms["lin"])
         del bx
-        G = G_rhs(x, xm, paired, pgt, sym.points["lin"], sym.points["iwick3"], f2t, ct, N)
+        iw3_pts = _band_points(syms["iwick3"], N, 2 * N)
+        G = G_rhs(x, xm, paired, pgt, sym.points["lin"], iw3_pts, f2t, ct, N)
         if self.forcing is not None:
             G[(0,) * self.grid.dim] += float(self.forcing(self.t))
         return np.where(self._mask, F, 0.0), np.where(self._mask, G, 0.0)

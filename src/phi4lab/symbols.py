@@ -24,6 +24,11 @@ of :mod:`.noise`, ``I <- P I + E f``, which is the step of the direct solvers.
 Stepping and the remainder route read every object but ``res_iwick3_lin`` and
 ``res_iwick2_wick2``: :meth:`SymbolStepper.values` builds those it reads, and
 :meth:`SymbolStepper.catalog` adds the two pairings for the catalog's readers.
+Beside the values, a stepper keeps for the current step what the remainder
+route reads again: ``stacks``, the padded block stack of ``wick2`` alone, and
+``points``, the ``2N``-grid point values of ``lin`` alone.  The block stack of
+``iwick3`` only forms ``res_iwick3_wick2`` (and, for the catalog,
+``res_iwick3_lin``), so it is dropped before the values are returned.
 
 All products are dealiased one-pass products truncated to the open grid band,
 so the multilinear identities between these objects hold exactly at the
@@ -102,11 +107,14 @@ class SymbolStepper:
     :meth:`values` builds what stepping reads, once per step: every symbol
     but the two pairings only the catalog reads, which :meth:`catalog` adds.
     Beside the values it keeps two plain dicts for the step, emptied by
-    :meth:`step`: ``stacks``, the padded block point values of ``wick2`` and
-    ``iwick3`` on the binary-product grid, and ``points``, the point values
-    of ``lin`` and ``iwick3`` on the ``2N`` grid.  The Wick cube is formed
-    from those of ``lin``; :class:`.solvers.VWStepper` reads both dicts for
-    its right-hand sides.  None of these holds the stepper, so a step's
+    :meth:`step`: ``stacks`` holds ``"wick2"``, the padded block point
+    values of the Wick square on the binary-product grid, and ``points``
+    holds ``"lin"``, the point values of ``lin`` on the ``2N`` grid, from
+    which the Wick cube is formed.  :class:`.solvers.VWStepper` reads both
+    dicts for its right-hand sides.  The ``iwick3`` stack is built, paired
+    with that of ``wick2`` into ``res_iwick3_wick2`` (and with that of
+    ``lin`` when :meth:`catalog` is the first call of the step) and dropped
+    before the call returns.  None of these holds the stepper, so a step's
     arrays are freed by reference counting once the stepper lets go of them.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
@@ -149,8 +157,28 @@ class SymbolStepper:
         Every name of ``_PATH_NAMES`` but ``res_iwick3_lin`` and
         ``res_iwick2_wick2``; fills ``stacks`` and ``points``.
         """
-        if self._vals is not None:
-            return self._vals
+        if self._vals is None:
+            self._vals = self._build(catalog=False)
+        return self._vals
+
+    def catalog(self) -> dict[str, np.ndarray]:
+        """:meth:`values` with the catalog-only pairings added: every name of ``_PATH_NAMES``.
+
+        ``res_iwick3_lin`` and ``res_iwick2_wick2`` pair the stacks of
+        ``lin`` and ``iwick2``, which only they read, with those of
+        ``iwick3`` and ``wick2``; the pairings are kept with the step's
+        values.  As the first call of a step it builds each of the four
+        stacks once; after :meth:`values`, which let go of the ``iwick3``
+        stack, it builds that one again.
+        """
+        if self._vals is None:
+            self._vals = self._build(catalog=True)
+        elif "res_iwick3_lin" not in self._vals:
+            self._pair_catalog(self._vals, self.partition.padded_blocks(self.iw3))
+        return self._vals
+
+    def _build(self, catalog: bool) -> dict[str, np.ndarray]:
+        """The step's values, with the catalog-only pairings if ``catalog``."""
         N, dim = self.grid.N, self.grid.dim
         j = self.j
         zero = (0,) * dim
@@ -158,13 +186,14 @@ class SymbolStepper:
         cj = self.c[j]
         w2 = product_spectra([lin, lin], N, band=self.band)
         w2[zero] -= cj
-        pts = self.points = {"lin": _band_points(lin, N, 2 * N), "iwick3": _band_points(self.iw3, N, 2 * N)}
+        pts = self.points = {"lin": _band_points(lin, N, 2 * N)}
         cube = _points_band(pts["lin"] * pts["lin"] * pts["lin"], N)
         w3 = np.where(self.grid.kinf <= self.band, cube, 0.0) - 3.0 * cj * lin
         part = self.partition
-        stk = self.stacks = {"wick2": part.padded_blocks(w2), "iwick3": part.padded_blocks(self.iw3)}
-        r32 = _resonant_core(stk["iwick3"], stk["wick2"], N) - 6.0 * self.ctilde[j] * lin
-        self._vals = {
+        self.stacks = {"wick2": part.padded_blocks(w2)}
+        biw3 = part.padded_blocks(self.iw3)
+        r32 = _resonant_core(biw3, self.stacks["wick2"], N) - 6.0 * self.ctilde[j] * lin
+        vals = {
             "lin": lin,
             "wick2": w2,
             "wick3": w3,
@@ -173,23 +202,17 @@ class SymbolStepper:
             "res_iwick3_wick2": r32,
             "i_res_iwick3_wick2": self.iww,
         }
-        return self._vals
-
-    def catalog(self) -> dict[str, np.ndarray]:
-        """:meth:`values` with the catalog-only pairings added: every name of ``_PATH_NAMES``.
-
-        ``res_iwick3_lin`` and ``res_iwick2_wick2`` pair the stacks of
-        ``lin`` and ``iwick2``, which only they read; those are built here and
-        dropped, the pairings kept with the step's values.
-        """
-        vals = self.values()
-        if "res_iwick3_lin" not in vals:
-            part, N = self.partition, self.grid.N
-            vals["res_iwick3_lin"] = _resonant_core(self.stacks["iwick3"], part.padded_blocks(vals["lin"]), N)
-            r22 = _resonant_core(part.padded_blocks(vals["iwick2"]), self.stacks["wick2"], N)
-            r22[(0,) * r22.ndim] -= 2.0 * self.ctilde[self.j]
-            vals["res_iwick2_wick2"] = r22
+        if catalog:
+            self._pair_catalog(vals, biw3)
         return vals
+
+    def _pair_catalog(self, vals: dict[str, np.ndarray], biw3: np.ndarray) -> None:
+        """Add the catalog-only pairings to ``vals``, given the ``iwick3`` stack."""
+        part, N = self.partition, self.grid.N
+        vals["res_iwick3_lin"] = _resonant_core(biw3, part.padded_blocks(vals["lin"]), N)
+        r22 = _resonant_core(part.padded_blocks(vals["iwick2"]), self.stacks["wick2"], N)
+        r22[(0,) * r22.ndim] -= 2.0 * self.ctilde[self.j]
+        vals["res_iwick2_wick2"] = r22
 
     def step(self) -> None:
         if self.j >= self.timegrid.M:

@@ -5,6 +5,7 @@ import pytest
 
 from phi4lab.grids import (
     SpectralField,
+    _pad_index,
     TorusGrid,
     binary_size,
     dealiased_product,
@@ -231,6 +232,16 @@ class TestBlockBuffer:
                 assert np.array_equal(part.block_values(c), dense)
 
 
+def _dense_padded_weights(part):
+    """Every block's weights on the half layout of the binary-product grid, uncut."""
+    N, dim = part.grid.N, part.grid.dim
+    P = binary_size(N)
+    src, dst = _pad_index(N, P, dim)
+    out = np.zeros((part.nblocks,) + (P,) * (dim - 1) + (P // 2 + 1,))
+    out[(slice(None),) + dst] = part._weights[(slice(None),) + src]
+    return out
+
+
 class TestCroppedBlockTransforms:
     @pytest.mark.parametrize(
         "N, dim",
@@ -244,19 +255,23 @@ class TestCroppedBlockTransforms:
         c = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
         assert np.any(c[..., N // 2] != 0)
         P = binary_size(N)
-        stack = part._padded_weights * pad_half(c * float(P) ** dim, N, P)
+        stack = _dense_padded_weights(part) * pad_half(c * float(P) ** dim, N, P)
         dense = np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
         assert np.array_equal(part.padded_blocks(c), dense)
 
     @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (32, 3)])
     def test_weights_vanish_beyond_each_width(self, N, dim):
+        # each kept array is the dense weights up to its last nonzero column
         part = DyadicPartition(TorusGrid(N, dim))
-        widths = part._padded_widths
-        assert len(widths) == part.nblocks
-        for k, width in enumerate(widths):
-            assert np.all(part._padded_weights[k][..., width:] == 0.0)
-            assert np.any(part._padded_weights[k][..., width - 1] != 0.0)
-
+        cut = part._padded_weights
+        dense = _dense_padded_weights(part)
+        assert len(cut) == part.nblocks
+        for k, w in enumerate(cut):
+            width = w.shape[-1]
+            assert w.flags.c_contiguous
+            assert np.array_equal(w, dense[k][..., :width])
+            assert np.any(w[..., -1] != 0.0)
+            assert np.all(dense[k][..., width:] == 0.0)
 
 class TestInequalities:
     def test_bernstein_ratios_bounded(self):

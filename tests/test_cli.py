@@ -198,13 +198,13 @@ class TestConfigErrorsAtCli:
 
     def test_simulate_over_the_recording_budget_exits_two_before_the_monte_carlo(
             self, tmp_path, capsys, monkeypatch):
-        # v, w and phi at 1001 times of a 32^3 grid need ~798 MiB, over the
+        # phi alone at 4001 times of a 32^3 grid needs ~1063 MiB, over the
         # 768 MiB recording budget; the refusal comes before c~ is computed
         def boom(*args, **kwargs):
             raise AssertionError("c~ computed")
 
         monkeypatch.setattr(cli, "_ctilde_path", boom)
-        doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.001, "sigma": 0.5,
+        doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.00025, "sigma": 0.5,
                "ctilde_replicas": 1, "record_every": 1, "master_seed": 1}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -213,8 +213,31 @@ class TestConfigErrorsAtCli:
         err = json.loads(capsys.readouterr().err)
         assert rc == 2
         assert err["fields"] == ["record_every"]
-        assert "~798 MiB" in err["message"]
+        assert "phi: recorded path would need ~1063 MiB" in err["message"]
         assert list(out.iterdir()) == []
+
+    def test_simulate_budget_counts_phi_alone(self, tmp_path, monkeypatch):
+        # simulate records phi alone: at 1001 times of a 32^3 grid that is
+        # ~266 MiB, under the budget that v, w and phi (~798 MiB) were over.
+        # The budget check is the first thing simulate does, so stop there
+        class Checked(Exception):
+            pass
+
+        asked = []
+
+        def checked(tg, every, bytes_per_time):
+            asked.append((noise._recorded_indices(tg, every, bytes_per_time), bytes_per_time))
+            raise Checked
+
+        monkeypatch.setattr(cli, "_recorded_indices", checked)
+        doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.001, "sigma": 0.5,
+               "ctilde_replicas": 1, "record_every": 1, "master_seed": 1}
+        with pytest.raises(Checked):
+            cmd_simulate(ExperimentConfig.from_dict(doc), tmp_path)
+        [(idx, per_time)] = asked
+        assert len(idx) == 1001
+        assert per_time == 16 * 32 * 32 * 17
+        assert round(len(idx) * per_time / 2**20) == 266
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_outside_the_schema_exits_two_and_writes_nothing(

@@ -193,8 +193,8 @@ def _G(s, v, w):
     w2 = fld(syms["wick2"])
     paired = resonant(fld(x), w2).coeffs
     pgt = para_gt(fld(xm), w2).coeffs
-    pts = s["points"]
-    return G_rhs(x, xm, paired, pgt, pts["lin"], pts["iwick3"], s["f2t"], s["ct"], grid.N)
+    iw3_pts = grids._band_points(syms["iwick3"], grid.N, 2 * grid.N)
+    return G_rhs(x, xm, paired, pgt, s["points"]["lin"], iw3_pts, s["f2t"], s["ct"], grid.N)
 
 
 class TestRemainderRhs:
@@ -288,12 +288,12 @@ class TestRemainderRhs:
     def test_one_step_builds_three_binary_grid_stacks(self, monkeypatch, N, dim):
         # the two symbol stacks stepping reads (wick2, iwick3) plus the
         # remainder xm, each on the binary grid; the field paired with wick2
-        # is X = xm + iwick3, whose stack is the sum of two already built.
-        # Two resonant cores, that pairing and res_iwick3_wick2.  The
-        # catalog-only pairings and the stacks of lin and iwick2 are never
-        # built on this route.  One binary product (wick2); the Wick cube
-        # and the cubic of G read the point values of lin, iwick3 and X on
-        # the 2N grid: 3 inverse and 2 forward transforms there
+        # is X = xm + iwick3, whose pairing is that of xm plus the one that
+        # forms res_iwick3_wick2.  Two resonant cores, those two pairings.
+        # The catalog-only pairings and the stacks of lin and iwick2 are
+        # never built on this route.  One binary product (wick2); the Wick
+        # cube and the cubic of G read the point values of lin, iwick3 and X
+        # on the 2N grid: 3 inverse and 2 forward transforms there
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
@@ -370,11 +370,40 @@ class TestRemainderRhs:
             refs += [weakref.ref(a) for a in (*sym.points.values(), vals["res_iwick2_wick2"])]
             del vals
             vw.step()
-            # the stacks of wick2, iwick3, lin and iwick2 and the remainder xm
-            assert len(refs) == 5 + 3
+            # the stacks of wick2, iwick3, lin and iwick2 and the remainder
+            # xm; the 2N-grid points of lin and the pairing res_iwick2_wick2
+            assert len(refs) == 5 + 2
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+    def test_a_warm_step_keeps_at_most_two_stacks_alive(self, monkeypatch):
+        # the symbols pair the iwick3 stack with that of wick2 and drop it,
+        # so the remainder stack xm is built beside the wick2 stack alone
+        grid = TorusGrid(16, 3)
+        tg = TimeGrid(0.1, 4)
+        co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 7, 11), co, 0.6, ctilde=0.02))
+        vw.step()
+        refs, alive = [], []
+        build = paley.DyadicPartition.padded_blocks
+
+        def kept(self, c):
+            out = build(self, c)
+            refs.append(weakref.ref(out))
+            alive.append(sum(r() is not None for r in refs))
+            return out
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", kept)
+        gc.collect()
+        gc.disable()
+        try:
+            vw.step()
+        finally:
+            gc.enable()
+        # wick2, iwick3, then xm once the iwick3 stack is gone
+        assert alive == [1, 2, 2]
+        assert [r() for r in refs] == [None] * 3
 
     def test_reconstruction_builds_no_stack(self, monkeypatch):
         # phi reads the streamed states of lin, iwick3 and the integral of

@@ -97,10 +97,12 @@ class TestStepper:
 
     def test_values_build_two_stacks_once_per_step(self, monkeypatch):
         # the values build the stacks of wick2 and iwick3, which stepping
-        # reads; the catalog pairs those of lin and iwick2 on top, once per
-        # step, and step() lets go of the step's stacks and points
+        # reads, and keep that of wick2 alone; the catalog as the first call
+        # of a step builds those of wick2, iwick3, lin and iwick2 once each.
+        # step() lets go of the step's stacks and points
         grid, tg, co = small_setup()
         st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(tg.M + 1))
+        st.step()
         built = []
         build = paley.DyadicPartition.padded_blocks
 
@@ -109,24 +111,43 @@ class TestStepper:
             return build(self, c)
 
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
-        vals = st.values()
-        assert set(vals) == set(symbols._PATH_NAMES) - set(symbols._CATALOG_ONLY)
-        assert sorted(st.stacks) == ["iwick3", "wick2"]
-        assert sorted(st.points) == ["iwick3", "lin"]
-        assert len(built) == 2
-        a = st.stacks["wick2"]
-        assert st.values() is vals and st.stacks["wick2"] is a
         cat = st.catalog()
-        assert cat is vals and set(cat) == set(symbols._PATH_NAMES)
+        assert set(cat) == set(symbols._PATH_NAMES)
+        assert sorted(st.stacks) == ["wick2"] and sorted(st.points) == ["lin"]
+        inputs = [cat[n] for n in ("wick2", "iwick3", "lin", "iwick2")]
         assert len(built) == 4
-        st.catalog()
-        st.values()
+        assert all(any(c is a for c in built) for a in inputs)
+        a = st.stacks["wick2"]
+        assert st.values() is cat and st.catalog() is cat and st.stacks["wick2"] is a
         assert len(built) == 4
         st.step()
         assert st.stacks == {} and st.points == {}
-        assert st.values() is not vals
+        vals = st.values()
+        assert vals is not cat
+        assert set(vals) == set(symbols._PATH_NAMES) - set(symbols._CATALOG_ONLY)
+        assert sorted(st.stacks) == ["wick2"] and sorted(st.points) == ["lin"]
         assert st.stacks["wick2"] is not a
         assert len(built) == 6
+        assert built[4] is vals["wick2"] and built[5] is vals["iwick3"]
+        assert st.values() is vals
+        assert len(built) == 6
+
+    def test_catalog_after_values_equals_catalog_first(self):
+        # values() drops the iwick3 stack, so a catalog() after it builds
+        # that stack again; the pairings are the same bits either way
+        grid, tg, co = small_setup()
+        ct = np.linspace(0.0, 1e-3, tg.M + 1)
+        s1 = SymbolStepper(NoiseRealization(grid, tg, 4, seed=9), co, 0.8, ctilde=ct)
+        s2 = SymbolStepper(NoiseRealization(grid, tg, 4, seed=9), co, 0.8, ctilde=ct)
+        for _ in range(3):
+            s1.step()
+            s2.step()
+        first = s1.catalog()
+        s2.values()
+        after = s2.catalog()
+        assert sorted(first) == sorted(after)
+        for k in first:
+            assert np.array_equal(first[k], after[k]), k
 
     @pytest.mark.parametrize("name", symbols._PATH_NAMES)
     def test_ensemble_path_is_the_catalog_value(self, name):
