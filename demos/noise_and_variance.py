@@ -66,9 +66,9 @@ def main():
     # large, so the time step, not the cutoff, regulates it here.
     print("cutoff dependence of the quartic constant (d = 3, t = 0.5, 20 steps):")
     for n in (2, 4, 8):
-        rep = quartic_constant(TorusGrid(2 * n + 2, 3), 0.5, 20, n, coeffs)
+        ct = quartic_constant(TorusGrid(2 * n + 2, 3), TimeGrid(0.5, 20), n, coeffs)
         dt_lmax = 0.5 / 20 * 4.0 * np.pi**2 * 3 * n**2
-        print(f"  n = {n:2d}   ct_n = {rep['estimate'][-1]:.6e}   dt * L_max = {dt_lmax:7.1f}")
+        print(f"  n = {n:2d}   ct_n = {ct[-1]:.6e}   dt * L_max = {dt_lmax:7.1f}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from phi4lab.coeffs import CoefficientSet
 from phi4lab.grids import TorusGrid
 from phi4lab.noise import NoiseRealization, TimeGrid
 from phi4lab.solvers import equivalence_report, solve_deterministic, solve_vw
-from phi4lab.symbols import SymbolStepper
 
 
 def main():
@@ -28,8 +27,8 @@ def main():
     grid = TorusGrid(8, 2)
     tg = TimeGrid(0.25, 32)
     det = solve_deterministic(grid, tg, coeffs.f2, coeffs.a, 0.4, phi0=0.0)
-    sym = SymbolStepper(NoiseRealization(grid, tg, 3, seed=1), coeffs, 0.0, ctilde=0.0)
-    vw = solve_vw(sym, forcing=0.4)["phi"]
+    noise = NoiseRealization(grid, tg, 3, seed=1)
+    vw = solve_vw(noise, coeffs, 0.0, ctilde=0.0, forcing=0.4)["phi"]
     same = np.array_equal(det.coeffs, vw.coeffs)
     print(f"sigma = 0: v/w reconstruction equals the deterministic solver bitwise: {same}")
 

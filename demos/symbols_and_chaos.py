@@ -48,7 +48,7 @@ def main():
     # The quartic constant is computed once, exactly, at unit amplitude;
     # each amplitude s then runs with s**4 times it.
     grid8, tg16 = TorusGrid(8, 2), TimeGrid(0.5, 16)
-    ct = quartic_constant(grid8, tg16.T, tg16.M, 3, coeffs)["estimate"]
+    ct = quartic_constant(grid8, tg16, 3, coeffs)
     dec = chaos_components(NoiseRealization(grid8, tg16, 3, seed=9), coeffs,
                            name="res_iwick3_wick2", ctilde=ct)
     mass = dec.mass(1.0)

@@ -13,15 +13,15 @@ renorm
     quadrature) and the quartic constant at mid-horizon, with linear and
     logarithmic fit summaries, so ``cutoff_list`` must hold at least two
     distinct cutoffs.  The quartic constant is the exact Isserlis
-    sum of :func:`.noise.quartic_constant`, as in every command: O(M^2)
-    dealiased products on ``min(50, M)`` steps.  ``ctilde_mc`` and
-    ``ctilde_se`` cross-check it with a Monte Carlo over
-    ``ctilde_replicas`` paths, the only output that key sizes.  Cutoff
-    ``n`` runs on the grid ``N = 2n + 2``, the smallest on which its Wick
-    square is centred.  Each row carries ``dt * L_max``, with ``dt`` the
-    step of the grid the quartic constant is computed on and ``L_max = 4
-    pi^2 dim n^2`` the largest band eigenvalue: where it is large, the time
-    step, not the cutoff, regulates the discrete quartic constant.
+    sum of :func:`.noise.quartic_constant`, as in every command, on the grid
+    that function sums on.  ``ctilde_mc`` and ``ctilde_se`` cross-check it
+    with a Monte Carlo over ``ctilde_replicas`` paths on the same grid, the
+    only output that key sizes.  Cutoff ``n`` runs on the grid
+    ``N = 2n + 2``, the smallest on which its Wick square is centred.  Each
+    row carries ``dt * L_max``, with ``dt`` the step of that grid and
+    ``L_max = 4 pi^2 dim n^2`` the largest band eigenvalue: where it is
+    large, the time step, not the cutoff, regulates the discrete quartic
+    constant.
 simulate
     Run the remainder system at the configured parameters and write the
     norm table plus the final reconstructed field.  Only the reconstructed
@@ -39,15 +39,17 @@ equivalence
     (about 1e-9 relative at cutoff N/2 - 1); needs a positive noise level.
 
 Every file-producing command writes a ``manifest.json`` recording the
-resolved configuration, code version, per-replica seed bindings, wall
-clock, the number of processes the replicas or passes ran on (``workers``:
-one per CPU the process may use, for the replicas of ``tail`` and
-``renorm`` and the passes of ``equivalence``; 1 elsewhere, although the
-rows of every quartic constant run on the CPUs too) and a SHA-256 digest
-per output file.  Outputs are deterministic functions of (config, seed),
-and neither ``--out`` nor the worker count enters them: rerunning with
-equal manifests (ignoring the wall clock and workers) reproduces every file
-byte for byte, in any output directory.
+resolved configuration, code version, the ``[seed, replica]`` streams it drew
+(the Monte Carlo's for ``renorm``, every level's for ``tail``, replica 0 of
+``master_seed`` elsewhere), wall clock, the number of processes the
+replicas or passes ran on (``workers``: one per CPU the process may use,
+for the replicas of ``tail`` and ``renorm`` and the passes of
+``equivalence``; 1 elsewhere, although the rows of every quartic constant
+run on the CPUs too) and a SHA-256 digest per output file.  Outputs are
+deterministic functions of (config, seed), and neither ``--out`` nor the
+worker count enters them: rerunning with equal manifests (ignoring the wall
+clock and workers) reproduces every file byte for byte, in any output
+directory.
 
 Output files
 ------------
@@ -96,8 +98,9 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (NoiseRealization, TimeGrid, _recorded_indices, lin_variance_curve,
-                    quartic_constant, quartic_renorm_mc, record, replica_workers, replicate)
+from .noise import (NoiseRealization, TimeGrid, _constant_grid, _recorded_indices,
+                    lin_variance_curve, quartic_constant, quartic_renorm_mc, record,
+                    replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import (SolutionPath, VWStepper, equivalence_report, solve_deterministic,
                       solve_renormalized, solve_vw)
@@ -190,13 +193,6 @@ def tail_report_json(curve: TailCurve, fit, path, config=None) -> None:
                 "fit": _fit_entry(fit), "config": config}, path)
 
 
-def _ctilde_path(cfg: ExperimentConfig, grid: TorusGrid, tg: TimeGrid,
-                 co: CoefficientSet, sigma: float) -> np.ndarray:
-    """Quartic constant at amplitude ``sigma``, interpolated onto ``tg``."""
-    rep = quartic_constant(grid, cfg.T, tg.M, cfg.cutoff, co, sigma=sigma)
-    return np.interp(tg.ts, rep["times"], rep["estimate"])
-
-
 def _linear_fit(x, y) -> dict:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -209,12 +205,10 @@ def _linear_fit(x, y) -> dict:
 
 
 def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
-            seeds=None, workers: int = 1) -> None:
-    """Write the manifest; ``seeds`` defaults to the replica seeds of one level."""
-    manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0,
+            seeds, workers: int = 1) -> None:
+    """Write the manifest; ``seeds`` are the ``[seed, replica]`` streams the command drew."""
+    manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0, seeds,
                                    command=command)
-    if seeds is not None:
-        manifest.seeds = seeds
     manifest.workers = workers
     manifest.write(out_dir / "manifest.json")
 
@@ -283,8 +277,7 @@ def _check_sigma_zero() -> tuple[bool, dict]:
     det = solve_deterministic(grid, tg, [0.7], [-1.0, -0.5], [0.3, 0.1], 0.0)
     ren = solve_renormalized(grid, tg, 3, co, 0.0, ctilde=0.0, forcing=[0.3, 0.1])
     same = bool(np.array_equal(det.coeffs, ren.coeffs))
-    sym = SymbolStepper(NoiseRealization(grid, tg, 3, seed=0), co, 0.0, ctilde=0.0)
-    vw = solve_vw(sym, forcing=[0.3, 0.1])
+    vw = solve_vw(NoiseRealization(grid, tg, 3, seed=0), co, 0.0, ctilde=0.0, forcing=[0.3, 0.1])
     v_zero = bool(np.all(vw["v"].coeffs == 0.0))
     vw_same = bool(np.array_equal(det.coeffs, vw["phi"].coeffs))
     return same and v_zero and vw_same, {"direct_bitwise": same, "v_identically_zero": v_zero,
@@ -295,7 +288,7 @@ def _check_homogeneity() -> tuple[bool, dict]:
     grid = TorusGrid(8, 2)
     tg = TimeGrid(0.5, 8)
     co = CoefficientSet(0.3, -1.0, 0.5)
-    ct = quartic_constant(grid, tg.T, tg.M, 2, co)["estimate"]
+    ct = quartic_constant(grid, tg, 2, co)
     dec = chaos_components(NoiseRealization(grid, tg, 2, seed=3), co, "res_iwick3_wick2", ctilde=ct)
     m1, m2 = dec.mass(1.0), dec.mass(2.0)
     top = max(m1.values())
@@ -381,7 +374,7 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
     sigma = cfg.sigmas[0]
-    ct = _ctilde_path(cfg, grid, tg, co, sigma)
+    ct = quartic_constant(grid, tg, cfg.cutoff, co, sigma=sigma)
     noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
     sym = SymbolStepper(noise, co, sigma, ctilde=ct)
     alphas = {name: CATALOG[name].regularity - cfg.lam for name in SYMBOL_NAMES}
@@ -399,7 +392,7 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     {"field": "res_iwick3_wick2", "time": cfg.T, "N": cfg.N,
                      "dim": cfg.dimension, "sigma": sigma, "seed": cfg.master_seed})
     files = ["symbols.csv", "ww_final.f64", "ww_final.f64.json"]
-    _finish(cfg, out_dir, files, t0, "symbols")
+    _finish(cfg, out_dir, files, t0, "symbols", [[cfg.master_seed, 0]])
     return {"files": files, "rows": len(times), "symbols": list(SYMBOL_NAMES)}
 
 
@@ -411,17 +404,17 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     co = cfg.coeffs()
     sigma = cfg.sigmas[0]
     tmid = cfg.T / 2.0
+    coarse = _constant_grid(cfg.timegrid())
     rows = []
     for n in cfg.cutoff_list:
         gridn = TorusGrid(2 * n + 2, cfg.dimension)
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
-        rep = quartic_constant(gridn, cfg.T, cfg.steps, n, co, sigma=sigma)
-        coarse = TimeGrid(cfg.T, len(rep["times"]) - 1)
+        ct = quartic_constant(gridn, coarse, n, co, sigma=sigma)
         mc = quartic_renorm_mc(gridn, coarse, n, co, cfg.master_seed,
                                replicas=cfg.ctilde_replicas, sigma=sigma)
         # dt of the grid c~ is computed on, times the largest band eigenvalue
         dt_lmax = coarse.dt * 4.0 * np.pi**2 * cfg.dimension * n**2
-        ct_val = float(np.interp(tmid, rep["times"], rep["estimate"]))
+        ct_val = float(np.interp(tmid, coarse.ts, ct))
         ct_mc = float(np.interp(tmid, mc["times"], mc["estimate"]))
         ct_se = float(np.interp(tmid, mc["times"], mc["se"]))
         rows.append((n, c_val, ct_val, ct_mc, ct_se, dt_lmax))
@@ -439,7 +432,9 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
     _dump_json(report, out_dir / "renorm_fits.json")
     files = ["renorm.csv", "renorm_fits.json"]
-    _finish(cfg, out_dir, files, t0, "renorm", workers=replica_workers(cfg.ctilde_replicas))
+    _finish(cfg, out_dir, files, t0, "renorm",
+            [[cfg.master_seed, r] for r in range(cfg.ctilde_replicas)],
+            workers=replica_workers(cfg.ctilde_replicas))
     return report
 
 
@@ -452,9 +447,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     except ValueError as exc:
         raise ConfigError([("record_every", f"phi: {exc}")]) from None
     sigma = cfg.sigmas[0]
-    ct = _ctilde_path(cfg, grid, tg, co, sigma)
-    noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
-    vw = VWStepper(SymbolStepper(noise, co, sigma, ctilde=ct))
+    ct = quartic_constant(grid, tg, cfg.cutoff, co, sigma=sigma)
+    vw = VWStepper(NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed), co, sigma, ctilde=ct)
     times, out = record(tg, cfg.record_every, vw.step, {"phi": vw.reconstruct})
     phi = SolutionPath(grid, times, out["phi"])
     sups = norms_csv(phi, out_dir / "norms.csv")
@@ -462,7 +456,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,
                      "sigma": sigma, "seed": cfg.master_seed})
     files = ["norms.csv", "phi_final.f64", "phi_final.f64.json"]
-    _finish(cfg, out_dir, files, t0, "simulate")
+    _finish(cfg, out_dir, files, t0, "simulate", [[cfg.master_seed, 0]])
     return {"files": files, "recorded_times": len(phi), "final_sup": float(sups[-1]),
             "max_sup": float(np.max(sups))}
 
@@ -526,7 +520,8 @@ def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
                              cfg.sigmas[0], cfg.master_seed)
     _dump_json(rep, out_dir / "equivalence.json")
     # the report's two passes, coarse and fine, are the tasks of one replica loop
-    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence", workers=replica_workers(2))
+    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence", [[cfg.master_seed, 0]],
+            workers=replica_workers(2))
     return rep
 
 

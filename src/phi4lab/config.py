@@ -367,12 +367,12 @@ class RunManifest:
         self.workers = 1
 
     @classmethod
-    def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float,
+    def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float, seeds,
                 command: str = "") -> "RunManifest":
-        """Digest the named files (paths relative to ``out_dir``)."""
+        """Digest the named files (paths relative to ``out_dir``); ``seeds`` are
+        the ``[seed, replica]`` streams the command drew."""
         outputs = {str(name): _sha256(Path(out_dir) / name) for name in files}
-        return cls(config.to_dict(), config.replica_seeds(), wall_clock, outputs,
-                   command=command)
+        return cls(config.to_dict(), seeds, wall_clock, outputs, command=command)
 
     def to_dict(self) -> dict:
         return {

@@ -89,7 +89,7 @@ ROLE_RENORM = 1
 _GL_NODES = 48
 # distinct eigenvalues per block of the variance quadrature
 _QUAD_ROWS = 128
-# time steps of the grid quartic_constant sums on; finer grids interpolate
+# most time steps of the grid quartic_constant sums on (_constant_grid)
 _COARSE_STEPS = 50
 # the in-step variance integrand is cut where exp(-2 L tau) has dropped to
 # exp(-40) ~ 4e-18 of its boundary value; the neglected tail is below roundoff
@@ -696,15 +696,20 @@ def quartic_renorm_mc(
     }
 
 
-def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: CoefficientSet,
-                     sigma: float = 1.0) -> dict:
-    """The quartic constant on ``[0, T]``, exactly, on a coarse time grid.
+def _constant_grid(timegrid: TimeGrid) -> TimeGrid:
+    """The grid :func:`quartic_constant` sums on: ``timegrid``, cut to ``_COARSE_STEPS`` steps."""
+    return TimeGrid(timegrid.T, min(_COARSE_STEPS, timegrid.M))
 
-    Returns the expectation that :func:`quartic_renorm_mc` estimates, on
-    ``TimeGrid(T, min(_COARSE_STEPS, M))``; callers interpolate ``estimate``
-    from ``times`` onto their own grid.  The pairing is a product of two
-    Wick squares of one Gaussian path, so its mean is the Isserlis sum (the
-    product formula for Wiener chaos)
+
+def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: CoefficientSet,
+                     sigma: float = 1.0) -> np.ndarray:
+    """The quartic constant at every time of ``timegrid``, one value per ``timegrid.ts``.
+
+    The expectation that :func:`quartic_renorm_mc` estimates, summed exactly
+    on ``timegrid`` up to 50 steps; a finer grid gets the 50-step sum
+    (:func:`_constant_grid`), interpolated linearly.  The pairing is a
+    product of two Wick squares of one Gaussian path, so its mean is the
+    Isserlis sum (the product formula for Wiener chaos)
 
         raw_j = sum_k w_pair(k) sum_{0<i<j} G_ij(k) 2 (C_ij * C_ij)(k),
 
@@ -713,7 +718,7 @@ def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: Coe
     :func:`lin_variance_path` recursion, per mode), ``G_ij = P_{j-1}...P_{i+1}
     E_i`` the ETD weight the symbol integral puts on step ``i``, and ``*`` the
     convolution, taken by :func:`.grids.product_spectra` with the band cut of
-    the Wick square.  The estimate is ``0.5 sigma**4 raw``.  The sum costs
+    the Wick square.  The constant is ``0.5 sigma**4 raw``.  The sum costs
     ``M (M - 1) / 2`` dealiased products, O(M^2), at most 1225 on the
     coarse grid.  The steppers take the constant as an input and never
     compute it.
@@ -730,7 +735,7 @@ def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: Coe
     that names the time as a blow-up, the lowest row first.
     """
     _require_centred_cutoff(grid, cutoff)
-    coarse = TimeGrid(T, min(_COARSE_STEPS, int(M)))
+    coarse = _constant_grid(timegrid)
     kern = step_kernel(grid, coarse, coeffs)
     M, N = coarse.M, grid.N
     band = min(2 * cutoff, N // 2 - 1)
@@ -770,4 +775,4 @@ def quartic_constant(grid: TorusGrid, T: float, M: int, cutoff: int, coeffs: Coe
     if M > 1:
         for contributions in replicate(row, M - 1, None):  # in i order, as a serial loop adds
             raw += contributions
-    return {"times": coarse.ts.copy(), "estimate": 0.5 * sigma**4 * raw}
+    return np.interp(timegrid.ts, coarse.ts, 0.5 * sigma**4 * raw)

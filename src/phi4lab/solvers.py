@@ -354,18 +354,19 @@ def reconstruct_phi(syms: dict, v: np.ndarray, w: np.ndarray, grid: TorusGrid) -
 class VWStepper:
     """Coupled ETD1 stepping of the remainder pair.
 
-    Wraps a fresh :class:`SymbolStepper` (consumed as stepping advances) and
-    keeps ``(v, w)`` starting from zero.  Right-hand sides are evaluated at
-    the left endpoint on ``(v + 3 P(iww), w)``, ``iww`` the streamed integral
-    of ``res_iwick3_wick2`` and ``P`` the projection onto the open band, so
-    they see the solution the reconstruction rebuilds; they are projected onto
-    the open band and stepped with the propagator and ETD weight the symbols
-    and the direct route use.
+    Takes the arguments of :class:`RenormalizedStepper`, builds its own
+    :class:`.symbols.SymbolStepper` from them, kept as ``sym`` and stepped
+    alongside, and keeps ``(v, w)`` starting from zero.  Right-hand sides are
+    evaluated at the left endpoint on ``(v + 3 P(iww), w)``, ``iww`` the
+    streamed integral of ``res_iwick3_wick2`` and ``P`` the projection onto
+    the open band, so they see the solution the reconstruction rebuilds; they
+    are projected onto the open band and stepped with the propagator and ETD
+    weight the symbols and the direct route use.
 
     A step builds three block stacks and keeps at most two alive at once.
     The symbol stepper builds those of ``wick2`` and ``iwick3``, pairs them
     into the symbol ``res_iwick3_wick2`` and keeps only the first (its
-    ``stacks``); :meth:`rhs` builds the third, of the remainder
+    ``wick2_stack``); :meth:`rhs` builds the third, of the remainder
     ``xm = X - iwick3``, beside it.  The field ``X`` that :func:`G_rhs` pairs
     with the Wick square has no stack of its own: by bilinearity
     ``res(X, wick2) = res(xm, wick2) + res(iwick3, wick2)``, the second term
@@ -374,17 +375,16 @@ class VWStepper:
     runs once the ``xm`` stack is freed.
     """
 
-    def __init__(self, symbols: SymbolStepper, forcing=None):
-        if symbols.j != 0:
-            raise ValueError("symbol stepper must start at time zero")
-        self.sym = symbols
-        self.grid = symbols.grid
-        self.timegrid = symbols.timegrid
-        self.partition = symbols.partition
+    def __init__(self, noise: NoiseRealization, coeffs: CoefficientSet, sigma: float, *,
+                 ctilde, forcing=None):
+        sym = self.sym = SymbolStepper(noise, coeffs, sigma, ctilde=ctilde)
+        self.grid = sym.grid
+        self.timegrid = sym.timegrid
+        self.partition = sym.partition
         self.forcing = None if forcing is None else _as_timefunc(forcing)
         self.v = np.zeros(self.grid.hshape, dtype=np.complex128)
         self.w = np.zeros(self.grid.hshape, dtype=np.complex128)
-        self._mask = self.grid.kinf <= symbols.band
+        self._mask = self.grid.kinf <= sym.band
         self.j = 0
 
     @property
@@ -398,7 +398,7 @@ class VWStepper:
         N = self.grid.N
         f2t = float(sym.coeffs.f2(self.t))
         ct = float(sym.ctilde[self.j])
-        bw2 = sym.stacks["wick2"]
+        bw2 = sym.wick2_stack
         x = self.v + 3.0 * np.where(self._mask, sym.iww, 0.0) + self.w
         xm = x - syms["iwick3"]
         bx = self.partition.padded_blocks(xm)
@@ -409,7 +409,7 @@ class VWStepper:
         paired = _resonant_core(bx, bw2, N) + (syms["res_iwick3_wick2"] + 6.0 * ct * syms["lin"])
         del bx
         iw3_pts = _band_points(syms["iwick3"], N, 2 * N)
-        G = G_rhs(x, xm, paired, pgt, sym.points["lin"], iw3_pts, f2t, ct, N)
+        G = G_rhs(x, xm, paired, pgt, sym.lin_points, iw3_pts, f2t, ct, N)
         if self.forcing is not None:
             G[(0,) * self.grid.dim] += float(self.forcing(self.t))
         return np.where(self._mask, F, 0.0), np.where(self._mask, G, 0.0)
@@ -438,14 +438,16 @@ class VWStepper:
         return reconstruct_phi(syms, self.v, self.w, self.grid)
 
 
-def solve_vw(symbols: SymbolStepper, record_every: int = 1, forcing=None) -> dict[str, SolutionPath]:
-    """Integrate the coupled remainder system over the whole time grid.
+def solve_vw(noise: NoiseRealization, coeffs: CoefficientSet, sigma: float, *, ctilde,
+             record_every: int = 1, forcing=None) -> dict[str, SolutionPath]:
+    """Integrate the coupled remainder system of ``noise`` over its whole time grid.
 
-    Consumes the supplied symbol stepper and records ``v``, ``w`` and the
-    reconstructed solution ``phi`` every ``record_every`` steps and at the
-    end; returns one :class:`SolutionPath` per name, sharing the times.
+    Runs a :class:`VWStepper` built from the same arguments and records
+    ``v``, ``w`` and the reconstructed solution ``phi`` every
+    ``record_every`` steps and at the end; returns one :class:`SolutionPath`
+    per name, sharing the times.
     """
-    vw = VWStepper(symbols, forcing=forcing)
+    vw = VWStepper(noise, coeffs, sigma, ctilde=ctilde, forcing=forcing)
     grid, timegrid = vw.grid, vw.timegrid
     times, out = record(timegrid, record_every, vw.step,
                         {"v": lambda: vw.v, "w": lambda: vw.w, "phi": vw.reconstruct})
@@ -467,14 +469,12 @@ def equivalence_report(
     Both routes run in lockstep on one noise realization, which fixes their
     grid, horizon, band and stream; the coarse run steps the aggregated
     increments of the fine one, so both resolutions see a single Brownian
-    path.  The quartic constant is computed once, exactly, by
-    :func:`.noise.quartic_constant` (the Isserlis sum over pairs of steps
-    ``0 < i < j`` of the ETD weight times twice the squared lin covariance,
-    ``M (M - 1) / 2`` dealiased products on ``min(50, M)`` steps, O(M^2))
-    and interpolated, and the same path is handed to both routes.  The
-    decomposition holds for any shared quartic constant, so the
-    interpolation onto ``dt/2`` does not open a gap, although the refined
-    run is not exactly centred.
+    path.  The quartic constant is computed once, on the base grid of ``M``
+    steps, by :func:`.noise.quartic_constant`, and the same path is handed
+    to both routes of every pass; the fine pass takes it interpolated onto
+    ``dt/2``.  The decomposition holds for any shared quartic constant, so
+    the interpolation does not open a gap, although the refined run is not
+    exactly centred.
 
     The routes are one discrete map, so the gap does not shrink with dt: it
     is rounding where ``2 cutoff <= N/2 - 1`` and the band truncation of the
@@ -494,9 +494,9 @@ def equivalence_report(
     here, the lowest task first, as the serial loop would, and the report is
     the same at any worker count.
     """
-    rep = quartic_constant(grid, T, M, cutoff, coeffs, sigma=sigma)
     tg = TimeGrid(T, M)
     tg_fine = TimeGrid(T, 2 * M)
+    base = quartic_constant(grid, tg, cutoff, coeffs, sigma=sigma)
     seeds = [int(s) for s in extra_seeds]
 
     def one_gap(task, _) -> tuple[float, float]:
@@ -507,9 +507,10 @@ def equivalence_report(
         else:
             noise = NoiseRealization(grid, tg, cutoff, seeds[task - 2])
         steps = noise.timegrid.M
-        ct = np.interp(noise.timegrid.ts, rep["times"], rep["estimate"])
+        # exact at the base nodes, so only the fine pass's constant moves
+        ct = np.interp(noise.timegrid.ts, tg.ts, base)
         direct = RenormalizedStepper(noise, coeffs, sigma, ctilde=ct)
-        vw = VWStepper(SymbolStepper(noise, coeffs, sigma, ctilde=ct))
+        vw = VWStepper(noise, coeffs, sigma, ctilde=ct)
         sup_d = 0.0
         sup_gap = 0.0
         for j in range(steps + 1):

@@ -24,11 +24,9 @@ of :mod:`.noise`, ``I <- P I + E f``, which is the step of the direct solvers.
 Stepping and the remainder route read every object but ``res_iwick3_lin`` and
 ``res_iwick2_wick2``: :meth:`SymbolStepper.values` builds those it reads, and
 :meth:`SymbolStepper.catalog` adds the two pairings for the catalog's readers.
-Beside the values, a stepper keeps for the current step what the remainder
-route reads again: ``stacks``, the padded block stack of ``wick2`` alone, and
-``points``, the ``2N``-grid point values of ``lin`` alone.  The block stack of
-``iwick3`` only forms ``res_iwick3_wick2`` (and, for the catalog,
-``res_iwick3_lin``), so it is dropped before the values are returned.
+Beside the values, a stepper keeps for the current step the block stack of
+``wick2`` and the ``2N``-grid points of ``lin``, which the remainder route
+reads again.
 
 All products are dealiased one-pass products truncated to the open grid band,
 so the multilinear identities between these objects hold exactly at the
@@ -106,16 +104,16 @@ class SymbolStepper:
 
     :meth:`values` builds what stepping reads, once per step: every symbol
     but the two pairings only the catalog reads, which :meth:`catalog` adds.
-    Beside the values it keeps two plain dicts for the step, emptied by
-    :meth:`step`: ``stacks`` holds ``"wick2"``, the padded block point
-    values of the Wick square on the binary-product grid, and ``points``
-    holds ``"lin"``, the point values of ``lin`` on the ``2N`` grid, from
-    which the Wick cube is formed.  :class:`.solvers.VWStepper` reads both
-    dicts for its right-hand sides.  The ``iwick3`` stack is built, paired
-    with that of ``wick2`` into ``res_iwick3_wick2`` (and with that of
-    ``lin`` when :meth:`catalog` is the first call of the step) and dropped
-    before the call returns.  None of these holds the stepper, so a step's
-    arrays are freed by reference counting once the stepper lets go of them.
+    Beside the values it keeps two arrays for the step, reset by :meth:`step`:
+    ``wick2_stack``, the padded block point values of the Wick square on the
+    binary-product grid, and ``lin_points``, the point values of ``lin`` on
+    the ``2N`` grid, from which the Wick cube is formed; :class:`.solvers.VWStepper`
+    reads both.  The ``iwick3`` stack is dropped before the call returns.  A
+    :meth:`catalog` call builds it first, pairs it with the ``lin`` stack,
+    which it drops, before the ``wick2`` stack is built, and builds the
+    ``iwick2`` stack once it is gone, so at most two stacks are alive at once.
+    None of these holds the stepper, so a step's arrays are freed by
+    reference counting once the stepper lets go of them.
 
     ``c`` is the exact variance path of ``lin``.  The quartic constant
     ``ctilde`` (a scalar or one value per grid time) is an input at amplitude
@@ -147,15 +145,15 @@ class SymbolStepper:
         self.iw3 = np.zeros(grid.hshape, dtype=np.complex128)
         self.iww = np.zeros(grid.hshape, dtype=np.complex128)
         self.j = 0
-        self.stacks: dict[str, np.ndarray] = {}
-        self.points: dict[str, np.ndarray] = {}
+        self.wick2_stack: np.ndarray | None = None
+        self.lin_points: np.ndarray | None = None
         self._vals: dict[str, np.ndarray] | None = None
 
     def values(self) -> dict[str, np.ndarray]:
         """Current values (half-layout arrays) of what stepping reads, built once per step.
 
         Every name of ``_PATH_NAMES`` but ``res_iwick3_lin`` and
-        ``res_iwick2_wick2``; fills ``stacks`` and ``points``.
+        ``res_iwick2_wick2``; sets ``wick2_stack`` and ``lin_points``.
         """
         if self._vals is None:
             self._vals = self._build(catalog=False)
@@ -167,14 +165,13 @@ class SymbolStepper:
         ``res_iwick3_lin`` and ``res_iwick2_wick2`` pair the stacks of
         ``lin`` and ``iwick2``, which only they read, with those of
         ``iwick3`` and ``wick2``; the pairings are kept with the step's
-        values.  As the first call of a step it builds each of the four
-        stacks once; after :meth:`values`, which let go of the ``iwick3``
-        stack, it builds that one again.
+        values.  It builds each of the four stacks once and keeps at most two
+        alive.  After :meth:`values` in the same step (no command does that)
+        it builds the step's values again.
         """
-        if self._vals is None:
+        if self._vals is None or "res_iwick3_lin" not in self._vals:
+            self._vals = self.wick2_stack = None  # the rebuild keeps no stack of values()
             self._vals = self._build(catalog=True)
-        elif "res_iwick3_lin" not in self._vals:
-            self._pair_catalog(self._vals, self.partition.padded_blocks(self.iw3))
         return self._vals
 
     def _build(self, catalog: bool) -> dict[str, np.ndarray]:
@@ -186,14 +183,23 @@ class SymbolStepper:
         cj = self.c[j]
         w2 = product_spectra([lin, lin], N, band=self.band)
         w2[zero] -= cj
-        pts = self.points = {"lin": _band_points(lin, N, 2 * N)}
-        cube = _points_band(pts["lin"] * pts["lin"] * pts["lin"], N)
+        pts = self.lin_points = _band_points(lin, N, 2 * N)
+        cube = _points_band(pts * pts * pts, N)
         w3 = np.where(self.grid.kinf <= self.band, cube, 0.0) - 3.0 * cj * lin
-        part = self.partition
-        self.stacks = {"wick2": part.padded_blocks(w2)}
-        biw3 = part.padded_blocks(self.iw3)
-        r32 = _resonant_core(biw3, self.stacks["wick2"], N) - 6.0 * self.ctilde[j] * lin
-        vals = {
+        part, pairs = self.partition, {}
+        if catalog:  # the lin stack is paired with iwick3's and dropped before wick2's is built
+            biw3 = part.padded_blocks(self.iw3)
+            pairs["res_iwick3_lin"] = _resonant_core(biw3, part.padded_blocks(lin), N)
+        self.wick2_stack = part.padded_blocks(w2)
+        if not catalog:  # wick2's first: the other order faults 1.8x the pages at 64^2
+            biw3 = part.padded_blocks(self.iw3)
+        r32 = _resonant_core(biw3, self.wick2_stack, N) - 6.0 * self.ctilde[j] * lin
+        if catalog:  # the iwick3 stack is dropped before that of iwick2 is built
+            del biw3
+            r22 = _resonant_core(part.padded_blocks(self.iw2), self.wick2_stack, N)
+            r22[zero] -= 2.0 * self.ctilde[j]
+            pairs["res_iwick2_wick2"] = r22
+        return {
             "lin": lin,
             "wick2": w2,
             "wick3": w3,
@@ -201,18 +207,8 @@ class SymbolStepper:
             "iwick3": self.iw3,
             "res_iwick3_wick2": r32,
             "i_res_iwick3_wick2": self.iww,
+            **pairs,
         }
-        if catalog:
-            self._pair_catalog(vals, biw3)
-        return vals
-
-    def _pair_catalog(self, vals: dict[str, np.ndarray], biw3: np.ndarray) -> None:
-        """Add the catalog-only pairings to ``vals``, given the ``iwick3`` stack."""
-        part, N = self.partition, self.grid.N
-        vals["res_iwick3_lin"] = _resonant_core(biw3, part.padded_blocks(vals["lin"]), N)
-        r22 = _resonant_core(part.padded_blocks(vals["iwick2"]), self.stacks["wick2"], N)
-        r22[(0,) * r22.ndim] -= 2.0 * self.ctilde[self.j]
-        vals["res_iwick2_wick2"] = r22
 
     def step(self) -> None:
         if self.j >= self.timegrid.M:
@@ -226,8 +222,8 @@ class SymbolStepper:
         self.lin.step()
         self.j += 1
         self._vals = None
-        self.stacks = {}
-        self.points = {}
+        self.wick2_stack = None
+        self.lin_points = None
 
 
 class SymbolEnsemble:
@@ -325,11 +321,10 @@ def chaos_components(
     degree; the decomposition is the instrument that verifies this.
 
     ``ctilde`` is the quartic constant at unit amplitude (a scalar or one
-    value per grid time), such as the exact Isserlis sum of
-    :func:`.noise.quartic_constant` (``M (M - 1) / 2`` dealiased products,
-    O(M^2), over the pairs of steps ``0 < i < j``); amplitude ``s`` runs
-    with ``s**4 * ctilde``, which equals that sum at amplitude ``s`` bit for
-    bit.
+    value per grid time), such as :func:`.noise.quartic_constant` on
+    ``noise.timegrid``; amplitude ``s`` runs with ``s**4 * ctilde``, which
+    equals that constant at amplitude ``s`` bit for bit wherever it is not
+    interpolated.
     """
     if name not in CATALOG:
         raise ValueError(f"unknown symbol {name!r}; valid: {SYMBOL_NAMES}")

@@ -9,6 +9,7 @@ the time stamp.
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import phi4lab
-from phi4lab import cli, noise
+from phi4lab import cli, noise, solvers, symbols
 from phi4lab.cli import (
     check_partition_unity,
     cmd_equivalence,
@@ -33,7 +34,7 @@ from phi4lab.cli import (
 )
 from phi4lab.config import ConfigError, ExperimentConfig, RunManifest
 from phi4lab.grids import TorusGrid
-from phi4lab.noise import quartic_constant
+from phi4lab.noise import TimeGrid, quartic_constant
 from phi4lab.paley import DyadicPartition
 from phi4lab.symbols import SYMBOL_NAMES
 
@@ -203,7 +204,7 @@ class TestConfigErrorsAtCli:
         def boom(*args, **kwargs):
             raise AssertionError("c~ computed")
 
-        monkeypatch.setattr(cli, "_ctilde_path", boom)
+        monkeypatch.setattr(cli, "quartic_constant", boom)
         doc = {"dimension": 3, "N": 32, "cutoff": 15, "T": 1.0, "dt": 0.00025, "sigma": 0.5,
                "ctilde_replicas": 1, "record_every": 1, "master_seed": 1}
         path = tmp_path / "cfg.json"
@@ -463,8 +464,8 @@ class TestExperimentCommands:
         assert ns == [2, 3, 4]
         # ctilde_n is the exact constant at mid-horizon, the column the fit reads
         for n, row in zip(ns, report["rows"]):
-            rep = quartic_constant(TorusGrid(2 * n + 2, 2), 0.5, 8, n, cfg.coeffs(), sigma=0.1)
-            assert row["ctilde"] == float(np.interp(0.25, rep["times"], rep["estimate"]))
+            ct = quartic_constant(TorusGrid(2 * n + 2, 2), cfg.timegrid(), n, cfg.coeffs(), sigma=0.1)
+            assert row["ctilde"] == float(np.interp(0.25, cfg.timegrid().ts, ct))
         assert report["ctilde_fit_vs_log_n"] == cli._linear_fit(
             np.log(ns), [row["ctilde"] for row in report["rows"]])
         # more modes in the band, more variance: the quadratic constant grows
@@ -524,6 +525,40 @@ class TestExperimentCommands:
         assert report["max_sup"] == pytest.approx(max(sups), rel=1e-11)
         head = json.loads((tmp_path / "phi_final.f64.json").read_text())
         assert head["field"] == "phi" and head["time"] == 0.5
+
+    def test_simulate_hands_the_symbols_the_constant_on_its_own_grid(self, tmp_path, monkeypatch):
+        # at M = 80 the run's constant is the 50-step sum interpolated onto
+        # its 80 steps, and the symbol stepper of the v/w route gets exactly it
+        seen = []
+
+        class Recording(symbols.SymbolStepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.ctilde)
+
+        monkeypatch.setattr(solvers, "SymbolStepper", Recording)
+        cfg = _cfg(dt=0.5 / 80, record_every=80)
+        tg = cfg.timegrid()
+        assert tg.M == 80
+        cmd_simulate(cfg, tmp_path)
+        want = quartic_constant(cfg.grid(), tg, cfg.cutoff, cfg.coeffs(), sigma=cfg.sigmas[0])
+        cap = TimeGrid(cfg.T, 50)
+        assert np.array_equal(want, np.interp(tg.ts, cap.ts, quartic_constant(
+            cfg.grid(), cap, cfg.cutoff, cfg.coeffs(), sigma=cfg.sigmas[0])))
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+    @pytest.mark.parametrize("command,seeds", [
+        (cmd_symbols, [[7, 0]]),
+        (cmd_simulate, [[7, 0]]),
+        (cmd_equivalence, [[7, 0]]),
+        (cmd_renorm, [[7, r] for r in range(4)]),
+        (cmd_tail, [[7, r] for r in range(3)] + [[8, r] for r in range(3)]),
+    ], ids=["symbols", "simulate", "equivalence", "renorm", "tail"])
+    def test_manifest_lists_the_streams_the_command_drew(self, tmp_path, command, seeds):
+        # replicas sizes tail alone and ctilde_replicas renorm's Monte Carlo
+        # alone; the other commands draw replica 0 of master_seed
+        command(_cfg(replicas=3, ctilde_replicas=4), tmp_path)
+        assert RunManifest.load(tmp_path / "manifest.json").seeds == seeds
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_symbols, cmd_equivalence],
                              ids=["simulate", "symbols", "equivalence"])
@@ -697,6 +732,35 @@ spans.install(spans.Tracer())
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _perfbench_module(name):
+    """``perfbench/<name>.py`` loaded under a name of its own, so it shadows no module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload,shrink", [
+    ("simulate-3d", {"N": 8, "cutoff": 3}),
+    ("equivalence-2d", {"N": 16, "cutoff": 7, "dt": 0.05}),
+], ids=["simulate", "equivalence"])
+def test_benchmark_checks_pass_on_shrunken_workloads(tmp_path, workload, shrink):
+    """The benchmark checks each workload's outputs with its own code, which
+    re-solves simulate through the package's API (``solve_renormalized``,
+    ``quartic_renorm_mc``, ``TimeGrid``): a change to that API must fail here,
+    not in a benchmark run.  The workloads run at a smaller grid."""
+    run, checks = _perfbench_module("run"), _perfbench_module("checks")
+    command, _ = run.WORKLOADS[workload]
+    doc = {**run.config_doc(workload, 17), **shrink}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    checks.manifest_digests(out, run.output_files(command, doc))
+    checks.CHECKS[command](doc, out)
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -308,7 +308,8 @@ class TestRunManifest:
         cfg = ExperimentConfig.from_dict(_doc(replicas=2))
         (tmp_path / "a.csv").write_bytes(b"h,p\n0.1,0.5\n")
         (tmp_path / "b.json").write_bytes(b"{}\n")
-        man = RunManifest.collect(cfg, tmp_path, ["a.csv", "b.json"], 1.5, command="tail")
+        man = RunManifest.collect(cfg, tmp_path, ["a.csv", "b.json"], 1.5, cfg.replica_seeds(),
+                                  command="tail")
         for name in ("a.csv", "b.json"):
             want = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert man.outputs[name] == want
@@ -318,7 +319,7 @@ class TestRunManifest:
     def test_write_load_roundtrip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_doc())
         (tmp_path / "x.bin").write_bytes(np.arange(4.0).tobytes())
-        man = RunManifest.collect(cfg, tmp_path, ["x.bin"], 0.25)
+        man = RunManifest.collect(cfg, tmp_path, ["x.bin"], 0.25, cfg.replica_seeds())
         man.workers = 2
         man.write(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
@@ -327,10 +328,10 @@ class TestRunManifest:
     def test_equality_ignores_wall_clock_and_workers_only(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_doc())
         (tmp_path / "x.csv").write_bytes(b"1\n")
-        a = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0)
-        b = RunManifest.collect(cfg, tmp_path, ["x.csv"], 9.0)
+        a = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0, cfg.replica_seeds())
+        b = RunManifest.collect(cfg, tmp_path, ["x.csv"], 9.0, cfg.replica_seeds())
         b.workers = 2
         assert a.equal_modulo_timing(b)
         (tmp_path / "x.csv").write_bytes(b"2\n")
-        c = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0)
+        c = RunManifest.collect(cfg, tmp_path, ["x.csv"], 1.0, cfg.replica_seeds())
         assert not a.equal_modulo_timing(c)

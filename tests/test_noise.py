@@ -716,20 +716,21 @@ class TestQuarticConstant:
         assert rep["estimate"][8] > 0
         assert rep["estimate"][8] > 2 * rep["se"][8]
 
-    def test_quartic_constant_is_the_isserlis_sum_on_the_coarse_grid(self):
-        # up to 50 steps the constant is the term-by-term Isserlis sum on the
-        # caller's own grid; past 50 it is the 50-step constant, bit for bit
+    def test_quartic_constant_is_on_the_callers_grid(self):
+        # one value per time of the caller's grid: up to 50 steps the
+        # term-by-term Isserlis sum on that grid; past 50 the 50-step sum,
+        # interpolated onto it, bit for bit
         grid = TorusGrid(8, 2)
         cs = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.25)
-        for M in (1, 2, 8):
-            got = noise.quartic_constant(grid, 0.25, M, 3, cs, sigma=0.5)
+        for M in (1, 2, 8, 50):
+            got = noise.quartic_constant(grid, TimeGrid(0.25, M), 3, cs, sigma=0.5)
             want = 0.5**4 * isserlis_reference(grid, TimeGrid(0.25, M), 3, cs)
-            assert np.array_equal(got["times"], TimeGrid(0.25, M).ts)
-            assert np.allclose(got["estimate"], want, rtol=1e-12, atol=0.0)
-        coarse = noise.quartic_constant(grid, 0.25, 80, 3, cs)
-        assert np.array_equal(coarse["times"], TimeGrid(0.25, 50).ts)
-        at_cap = noise.quartic_constant(grid, 0.25, 50, 3, cs)
-        assert np.array_equal(coarse["estimate"], at_cap["estimate"])
+            assert isinstance(got, np.ndarray) and got.shape == (M + 1,)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        fine, cap = TimeGrid(0.25, 80), TimeGrid(0.25, 50)
+        got = noise.quartic_constant(grid, fine, 3, cs)
+        assert got.shape == (81,)
+        assert np.array_equal(got, np.interp(fine.ts, cap.ts, noise.quartic_constant(grid, cap, 3, cs)))
 
     @pytest.mark.parametrize("N,dim,cutoff,M", [(8, 2, 3, 3), (6, 3, 2, 3)])
     def test_quartic_constant_within_monte_carlo_error(self, N, dim, cutoff, M):
@@ -738,7 +739,7 @@ class TestQuarticConstant:
         # pairing has no earlier step to integrate (t_0 and t_1)
         grid = TorusGrid(N, dim)
         cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
-        exact = noise.quartic_constant(grid, 0.25, M, cutoff, cs)["estimate"]
+        exact = noise.quartic_constant(grid, TimeGrid(0.25, M), cutoff, cs)
         mc = quartic_renorm_mc(grid, TimeGrid(0.25, M), cutoff, cs, seed=41, replicas=2000)
         assert np.all(exact[:2] == 0.0) and np.all(mc["estimate"][:2] == 0.0)
         assert np.all(mc["se"][2:] > 0.0)
@@ -749,9 +750,9 @@ class TestQuarticConstant:
     def test_quartic_constant_scales_as_sigma_to_the_fourth_bitwise(self):
         grid = TorusGrid(8, 3)
         cs = CoefficientSet(f2=0.0, a=-1.0, T=0.25)
-        one = noise.quartic_constant(grid, 0.25, 6, 2, cs)["estimate"]
+        one = noise.quartic_constant(grid, TimeGrid(0.25, 6), 2, cs)
         for s in (2.0, 0.37):
-            other = noise.quartic_constant(grid, 0.25, 6, 2, cs, sigma=s)["estimate"]
+            other = noise.quartic_constant(grid, TimeGrid(0.25, 6), 2, cs, sigma=s)
             assert np.array_equal(other, s**4 * one)
 
 
@@ -778,7 +779,7 @@ def serial_quartic_constant(grid, T, M, cutoff, cs, sigma=1.0):
                 weight = prop * weight
             square = product_spectra([cov, cov], grid.N, band=band).real
             raw[j] += 2.0 * float(np.sum(w_pair * weight * square))
-    return {"times": coarse.ts.copy(), "estimate": 0.5 * sigma**4 * raw}
+    return 0.5 * sigma**4 * raw
 
 
 class TestQuarticConstantRows:
@@ -794,9 +795,8 @@ class TestQuarticConstantRows:
         want = serial_quartic_constant(grid, 0.25, M, cutoff, cs, sigma=0.7)
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
-            got = noise.quartic_constant(grid, 0.25, M, cutoff, cs, sigma=0.7)
-            assert np.array_equal(got["times"], want["times"])
-            assert np.array_equal(got["estimate"], want["estimate"])
+            got = noise.quartic_constant(grid, TimeGrid(0.25, M), cutoff, cs, sigma=0.7)
+            assert np.array_equal(got, want)
         _assert_no_children()
 
     def test_step_rows_are_built_before_the_fork(self, monkeypatch):
@@ -814,7 +814,7 @@ class TestQuarticConstantRows:
 
         _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", recording_fork)
-        noise.quartic_constant(grid, 0.25, 7, 3, cs)
+        noise.quartic_constant(grid, TimeGrid(0.25, 7), 3, cs)
         assert at_fork == [list(range(7))] * 2
         _assert_no_children()
 
@@ -896,7 +896,7 @@ def test_centred_routes_reject_cutoff_at_half_grid():
     with pytest.raises(ValueError, match="cutoff"):
         quartic_renorm_mc(grid, tg, 4, cs, seed=0, replicas=2)
     with pytest.raises(ValueError, match="cutoff"):
-        noise.quartic_constant(grid, tg.T, tg.M, 4, cs)
+        noise.quartic_constant(grid, tg, 4, cs)
     path = LinearPath(at_half, cs, 1.0)
     for _ in range(tg.M):
         path.step()

@@ -171,7 +171,8 @@ def rhs_setup():
     t = tg.ts[sym.j]
     return {
         "grid": grid, "tg": tg, "co": co, "sym": sym, "v": v, "w": w,
-        "syms": sym.catalog(), "stacks": sym.stacks, "points": sym.points, "part": sym.partition,
+        "syms": sym.catalog(), "wick2_stack": sym.wick2_stack, "lin_points": sym.lin_points,
+        "part": sym.partition,
         "f2t": float(co.f2(t)), "ct": float(sym.ctilde[sym.j]),
     }
 
@@ -179,7 +180,7 @@ def rhs_setup():
 def _F(s, v, w):
     """F_rhs at ``(v, w)`` on the symbols of ``s``, with the stacks VWStepper.rhs reads."""
     xm = v + w - s["syms"]["iwick3"]
-    bw2 = s["stacks"]["wick2"]
+    bw2 = s["wick2_stack"]
     return F_rhs(s["part"].padded_blocks(xm), bw2, s["syms"]["wick2"], s["f2t"], s["grid"].N)
 
 
@@ -194,15 +195,15 @@ def _G(s, v, w):
     paired = resonant(fld(x), w2).coeffs
     pgt = para_gt(fld(xm), w2).coeffs
     iw3_pts = grids._band_points(syms["iwick3"], grid.N, 2 * grid.N)
-    return G_rhs(x, xm, paired, pgt, s["points"]["lin"], iw3_pts, s["f2t"], s["ct"], grid.N)
+    return G_rhs(x, xm, paired, pgt, s["lin_points"], iw3_pts, s["f2t"], s["ct"], grid.N)
 
 
 class TestRemainderRhs:
     def test_zero_state_at_time_zero(self, rhs_setup):
         # every symbol starts at zero, so both right-hand sides do too
         s = rhs_setup
-        fresh = SymbolStepper(NoiseRealization(s["grid"], s["tg"], 4, 11), s["co"], 0.6, ctilde=0.02)
-        F, G = VWStepper(fresh).rhs()
+        fresh = VWStepper(NoiseRealization(s["grid"], s["tg"], 4, 11), s["co"], 0.6, ctilde=0.02)
+        F, G = fresh.rhs()
         assert np.max(np.abs(F)) == 0.0
         assert np.max(np.abs(G)) == 0.0
 
@@ -297,7 +298,7 @@ class TestRemainderRhs:
         grid = TorusGrid(N, dim)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
-        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, N // 2 - 1, 11), co, 0.6, ctilde=0.02))
+        vw = VWStepper(NoiseRealization(grid, tg, N // 2 - 1, 11), co, 0.6, ctilde=0.02)
         vw.step()
         shapes = []
         cores = []
@@ -351,7 +352,7 @@ class TestRemainderRhs:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
-        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02))
+        vw = VWStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02)
         vw.step()
         sym = vw.sym
         refs = []
@@ -367,7 +368,7 @@ class TestRemainderRhs:
         gc.disable()
         try:
             vals = sym.catalog()
-            refs += [weakref.ref(a) for a in (*sym.points.values(), vals["res_iwick2_wick2"])]
+            refs += [weakref.ref(a) for a in (sym.lin_points, vals["res_iwick2_wick2"])]
             del vals
             vw.step()
             # the stacks of wick2, iwick3, lin and iwick2 and the remainder
@@ -383,7 +384,7 @@ class TestRemainderRhs:
         grid = TorusGrid(16, 3)
         tg = TimeGrid(0.1, 4)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
-        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 7, 11), co, 0.6, ctilde=0.02))
+        vw = VWStepper(NoiseRealization(grid, tg, 7, 11), co, 0.6, ctilde=0.02)
         vw.step()
         refs, alive = [], []
         build = paley.DyadicPartition.padded_blocks
@@ -411,7 +412,7 @@ class TestRemainderRhs:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.1, 3)
         co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
-        vw = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02))
+        vw = VWStepper(NoiseRealization(grid, tg, 3, 11), co, 0.6, ctilde=0.02)
         for _ in range(tg.M):
             vw.step()
         calls = []
@@ -461,7 +462,8 @@ class TestRemainderRhs:
         sym0 = SymbolStepper(NoiseRealization(grid, s["tg"], 4, 3), s["co"], 0.0, ctilde=0.0)
         for _ in range(2):
             sym0.step()
-        s0 = {**s, "syms": sym0.values(), "stacks": sym0.stacks, "points": sym0.points,
+        s0 = {**s, "syms": sym0.values(), "wick2_stack": sym0.wick2_stack,
+              "lin_points": sym0.lin_points,
               "f2t": float(s["co"].f2(s["tg"].ts[2])), "ct": 0.0}
         f2t = s0["f2t"]
         assert np.max(np.abs(_F(s0, v, w))) == 0.0
@@ -527,8 +529,8 @@ class TestVWRoute:
         co = CoefficientSet(0.8, [-1.0, -0.5], T)
         for M in (40, 80):
             tg = TimeGrid(T, M)
-            sym = SymbolStepper(NoiseRealization(grid, tg, 3, 1), co, 0.0, ctilde=0.0)
-            vw = {k: p.coeffs for k, p in solve_vw(sym, forcing=0.6).items()}
+            nz = NoiseRealization(grid, tg, 3, 1)
+            vw = {k: p.coeffs for k, p in solve_vw(nz, co, 0.0, ctilde=0.0, forcing=0.6).items()}
             det = solve_deterministic(grid, tg, [0.8], [-1.0, -0.5], 0.6, 0.0)
             assert np.max(np.abs(vw["v"])) == 0.0
             # symbols vanish, so the reconstruction is exactly v + w
@@ -547,7 +549,7 @@ class TestVWRoute:
         det = solve_deterministic(grid, tg, [0.8], [-1.0, -0.5], 0.6, phi0)
         nz = NoiseRealization(grid, tg, 3, 1)
         direct = RenormalizedStepper(nz, co, 0.0, ctilde=0.0, forcing=0.6)
-        vw = VWStepper(SymbolStepper(nz, co, 0.0, ctilde=0.0), forcing=0.6)
+        vw = VWStepper(nz, co, 0.0, ctilde=0.0, forcing=0.6)
         direct.phi = phi0.coeffs.copy()
         vw.w = phi0.coeffs.copy()
         for j in range(1, tg.M + 1):
@@ -561,8 +563,7 @@ class TestVWRoute:
         grid = TorusGrid(8, 2)
         tg = TimeGrid(0.3, 30)
         co = CoefficientSet(0.8, [-1.0, -0.5], 0.3)
-        sym = SymbolStepper(NoiseRealization(grid, tg, 3, 1), co, 0.01, ctilde=0.0)
-        sol = solve_vw(sym)
+        sol = solve_vw(NoiseRealization(grid, tg, 3, 1), co, 0.01, ctilde=0.0)
         assert np.max(np.abs(sol["v"].coeffs)) < 1e-3
         assert np.max(np.abs(sol["w"].coeffs)) < 1e-3
 
@@ -600,6 +601,35 @@ class TestVWRoute:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_every_pass_takes_the_base_constant_on_its_own_grid(self, monkeypatch):
+        # the constant is computed once, on the base grid of M = 60 steps
+        # (there the 50-step sum, interpolated); both routes of the coarse
+        # pass take it as it is, those of the fine pass interpolated onto dt/2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        seen = []
+
+        def recording(cls, route):
+            class Recording(cls):
+                def __init__(self, noise, *args, **kwargs):
+                    super().__init__(noise, *args, **kwargs)
+                    seen.append((route, noise.timegrid.M, self.ctilde))
+
+            return Recording
+
+        monkeypatch.setattr(solvers, "RenormalizedStepper",
+                            recording(RenormalizedStepper, "direct"))
+        monkeypatch.setattr(solvers, "SymbolStepper", recording(SymbolStepper, "symbols"))
+        grid = TorusGrid(8, 2)
+        co = CoefficientSet(0.7, [-1.0, -0.5], 0.3)
+        tg, fine = TimeGrid(0.3, 60), TimeGrid(0.3, 120)
+        equivalence_report(grid, 0.3, 60, 3, co, 0.2, 5)
+        base = noise.quartic_constant(grid, tg, 3, co, sigma=0.2)
+        want = {60: base, 120: np.interp(fine.ts, tg.ts, base)}
+        assert sorted((route, M) for route, M, _ in seen) == [
+            ("direct", 60), ("direct", 120), ("symbols", 60), ("symbols", 120)]
+        for _, M, ct in seen:
+            assert np.array_equal(ct, want[M])
+
     @pytest.mark.parametrize("N,dim,cutoff", [(16, 2, 1), (16, 3, 1), (16, 2, 3), (16, 3, 3)])
     def test_routes_agree_to_rounding_when_the_wick_square_fits_the_band(self, N, dim, cutoff):
         # at 2 cutoff <= N/2 - 1 the Wick square is not cut at the band and
@@ -610,15 +640,6 @@ class TestVWRoute:
         assert rep["sup_direct"] > 0.1
         assert rep["gap"] < 1e-14
         assert rep["gap_refined"] < 1e-14
-
-    def test_stepper_requires_fresh_symbols(self):
-        grid = TorusGrid(8, 2)
-        tg = TimeGrid(0.2, 10)
-        co = CoefficientSet(0.5, -1.0, 0.2)
-        sym = SymbolStepper(NoiseRealization(grid, tg, 3, 0), co, 0.1, ctilde=0.0)
-        sym.step()
-        with pytest.raises(ValueError, match="start at time zero"):
-            VWStepper(sym)
 
 
 class TestOneDiscreteMap:
@@ -659,7 +680,7 @@ class TestOneDiscreteMap:
         co = CoefficientSet([0.3, 0.2], [-1.0, 0.5], 0.5)
         ct = sigma**4 * np.linspace(0.0, 1e-3, tg.M + 1)
         nz = NoiseRealization(grid, tg, cutoff, 1)
-        vw = VWStepper(SymbolStepper(nz, co, sigma, ctilde=ct))
+        vw = VWStepper(nz, co, sigma, ctilde=ct)
         direct = RenormalizedStepper(nz, co, sigma, ctilde=ct)
         for _ in range(6):
             vw.step()
@@ -696,8 +717,7 @@ class TestZeroRule:
     @pytest.mark.parametrize("N,dim", [(8, 2), (12, 3)])
     def test_first_vw_step_transforms_only_its_noise_increment(self, monkeypatch, N, dim):
         grid = TorusGrid(N, dim)
-        vw = VWStepper(SymbolStepper(NoiseRealization(grid, self.TG, N // 2 - 1, 11), self.CO, 0.6,
-                                     ctilde=0.02))
+        vw = VWStepper(NoiseRealization(grid, self.TG, N // 2 - 1, 11), self.CO, 0.6, ctilde=0.02)
         log = []
         _log_ffts(monkeypatch, log)
         vw.step()
@@ -732,7 +752,7 @@ class TestZeroRule:
         def run():
             nz = NoiseRealization(grid, tg, 3, 11)
             ct = quartic_renorm_mc(grid, tg, 3, co, 7, replicas=2)["estimate"]
-            vw = solve_vw(SymbolStepper(nz, co, 0.6, ctilde=ct))
+            vw = solve_vw(nz, co, 0.6, ctilde=ct)
             direct = solve_renormalized(grid, tg, 3, co, 0.6, seed=11, ctilde=ct)
             ens = build_ensemble(nz, co, 0.6, ctilde=ct)
             return ([ct, direct.coeffs] + [p.coeffs for p in vw.values()]
@@ -815,12 +835,11 @@ class TestRecordedRoutes:
             return _walk(lp, tg.M, lambda: lp.state)
 
         def vw(k):
-            sym = SymbolStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01)
-            sol = solve_vw(sym, record_every=k)
+            sol = solve_vw(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01, record_every=k)
             return sol["phi"].times, [sol[name].coeffs for name in ("v", "w", "phi")]
 
         def vw_ref():
-            st = VWStepper(SymbolStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01))
+            st = VWStepper(NoiseRealization(grid, tg, 3, 4), co, 0.2, ctilde=0.01)
             return _walk(st, tg.M, lambda: st.v, lambda: st.w, st.reconstruct)
 
         names = ("lin", "iwick3", "i_res_iwick3_wick2")
@@ -889,6 +908,10 @@ class TestConstantsAreInputs:
             SymbolStepper(nz, co, 0.5)
         with pytest.raises(TypeError, match="ctilde"):
             RenormalizedStepper(nz, co, 0.5)
+        with pytest.raises(TypeError, match="ctilde"):
+            VWStepper(nz, co, 0.5)
+        with pytest.raises(TypeError, match="ctilde"):
+            solve_vw(nz, co, 0.5)
         with pytest.raises(TypeError, match="ctilde"):
             solve_renormalized(grid, tg, 3, co, 0.5, 1)
         with pytest.raises(TypeError, match="ctilde"):

@@ -13,6 +13,9 @@ Oracles used here:
   amplitude nodes, plus extrapolation to an amplitude outside both.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -98,8 +101,8 @@ class TestStepper:
     def test_values_build_two_stacks_once_per_step(self, monkeypatch):
         # the values build the stacks of wick2 and iwick3, which stepping
         # reads, and keep that of wick2 alone; the catalog as the first call
-        # of a step builds those of wick2, iwick3, lin and iwick2 once each.
-        # step() lets go of the step's stacks and points
+        # of a step builds those of iwick3, lin, wick2 and iwick2 once each.
+        # step() lets go of the step's stack and points
         grid, tg, co = small_setup()
         st = SymbolStepper(NoiseRealization(grid, tg, 4, seed=7), co, 1.0, ctilde=np.zeros(tg.M + 1))
         st.step()
@@ -113,28 +116,58 @@ class TestStepper:
         monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", counted)
         cat = st.catalog()
         assert set(cat) == set(symbols._PATH_NAMES)
-        assert sorted(st.stacks) == ["wick2"] and sorted(st.points) == ["lin"]
-        inputs = [cat[n] for n in ("wick2", "iwick3", "lin", "iwick2")]
+        assert st.wick2_stack is not None and st.lin_points is not None
+        inputs = [cat[n] for n in ("iwick3", "lin", "wick2", "iwick2")]
         assert len(built) == 4
-        assert all(any(c is a for c in built) for a in inputs)
-        a = st.stacks["wick2"]
-        assert st.values() is cat and st.catalog() is cat and st.stacks["wick2"] is a
+        assert all(c is a for c, a in zip(built, inputs))
+        a = st.wick2_stack
+        assert st.values() is cat and st.catalog() is cat and st.wick2_stack is a
         assert len(built) == 4
         st.step()
-        assert st.stacks == {} and st.points == {}
+        assert st.wick2_stack is None and st.lin_points is None
         vals = st.values()
         assert vals is not cat
         assert set(vals) == set(symbols._PATH_NAMES) - set(symbols._CATALOG_ONLY)
-        assert sorted(st.stacks) == ["wick2"] and sorted(st.points) == ["lin"]
-        assert st.stacks["wick2"] is not a
+        assert st.wick2_stack is not None and st.lin_points is not None
+        assert st.wick2_stack is not a
         assert len(built) == 6
         assert built[4] is vals["wick2"] and built[5] is vals["iwick3"]
         assert st.values() is vals
         assert len(built) == 6
 
+    def test_a_warm_catalog_keeps_at_most_two_stacks_alive(self, monkeypatch):
+        # the lin stack is paired with iwick3's and dropped before the wick2
+        # stack is built, and the iwick3 stack before the iwick2 stack
+        grid = TorusGrid(8, 3)
+        tg = TimeGrid(0.1, 4)
+        co = CoefficientSet(0.6, [-1.0, -0.5], 0.1)
+        st = SymbolStepper(NoiseRealization(grid, tg, 3, seed=11), co, 0.6, ctilde=0.02)
+        st.catalog()
+        st.step()
+        refs, alive = [], []
+        build = paley.DyadicPartition.padded_blocks
+
+        def kept(self, c):
+            out = build(self, c)
+            refs.append(weakref.ref(out))
+            alive.append(sum(r() is not None for r in refs))
+            return out
+
+        monkeypatch.setattr(paley.DyadicPartition, "padded_blocks", kept)
+        gc.collect()
+        gc.disable()
+        try:
+            st.catalog()
+        finally:
+            gc.enable()
+        assert alive == [1, 2, 2, 2]
+        # the wick2 stack is kept for the step, the others are gone
+        assert [r() is not None for r in refs] == [False, False, True, False]
+        assert refs[2]() is st.wick2_stack
+
     def test_catalog_after_values_equals_catalog_first(self):
-        # values() drops the iwick3 stack, so a catalog() after it builds
-        # that stack again; the pairings are the same bits either way
+        # a catalog() after values() in one step builds the step's values
+        # again; they and the pairings are the same bits either way
         grid, tg, co = small_setup()
         ct = np.linspace(0.0, 1e-3, tg.M + 1)
         s1 = SymbolStepper(NoiseRealization(grid, tg, 4, seed=9), co, 0.8, ctilde=ct)
@@ -301,7 +334,7 @@ def centering_samples():
     """Final-time statistics over independent replicas with the exact
     quartic constant."""
     grid, tg, co = small_setup()
-    ct = quartic_constant(grid, tg.T, tg.M, 4, co)["estimate"]
+    ct = quartic_constant(grid, tg, 4, co)
     reps = 256
     hw = grid.half_weights
     zero = (0, 0)
