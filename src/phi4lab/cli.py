@@ -39,13 +39,14 @@ equivalence
     (about 1e-9 relative at cutoff N/2 - 1); needs a positive noise level.
 
 Every file-producing command writes a ``manifest.json`` recording the
-resolved configuration, code version, the ``[seed, replica]`` streams it drew
-(the Monte Carlo's for ``renorm``, every level's for ``tail``, replica 0 of
-``master_seed`` elsewhere), wall clock, the number of processes the
-replicas or passes ran on (``workers``: one per CPU the process may use,
-for the replicas of ``tail`` and ``renorm`` and the passes of
-``equivalence``; 1 elsewhere, although the rows of every quartic constant
-run on the CPUs too) and a SHA-256 digest per output file.  Outputs are
+resolved configuration, code version, the ``[seed, role, replica]`` streams
+it drew (the ``ROLE_RENORM`` Monte Carlo's for ``renorm``, every level's
+``ROLE_MAIN`` replicas for ``tail``, ``ROLE_MAIN`` replica 0 of
+``master_seed`` elsewhere), wall clock, the most processes one of its
+replica loops ran on (``workers``: one per CPU the process may use, and no
+more than the loop's tasks; the loops are the replicas of ``tail`` and
+``renorm``, the passes of ``equivalence`` and the rows of every quartic
+constant) and a SHA-256 digest per output file.  Outputs are
 deterministic functions of (config, seed), and neither ``--out`` nor the
 worker count enters them: rerunning with equal manifests (ignoring the wall
 clock and workers) reproduces every file byte for byte, in any output
@@ -98,9 +99,9 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (NoiseRealization, TimeGrid, _constant_grid, _recorded_indices,
-                    lin_variance_curve, quartic_constant, quartic_renorm_mc, record,
-                    replica_workers, replicate)
+from .noise import (ROLE_MAIN, ROLE_RENORM, NoiseRealization, TimeGrid, _constant_grid,
+                    _constant_workers, _recorded_indices, lin_variance_curve, quartic_constant,
+                    quartic_renorm_mc, record, replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
 from .solvers import (SolutionPath, VWStepper, equivalence_report, solve_deterministic,
                       solve_renormalized, solve_vw)
@@ -205,8 +206,12 @@ def _linear_fit(x, y) -> dict:
 
 
 def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
-            seeds, workers: int = 1) -> None:
-    """Write the manifest; ``seeds`` are the ``[seed, replica]`` streams the command drew."""
+            seeds, workers: int) -> None:
+    """Write the manifest.
+
+    ``seeds`` are the ``[seed, role, replica]`` streams the command drew, and
+    ``workers`` the most processes one of its replica loops ran on.
+    """
     manifest = RunManifest.collect(cfg, out_dir, files, time.perf_counter() - t0, seeds,
                                    command=command)
     manifest.workers = workers
@@ -392,7 +397,8 @@ def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     {"field": "res_iwick3_wick2", "time": cfg.T, "N": cfg.N,
                      "dim": cfg.dimension, "sigma": sigma, "seed": cfg.master_seed})
     files = ["symbols.csv", "ww_final.f64", "ww_final.f64.json"]
-    _finish(cfg, out_dir, files, t0, "symbols", [[cfg.master_seed, 0]])
+    _finish(cfg, out_dir, files, t0, "symbols", [[cfg.master_seed, ROLE_MAIN, 0]],
+            workers=_constant_workers(tg))
     return {"files": files, "rows": len(times), "symbols": list(SYMBOL_NAMES)}
 
 
@@ -433,8 +439,8 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _dump_json(report, out_dir / "renorm_fits.json")
     files = ["renorm.csv", "renorm_fits.json"]
     _finish(cfg, out_dir, files, t0, "renorm",
-            [[cfg.master_seed, r] for r in range(cfg.ctilde_replicas)],
-            workers=replica_workers(cfg.ctilde_replicas))
+            [[cfg.master_seed, ROLE_RENORM, r] for r in range(cfg.ctilde_replicas)],
+            workers=max(replica_workers(cfg.ctilde_replicas), _constant_workers(coarse)))
     return report
 
 
@@ -456,7 +462,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     {"field": "phi", "time": cfg.T, "N": cfg.N, "dim": cfg.dimension,
                      "sigma": sigma, "seed": cfg.master_seed})
     files = ["norms.csv", "phi_final.f64", "phi_final.f64.json"]
-    _finish(cfg, out_dir, files, t0, "simulate", [[cfg.master_seed, 0]])
+    _finish(cfg, out_dir, files, t0, "simulate", [[cfg.master_seed, ROLE_MAIN, 0]],
+            workers=_constant_workers(tg))
     return {"files": files, "recorded_times": len(phi), "final_sup": float(sups[-1]),
             "max_sup": float(np.max(sups))}
 
@@ -520,8 +527,9 @@ def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
                              cfg.sigmas[0], cfg.master_seed)
     _dump_json(rep, out_dir / "equivalence.json")
     # the report's two passes, coarse and fine, are the tasks of one replica loop
-    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence", [[cfg.master_seed, 0]],
-            workers=replica_workers(2))
+    _finish(cfg, out_dir, ["equivalence.json"], t0, "equivalence",
+            [[cfg.master_seed, ROLE_MAIN, 0]],
+            workers=max(replica_workers(2), _constant_workers(cfg.timegrid())))
     return rep
 
 

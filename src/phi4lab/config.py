@@ -18,9 +18,9 @@ schema validation, and all violations are reported together, each tagged
 with the offending field.
 
 :class:`RunManifest` records what a command produced: the configuration
-echo, the code version, the per-replica seed bindings and a content digest
-for every output file.  Two manifests that agree outside the wall-clock
-entry certify byte-identical numerical outputs.
+echo, the code version, the ``[seed, role, replica]`` stream bindings and a
+content digest for every output file.  Two manifests that agree outside the
+wall-clock entry certify byte-identical numerical outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .coeffs import CoefficientSet, as_poly
 from .grids import TorusGrid
-from .noise import TimeGrid
+from .noise import ROLE_MAIN, TimeGrid
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -310,8 +310,12 @@ class ExperimentConfig:
         return self.master_seed + i
 
     def replica_seeds(self, levels: int = 1) -> list[list[int]]:
-        """The (seed, replica index) stream bindings of the first ``levels`` noise levels."""
-        return [[self.level_seed(i), r] for i in range(levels) for r in range(self.replicas)]
+        """The ``[seed, role, replica]`` streams of the first ``levels`` noise levels.
+
+        Every level draws ``replicas`` ``ROLE_MAIN`` streams of its own seed.
+        """
+        return [[self.level_seed(i), ROLE_MAIN, r]
+                for i in range(levels) for r in range(self.replicas)]
 
     def to_dict(self) -> dict:
         """Canonical echo: defaults resolved, sigma always a list, no ``out_dir``."""
@@ -351,9 +355,10 @@ class RunManifest:
     ``outputs`` maps file names (relative to the output directory) to their
     SHA-256 digests, so equality of two manifests outside ``wall_clock``
     and ``workers`` certifies byte-identical outputs.  ``workers`` is the
-    number of processes the replicas or passes ran on, 1 unless the command
-    sets it; like the wall clock it depends on the machine, not on the
-    configuration.
+    most processes one of the command's replica loops ran on, 1 unless the
+    command sets it; like the wall clock it depends on the machine, not on
+    the configuration.  ``seeds`` lists the ``[seed, role, replica]``
+    streams the command drew.
     """
 
     def __init__(self, config_echo: dict, seeds, wall_clock: float, outputs: dict,
@@ -370,7 +375,7 @@ class RunManifest:
     def collect(cls, config: ExperimentConfig, out_dir, files, wall_clock: float, seeds,
                 command: str = "") -> "RunManifest":
         """Digest the named files (paths relative to ``out_dir``); ``seeds`` are
-        the ``[seed, replica]`` streams the command drew."""
+        the ``[seed, role, replica]`` streams the command drew."""
         outputs = {str(name): _sha256(Path(out_dir) / name) for name in files}
         return cls(config.to_dict(), seeds, wall_clock, outputs, command=command)
 

@@ -63,7 +63,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, product_spectra
+from .grids import TorusGrid, _one_way, product_spectra
 from .paley import default_partition
 
 __all__ = [
@@ -192,20 +192,24 @@ def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
     share stops at its first replica that raises, gives a non-finite entry,
     or gives a value of another shape than the share's first, and
     ``failure`` is then ``(replica, exception)``; it is ``None`` otherwise.
+    The share's kernels run one way (:func:`.grids._one_way`): the replica
+    processes fill the CPUs already.
     """
     values = []
-    for i in range(worker, replicas, workers):
-        try:
-            value = np.asarray(statistic(i, seed), dtype=np.float64)
-            bad = ~np.isfinite(value)
-            if bad.any():
-                at = "" if value.ndim == 0 else f" at index {tuple(np.argwhere(bad)[0].tolist())}"
-                raise ValueError(f"replica {i} gave the non-finite value {value[bad][0]}{at}")
-            if values and value.shape != values[0].shape:
-                raise _shape_error(i, value.shape, values[0].shape)
-        except Exception as exc:
-            return np.array(values), (i, exc)
-        values.append(value)
+    with _one_way():
+        for i in range(worker, replicas, workers):
+            try:
+                value = np.asarray(statistic(i, seed), dtype=np.float64)
+                bad = ~np.isfinite(value)
+                if bad.any():
+                    where = tuple(np.argwhere(bad)[0].tolist())
+                    at = "" if value.ndim == 0 else f" at index {where}"
+                    raise ValueError(f"replica {i} gave the non-finite value {value[bad][0]}{at}")
+                if values and value.shape != values[0].shape:
+                    raise _shape_error(i, value.shape, values[0].shape)
+            except Exception as exc:
+                return np.array(values), (i, exc)
+            values.append(value)
     return np.array(values), None
 
 
@@ -699,6 +703,15 @@ def quartic_renorm_mc(
 def _constant_grid(timegrid: TimeGrid) -> TimeGrid:
     """The grid :func:`quartic_constant` sums on: ``timegrid``, cut to ``_COARSE_STEPS`` steps."""
     return TimeGrid(timegrid.T, min(_COARSE_STEPS, timegrid.M))
+
+
+def _constant_workers(timegrid: TimeGrid) -> int:
+    """Processes the rows of :func:`quartic_constant` on ``timegrid`` run on.
+
+    Its ``M - 1`` rows on :func:`_constant_grid` are the tasks of one
+    :func:`replicate` call, which it skips at ``M = 1``.
+    """
+    return replica_workers(max(1, _constant_grid(timegrid).M - 1))
 
 
 def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: CoefficientSet,

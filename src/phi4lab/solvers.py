@@ -35,6 +35,18 @@ Dynamical states are kept in the open frequency band ``max_i |w_i| <= N/2-1``
 so that every binary and ternary product formed from them is alias free; the
 remainder right-hand sides are projected onto that band before stepping.
 
+On two CPUs and a binary-product grid of at least ``2**16`` points (3-D
+from N = 32), outside a replica share, a v/w step runs its block stacks,
+its paraproduct cores and the pointwise cubic of :func:`G_rhs` two ways
+(:func:`.grids._two_way`); the cubic is formed on two slabs of the ``2N``
+grid at once, and each kernel joins its helper thread before it returns.
+The results are the same bits either way.  At the ``simulate`` benchmark's
+32^3 configuration a step went 98 -> 76 ms in process on a 2-vCPU host.
+Below the gate the split saves little or costs time (64^2 took
+4.9 -> 7.8 ms per step; the module docstring of :mod:`.grids` has the
+rest), and the ``equivalence`` and ``tail`` commands run their steps inside
+:func:`.noise.replicate` shares anyway.
+
 The two commutator corrections are not formed one by one.  Paired with the
 Wick square, the bracket paraproduct of the first cancels the leading term of
 the second (the trilinear commutator of
@@ -48,7 +60,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import CoefficientSet, as_poly
-from .grids import RealField, SpectralField, TorusGrid, _band_points, _points_band, idft
+from .grids import (RealField, SpectralField, TorusGrid, _band_points, _by_slabs, _points_band,
+                    _two_way, idft)
 from .noise import (
     NoiseRealization,
     TimeGrid,
@@ -324,21 +337,34 @@ def G_rhs(x, xm, paired, pgt, lin_pts, iw3_pts, f2t: float, ct: float, N: int) -
     ``x x (d2 - x) + d1 x + d0`` with ``d2 = 3 (a - l) + f2``,
     ``d1 = a (6 l - 3 a - 2 f2) + 2 f2 l`` and
     ``d0 = a^2 (a + f2 - 3 l) - 2 f2 a l``, brought back with one forward
-    transform.  So ``G`` reads ``x = X``, ``xm``, the pairing ``paired`` and
-    the upper paraproduct ``pgt = wick2 para_lt xm``.  Each rewrite is exact
+    transform; where :func:`.grids._two_way` says so, the cubic is formed on
+    two slabs of the ``2N`` grid at once.  So ``G`` reads ``x = X``, ``xm``,
+    the pairing ``paired`` and the upper paraproduct
+    ``pgt = wick2 para_lt xm``.  Each rewrite is exact
     up to rounding, and the tests assert them against the literal forms.
     :meth:`VWStepper.rhs` forms ``paired`` as ``res(xm, wick2)`` plus the
     unsubtracted ``res(iwick3, wick2)``, which the symbol stepper has already
     paired: ``res_iwick3_wick2 + 6 ct lin``.
     """
-    l, a = lin_pts, iw3_pts
     x = _band_points(x, N, 2 * N)
-    d2 = (a - l) * 3.0 + f2t
+    y = np.empty_like(x)
+
+    def slab(rows):
+        _cubic_points(x[rows], lin_pts[rows], iw3_pts[rows], f2t, out=y[rows])
+
+    _by_slabs(slab, len(x), _two_way(N, x.ndim))
+    return _points_band(y, N) - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt
+
+
+def _cubic_points(x, l, a, f2t: float, out: np.ndarray) -> None:
+    """The cubic of :func:`G_rhs` at point values ``x``, ``l``, ``a``, written into ``out``."""
+    d2 = np.subtract(a, l, out=out)
+    d2 *= 3.0
+    d2 += f2t
     y = _reaction_points(x, d2, out=d2)
     y += ((l * 2.0 - a) * 3.0 - 2.0 * f2t) * a * x
     y += (l * -3.0 + a + f2t) * a * a
     y += (x - a) * l * (2.0 * f2t)
-    return _points_band(y, N) - 3.0 * paired - 18.0 * ct * xm - 3.0 * pgt
 
 
 def reconstruct_phi(syms: dict, v: np.ndarray, w: np.ndarray, grid: TorusGrid) -> np.ndarray:

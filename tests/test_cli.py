@@ -34,7 +34,7 @@ from phi4lab.cli import (
 )
 from phi4lab.config import ConfigError, ExperimentConfig, RunManifest
 from phi4lab.grids import TorusGrid
-from phi4lab.noise import TimeGrid, quartic_constant
+from phi4lab.noise import ROLE_MAIN, ROLE_RENORM, TimeGrid, quartic_constant
 from phi4lab.paley import DyadicPartition
 from phi4lab.symbols import SYMBOL_NAMES
 
@@ -405,7 +405,7 @@ class TestTailCommand:
     def test_manifest_lists_the_seeds_of_every_level(self, tmp_path):
         cmd_tail(_cfg(replicas=5), tmp_path)
         man = RunManifest.load(tmp_path / "manifest.json")
-        assert man.seeds == [[7, r] for r in range(5)] + [[8, r] for r in range(5)]
+        assert man.seeds == [[seed, ROLE_MAIN, r] for seed in (7, 8) for r in range(5)]
 
     def test_levels_share_one_step_kernel(self, tmp_path, monkeypatch):
         # a kernel depends on the grid, time grid and damping alone, so with
@@ -512,6 +512,13 @@ class TestExperimentCommands:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_renorm_records_the_larger_of_its_replica_loops(self, tmp_path, monkeypatch):
+        # one Monte Carlo replica runs on one process, while the 7 rows of
+        # each quartic constant run on both CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cmd_renorm(_cfg(ctilde_replicas=1), tmp_path)
+        assert RunManifest.load(tmp_path / "manifest.json").workers == 2
+
     def test_simulate_outputs(self, tmp_path):
         cfg = _cfg(sigma=0.05)
         report = cmd_simulate(cfg, tmp_path)
@@ -548,17 +555,42 @@ class TestExperimentCommands:
         assert len(seen) == 1 and np.array_equal(seen[0], want)
 
     @pytest.mark.parametrize("command,seeds", [
-        (cmd_symbols, [[7, 0]]),
-        (cmd_simulate, [[7, 0]]),
-        (cmd_equivalence, [[7, 0]]),
-        (cmd_renorm, [[7, r] for r in range(4)]),
-        (cmd_tail, [[7, r] for r in range(3)] + [[8, r] for r in range(3)]),
+        (cmd_symbols, [[7, ROLE_MAIN, 0]]),
+        (cmd_simulate, [[7, ROLE_MAIN, 0]]),
+        (cmd_equivalence, [[7, ROLE_MAIN, 0]]),
+        (cmd_renorm, [[7, ROLE_RENORM, r] for r in range(4)]),
+        (cmd_tail, [[7, ROLE_MAIN, r] for r in range(3)] + [[8, ROLE_MAIN, r] for r in range(3)]),
     ], ids=["symbols", "simulate", "equivalence", "renorm", "tail"])
     def test_manifest_lists_the_streams_the_command_drew(self, tmp_path, command, seeds):
         # replicas sizes tail alone and ctilde_replicas renorm's Monte Carlo
         # alone; the other commands draw replica 0 of master_seed
         command(_cfg(replicas=3, ctilde_replicas=4), tmp_path)
         assert RunManifest.load(tmp_path / "manifest.json").seeds == seeds
+
+    def test_manifest_seeds_name_the_role_of_the_stream(self, tmp_path):
+        # renorm's Monte Carlo replica 0 and simulate's path are different
+        # noise of one master seed, so their entries differ
+        entries = {}
+        for command in (cmd_renorm, cmd_simulate):
+            out = tmp_path / command.__name__
+            out.mkdir()
+            command(_cfg(sigma=0.05, ctilde_replicas=2), out)
+            seeds = RunManifest.load(out / "manifest.json").seeds
+            entries[command] = next(s for s in seeds if s[-1] == 0)
+        assert entries[cmd_renorm][0] == entries[cmd_simulate][0] == 7
+        assert entries[cmd_renorm] != entries[cmd_simulate]
+
+    @pytest.mark.parametrize("command", [cmd_simulate, cmd_symbols], ids=["simulate", "symbols"])
+    @pytest.mark.parametrize("steps,cpus,workers", [(8, 1, 1), (8, 2, 2), (2, 2, 1)])
+    def test_manifest_records_the_processes_of_the_quartic_constant(
+            self, tmp_path, monkeypatch, command, steps, cpus, workers):
+        # the constant's M - 1 rows are the one replica loop these commands
+        # run: two processes on two CPUs, one when there is a single row
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        command(_cfg(sigma=0.05, dt=0.5 / steps, record_every=steps), tmp_path)
+        assert RunManifest.load(tmp_path / "manifest.json").workers == workers
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_symbols, cmd_equivalence],
                              ids=["simulate", "symbols", "equivalence"])
@@ -781,3 +813,33 @@ for command in ("verify", "simulate", "equivalence", "tail", "symbols", "renorm"
     assert cli.main(argv) == 0, command
 """
     assert _loaded_test_only_modules(code) == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU in the affinity mask")
+def test_simulate_writes_the_same_files_on_one_cpu_and_on_all(tmp_path):
+    """At 32^3 the remainder step splits its kernels two ways when the process
+    may run on two CPUs, and runs them one way when it is pinned to one; the
+    outputs do not depend on which."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_doc(dimension=3, N=32, cutoff=15, T=0.02, dt=0.01, sigma=0.5,
+                                    record_every=1)))
+    src = str(Path(phi4lab.__file__).resolve().parents[1])
+    cpu = min(os.sched_getaffinity(0))
+    digests = []
+    for pinned in (True, False):
+        out = tmp_path / ("pinned" if pinned else "free")
+        code = f"""
+import os, sys
+sys.path.insert(0, {src!r})
+if {pinned}:
+    os.sched_setaffinity(0, {{{cpu}}})
+import phi4lab.cli as cli
+from phi4lab import grids
+assert grids._two_way(32, 3) == (not {pinned})
+sys.exit(cli.main(["simulate", "--config", {str(path)!r}, "--out", {str(out)!r}]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(RunManifest.load(out / "manifest.json").outputs)
+    assert digests[0] and digests[0] == digests[1]

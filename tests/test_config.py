@@ -16,6 +16,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from phi4lab.config import CONFIG_SCHEMA, ConfigError, ExperimentConfig, RunManifest
+from phi4lab.noise import ROLE_MAIN
 
 
 def _doc(**over):
@@ -271,7 +272,7 @@ class TestDerivedObjects:
 
     def test_replica_seed_bindings(self):
         cfg = ExperimentConfig.from_dict(_doc(replicas=3))
-        assert cfg.replica_seeds() == [[11, 0], [11, 1], [11, 2]]
+        assert cfg.replica_seeds() == [[11, ROLE_MAIN, 0], [11, ROLE_MAIN, 1], [11, ROLE_MAIN, 2]]
 
     def test_echo_roundtrips_through_validation(self):
         cfg = ExperimentConfig.from_dict(_doc(sigma=[0.1, 0.3], h_grid=[0.1, 0.2]))
@@ -313,7 +314,7 @@ class TestRunManifest:
         for name in ("a.csv", "b.json"):
             want = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert man.outputs[name] == want
-        assert man.seeds == [[11, 0], [11, 1]]
+        assert man.seeds == [[11, ROLE_MAIN, 0], [11, ROLE_MAIN, 1]]
         assert man.command == "tail"
 
     def test_write_load_roundtrip(self, tmp_path):
