@@ -705,13 +705,18 @@ def _constant_grid(timegrid: TimeGrid) -> TimeGrid:
     return TimeGrid(timegrid.T, min(_COARSE_STEPS, timegrid.M))
 
 
-def _constant_workers(timegrid: TimeGrid) -> int:
-    """Processes the rows of :func:`quartic_constant` on ``timegrid`` run on.
+def _constant_rows(timegrid: TimeGrid) -> int:
+    """The rows of :func:`quartic_constant` on ``timegrid``: its :func:`replicate` tasks.
 
-    Its ``M - 1`` rows on :func:`_constant_grid` are the tasks of one
-    :func:`replicate` call, which it skips at ``M = 1``.
+    One per step ``i = 1 .. M - 1`` of :func:`_constant_grid`; none at ``M = 1``,
+    where no :func:`replicate` call is made.
     """
-    return replica_workers(max(1, _constant_grid(timegrid).M - 1))
+    return _constant_grid(timegrid).M - 1
+
+
+def _constant_workers(timegrid: TimeGrid) -> int:
+    """Processes the rows of :func:`quartic_constant` on ``timegrid`` run on."""
+    return replica_workers(max(1, _constant_rows(timegrid)))
 
 
 def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: CoefficientSet,
@@ -785,7 +790,8 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
         return out
 
     raw = np.zeros(M + 1)
-    if M > 1:
-        for contributions in replicate(row, M - 1, None):  # in i order, as a serial loop adds
+    rows = _constant_rows(timegrid)
+    if rows:
+        for contributions in replicate(row, rows, None):  # in i order, as a serial loop adds
             raw += contributions
     return np.interp(timegrid.ts, coarse.ts, 0.5 * sigma**4 * raw)

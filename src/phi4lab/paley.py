@@ -210,21 +210,23 @@ class DyadicPartition:
         ``(nblocks,) + (P,) * dim``.  The spectrum is padded once.  Each block
         is weighted and transformed on only the leading last-axis columns
         where its weights are nonzero, the width of its cut weights
-        (``_padded_weights``); ``irfftn`` zero-pads the rest itself.  Every
-        1-D line it transforms is the line a dense transform would see and
-        the lines it skips are zero, so the values are bitwise those of one
-        dense batched transform, at a fraction of its cost for the low blocks
-        (FFT pruning).  An all-zero spectrum gives zeros without a transform,
-        as in :mod:`.grids`.
+        (``_padded_weights``); the last real transform zero-pads the rest
+        itself.  Every 1-D line it transforms is the line a dense transform
+        would see and the lines it skips are zero, so the values are bitwise
+        those of one dense batched transform, at a fraction of its cost for
+        the low blocks (FFT pruning).  An all-zero spectrum gives zeros
+        without a transform, as in :mod:`.grids`.
 
-        Two ways (:func:`.grids._two_way`), each half of :attr:`_block_halves`
-        weights its blocks into a buffer allocated here and transforms them
-        there in place, axis by axis in ``irfftn``'s order, which gives the
-        same bits (as in :meth:`block_values`).  So the helper thread
-        allocates no block of its own.  With ``irfftn`` each half held three
-        block spectra at once, and ``simulate`` at 32^3 peaked at 73.8 MiB,
-        against 72.4 MiB in place and 70.9 MiB without the split (benchmark
-        medians on a 2-vCPU host).
+        Each block is weighted into a complex buffer allocated here, sized to
+        the widest block, and transformed there in place, axis by axis in
+        ``irfftn``'s order, which gives ``irfftn``'s bits (as in
+        :meth:`block_values`).  Two ways (:func:`.grids._two_way`), each half
+        of :attr:`_block_halves` does the same in a buffer of its own, so
+        neither allocates an array per block.  Against one ``irfftn`` per block, the
+        in-place form took one stack from 11.4 to 10.6 ms at 32^3 and from
+        0.95 to 0.77 ms at 64^2 one way (medians of 30 calls, 2-vCPU host),
+        and two ways ``simulate`` at 32^3 peaked at 72.4 MiB against
+        73.8 MiB.
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
@@ -232,14 +234,9 @@ class DyadicPartition:
             return np.zeros((self.nblocks,) + (P,) * dim)
         padded = pad_half(c * float(P) ** dim, N, P)
         out = np.empty((self.nblocks,) + (P,) * dim)
-        if not _two_way(N, dim):
-            axes = tuple(range(dim))
-            for k, w in enumerate(self._padded_weights):
-                block = w * padded[..., : w.shape[-1]]
-                np.fft.irfftn(block, s=(P,) * dim, axes=axes, out=out[k])
-            return out
 
-        def transform(ks, buffer):
+        def transform(ks):
+            buffer = np.empty(max(self._padded_weights[k].size for k in ks), dtype=np.complex128)
             for k in ks:
                 w = self._padded_weights[k]
                 block = buffer[: w.size].reshape(w.shape)
@@ -248,10 +245,11 @@ class DyadicPartition:
                     np.fft.ifft(block, axis=ax, out=block)
                 np.fft.irfft(block, n=P, axis=dim - 1, out=out[k])
 
-        first, second = self._block_halves
-        a, b = (np.empty(max(self._padded_weights[k].size for k in ks), dtype=np.complex128)
-                for ks in (first, second))
-        _fork_join(lambda: transform(first, a), lambda: transform(second, b))
+        if _two_way(N, dim):
+            first, second = self._block_halves
+            _fork_join(lambda: transform(first), lambda: transform(second))
+        else:
+            transform(range(self.nblocks))
         return out
 
     @cached_property
