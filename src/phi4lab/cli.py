@@ -35,8 +35,9 @@ tail
 equivalence
     Gap between the direct renormalized solve and the remainder-route
     reconstruction at dt and dt/2.  The routes are one discrete map, so the
-    gap is rounding plus the band truncation of intermediate products
-    (about 1e-9 relative at cutoff N/2 - 1); needs a positive noise level.
+    gap is rounding plus the band truncation of intermediate products,
+    which at cutoff N/2 - 1 grows as the grid shrinks (7.5e-10 relative at
+    64^2, 1.3e-6 at 8^3); needs a positive noise level.
 
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, the ``[seed, role, replica]`` streams

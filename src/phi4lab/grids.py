@@ -25,14 +25,17 @@ Conventions used throughout the package:
   in the open band ``|w|_inf <= N/2 - 1`` and can fold at the far corners of
   the closed band, which is why dynamical states elsewhere in the package
   are kept Nyquist-free.
-* The transforms of a product move only the lines that carry data (FFT
-  pruning).  Going to the finer grid, a leading axis is inverse-transformed
-  only on the lines where the band has entries on the axes still to come,
-  and the last axis zero-pads its ``N/2 + 1`` columns itself; coming back,
-  a leading axis is transformed only on the lines the band restriction
-  reads.  Every line transformed is the line a dense transform sees and
-  every line skipped is zero or discarded, so the results are bitwise those
-  of the dense ``irfftn``/``rfftn`` pair.
+* Every transform of the package goes through one private pair,
+  :func:`_to_points` (spectrum to point values, bitwise ``irfftn``) and
+  :func:`_to_spectrum` (point values to the unnormalised band spectrum).
+  Between the ``N``-grid band and a finer grid the pair moves only the
+  lines that carry data (FFT pruning).  Going to the finer grid, a leading
+  axis is inverse-transformed only on the lines where the band has entries
+  on the axes still to come, and the last axis zero-pads its ``N/2 + 1``
+  columns itself; coming back, a leading axis is transformed only on the
+  lines the band restriction reads.  Every line transformed is the line a
+  dense transform sees and every line skipped is zero or discarded, so the
+  results are bitwise those of the dense ``irfftn``/``rfftn`` pair.
 * A transform whose input has no nonzero entry returns zeros without an
   FFT.  Every route starts from the zero state, whose first step would
   otherwise transform nothing but zeros: ``1/M`` of the remainder route's
@@ -50,13 +53,10 @@ Conventions used throughout the package:
   CPUs or more, it is not inside a :func:`.noise.replicate` share (whose
   processes fill the CPUs already), and the binary-product grid has at
   least ``2**16`` points: 3-D from ``N = 32``, 2-D from ``N = 256``.
-  Measured per v/w step on a 2-vCPU host in two runs, with the split forced
-  on against off: 32^3 went 98 -> 76 and 83 -> 65 ms, 48^3 330 -> 239 ms
-  and 256^2 92 -> 74 ms.  Below the gate, 24^3 (64000 points) went
-  43 -> 36 and 41 -> 33 ms, 128^2 (40000) moved by -3% and +11%, 16^3 by
-  0% and +32%, and 64^2 went 4.9 -> 7.8 and 5.3 -> 8.5 ms: there starting
-  the thread and sharing the caches cost about what the second CPU gives,
-  or more.
+  Above that gate the split shortened a v/w step; below it, starting the
+  thread and sharing the caches cost about what the second CPU gives, or
+  more.  ``BENCH_vw_split.json`` holds the measurements
+  (``in_process.per_step_ms``, ``in_process.kernels_ms_32cube``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "heat_propagate",
     "dealiased_product",
     "binary_size",
-    "pad_half",
     "product_spectra",
     "random_band_field",
 ]
@@ -89,7 +88,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def _int_freqs(N: int, dim: int) -> tuple[np.ndarray, ...]:
     """Integer frequency along each axis of the half layout."""
-    full = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
+    full = np.r_[0 : N // 2, -N // 2 : 0].astype(np.int64)
     half = np.arange(N // 2 + 1, dtype=np.int64)
     return tuple([full] * (dim - 1) + [half])
 
@@ -272,14 +271,14 @@ class SpectralField:
 
 def dft(field: RealField) -> SpectralField:
     """Forward transform, normalized so coefficients are Fourier amplitudes."""
-    c = np.fft.rfftn(field.values) / field.grid.npoints
+    c = _to_spectrum(field.values, field.grid.N) / field.grid.npoints
     return SpectralField(field.grid, c)
 
 
 def idft(spec: SpectralField) -> RealField:
-    axes = tuple(range(spec.grid.dim))
-    vals = np.fft.irfftn(spec.coeffs, s=spec.grid.shape, axes=axes) * spec.grid.npoints
-    return RealField(spec.grid, vals)
+    grid = spec.grid
+    vals = _to_points(spec.coeffs.copy(), grid.N, grid.dim) * grid.npoints
+    return RealField(grid, vals)
 
 
 def spectral_truncate(spec: SpectralField, n: int) -> SpectralField:
@@ -352,7 +351,7 @@ def _two_way(N: int, dim: int) -> bool:
     share, and the grid's binary-product block has at least
     ``_SPLIT_POINTS`` points (``binary_size(N)**dim``): 3-D from ``N = 32``,
     2-D from ``N = 256``.  Below that the split saved little or cost time
-    in the measurements of the module docstring.
+    (``BENCH_vw_split.json``, ``in_process.per_step_ms``).
     """
     return (
         not _in_replica_share
@@ -408,17 +407,12 @@ def _band_rows(N: int, P: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pad_index(N: int, P: int, dim: int) -> tuple[tuple, tuple]:
-    """Where the half-layout ``N``-grid band sits in the ``P``-grid half layout.
+def _band_index(N: int, dim: int) -> tuple:
+    """Open-mesh index of the half-layout ``N``-grid band in :func:`_band_rows` order.
 
-    Returns open-mesh index tuples ``(src, dst)`` over the ``N + 1`` rows of
-    :func:`_band_rows` per leading axis and ``N/2 + 1`` on the last axis.
+    ``N + 1`` rows per leading axis and ``N/2 + 1`` columns on the last axis.
     """
-    last = np.arange(N // 2 + 1)
-    return (
-        np.ix_(*([_band_rows(N, N)] * (dim - 1) + [last])),
-        np.ix_(*([_band_rows(N, P)] * (dim - 1) + [last])),
-    )
+    return np.ix_(*([_band_rows(N, N)] * (dim - 1) + [np.arange(N // 2 + 1)]))
 
 
 def _gather_band(c: np.ndarray, N: int) -> np.ndarray:
@@ -426,37 +420,63 @@ def _gather_band(c: np.ndarray, N: int) -> np.ndarray:
 
     ``N + 1`` rows per leading axis (the Nyquist row once for ``+N/2`` and
     once for ``-N/2``) and ``N/2 + 1`` last-axis columns, with every Nyquist
-    entry halved: the nonzero lines of :func:`pad_half`'s output.
+    entry halved: the nonzero lines of the band zero-padded onto a finer
+    grid, where the Nyquist slot is split evenly between ``+N/2`` and
+    ``-N/2``.
     """
     dim = c.ndim
     h = N // 2
-    src, _ = _pad_index(N, N, dim)
     lead_wt = np.ones(N + 1)
     lead_wt[h] = lead_wt[h + 1] = 0.5
     last_wt = np.ones(h + 1)
     last_wt[h] = 0.5
-    g = np.asarray(c, dtype=np.complex128)[src]
+    g = np.asarray(c, dtype=np.complex128)[_band_index(N, dim)]
     for ax in range(dim):
         wt = lead_wt if ax < dim - 1 else last_wt
         g = g * wt.reshape((-1,) + (1,) * (dim - 1 - ax))
     return g
 
 
-def pad_half(c: np.ndarray, N: int, P: int) -> np.ndarray:
-    """Zero-pad a half-layout ``N``-grid spectrum onto the finer ``P``-grid.
+def _to_points(a: np.ndarray, n: int, dim: int, rows: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Point values on the ``n``-grid of half-layout spectra: bitwise ``irfftn``.
 
-    The Nyquist slot of each axis is split evenly between ``+N/2`` and
-    ``-N/2`` on the target grid.
+    Transforms the last ``dim`` axes of ``a`` in ``irfftn``'s order: each
+    leading axis in place with a complex inverse FFT, then the last axis with
+    one real inverse FFT, which zero-pads its columns to ``n/2 + 1`` itself
+    and writes a new array or ``out``.  Where ``a`` holds only the ``N + 1``
+    band rows ``rows`` of :func:`_band_rows` per leading axis, each leading
+    axis is first scattered into ``n`` rows of zeros, so only the lines that
+    carry the band are transformed.  Without ``rows`` the leading axes are
+    transformed in ``a`` itself, which the caller must let be overwritten.
     """
-    if N % 2 or P % 2 or P < N:
-        raise ValueError(f"need even P >= N, got N={N}, P={P}")
+    for ax in range(a.ndim - dim, a.ndim - 1):
+        if rows is not None:
+            full = np.zeros(a.shape[:ax] + (n,) + a.shape[ax + 1 :], dtype=np.complex128)
+            full[(slice(None),) * ax + (rows,)] = a
+            a = full
+        np.fft.ifft(a, axis=ax, out=a)
+    return np.fft.irfftn(a, s=(n,), axes=(-1,), out=out)
+
+
+def _to_spectrum(pts: np.ndarray, N: int) -> np.ndarray:
+    """Unnormalised forward transform of point values, cut to the ``N``-grid band.
+
+    On the ``N``-grid itself this is ``rfftn(pts)``.  On a finer grid
+    (``pts.shape[0]`` points per axis) only the lines the band reads are
+    transformed: one real FFT of the last axis keeps columns ``0 .. N/2``,
+    then each leading axis, in ``rfftn``'s order from the last one down, is
+    transformed on those lines only and cut to the ``N + 1`` rows of
+    :func:`_band_rows`.  Every entry kept is bitwise that of ``rfftn(pts)``.
+    """
+    P = pts.shape[0]
     if P == N:
-        return np.array(c, dtype=np.complex128)
-    dim = c.ndim
-    _, dst = _pad_index(N, P, dim)
-    out = np.zeros((P,) * (dim - 1) + (P // 2 + 1,), dtype=np.complex128)
-    out[dst] = _gather_band(c, N)
-    return out
+        return np.fft.rfftn(pts)
+    rows = _band_rows(N, P)
+    a = np.fft.rfftn(pts, axes=(-1,))[..., : N // 2 + 1]
+    for ax in range(pts.ndim - 2, -1, -1):
+        a = np.fft.fft(a, axis=ax)[(slice(None),) * ax + (rows,)]
+    return a
 
 
 def _all_zero(a: np.ndarray) -> bool:
@@ -465,52 +485,33 @@ def _all_zero(a: np.ndarray) -> bool:
 
 
 def _band_points(c: np.ndarray, N: int, P: int) -> np.ndarray:
-    """Point values on the ``P``-grid of a half-layout ``N``-grid spectrum.
+    """Point values on the finer ``P``-grid of a half-layout ``N``-grid spectrum.
 
-    Equal bitwise to ``irfftn(pad_half(c * P**dim, N, P), s=(P,) * dim)``,
-    transforming only the lines that carry the band (FFT pruning).  In
-    ``irfftn``'s axis order each leading axis is scattered from its ``N + 1``
-    band rows into ``P`` and inverse-transformed, over only the band lines of
-    the axes still to come; the last axis goes through one real ``irfftn``,
-    which zero-pads its ``N/2 + 1`` columns itself.  Each line transformed is
-    the line the dense transform sees, and every line skipped is zero.
+    The band, Nyquist slots split (:func:`_gather_band`), zero-padded onto
+    the ``P``-grid and inverse-transformed with ``irfftn``: :func:`_to_points`
+    over the band rows, which transforms only the lines that carry the band.
     """
     dim = c.ndim
     if _all_zero(c):
         return np.zeros((P,) * dim)
     # scale the small band before padding rather than the big point array
-    a = _gather_band(c * float(P) ** dim, N)
-    rows = _band_rows(N, P)
-    for ax in range(dim - 1):
-        full = np.zeros(a.shape[:ax] + (P,) + a.shape[ax + 1 :], dtype=np.complex128)
-        full[(slice(None),) * ax + (rows,)] = a
-        a = np.fft.ifft(full, axis=ax)
-    return np.fft.irfftn(a, s=(P,), axes=(dim - 1,))
+    return _to_points(_gather_band(c * float(P) ** dim, N), P, dim, _band_rows(N, P))
 
 
 def _points_band(pts: np.ndarray, N: int) -> np.ndarray:
     """Half-layout ``N``-grid spectrum of point values on a finer grid.
 
-    Equal bitwise to cutting the dense ``rfftn(pts) / P**dim`` (``P =
-    pts.shape[0]``) down to the band with the adjoint of :func:`pad_half`,
-    but transforming only the lines the band reads: one real ``rfftn`` on
-    the last axis keeps columns ``0 .. N/2``, then each leading axis, in
-    ``rfftn``'s order from the last one down, is transformed on those lines
-    only and cut to its ``N + 1`` band rows.  The fine-grid frequencies
-    ``+N/2`` and ``-N/2`` alias to the single coarse Nyquist slot and are
-    summed there, axis by axis, the last axis through the conjugate
+    The dense ``rfftn(pts) / P**dim`` (``P = pts.shape[0]``) restricted to
+    the band, from the pruned :func:`_to_spectrum`.  The fine-grid
+    frequencies ``+N/2`` and ``-N/2`` alias to the single coarse Nyquist slot
+    and are summed there, axis by axis, the last axis through the conjugate
     reflection of its Nyquist plane.
     """
     dim = pts.ndim
-    P = pts.shape[0]
     h = N // 2
     if _all_zero(pts):
         return np.zeros((N,) * (dim - 1) + (h + 1,), dtype=np.complex128)
-    rows = _band_rows(N, P)
-    a = np.fft.rfftn(pts, axes=(dim - 1,))[..., : h + 1]
-    for ax in range(dim - 2, -1, -1):
-        a = np.fft.fft(a, axis=ax)[(slice(None),) * ax + (rows,)]
-    a = a / P**dim
+    a = _to_spectrum(pts, N) / pts.shape[0] ** dim
     for ax in range(dim - 1):
         lead = (slice(None),) * ax
         a[lead + (h,)] += a[lead + (h + 1,)]

@@ -63,7 +63,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, _one_way, product_spectra
+from .grids import TorusGrid, _one_way, _to_spectrum, product_spectra
 from .paley import default_partition
 
 __all__ = [
@@ -358,7 +358,7 @@ class NoiseRealization(_Increments):
         )
         rng = np.random.Generator(np.random.Philox(ss))
         z = rng.standard_normal(self.grid.shape)
-        dw = np.fft.rfftn(z) * self._scale
+        dw = _to_spectrum(z, self.grid.N) * self._scale
         return np.where(self._mask, dw, 0.0)
 
     def aggregate(self, factor: int) -> "_AggregatedNoise":

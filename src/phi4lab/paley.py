@@ -27,8 +27,8 @@ deals its blocks to two halves, widest first, and each block's transform
 writes its own slot of the stack.  :func:`_para_lt_core` and
 :func:`_resonant_core` accumulate two slabs of the leading axis at once and
 run their one forward transform after the join.  The results are the same
-bits either way.  On a 2-vCPU host one 32^3 stack (50^3 binary-grid points)
-went 14.3 -> 8.2 ms and one resonant accumulation 3.8 -> 1.9 ms.
+bits either way.  ``BENCH_vw_split.json`` (``in_process.kernels_ms_32cube``)
+holds the times of each kernel both ways at 32^3.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ from .grids import (
     SpectralField,
     TorusGrid,
     _all_zero,
+    _band_index,
+    _band_rows,
     _by_slabs,
     _check_same_grid,
     _fork_join,
-    _pad_index,
+    _gather_band,
     _points_band,
+    _to_points,
     _two_way,
     binary_size,
     dealiased_product,
     heat_propagate,
-    pad_half,
 )
 
 __all__ = [
@@ -166,40 +168,34 @@ class DyadicPartition:
         given (a float64 array of that shape) the values are written into it
         and it is returned; its previous contents are ignored, so one buffer
         can be reused across calls.  The weighted spectra go into one complex
-        stack kept on the partition and are inverse-transformed there, axis
-        by axis in ``irfftn``'s order (so the values are bitwise those of
-        ``irfftn``), and only the last real transform writes a new array or
-        ``out``.  The shared stack makes the method not reentrant.
+        stack kept on the partition, which :func:`.grids._to_points`
+        transforms in place (bitwise ``irfftn``); only the last real
+        transform writes a new array or ``out``.  The shared stack makes the
+        method not reentrant.
         """
-        dim = self.grid.dim
         stack = self._stack
         # one product per block: a broadcast product goes through buffers
         for w, s in zip(self._complex_weights, stack):
             np.multiply(w, c, out=s)
-        for ax in range(1, dim):
-            np.fft.ifft(stack, axis=ax, out=stack)
-        vals = np.fft.irfft(stack, n=self.grid.N, axis=dim, out=out)
+        vals = _to_points(stack, self.grid.N, self.grid.dim, out=out)
         vals *= self.grid.npoints
         return vals
 
     @cached_property
-    def _padded_weights(self) -> tuple[np.ndarray, ...]:
-        """Per block, its weights on the half layout of the binary-product grid, cut.
+    def _band_weights(self) -> tuple[np.ndarray, ...]:
+        """Per block, its weights in the band layout of :func:`.grids._gather_band`, cut.
 
         Each block's weights are gathered onto that layout and kept, as one
         contiguous array, only up to their last nonzero column on the last
         axis; beyond it they are exactly 0.
         """
-        N, dim = self.grid.N, self.grid.dim
-        P = binary_size(N)
-        src, dst = _pad_index(N, P, dim)
-        dense = np.zeros((P,) * (dim - 1) + (P // 2 + 1,))
+        dim = self.grid.dim
         cut = []
         for w in self._weights:
-            dense[dst] = w[src]
-            live = np.any(dense != 0.0, axis=tuple(range(dim - 1)))
+            band = w[_band_index(self.grid.N, dim)]
+            live = np.any(band != 0.0, axis=tuple(range(dim - 1)))
             width = int(np.flatnonzero(live)[-1]) + 1
-            cut.append(dense[..., :width].copy())
+            cut.append(band[..., :width].copy())
         return tuple(cut)
 
     def padded_blocks(self, c: np.ndarray) -> np.ndarray:
@@ -207,43 +203,32 @@ class DyadicPartition:
 
         The grid has ``P = binary_size(N)`` points per axis, where the product
         of any two blocks is alias free; the result has shape
-        ``(nblocks,) + (P,) * dim``.  The spectrum is padded once.  Each block
-        is weighted and transformed on only the leading last-axis columns
-        where its weights are nonzero, the width of its cut weights
-        (``_padded_weights``); the last real transform zero-pads the rest
-        itself.  Every 1-D line it transforms is the line a dense transform
-        would see and the lines it skips are zero, so the values are bitwise
-        those of one dense batched transform, at a fraction of its cost for
-        the low blocks (FFT pruning).  An all-zero spectrum gives zeros
-        without a transform, as in :mod:`.grids`.
-
-        Each block is weighted into a complex buffer allocated here, sized to
-        the widest block, and transformed there in place, axis by axis in
-        ``irfftn``'s order, which gives ``irfftn``'s bits (as in
-        :meth:`block_values`).  Two ways (:func:`.grids._two_way`), each half
-        of :attr:`_block_halves` does the same in a buffer of its own, so
-        neither allocates an array per block.  Against one ``irfftn`` per block, the
-        in-place form took one stack from 11.4 to 10.6 ms at 32^3 and from
-        0.95 to 0.77 ms at 64^2 one way (medians of 30 calls, 2-vCPU host),
-        and two ways ``simulate`` at 32^3 peaked at 72.4 MiB against
-        73.8 MiB.
+        ``(nblocks,) + (P,) * dim``.  The band of the spectrum is gathered
+        once (:func:`.grids._gather_band`).  Each block weights it with its
+        cut weights (:attr:`_band_weights`) and goes through
+        :func:`.grids._to_points` over the band rows, as
+        :func:`.grids._band_points` does: only the lines that carry the
+        block are transformed, on only the leading last-axis columns where
+        its weights are nonzero, and the last real transform zero-pads the
+        rest itself.  The values are bitwise those of one dense batched
+        ``irfftn``, at a fraction of its cost for the low blocks (FFT
+        pruning).  An all-zero spectrum gives zeros without a transform, as
+        in :mod:`.grids`.  Two ways (:func:`.grids._two_way`), the halves of
+        :attr:`_block_halves` transform their blocks at once, each block
+        into its own slot of the result.
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
         if _all_zero(c):
             return np.zeros((self.nblocks,) + (P,) * dim)
-        padded = pad_half(c * float(P) ** dim, N, P)
+        band = _gather_band(c * float(P) ** dim, N)
+        rows = _band_rows(N, P)
         out = np.empty((self.nblocks,) + (P,) * dim)
 
         def transform(ks):
-            buffer = np.empty(max(self._padded_weights[k].size for k in ks), dtype=np.complex128)
             for k in ks:
-                w = self._padded_weights[k]
-                block = buffer[: w.size].reshape(w.shape)
-                np.multiply(w, padded[..., : w.shape[-1]], out=block)
-                for ax in range(dim - 1):
-                    np.fft.ifft(block, axis=ax, out=block)
-                np.fft.irfft(block, n=P, axis=dim - 1, out=out[k])
+                w = self._band_weights[k]
+                _to_points(w * band[..., : w.shape[-1]], P, dim, rows, out=out[k])
 
         if _two_way(N, dim):
             first, second = self._block_halves
@@ -262,7 +247,7 @@ class DyadicPartition:
         less of that cost so far.
         """
         fixed = binary_size(self.grid.N) // 4
-        widths = [w.shape[-1] for w in self._padded_weights]
+        widths = [w.shape[-1] for w in self._band_weights]
         halves, load = ([], []), [0, 0]
         for k in sorted(range(self.nblocks), key=lambda k: -widths[k]):
             i = load.index(min(load))

@@ -24,8 +24,9 @@ right-hand sides agree at a fixed state.  They agree to rounding while
 and 32^3): the integral ``iww`` of ``res_iwick3_wick2`` (band ``5 cutoff``)
 enters the right-hand sides projected onto the open band, the part the
 reconstruction keeps.  From ``2 cutoff > N/2 - 1`` on the Wick square is cut
-at the band, and at cutoff ``N/2 - 1`` the route gap is about 1e-9 relative
-(:func:`equivalence_report` measures it).  At ``sigma = 0`` the remainder
+at the band, and at cutoff ``N/2 - 1`` the route gap grows as the grid
+shrinks: 7.5e-10 relative at 64^2 and 1.3e-6 at 8^3 with ``sigma = 0.5``,
+``T = 0.05`` and ``M = 5`` (:func:`equivalence_report` measures it).  At ``sigma = 0`` the remainder
 route is the deterministic solver bit for bit.
 
 Each solve records its path through :func:`.noise.record` and returns a
@@ -41,10 +42,9 @@ its paraproduct cores and the pointwise cubic of :func:`G_rhs` two ways
 (:func:`.grids._two_way`); the cubic is formed on two slabs of the ``2N``
 grid at once, and each kernel joins its helper thread before it returns.
 The results are the same bits either way.  At the ``simulate`` benchmark's
-32^3 configuration a step went 98 -> 76 ms in process on a 2-vCPU host.
-Below the gate the split saves little or costs time (64^2 took
-4.9 -> 7.8 ms per step; the module docstring of :mod:`.grids` has the
-rest), and the ``equivalence`` and ``tail`` commands run their steps inside
+32^3 configuration the split shortens a step, and below the gate it saves
+little or costs time (``BENCH_vw_split.json``, ``in_process.per_step_ms``);
+the ``equivalence`` and ``tail`` commands run their steps inside
 :func:`.noise.replicate` shares anyway.
 
 The two commutator corrections are not formed one by one.  Paired with the

@@ -9,13 +9,12 @@ import pytest
 from phi4lab import grids, paley
 from phi4lab.grids import (
     SpectralField,
-    _pad_index,
+    _band_index,
     TorusGrid,
     binary_size,
     dealiased_product,
     dft,
     idft,
-    pad_half,
     RealField,
     random_band_field,
 )
@@ -36,6 +35,7 @@ from phi4lab.paley import (
     resonant,
     schauder_ratio,
 )
+from test_torus import SEAM_CASES, pad_half, pad_index
 
 
 class TestCutoffs:
@@ -238,22 +238,28 @@ class TestBlockBuffer:
                 assert np.array_equal(part.block_values(c), dense)
 
 
+def _band_layout_weights(part):
+    """Every block's weights gathered into the band layout, uncut."""
+    return part._weights[(slice(None),) + _band_index(part.grid.N, part.grid.dim)]
+
+
 def _dense_padded_weights(part):
     """Every block's weights on the half layout of the binary-product grid, uncut."""
     N, dim = part.grid.N, part.grid.dim
     P = binary_size(N)
-    src, dst = _pad_index(N, P, dim)
     out = np.zeros((part.nblocks,) + (P,) * (dim - 1) + (P // 2 + 1,))
-    out[(slice(None),) + dst] = part._weights[(slice(None),) + src]
+    out[(slice(None),) + pad_index(N, P, dim)] = _band_layout_weights(part)
     return out
 
 
 class TestCroppedBlockTransforms:
     @pytest.mark.parametrize(
-        "N, dim",
-        [(N, dim) for dim in (1, 2, 3) for N in (8, 12, 16, 32)] + [(48, 3)],
+        "N, dim, two_way",
+        [pytest.param(N, dim, False, id=f"{N}-{dim}")
+         for N, dim in [(N, dim) for dim in (1, 2, 3) for N in (8, 12, 16, 32)] + [(48, 3)]]
+        + [pytest.param(N, dim, True, id=f"{N}-{dim}-two_way") for N, dim in SEAM_CASES],
     )
-    def test_padded_blocks_equal_the_dense_transform_bitwise(self, N, dim):
+    def test_padded_blocks_equal_the_dense_transform_bitwise(self, monkeypatch, N, dim, two_way):
         # full-band input that carries the Nyquist slot, as core outputs do
         grid = TorusGrid(N, dim)
         part = DyadicPartition(grid)
@@ -263,21 +269,23 @@ class TestCroppedBlockTransforms:
         P = binary_size(N)
         stack = _dense_padded_weights(part) * pad_half(c * float(P) ** dim, N, P)
         dense = np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
+        # one way, or with the two-way split forced on
+        monkeypatch.setattr(paley, "_two_way", lambda N, dim: two_way)
         assert np.array_equal(part.padded_blocks(c), dense)
 
     @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (32, 3)])
     def test_weights_vanish_beyond_each_width(self, N, dim):
-        # each kept array is the dense weights up to its last nonzero column
+        # each kept array is the band-layout weights up to its last nonzero column
         part = DyadicPartition(TorusGrid(N, dim))
-        cut = part._padded_weights
-        dense = _dense_padded_weights(part)
+        cut = part._band_weights
+        band = _band_layout_weights(part)
         assert len(cut) == part.nblocks
         for k, w in enumerate(cut):
             width = w.shape[-1]
             assert w.flags.c_contiguous
-            assert np.array_equal(w, dense[k][..., :width])
+            assert np.array_equal(w, band[k][..., :width])
             assert np.any(w[..., -1] != 0.0)
-            assert np.all(dense[k][..., width:] == 0.0)
+            assert np.all(band[k][..., width:] == 0.0)
 
 def _use_cpus(monkeypatch, n):
     """Let this process see ``n`` usable CPUs."""
@@ -364,7 +372,7 @@ class TestTwoWaySplit:
         part = DyadicPartition(TorusGrid(N, dim))
         first, second = part._block_halves
         assert sorted(first + second) == list(range(part.nblocks))
-        widths = [part._padded_weights[k].shape[-1] for k in first + second]
+        widths = [part._band_weights[k].shape[-1] for k in first + second]
         assert max(widths) == widths[0]
 
 

@@ -300,6 +300,17 @@ class TestNoiseRealization:
         assert np.all(dw[grid.kinf > 3] == 0)
         assert np.any(dw[grid.kinf <= 3] != 0)
 
+    @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (12, 3), (32, 3)])
+    def test_draw_is_the_dense_transform_bitwise(self, N, dim):
+        # the counter-based stream of (seed, role, replica, step), transformed by rfftn
+        grid, tg = TorusGrid(N, dim), TimeGrid(0.5, 4)
+        nz = NoiseRealization(grid, tg, N // 2 - 1, seed=23, replica=2)
+        ss = np.random.SeedSequence(entropy=23, spawn_key=(nz.role, 2, 3))
+        z = np.random.Generator(np.random.Philox(ss)).standard_normal(grid.shape)
+        scale = np.sqrt(tg.dt) / N ** (dim / 2.0)
+        dense = np.where(grid.kinf <= N // 2 - 1, np.fft.rfftn(z) * scale, 0.0)
+        assert np.array_equal(nz._draw(3), dense)
+
     def test_increment_variance(self):
         grid = TorusGrid(8, 2)
         tg = TimeGrid(1.0, 4)

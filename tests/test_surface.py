@@ -36,6 +36,9 @@ Both checks read the source with ``ast``; nothing is imported or run.
 * Only ``cli`` and ``config`` import ``csv`` or ``json``: ``cli`` renders
   every output file and ``config`` reads configs and writes manifests, while
   the other modules compute.
+* Every Fourier transform of ``src/phi4lab`` goes through the pair
+  ``grids._to_points`` / ``grids._to_spectrum``: no code outside those two
+  functions refers to ``np.fft`` or ``numpy.fft``, or imports from it.
 """
 
 import ast
@@ -426,3 +429,58 @@ def test_the_check_sees_a_file_format_outside_cli_and_config(tmp_path):
     )
     package = sorted(tmp_path.glob("*.py"))
     assert _file_formats_outside_the_file_modules(package) == {"stats": ["csv", "json"]}
+
+
+# the transform pair of grids, the only functions that call numpy's FFT
+_TRANSFORM_PAIR = ("_to_points", "_to_spectrum")
+
+
+def _is_numpy_fft(node: ast.AST) -> bool:
+    """``np.fft`` or ``numpy.fft``, or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.fft") or (
+            module == "numpy" and any(alias.name == "fft" for alias in node.names))
+    return False
+
+
+def _fft_outside_the_pair(package) -> dict[str, list[int]]:
+    """Lines, per module, that refer to numpy's FFT outside the transform pair."""
+    found = {}
+    for path in package:
+        lines, todo = set(), [_tree(path)]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.FunctionDef) and node.name in _TRANSFORM_PAIR:
+                continue
+            if _is_numpy_fft(node):
+                lines.add(node.lineno)
+            todo.extend(ast.iter_child_nodes(node))
+        if lines:
+            found[path.stem] = sorted(lines)
+    return found
+
+
+def test_every_transform_goes_through_the_pair():
+    assert _fft_outside_the_pair(PACKAGE) == {}
+
+
+def test_the_check_sees_a_transform_outside_the_pair(tmp_path):
+    mod = tmp_path / "planted.py"
+    mod.write_text(
+        "import numpy as np\nimport numpy\nfrom numpy import fft\n"
+        "from numpy.fft import rfft\n\n"
+        "def _to_points(a):\n    return np.fft.irfftn(a)\n\n"
+        "def _to_spectrum(p):\n    return numpy.fft.rfftn(p)\n\n"
+        "def block(a):\n"
+        '    """Says np.fft.ifft in prose only."""\n'
+        "    return np.fft.ifft(a)\n\n"
+        "class Stack:\n"
+        "    def values(self, a):\n        return numpy.fft.irfft(np.asarray(a))\n"
+    )
+    assert _fft_outside_the_pair([mod]) == {"planted": [3, 4, 14, 18]}

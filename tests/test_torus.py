@@ -10,14 +10,16 @@ from phi4lab.grids import (
     SpectralField,
     TorusGrid,
     _band_points,
+    _band_rows,
     _conj_reflect,
+    _gather_band,
+    _int_freqs,
     _points_band,
     binary_size,
     dealiased_product,
     dft,
     heat_propagate,
     idft,
-    pad_half,
     product_spectra,
     random_band_field,
     spectral_truncate,
@@ -30,6 +32,31 @@ from phi4lab.paley import (
     para_lt,
     resonant,
 )
+
+
+def pad_index(N, P, dim):
+    """Where the half-layout N-grid band, in band-row order, sits in the P-grid half layout.
+
+    An open-mesh index over the N + 1 band rows of each leading axis and the
+    N/2 + 1 columns of the last axis, into the dense P-grid layout.
+    """
+    return np.ix_(*([_band_rows(N, P)] * (dim - 1) + [np.arange(N // 2 + 1)]))
+
+
+def pad_half(c, N, P):
+    """Dense zero-padding of a half-layout N-grid spectrum onto the finer P-grid.
+
+    The reference the band-pruned inverse transforms are compared against:
+    the Nyquist slot of each axis is split evenly between +N/2 and -N/2.
+    """
+    if N % 2 or P % 2 or P < N:
+        raise ValueError(f"need even P >= N, got N={N}, P={P}")
+    if P == N:
+        return np.array(c, dtype=np.complex128)
+    dim = c.ndim
+    out = np.zeros((P,) * (dim - 1) + (P // 2 + 1,), dtype=np.complex128)
+    out[pad_index(N, P, dim)] = _gather_band(c, N)
+    return out
 
 
 def unpad_half(C, P, N):
@@ -95,12 +122,37 @@ class TestTorusGrid:
         # every mode of the full spectrum is counted exactly once
         assert g.half_weights.sum() == g.npoints
 
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 64])
+    def test_integer_frequencies_are_numpys_fftfreq(self, N):
+        full = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
+        for dim in (1, 2, 3):
+            freqs = _int_freqs(N, dim)
+            assert [f.dtype for f in freqs] == [np.dtype(np.int64)] * dim
+            assert all(np.array_equal(f, full) for f in freqs[:-1])
+            assert np.array_equal(freqs[-1], np.arange(N // 2 + 1))
+
     def test_equality(self):
         assert TorusGrid(8, 2) == TorusGrid(8, 2)
         assert TorusGrid(8, 2) != TorusGrid(8, 3)
 
 
+# the grids on which every caller of the transform pair is checked bitwise
+SEAM_CASES = [(8, 1), (16, 2), (12, 3), (32, 3)]
+
+
 class TestTransforms:
+    @pytest.mark.parametrize("N, dim", SEAM_CASES)
+    def test_dft_and_idft_are_the_dense_transforms_bitwise(self, N, dim):
+        rng = np.random.default_rng(110 + N + dim)
+        grid = TorusGrid(N, dim)
+        f = RealField(grid, rng.standard_normal(grid.shape))
+        spec = dft(f)
+        assert np.array_equal(spec.coeffs, np.fft.rfftn(f.values) / grid.npoints)
+        before = spec.coeffs.copy()
+        dense = np.fft.irfftn(spec.coeffs, s=grid.shape, axes=tuple(range(dim))) * grid.npoints
+        assert np.array_equal(idft(spec).values, dense)
+        assert np.array_equal(spec.coeffs, before)
+
     @pytest.mark.parametrize("N,dim", [(8, 1), (8, 2), (6, 3)])
     def test_roundtrip(self, N, dim):
         rng = np.random.default_rng(101)
