@@ -41,29 +41,15 @@ Conventions used throughout the package:
   otherwise transform nothing but zeros: ``1/M`` of the remainder route's
   work over ``M`` steps and ``1/(M + 1)`` of each Monte Carlo replica's
   products, a share that fades as runs get longer.
-* On two CPUs the kernels of the remainder step run two ways: the block
-  stacks of :meth:`.paley.DyadicPartition.padded_blocks`, the accumulations
-  of the paraproduct cores and the ``2N``-grid cubic of
-  :func:`.solvers.G_rhs`.  :func:`_fork_join` runs one half on a helper
-  thread that it starts and joins inside the call, which numpy lets run at
-  once with the other because its FFT and ufunc loops release the
-  interpreter lock.  Each half writes blocks or rows of its own with the
-  operations of the one-way kernel, so the results are the same bits.
-  :func:`_two_way` picks two ways only when the process may run on two
-  CPUs or more, it is not inside a :func:`.noise.replicate` share (whose
-  processes fill the CPUs already), and the binary-product grid has at
-  least ``2**16`` points: 3-D from ``N = 32``, 2-D from ``N = 256``.
-  Above that gate the split shortened a v/w step; below it, starting the
-  thread and sharing the caches cost about what the second CPU gives, or
-  more.  ``BENCH_vw_split.json`` holds the measurements
-  (``in_process.per_step_ms``, ``in_process.kernels_ms_32cube``).
+* Every kernel runs on the calling thread, and the package starts no
+  thread: :func:`.noise.replicate` forks its workers, and a fork copies
+  only the calling thread.  Splitting the remainder step's kernels over two
+  threads gave the same bits and no end-to-end gain that resolved on two
+  vCPUs (``BENCH_one_way.json``).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
 from functools import lru_cache
 from numbers import Number
 from typing import Sequence
@@ -324,74 +310,6 @@ def binary_size(N: int) -> int:
         if m == 1:
             return P
         P += 2
-
-
-# smallest binary-product grid, in points, whose kernels run two ways
-_SPLIT_POINTS = 2**16
-# set while a noise.replicate share runs: its processes already fill the CPUs
-_in_replica_share = False
-
-
-@contextmanager
-def _one_way():
-    """Run every kernel one way inside the ``with`` statement, then restore the decision."""
-    global _in_replica_share
-    before, _in_replica_share = _in_replica_share, True
-    try:
-        yield
-    finally:
-        _in_replica_share = before
-
-
-def _two_way(N: int, dim: int) -> bool:
-    """Whether the kernels of an ``N``-grid in ``dim`` dimensions split two ways.
-
-    Only when this process may run on two CPUs or more
-    (``os.sched_getaffinity``), it is not inside a :func:`.noise.replicate`
-    share, and the grid's binary-product block has at least
-    ``_SPLIT_POINTS`` points (``binary_size(N)**dim``): 3-D from ``N = 32``,
-    2-D from ``N = 256``.  Below that the split saved little or cost time
-    (``BENCH_vw_split.json``, ``in_process.per_step_ms``).
-    """
-    return (
-        not _in_replica_share
-        and binary_size(N) ** dim >= _SPLIT_POINTS
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-def _fork_join(first, second) -> None:
-    """Run ``first`` on a helper thread while ``second`` runs here.
-
-    The thread is started and joined inside the call, so none outlives it;
-    an exception of ``first`` is raised here, after the join.
-    """
-    failure = []
-
-    def run():
-        try:
-            first()
-        except BaseException as exc:
-            failure.append(exc)
-
-    helper = threading.Thread(target=run)
-    helper.start()
-    try:
-        second()
-    finally:
-        helper.join()
-    if failure:
-        raise failure[0]
-
-
-def _by_slabs(kernel, n: int, two_way: bool) -> None:
-    """``kernel(rows)`` over the ``n`` rows of a leading axis: two halves, or one slice."""
-    if two_way:
-        h = n // 2
-        _fork_join(lambda: kernel(slice(0, h)), lambda: kernel(slice(h, n)))
-    else:
-        kernel(slice(None))
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, _one_way, _to_spectrum, product_spectra
+from .grids import TorusGrid, _to_spectrum, product_spectra
 from .paley import default_partition
 
 __all__ = [
@@ -192,24 +192,21 @@ def _replica_share(statistic, worker: int, workers: int, replicas: int, seed):
     share stops at its first replica that raises, gives a non-finite entry,
     or gives a value of another shape than the share's first, and
     ``failure`` is then ``(replica, exception)``; it is ``None`` otherwise.
-    The share's kernels run one way (:func:`.grids._one_way`): the replica
-    processes fill the CPUs already.
     """
     values = []
-    with _one_way():
-        for i in range(worker, replicas, workers):
-            try:
-                value = np.asarray(statistic(i, seed), dtype=np.float64)
-                bad = ~np.isfinite(value)
-                if bad.any():
-                    where = tuple(np.argwhere(bad)[0].tolist())
-                    at = "" if value.ndim == 0 else f" at index {where}"
-                    raise ValueError(f"replica {i} gave the non-finite value {value[bad][0]}{at}")
-                if values and value.shape != values[0].shape:
-                    raise _shape_error(i, value.shape, values[0].shape)
-            except Exception as exc:
-                return np.array(values), (i, exc)
-            values.append(value)
+    for i in range(worker, replicas, workers):
+        try:
+            value = np.asarray(statistic(i, seed), dtype=np.float64)
+            bad = ~np.isfinite(value)
+            if bad.any():
+                where = tuple(np.argwhere(bad)[0].tolist())
+                at = "" if value.ndim == 0 else f" at index {where}"
+                raise ValueError(f"replica {i} gave the non-finite value {value[bad][0]}{at}")
+            if values and value.shape != values[0].shape:
+                raise _shape_error(i, value.shape, values[0].shape)
+        except Exception as exc:
+            return np.array(values), (i, exc)
+        values.append(value)
     return np.array(values), None
 
 

@@ -19,16 +19,6 @@ pieces sum to the dealiased product exactly.
 The partition is a function of the grid alone, so no function here takes
 one: each looks it up with :func:`default_partition`, which keeps one
 partition (and its scratch stacks) per grid for the process.
-
-Where :func:`.grids._two_way` says so (two CPUs, outside a replica share,
-a binary-product grid of at least ``2**16`` points), the block stacks and
-the paraproduct cores run two ways.  :meth:`DyadicPartition.padded_blocks`
-deals its blocks to two halves, widest first, and each block's transform
-writes its own slot of the stack.  :func:`_para_lt_core` and
-:func:`_resonant_core` accumulate two slabs of the leading axis at once and
-run their one forward transform after the join.  The results are the same
-bits either way.  ``BENCH_vw_split.json`` (``in_process.kernels_ms_32cube``)
-holds the times of each kernel both ways at 32^3.
 """
 
 from __future__ import annotations
@@ -44,13 +34,10 @@ from .grids import (
     _all_zero,
     _band_index,
     _band_rows,
-    _by_slabs,
     _check_same_grid,
-    _fork_join,
     _gather_band,
     _points_band,
     _to_points,
-    _two_way,
     binary_size,
     dealiased_product,
     heat_propagate,
@@ -213,9 +200,7 @@ class DyadicPartition:
         rest itself.  The values are bitwise those of one dense batched
         ``irfftn``, at a fraction of its cost for the low blocks (FFT
         pruning).  An all-zero spectrum gives zeros without a transform, as
-        in :mod:`.grids`.  Two ways (:func:`.grids._two_way`), the halves of
-        :attr:`_block_halves` transform their blocks at once, each block
-        into its own slot of the result.
+        in :mod:`.grids`.
         """
         N, dim = self.grid.N, self.grid.dim
         P = binary_size(N)
@@ -224,36 +209,9 @@ class DyadicPartition:
         band = _gather_band(c * float(P) ** dim, N)
         rows = _band_rows(N, P)
         out = np.empty((self.nblocks,) + (P,) * dim)
-
-        def transform(ks):
-            for k in ks:
-                w = self._band_weights[k]
-                _to_points(w * band[..., : w.shape[-1]], P, dim, rows, out=out[k])
-
-        if _two_way(N, dim):
-            first, second = self._block_halves
-            _fork_join(lambda: transform(first), lambda: transform(second))
-        else:
-            transform(range(self.nblocks))
+        for k, w in enumerate(self._band_weights):
+            _to_points(w * band[..., : w.shape[-1]], P, dim, rows, out=out[k])
         return out
-
-    @cached_property
-    def _block_halves(self) -> tuple[list[int], list[int]]:
-        """The blocks of :meth:`padded_blocks` dealt to two halves, largest first.
-
-        A block's leading-axis transforms grow with the width of its cut
-        weights, and its last-axis transform costs every block about as much
-        as ``P/4`` columns; each block, widest first, goes to the half with
-        less of that cost so far.
-        """
-        fixed = binary_size(self.grid.N) // 4
-        widths = [w.shape[-1] for w in self._band_weights]
-        halves, load = ([], []), [0, 0]
-        for k in sorted(range(self.nblocks), key=lambda k: -widths[k]):
-            i = load.index(min(load))
-            halves[i].append(k)
-            load[i] += widths[k] + fixed
-        return halves
 
 
 @lru_cache(maxsize=8)
@@ -289,27 +247,17 @@ def besov_norm(spec: SpectralField, alpha: float, out: np.ndarray | None = None)
 def _para_lt_core(bf: np.ndarray, bg: np.ndarray, N: int) -> np.ndarray:
     """Low-modulates-high paraproduct from padded block stacks (grid size read from them)."""
     acc = np.zeros_like(bf[0])
-
-    def slab(rows):
-        a, S = acc[rows], np.zeros_like(acc[rows])
-        for j in range(2, bf.shape[0]):
-            S += bf[j - 2, rows]
-            a += S * bg[j, rows]
-
-    _by_slabs(slab, len(acc), _two_way(N, acc.ndim))
+    S = np.zeros_like(acc)
+    for j in range(2, bf.shape[0]):
+        S += bf[j - 2]
+        acc += S * bg[j]
     return _points_band(acc, N)
 
 
 def _resonant_core(bf: np.ndarray, bg: np.ndarray, N: int) -> np.ndarray:
     acc = np.zeros_like(bf[0])
-    J = bf.shape[0]
-
-    def slab(rows):
-        a = acc[rows]
-        for j in range(J):
-            a += bg[j, rows] * bf[max(0, j - 1) : j + 2, rows].sum(axis=0)
-
-    _by_slabs(slab, len(acc), _two_way(N, acc.ndim))
+    for j in range(bf.shape[0]):
+        acc += bg[j] * bf[max(0, j - 1) : j + 2].sum(axis=0)
     return _points_band(acc, N)
 
 

@@ -1,12 +1,8 @@
 """Partition-of-unity, paraproduct and norm checks."""
 
-import os
-import threading
-
 import numpy as np
 import pytest
 
-from phi4lab import grids, paley
 from phi4lab.grids import (
     SpectralField,
     _band_index,
@@ -35,7 +31,7 @@ from phi4lab.paley import (
     resonant,
     schauder_ratio,
 )
-from test_torus import SEAM_CASES, pad_half, pad_index
+from test_torus import pad_half, pad_index
 
 
 class TestCutoffs:
@@ -254,12 +250,11 @@ def _dense_padded_weights(part):
 
 class TestCroppedBlockTransforms:
     @pytest.mark.parametrize(
-        "N, dim, two_way",
-        [pytest.param(N, dim, False, id=f"{N}-{dim}")
-         for N, dim in [(N, dim) for dim in (1, 2, 3) for N in (8, 12, 16, 32)] + [(48, 3)]]
-        + [pytest.param(N, dim, True, id=f"{N}-{dim}-two_way") for N, dim in SEAM_CASES],
+        "N, dim",
+        [pytest.param(N, dim, id=f"{N}-{dim}")
+         for N, dim in [(N, dim) for dim in (1, 2, 3) for N in (8, 12, 16, 32)] + [(48, 3)]],
     )
-    def test_padded_blocks_equal_the_dense_transform_bitwise(self, monkeypatch, N, dim, two_way):
+    def test_padded_blocks_equal_the_dense_transform_bitwise(self, N, dim):
         # full-band input that carries the Nyquist slot, as core outputs do
         grid = TorusGrid(N, dim)
         part = DyadicPartition(grid)
@@ -269,8 +264,6 @@ class TestCroppedBlockTransforms:
         P = binary_size(N)
         stack = _dense_padded_weights(part) * pad_half(c * float(P) ** dim, N, P)
         dense = np.fft.irfftn(stack, s=(P,) * dim, axes=tuple(range(1, dim + 1)))
-        # one way, or with the two-way split forced on
-        monkeypatch.setattr(paley, "_two_way", lambda N, dim: two_way)
         assert np.array_equal(part.padded_blocks(c), dense)
 
     @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (32, 3)])
@@ -286,94 +279,6 @@ class TestCroppedBlockTransforms:
             assert np.array_equal(w, band[k][..., :width])
             assert np.any(w[..., -1] != 0.0)
             assert np.all(band[k][..., width:] == 0.0)
-
-def _use_cpus(monkeypatch, n):
-    """Let this process see ``n`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-class TestTwoWaySplit:
-    @pytest.mark.parametrize("N, dim, two_way", [
-        (32, 3, True), (256, 2, True), (24, 3, False), (128, 2, False), (1024, 1, False),
-    ])
-    def test_two_cpus_split_from_two_to_the_sixteen_points(self, monkeypatch, N, dim, two_way):
-        # 3-D from N = 32 (50^3 binary-grid points), 2-D from N = 256 (400^2)
-        _use_cpus(monkeypatch, 2)
-        assert (binary_size(N) ** dim >= 2**16) == two_way
-        assert grids._two_way(N, dim) == two_way
-
-    def test_one_cpu_keeps_every_grid_one_way(self, monkeypatch):
-        _use_cpus(monkeypatch, 1)
-        assert not grids._two_way(32, 3)
-        assert not grids._two_way(256, 2)
-
-    def test_replica_shares_run_one_way_and_the_caller_splits_again(self, monkeypatch):
-        # the statistic returns the decision: worker 0 (this process) and the
-        # forked child both run one way, and so does a nested block; the
-        # caller is two-way again once the loop returns
-        from phi4lab.noise import replicate
-
-        _use_cpus(monkeypatch, 2)
-        assert grids._two_way(32, 3)
-        with grids._one_way():
-            with grids._one_way():
-                pass
-            assert not grids._two_way(32, 3)
-        decisions = replicate(lambda i, seed: float(grids._two_way(32, 3)), 2, None)
-        assert decisions.tolist() == [0.0, 0.0]
-        assert grids._two_way(32, 3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_fork_join_joins_its_thread_and_raises_its_error(self):
-        threads = threading.active_count()
-        ran = []
-        grids._fork_join(lambda: ran.append(threading.current_thread()),
-                         lambda: ran.append(threading.current_thread()))
-        assert len(set(ran)) == 2 and threading.main_thread() in ran
-
-        def fail():
-            raise ValueError("helper failed")
-
-        with pytest.raises(ValueError, match="helper failed"):
-            grids._fork_join(fail, lambda: None)
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("N, dim", [(8, 1), (10, 2), (16, 2), (8, 3), (12, 3)])
-    def test_kernels_are_the_same_bits_either_way(self, monkeypatch, N, dim):
-        # forced two-way on grids below the gate, with odd and even halves of
-        # the leading axis and of the block list
-        grid = TorusGrid(N, dim)
-        part = DyadicPartition(grid)
-        rng = np.random.default_rng(N * dim)
-        f = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
-        g = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
-        forks = []
-        fork_join = grids._fork_join
-
-        def counting(first, second):
-            forks.append(1)
-            return fork_join(first, second)
-
-        monkeypatch.setattr(grids, "_fork_join", counting)
-        monkeypatch.setattr(paley, "_fork_join", counting)
-        monkeypatch.setattr(grids, "_SPLIT_POINTS", 1)
-        results = {}
-        for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
-            bf, bg = part.padded_blocks(f), part.padded_blocks(g)
-            results[cpus] = (bf, bg, _para_lt_core(bf, bg, N), _resonant_core(bf, bg, N))
-            assert len(forks) == (0 if cpus == 1 else 4)
-        for one, two in zip(results[1], results[2]):
-            assert np.array_equal(one, two)
-
-    @pytest.mark.parametrize("N, dim", [(8, 1), (16, 2), (32, 3)])
-    def test_block_halves_deal_every_block_once(self, N, dim):
-        part = DyadicPartition(TorusGrid(N, dim))
-        first, second = part._block_halves
-        assert sorted(first + second) == list(range(part.nblocks))
-        widths = [part._band_weights[k].shape[-1] for k in first + second]
-        assert max(widths) == widths[0]
 
 
 class TestInequalities:

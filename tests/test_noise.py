@@ -224,17 +224,22 @@ class TestReplicaWorkers:
         assert np.array_equal(replicate(_exponential, 5, 9), [_exponential(i, 9) for i in range(5)])
 
     def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        # a fork copies only the calling thread, so while another runs the
+        # replicas stay in this process and no child is forked
         _use_cpus(monkeypatch, 3)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert replica_workers(5) == 1
+            assert replica_workers(4) == 1
+            pids = replicate(lambda i, seed: float(os.getpid()), 4, None)
+            assert pids.tolist() == [float(os.getpid())] * 4
+            _assert_no_children()
         finally:
             stop.set()
             other.join(timeout=10.0)
         assert not other.is_alive()
-        assert replica_workers(5) == 3
+        assert replica_workers(4) == 3
 
     def test_quartic_monte_carlo_is_bitwise_equal_for_every_worker_count(self, monkeypatch):
         grid = TorusGrid(8, 2)

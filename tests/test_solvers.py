@@ -26,7 +26,6 @@ Oracles used here:
 import csv
 import gc
 import os
-import threading
 import weakref
 
 import numpy as np
@@ -692,61 +691,6 @@ class TestOneDiscreteMap:
         band = grid.kinf <= grid.N // 2 - 1
         got = np.where(band, -syms["wick3"] + 3.0 * syms["res_iwick3_wick2"], 0.0) + F + G
         assert rel(got, direct.nonlinearity()) <= tol
-
-
-class TestTwoWaySplit:
-    """Split two ways, the remainder step is the same bits.
-
-    With two CPUs the block stacks, the paraproduct cores and the ``2N``-grid
-    cubic of ``G_rhs`` split two ways from ``2**16`` binary-product points
-    (3-D from N = 32); each half writes rows of its own, so the split changes
-    no bit, and the helper thread is joined inside every kernel.
-    """
-
-    def _run(self, monkeypatch, cpus, N, dim, M):
-        """The paths of ``solve_vw``, a catalog and the number of splits, on ``cpus`` CPUs."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        forks = []
-        fork_join = grids._fork_join
-
-        def counting(first, second):
-            forks.append(1)
-            return fork_join(first, second)
-
-        monkeypatch.setattr(grids, "_fork_join", counting)
-        monkeypatch.setattr(paley, "_fork_join", counting)
-        grid, tg = TorusGrid(N, dim), TimeGrid(0.03, M)
-        co = CoefficientSet(0.3, [-1.0, 0.5], 0.03)
-        ct = np.linspace(0.0, 1e-3, M + 1)
-        threads = threading.active_count()
-        paths = solve_vw(NoiseRealization(grid, tg, N // 2 - 1, 4), co, 0.5, ctilde=ct)
-        assert threading.active_count() == threads
-        sym = SymbolStepper(NoiseRealization(grid, tg, N // 2 - 1, 4), co, 0.5, ctilde=ct)
-        sym.step()
-        return {k: p.coeffs for k, p in paths.items()}, sym.catalog(), len(forks)
-
-    def test_split_at_32_cubed_changes_no_bit(self, monkeypatch):
-        (paths1, cat1, forks1), (paths2, cat2, forks2) = (
-            self._run(monkeypatch, cpus, 32, 3, 3) for cpus in (1, 2))
-        assert forks1 == 0 and forks2 > 0
-        for name in paths1:
-            assert np.array_equal(paths1[name], paths2[name]), name
-        assert np.max(np.abs(paths1["w"][-1])) > 0.0
-        assert cat1.keys() == cat2.keys()
-        for name in cat1:
-            assert np.array_equal(cat1[name], cat2[name]), name
-
-    @pytest.mark.parametrize("N, dim", [(10, 1), (10, 2), (8, 3)])
-    def test_forced_split_on_small_grids_changes_no_bit(self, monkeypatch, N, dim):
-        # below the gate, forced: odd halves of the 2N-grid rows come up too
-        monkeypatch.setattr(grids, "_SPLIT_POINTS", 1)
-        (paths1, cat1, forks1), (paths2, cat2, forks2) = (
-            self._run(monkeypatch, cpus, N, dim, 4) for cpus in (1, 2))
-        assert forks1 == 0 and forks2 > 0
-        for name in paths1:
-            assert np.array_equal(paths1[name], paths2[name]), name
-        for name in cat1:
-            assert np.array_equal(cat1[name], cat2[name]), name
 
 
 _FFTS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn")

@@ -39,6 +39,10 @@ Both checks read the source with ``ast``; nothing is imported or run.
 * Every Fourier transform of ``src/phi4lab`` goes through the pair
   ``grids._to_points`` / ``grids._to_spectrum``: no code outside those two
   functions refers to ``np.fft`` or ``numpy.fft``, or imports from it.
+* ``src/phi4lab`` starts no thread: no module refers to ``threading.Thread``
+  or another thread starter of the standard library, or imports one.
+  ``noise.replicate`` forks its workers, and a fork copies only the calling
+  thread; a span recorder that keeps one span stack per process stays sound.
 """
 
 import ast
@@ -484,3 +488,75 @@ def test_the_check_sees_a_transform_outside_the_pair(tmp_path):
         "    def values(self, a):\n        return numpy.fft.irfft(np.asarray(a))\n"
     )
     assert _fft_outside_the_pair([mod]) == {"planted": [3, 4, 14, 18]}
+
+
+# what starts a thread, by the standard-library module that defines it
+_THREAD_STARTERS = {
+    "threading": {"Thread", "Timer"},
+    "_thread": {"start_new_thread", "start_new"},
+    "concurrent.futures": {"ThreadPoolExecutor"},
+    "multiprocessing.pool": {"ThreadPool"},
+}
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _thread_starters(package) -> dict[str, list[int]]:
+    """Lines, per module, that refer to a thread starter or import one."""
+    found = {}
+    for path in package:
+        tree, lines = _tree(path), set()
+        aliases = {}  # local name -> module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if any(alias.name in _THREAD_STARTERS.get(node.module or "", ())
+                       for alias in node.names):
+                    lines.add(node.lineno)
+            elif isinstance(node, ast.Attribute):
+                name = _dotted(node)
+                if name is None:
+                    continue
+                head, _, rest = name.partition(".")
+                module, _, attr = f"{aliases.get(head, head)}.{rest}".rpartition(".")
+                if attr in _THREAD_STARTERS.get(module, ()):
+                    lines.add(node.lineno)
+        if lines:
+            found[path.stem] = sorted(lines)
+    return found
+
+
+def test_the_package_starts_no_thread():
+    assert _thread_starters(PACKAGE) == {}
+
+
+def test_the_check_sees_a_thread_starter(tmp_path):
+    mod = tmp_path / "planted.py"
+    mod.write_text(
+        "import threading\nimport threading as th\nimport concurrent.futures\n"
+        "from threading import Thread, active_count\nfrom _thread import start_new_thread\n\n"
+        "def split(first, second):\n"
+        '    """Says threading.Thread in prose only."""\n'
+        "    helper = threading.Thread(target=first)\n"
+        "    return helper, th.Timer(1.0, second), threading.active_count()\n\n"
+        "def pool():\n"
+        "    return concurrent.futures.ThreadPoolExecutor(2)\n"
+    )
+    (tmp_path / "quiet.py").write_text(
+        "import threading\n\ndef alone():\n    return threading.active_count() == 1\n"
+    )
+    package = sorted(tmp_path.glob("*.py"))
+    assert _thread_starters(package) == {"planted": [4, 5, 9, 10, 13]}
