@@ -1,5 +1,8 @@
 """Partition-of-unity, paraproduct and norm checks."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -279,6 +282,32 @@ class TestCroppedBlockTransforms:
             assert np.array_equal(w, band[k][..., :width])
             assert np.any(w[..., -1] != 0.0)
             assert np.all(band[k][..., width:] == 0.0)
+
+
+class TestKernelsOnAnyCpuCount:
+    """The block stacks and the paraproduct cores run on the calling thread
+    and give the same bits whatever CPUs the process may use."""
+
+    @pytest.mark.parametrize("N, dim", [(8, 1), (10, 2), (16, 2), (8, 3), (12, 3)])
+    def test_kernels_are_the_same_bits_on_one_two_and_four_cpus(self, monkeypatch, N, dim):
+        grid = TorusGrid(N, dim)
+        part = DyadicPartition(grid)
+        rng = np.random.default_rng(N * dim)
+        f = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
+        g = np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints
+
+        def refuse(thread):
+            raise AssertionError(f"a kernel started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results = {}
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            bf, bg = part.padded_blocks(f), part.padded_blocks(g)
+            results[cpus] = (bf, bg, _para_lt_core(bf, bg, N), _resonant_core(bf, bg, N))
+        for cpus in (2, 4):
+            for one, other in zip(results[1], results[cpus]):
+                assert one.tobytes() == other.tobytes()
 
 
 class TestInequalities:

@@ -26,7 +26,7 @@ from phi4lab.noise import (
     replica_workers,
     replicate,
 )
-from phi4lab.paley import resonant
+from phi4lab.paley import DyadicPartition, _para_lt_core, _resonant_core, resonant
 
 
 class TestTimeGrid:
@@ -252,6 +252,28 @@ class TestReplicaWorkers:
         for rep in reps[1:]:
             for key in ("estimate", "se", "raw_mean"):
                 assert rep[key].tobytes() == reps[0][key].tobytes()
+        _assert_no_children()
+
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_shares_run_the_remainder_kernels_with_the_same_bits(self, monkeypatch, cpus):
+        # each replica builds two 3-D block stacks and both paraproduct cores;
+        # the forked children give the sums that this process gives alone
+        grid = TorusGrid(8, 3)
+        part = DyadicPartition(grid)
+
+        def kernels(i, seed):
+            rng = np.random.default_rng((seed, i))
+            f, g = (np.fft.rfftn(rng.standard_normal(grid.shape)) / grid.npoints for _ in range(2))
+            bf, bg = part.padded_blocks(f), part.padded_blocks(g)
+            return float(np.sum(_para_lt_core(bf, bg, grid.N)).real
+                         + np.sum(_resonant_core(bf, bg, grid.N)).imag)
+
+        _use_cpus(monkeypatch, 1)
+        alone = replicate(kernels, 5, 23)
+        _use_cpus(monkeypatch, cpus)
+        assert replica_workers(5) == cpus
+        assert replicate(kernels, 5, 23).tobytes() == alone.tobytes()
         _assert_no_children()
 
 

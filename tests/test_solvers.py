@@ -26,6 +26,7 @@ Oracles used here:
 import csv
 import gc
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -691,6 +692,49 @@ class TestOneDiscreteMap:
         band = grid.kinf <= grid.N // 2 - 1
         got = np.where(band, -syms["wick3"] + 3.0 * syms["res_iwick3_wick2"], 0.0) + F + G
         assert rel(got, direct.nonlinearity()) <= tol
+
+
+class TestRemainderStepOnAnyCpuCount:
+    """The remainder step is the same bits on one CPU and on two.
+
+    The block stacks, the paraproduct cores and the ``2N``-grid cubic of
+    ``G_rhs`` run on the calling thread, so outputs do not depend on the
+    affinity mask, and no step starts a thread.
+    """
+
+    def _run(self, monkeypatch, cpus, N, dim, M):
+        """The paths of ``solve_vw`` and a symbol catalog, on ``cpus`` CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def refuse(thread):
+            raise AssertionError(f"the remainder step started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        grid, tg = TorusGrid(N, dim), TimeGrid(0.03, M)
+        co = CoefficientSet(0.3, [-1.0, 0.5], 0.03)
+        ct = np.linspace(0.0, 1e-3, M + 1)
+        paths = solve_vw(NoiseRealization(grid, tg, N // 2 - 1, 4), co, 0.5, ctilde=ct)
+        sym = SymbolStepper(NoiseRealization(grid, tg, N // 2 - 1, 4), co, 0.5, ctilde=ct)
+        sym.step()
+        return {k: p.coeffs for k, p in paths.items()}, sym.catalog()
+
+    def test_32_cubed_is_the_same_bits_on_one_cpu_and_two(self, monkeypatch):
+        (paths1, cat1), (paths2, cat2) = (self._run(monkeypatch, cpus, 32, 3, 3) for cpus in (1, 2))
+        for name in paths1:
+            assert np.array_equal(paths1[name], paths2[name]), name
+        assert np.max(np.abs(paths1["w"][-1])) > 0.0
+        assert cat1.keys() == cat2.keys()
+        for name in cat1:
+            assert np.array_equal(cat1[name], cat2[name]), name
+
+    @pytest.mark.parametrize("N, dim", [(10, 1), (10, 2), (8, 3)])
+    def test_small_grids_are_the_same_bits_on_one_cpu_and_two(self, monkeypatch, N, dim):
+        (paths1, cat1), (paths2, cat2) = (self._run(monkeypatch, cpus, N, dim, 4) for cpus in (1, 2))
+        for name in paths1:
+            assert np.array_equal(paths1[name], paths2[name]), name
+        assert cat1.keys() == cat2.keys()
+        for name in cat1:
+            assert np.array_equal(cat1[name], cat2[name]), name
 
 
 _FFTS = ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn")

@@ -515,12 +515,16 @@ def _thread_starters(package) -> dict[str, list[int]]:
     found = {}
     for path in package:
         tree, lines = _tree(path), set()
-        aliases = {}  # local name -> module it is bound to
+        aliases = {}  # local name -> what it is bound to
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
                         aliases[alias.asname] = alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                # ``from concurrent import futures`` binds a module too
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 if any(alias.name in _THREAD_STARTERS.get(node.module or "", ())
@@ -560,3 +564,46 @@ def test_the_check_sees_a_thread_starter(tmp_path):
     )
     package = sorted(tmp_path.glob("*.py"))
     assert _thread_starters(package) == {"planted": [4, 5, 9, 10, 13]}
+
+
+# one way to start a thread per case, and the lines that the check reports
+_PLANTED_STARTERS = {
+    "attribute": ("import threading\n\nhelper = threading.Thread(target=print)\n", [3]),
+    "timer": ("import threading\n\ntimer = threading.Timer(1.0, print)\n", [3]),
+    "aliased-module": ("import threading as th\n\nhelper = th.Thread(target=print)\n", [3]),
+    "from-import": ("from threading import Thread\n", [1]),
+    "from-import-renamed": ("from threading import Thread as Helper\n", [1]),
+    "low-level": ("import _thread\n\n_thread.start_new_thread(print, ())\n", [3]),
+    "low-level-from-import": ("from _thread import start_new\n", [1]),
+    "executor": ("import concurrent.futures\n\npool = concurrent.futures.ThreadPoolExecutor(2)\n",
+                 [3]),
+    "executor-submodule": ("from concurrent import futures\n\npool = futures.ThreadPoolExecutor(2)\n",
+                           [3]),
+    "thread-pool": ("import multiprocessing.pool as mpp\n\npool = mpp.ThreadPool(2)\n", [3]),
+    "thread-pool-from-import": ("from multiprocessing.pool import ThreadPool\n", [1]),
+}
+
+# code that names threads or pools but starts no thread
+_QUIET_SOURCES = {
+    "active-count": "import threading\n\nalone = threading.active_count() == 1\n",
+    "guards": "from threading import Event, Lock, current_thread\n",
+    "prose": '"""Starts no threading.Thread: a fork copies only the calling thread."""\n',
+    "other-module": "import worker\n\nhelper = worker.Thread(target=print)\n",
+    "process-pool": "import multiprocessing.pool\n\npool = multiprocessing.pool.Pool(2)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "source, lines", [pytest.param(*case, id=name) for name, case in _PLANTED_STARTERS.items()]
+)
+def test_the_check_sees_each_way_to_start_a_thread(tmp_path, source, lines):
+    mod = tmp_path / "planted.py"
+    mod.write_text(source)
+    assert _thread_starters([mod]) == {"planted": lines}
+
+
+@pytest.mark.parametrize("source", [pytest.param(s, id=name) for name, s in _QUIET_SOURCES.items()])
+def test_the_check_passes_code_that_starts_no_thread(tmp_path, source):
+    mod = tmp_path / "quiet.py"
+    mod.write_text(source)
+    assert _thread_starters([mod]) == {}
