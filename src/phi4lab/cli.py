@@ -13,15 +13,14 @@ renorm
     quadrature) and the quartic constant at mid-horizon, with linear and
     logarithmic fit summaries, so ``cutoff_list`` must hold at least two
     distinct cutoffs.  The quartic constant is the exact Isserlis
-    sum of :func:`.noise.quartic_constant`, as in every command, on the grid
-    that function sums on.  ``ctilde_mc`` and ``ctilde_se`` cross-check it
-    with a Monte Carlo over ``ctilde_replicas`` paths on the same grid, the
-    only output that key sizes.  Cutoff ``n`` runs on the grid
-    ``N = 2n + 2``, the smallest on which its Wick square is centred.  Each
-    row carries ``dt * L_max``, with ``dt`` the step of that grid and
-    ``L_max = 4 pi^2 dim n^2`` the largest band eigenvalue: where it is
-    large, the time step, not the cutoff, regulates the discrete quartic
-    constant.
+    sum of :func:`.noise.quartic_constant`, as in every command, on the run's
+    own time grid.  ``ctilde_mc`` and ``ctilde_se`` cross-check it with a
+    Monte Carlo over ``ctilde_replicas`` paths on the same grid, the only
+    output that key sizes.  Cutoff ``n`` runs on the grid ``N = 2n + 2``,
+    the smallest on which its Wick square is centred.  Each row carries
+    ``dt * L_max``, with ``dt`` the run's step and ``L_max = 4 pi^2 dim
+    n^2`` the largest band eigenvalue: where it is large, the time step,
+    not the cutoff, regulates the discrete quartic constant.
 simulate
     Run the remainder system at the configured parameters and write the
     norm table plus the final reconstructed field.  Only the reconstructed
@@ -38,6 +37,12 @@ equivalence
     gap is rounding plus the band truncation of intermediate products,
     which at cutoff N/2 - 1 grows as the grid shrinks (7.5e-10 relative at
     64^2, 1.3e-6 at 8^3); needs a positive noise level.
+
+``symbols``, ``renorm``, ``simulate`` and ``equivalence`` subtract the
+quartic constant, whose exact sum takes ``M (M - 1) / 2`` dealiased
+products.  A run whose sum is over the work budget of
+:func:`.noise._check_constant_budget` exits 2 naming ``dt`` before any step
+runs; ``renorm`` asks once per cutoff grid.
 
 Every file-producing command writes a ``manifest.json`` recording the
 resolved configuration, code version, the ``[seed, role, replica]`` streams
@@ -100,7 +105,7 @@ from .concentration import (
 )
 from .config import ConfigError, ExperimentConfig, RunManifest
 from .grids import SpectralField, TorusGrid, dealiased_product, idft, random_band_field
-from .noise import (ROLE_MAIN, ROLE_RENORM, NoiseRealization, TimeGrid, _constant_grid,
+from .noise import (ROLE_MAIN, ROLE_RENORM, NoiseRealization, TimeGrid, _check_constant_budget,
                     _constant_workers, _recorded_indices, lin_variance_curve, quartic_constant,
                     quartic_renorm_mc, record, replica_workers, replicate)
 from .paley import besov_norm, default_partition, para_gt, para_lt, resonant
@@ -204,6 +209,14 @@ def _linear_fit(x, y) -> dict:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
+
+
+def _require_constant_budget(grid: TorusGrid, tg: TimeGrid) -> None:
+    """Refuse, naming ``dt``, a run whose quartic constant is over the work budget."""
+    try:
+        _check_constant_budget(grid, tg)
+    except ValueError as exc:
+        raise ConfigError([("dt", f"c~: {exc}")]) from None
 
 
 def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str,
@@ -379,6 +392,7 @@ def cmd_verify() -> dict:
 def cmd_symbols(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     grid, tg, co = cfg.grid(), cfg.timegrid(), cfg.coeffs()
+    _require_constant_budget(grid, tg)
     sigma = cfg.sigmas[0]
     ct = quartic_constant(grid, tg, cfg.cutoff, co, sigma=sigma)
     noise = NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed)
@@ -408,20 +422,21 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError([("cutoff_list", "renorm fits the constants against the cutoff, "
                                            "so it needs at least two distinct cutoffs")])
     t0 = time.perf_counter()
-    co = cfg.coeffs()
+    tg, co = cfg.timegrid(), cfg.coeffs()
+    for n in cfg.cutoff_list:
+        _require_constant_budget(TorusGrid(2 * n + 2, cfg.dimension), tg)
     sigma = cfg.sigmas[0]
     tmid = cfg.T / 2.0
-    coarse = _constant_grid(cfg.timegrid())
     rows = []
     for n in cfg.cutoff_list:
         gridn = TorusGrid(2 * n + 2, cfg.dimension)
         c_val = float(lin_variance_curve(gridn, n, co, sigma, [tmid])[0])
-        ct = quartic_constant(gridn, coarse, n, co, sigma=sigma)
-        mc = quartic_renorm_mc(gridn, coarse, n, co, cfg.master_seed,
+        ct = quartic_constant(gridn, tg, n, co, sigma=sigma)
+        mc = quartic_renorm_mc(gridn, tg, n, co, cfg.master_seed,
                                replicas=cfg.ctilde_replicas, sigma=sigma)
-        # dt of the grid c~ is computed on, times the largest band eigenvalue
-        dt_lmax = coarse.dt * 4.0 * np.pi**2 * cfg.dimension * n**2
-        ct_val = float(np.interp(tmid, coarse.ts, ct))
+        # the run's dt times the largest band eigenvalue
+        dt_lmax = tg.dt * 4.0 * np.pi**2 * cfg.dimension * n**2
+        ct_val = float(np.interp(tmid, tg.ts, ct))
         ct_mc = float(np.interp(tmid, mc["times"], mc["estimate"]))
         ct_se = float(np.interp(tmid, mc["times"], mc["se"]))
         rows.append((n, c_val, ct_val, ct_mc, ct_se, dt_lmax))
@@ -441,7 +456,7 @@ def cmd_renorm(cfg: ExperimentConfig, out_dir: Path) -> dict:
     files = ["renorm.csv", "renorm_fits.json"]
     _finish(cfg, out_dir, files, t0, "renorm",
             [[cfg.master_seed, ROLE_RENORM, r] for r in range(cfg.ctilde_replicas)],
-            workers=max(replica_workers(cfg.ctilde_replicas), _constant_workers(coarse)))
+            workers=max(replica_workers(cfg.ctilde_replicas), _constant_workers(tg)))
     return report
 
 
@@ -453,6 +468,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         _recorded_indices(tg, cfg.record_every, 16 * int(np.prod(grid.hshape)))
     except ValueError as exc:
         raise ConfigError([("record_every", f"phi: {exc}")]) from None
+    _require_constant_budget(grid, tg)
     sigma = cfg.sigmas[0]
     ct = quartic_constant(grid, tg, cfg.cutoff, co, sigma=sigma)
     vw = VWStepper(NoiseRealization(grid, tg, cfg.cutoff, cfg.master_seed), co, sigma, ctilde=ct)
@@ -524,6 +540,7 @@ def cmd_equivalence(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError([("sigma", "equivalence needs a positive noise level: at sigma = 0 "
                                      "the direct solution is zero and the relative gap is 0/0")])
     t0 = time.perf_counter()
+    _require_constant_budget(cfg.grid(), cfg.timegrid())
     rep = equivalence_report(cfg.grid(), cfg.T, cfg.steps, cfg.cutoff, cfg.coeffs(),
                              cfg.sigmas[0], cfg.master_seed)
     _dump_json(rep, out_dir / "equivalence.json")

@@ -18,14 +18,15 @@ step mean (:meth:`StepKernel.etd_weight`).  Every stepper in the package (the di
 solvers, the symbol integrals and the remainder pair) takes this one step, so
 the two solution routes are one discrete map.  The quartic constant the
 commands use is the exact mean of that discrete map: :func:`quartic_constant`
-sums the Isserlis pairings of the stepped covariances and ETD weights, O(M^2)
-dealiased products, and :func:`quartic_renorm_mc` samples the same pairing
-as its Monte Carlo oracle.  The noise itself is injected with the exact
-per-step variance kernel (closed form for constant damping, boundary-layer
-Gauss-Legendre quadrature for polynomial damping, on the 48 nodes of numpy's
-``leggauss``), so the discrete stochastic convolution has the exact continuum
-marginal law at every grid time, and the quadratic renormalization constant
-can be evaluated without discretization bias.
+sums the Isserlis pairings of the stepped covariances and ETD weights on the
+run's own time grid, O(M^2) dealiased products under a fixed work budget, and
+:func:`quartic_renorm_mc` samples the same pairing as its Monte Carlo oracle.
+The noise itself is injected with the exact per-step variance kernel
+(closed form for constant damping, boundary-layer Gauss-Legendre quadrature
+for polynomial damping, on the 48 nodes of numpy's ``leggauss``), so the
+discrete stochastic convolution has the exact continuum marginal law at
+every grid time, and the quadratic renormalization constant can be
+evaluated without discretization bias.
 
 The :class:`StepKernel` keeps, per step, one read-only row each of the
 propagator, the ETD weight, the in-step variance and the noise amplitude
@@ -63,7 +64,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, _to_spectrum, product_spectra
+from .grids import TorusGrid, _to_spectrum, binary_size, product_spectra
 from .paley import default_partition
 
 __all__ = [
@@ -89,13 +90,18 @@ ROLE_RENORM = 1
 _GL_NODES = 48
 # distinct eigenvalues per block of the variance quadrature
 _QUAD_ROWS = 128
-# most time steps of the grid quartic_constant sums on (_constant_grid)
-_COARSE_STEPS = 50
 # the in-step variance integrand is cut where exp(-2 L tau) has dropped to
 # exp(-40) ~ 4e-18 of its boundary value; the neglected tail is below roundoff
 _TAIL = 20.0
 # largest total size of the arrays one call of record() may keep
 _RECORD_BUDGET_BYTES = 768 * 2**20
+# the work of one quartic_constant sum, in binary-grid points: a dealiased
+# product counts its points plus this floor, the fixed cost of one call
+# (measured in BENCH_exact_constant.json)
+_PRODUCT_FLOOR_POINTS = 4000
+# largest work one quartic_constant sum may take, about 48 s on one CPU at
+# 32 ns a point; 64^3 at 50 steps needs 1.23e9
+_CONSTANT_BUDGET_POINTS = 1_500_000_000
 
 
 class TimeGrid:
@@ -697,23 +703,29 @@ def quartic_renorm_mc(
     }
 
 
-def _constant_grid(timegrid: TimeGrid) -> TimeGrid:
-    """The grid :func:`quartic_constant` sums on: ``timegrid``, cut to ``_COARSE_STEPS`` steps."""
-    return TimeGrid(timegrid.T, min(_COARSE_STEPS, timegrid.M))
+def _check_constant_budget(grid: TorusGrid, timegrid: TimeGrid) -> None:
+    """Refuse a :func:`quartic_constant` sum whose work is over the budget.
 
-
-def _constant_rows(timegrid: TimeGrid) -> int:
-    """The rows of :func:`quartic_constant` on ``timegrid``: its :func:`replicate` tasks.
-
-    One per step ``i = 1 .. M - 1`` of :func:`_constant_grid`; none at ``M = 1``,
-    where no :func:`replicate` call is made.
+    The sum takes ``M (M - 1) / 2`` dealiased products, each counted as the
+    ``binary_size(N)**dim`` points of its grid plus ``_PRODUCT_FLOOR_POINTS``;
+    more than ``_CONSTANT_BUDGET_POINTS`` in all raises a ``ValueError``.  The
+    count reads the grid and ``M`` alone, so the answer is the same at any
+    worker count, and a caller can ask before building anything.
     """
-    return _constant_grid(timegrid).M - 1
+    M = timegrid.M
+    products = M * (M - 1) // 2
+    work = products * (binary_size(grid.N) ** grid.dim + _PRODUCT_FLOOR_POINTS)
+    if work > _CONSTANT_BUDGET_POINTS:
+        raise ValueError(
+            f"the quartic constant's sum over {M} steps would take {products} dealiased "
+            f"products ({work:.3g} grid points), over the budget of "
+            f"{_CONSTANT_BUDGET_POINTS:.3g}; take fewer steps"
+        )
 
 
 def _constant_workers(timegrid: TimeGrid) -> int:
-    """Processes the rows of :func:`quartic_constant` on ``timegrid`` run on."""
-    return replica_workers(max(1, _constant_rows(timegrid)))
+    """Processes the ``M - 1`` rows of :func:`quartic_constant` on ``timegrid`` run on."""
+    return replica_workers(max(1, timegrid.M - 1))
 
 
 def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: CoefficientSet,
@@ -721,10 +733,9 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
     """The quartic constant at every time of ``timegrid``, one value per ``timegrid.ts``.
 
     The expectation that :func:`quartic_renorm_mc` estimates, summed exactly
-    on ``timegrid`` up to 50 steps; a finer grid gets the 50-step sum
-    (:func:`_constant_grid`), interpolated linearly.  The pairing is a
-    product of two Wick squares of one Gaussian path, so its mean is the
-    Isserlis sum (the product formula for Wiener chaos)
+    on ``timegrid`` itself.  The pairing is a product of two Wick squares of
+    one Gaussian path, so its mean is the Isserlis sum (the product formula
+    for Wiener chaos)
 
         raw_j = sum_k w_pair(k) sum_{0<i<j} G_ij(k) 2 (C_ij * C_ij)(k),
 
@@ -734,9 +745,9 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
     E_i`` the ETD weight the symbol integral puts on step ``i``, and ``*`` the
     convolution, taken by :func:`.grids.product_spectra` with the band cut of
     the Wick square.  The constant is ``0.5 sigma**4 raw``.  The sum costs
-    ``M (M - 1) / 2`` dealiased products, O(M^2), at most 1225 on the
-    coarse grid.  The steppers take the constant as an input and never
-    compute it.
+    ``M (M - 1) / 2`` dealiased products, O(M^2); a sum over the work budget
+    of :func:`_check_constant_budget` raises a ``ValueError`` before any row
+    runs.  The steppers take the constant as an input and never compute it.
 
     The rows of the sum are the tasks of one :func:`replicate` call: task
     ``i - 1`` returns the contributions of step ``i`` to every ``raw_j``,
@@ -749,10 +760,10 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
     row that overflows (a fast-growing ``a(t)``) raises a ``RuntimeError``
     that names the time as a blow-up, the lowest row first.
     """
+    _check_constant_budget(grid, timegrid)
     _require_centred_cutoff(grid, cutoff)
-    coarse = _constant_grid(timegrid)
-    kern = step_kernel(grid, coarse, coeffs)
-    M, N = coarse.M, grid.N
+    kern = step_kernel(grid, timegrid, coeffs)
+    M, N = timegrid.M, grid.N
     band = min(2 * cutoff, N // 2 - 1)
     mask = grid.kinf <= cutoff
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
@@ -783,12 +794,11 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
         if bad.any():  # a growing a(t) overflowed the covariance: no constant to subtract
             j = int(np.argmax(bad))
             raise RuntimeError(f"blow-up: the quartic constant is {out[j]} at t = "
-                               f"{coarse.ts[j]:.6f} (step {j}, pairing step {i})")
+                               f"{timegrid.ts[j]:.6f} (step {j}, pairing step {i})")
         return out
 
     raw = np.zeros(M + 1)
-    rows = _constant_rows(timegrid)
-    if rows:
-        for contributions in replicate(row, rows, None):  # in i order, as a serial loop adds
+    if M > 1:  # one row per step i = 1 .. M - 1
+        for contributions in replicate(row, M - 1, None):  # in i order, as a serial loop adds
             raw += contributions
-    return np.interp(timegrid.ts, coarse.ts, 0.5 * sigma**4 * raw)
+    return 0.5 * sigma**4 * raw

@@ -34,9 +34,10 @@ from phi4lab.cli import (
 )
 from phi4lab.config import ConfigError, ExperimentConfig, RunManifest
 from phi4lab.grids import TorusGrid
-from phi4lab.noise import ROLE_MAIN, ROLE_RENORM, TimeGrid, quartic_constant
+from phi4lab.noise import ROLE_MAIN, ROLE_RENORM, quartic_constant
 from phi4lab.paley import DyadicPartition
 from phi4lab.symbols import SYMBOL_NAMES
+from test_noise import serial_quartic_constant
 
 
 def _doc(**over):
@@ -239,6 +240,40 @@ class TestConfigErrorsAtCli:
         assert len(idx) == 1001
         assert per_time == 16 * 32 * 32 * 17
         assert round(len(idx) * per_time / 2**20) == 266
+
+    # 900 steps of a 1-D N = 8 run: 404550 products of at least 4010 points
+    # each, 1.62e9 in all, over the 1.5e9 budget of the quartic constant
+    _OVER_THE_CONSTANT_BUDGET = {"dimension": 1, "N": 8, "cutoff": 3, "cutoff_list": [2, 3],
+                                 "T": 0.5, "dt": 0.5 / 900, "sigma": 0.1, "master_seed": 1,
+                                 "record_every": 900, "replicas": 4, "h_grid": [0.05, 0.1]}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["simulate", "symbols", "renorm", "equivalence"])
+    def test_a_quartic_constant_over_the_budget_exits_two_before_any_row(
+            self, tmp_path, capsys, monkeypatch, command, cpus):
+        # the count reads the grid and the step count alone, so the refusal
+        # is the same at any worker count, and it comes before any row runs
+        def boom(*args, **kwargs):
+            raise AssertionError("a replica loop ran")
+
+        for module in (noise, cli, solvers):
+            monkeypatch.setattr(module, "replicate", boom)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._OVER_THE_CONSTANT_BUDGET))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert err["fields"] == ["dt"]
+        assert "c~: the quartic constant's sum over 900 steps" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_tail_runs_over_the_quartic_constant_budget(self, tmp_path):
+        # tail subtracts no quartic constant, so the budget does not bound it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._OVER_THE_CONSTANT_BUDGET))
+        assert main(["tail", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_outside_the_schema_exits_two_and_writes_nothing(
@@ -477,6 +512,18 @@ class TestExperimentCommands:
         dl = [row["dt_L_max"] for row in report["rows"]]
         assert np.allclose(dl, [0.0625 * 8.0 * np.pi**2 * n**2 for n in ns], rtol=1e-14)
 
+    def test_renorm_runs_on_the_runs_own_grid(self, tmp_path):
+        # at 80 steps each cutoff's constant is summed on those 80 steps and
+        # read at T/2, and dt * L_max takes the run's dt
+        cfg = _cfg(dt=0.5 / 80, cutoff_list=[2, 3], ctilde_replicas=2)
+        tg = cfg.timegrid()
+        assert tg.M == 80
+        report = cmd_renorm(cfg, tmp_path)
+        for n, row in zip((2, 3), report["rows"]):
+            ct = quartic_constant(TorusGrid(2 * n + 2, 2), tg, n, cfg.coeffs(), sigma=0.1)
+            assert row["ctilde"] == float(np.interp(0.25, tg.ts, ct)) == ct[40]
+            assert row["dt_L_max"] == (0.5 / 80) * 4.0 * np.pi**2 * 2 * n**2
+
     def test_renorm_reads_ctilde_replicas(self, tmp_path):
         # ctilde_replicas sizes the Monte Carlo cross-check and nothing else:
         # the count is echoed, the tail replica count does not enter, and the
@@ -534,8 +581,8 @@ class TestExperimentCommands:
         assert head["field"] == "phi" and head["time"] == 0.5
 
     def test_simulate_hands_the_symbols_the_constant_on_its_own_grid(self, tmp_path, monkeypatch):
-        # at M = 80 the run's constant is the 50-step sum interpolated onto
-        # its 80 steps, and the symbol stepper of the v/w route gets exactly it
+        # at M = 80 the run's constant is the exact sum on its 80 steps, and
+        # the symbol stepper of the v/w route gets exactly it
         seen = []
 
         class Recording(symbols.SymbolStepper):
@@ -548,10 +595,8 @@ class TestExperimentCommands:
         tg = cfg.timegrid()
         assert tg.M == 80
         cmd_simulate(cfg, tmp_path)
-        want = quartic_constant(cfg.grid(), tg, cfg.cutoff, cfg.coeffs(), sigma=cfg.sigmas[0])
-        cap = TimeGrid(cfg.T, 50)
-        assert np.array_equal(want, np.interp(tg.ts, cap.ts, quartic_constant(
-            cfg.grid(), cap, cfg.cutoff, cfg.coeffs(), sigma=cfg.sigmas[0])))
+        want = serial_quartic_constant(cfg.grid(), cfg.T, 80, cfg.cutoff, cfg.coeffs(),
+                                       sigma=cfg.sigmas[0])
         assert len(seen) == 1 and np.array_equal(seen[0], want)
 
     @pytest.mark.parametrize("command,seeds", [

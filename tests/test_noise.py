@@ -755,20 +755,15 @@ class TestQuarticConstant:
         assert rep["estimate"][8] > 2 * rep["se"][8]
 
     def test_quartic_constant_is_on_the_callers_grid(self):
-        # one value per time of the caller's grid: up to 50 steps the
-        # term-by-term Isserlis sum on that grid; past 50 the 50-step sum,
-        # interpolated onto it, bit for bit
+        # one value per time of the caller's grid: the term-by-term Isserlis
+        # sum on that grid, at every step count
         grid = TorusGrid(8, 2)
         cs = CoefficientSet(f2=0.0, a=[-1.0, 0.5], T=0.25)
-        for M in (1, 2, 8, 50):
+        for M in (1, 2, 8, 50, 80):
             got = noise.quartic_constant(grid, TimeGrid(0.25, M), 3, cs, sigma=0.5)
             want = 0.5**4 * isserlis_reference(grid, TimeGrid(0.25, M), 3, cs)
             assert isinstance(got, np.ndarray) and got.shape == (M + 1,)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        fine, cap = TimeGrid(0.25, 80), TimeGrid(0.25, 50)
-        got = noise.quartic_constant(grid, fine, 3, cs)
-        assert got.shape == (81,)
-        assert np.array_equal(got, np.interp(fine.ts, cap.ts, noise.quartic_constant(grid, cap, 3, cs)))
 
     @pytest.mark.parametrize("N,dim,cutoff,M", [(8, 2, 3, 3), (6, 3, 2, 3)])
     def test_quartic_constant_within_monte_carlo_error(self, N, dim, cutoff, M):
@@ -799,18 +794,17 @@ def serial_quartic_constant(grid, T, M, cutoff, cs, sigma=1.0):
     spread over the replica workers, kept as the bitwise reference."""
     from phi4lab.paley import default_partition
 
-    coarse = TimeGrid(T, min(50, M))
-    kern = StepKernel(grid, coarse, cs.a)
+    kern = StepKernel(grid, TimeGrid(T, M), cs.a)
     band = min(2 * cutoff, grid.N // 2 - 1)
     mask = grid.kinf <= cutoff
     w_pair = grid.half_weights * default_partition(grid).resonance_weight()
-    raw = np.zeros(coarse.M + 1)
+    raw = np.zeros(M + 1)
     var = np.zeros(grid.hshape)
-    for i in range(1, coarse.M):
+    for i in range(1, M):
         var = kern.propagator(i - 1) ** 2 * var + kern.variance(i - 1)
         cov = np.where(mask, var, 0.0)
         weight = kern.etd_weight(i)
-        for j in range(i + 1, coarse.M + 1):
+        for j in range(i + 1, M + 1):
             prop = kern.propagator(j - 1)
             cov = prop * cov
             if j > i + 1:
@@ -824,13 +818,18 @@ class TestQuarticConstantRows:
     """The rows of the Isserlis sum run as the tasks of the replica loop."""
 
     @pytest.mark.parametrize("N,dim,cutoff,M", [(8, 2, 3, 8), (6, 3, 2, 6), (16, 2, 5, 20),
-                                                (8, 2, 3, 1), (8, 2, 3, 2)],
-                             ids=["8^2", "6^3", "16^2", "no-row", "one-row"])
+                                                (8, 2, 3, 1), (8, 2, 3, 2), (8, 2, 3, 80),
+                                                (16, 2, 5, 100)],
+                             ids=["8^2", "6^3", "16^2", "no-row", "one-row", "8^2-80", "16^2-100"])
     def test_bitwise_equal_to_the_serial_loop_at_every_worker_count(self, monkeypatch,
                                                                     N, dim, cutoff, M):
+        # the serial loop is the term-by-term Isserlis sum on the caller's
+        # grid, at any step count
         grid = TorusGrid(N, dim)
         cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
         want = serial_quartic_constant(grid, 0.25, M, cutoff, cs, sigma=0.7)
+        assert np.allclose(want, 0.7**4 * isserlis_reference(grid, TimeGrid(0.25, M), cutoff, cs),
+                           rtol=1e-12, atol=0.0)
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
             got = noise.quartic_constant(grid, TimeGrid(0.25, M), cutoff, cs, sigma=0.7)
@@ -855,6 +854,32 @@ class TestQuarticConstantRows:
         noise.quartic_constant(grid, TimeGrid(0.25, 7), 3, cs)
         assert at_fork == [list(range(7))] * 2
         _assert_no_children()
+
+
+class TestConstantBudget:
+    """The quartic constant's sum is refused over a fixed work budget: its
+    M (M - 1) / 2 products, each the points of its binary grid plus a floor."""
+
+    @pytest.mark.parametrize("N,dim,largest", [(8, 2, 840), (64, 3, 55)], ids=["8^2", "64^3"])
+    def test_the_largest_accepted_step_count_passes_and_one_more_is_refused(self, N, dim,
+                                                                              largest):
+        # 8^2: 4256 points a product (16^2 and the floor), 352380 products at
+        # M = 840 and 353220 at 841; 64^3: 1004000 points a product (100^3 and
+        # the floor), 1485 products at M = 55 and 1540 at 56
+        grid = TorusGrid(N, dim)
+        noise._check_constant_budget(grid, TimeGrid(1.0, largest))
+        with pytest.raises(ValueError, match=f"over {largest + 1} steps"):
+            noise._check_constant_budget(grid, TimeGrid(1.0, largest + 1))
+
+    def test_quartic_constant_over_the_budget_raises_before_any_row(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("ran past the budget check")
+
+        monkeypatch.setattr(noise, "step_kernel", boom)
+        monkeypatch.setattr(noise, "replicate", boom)
+        cs = CoefficientSet(f2=0.0, a=-1.0, T=0.5)
+        with pytest.raises(ValueError, match="over the budget"):
+            noise.quartic_constant(TorusGrid(8, 2), TimeGrid(0.5, 841), 3, cs)
 
 
 def isserlis_reference(grid, tg, cutoff, cs):

@@ -603,9 +603,9 @@ class TestVWRoute:
             os.waitpid(-1, os.WNOHANG)
 
     def test_every_pass_takes_the_base_constant_on_its_own_grid(self, monkeypatch):
-        # the constant is computed once, on the base grid of M = 60 steps
-        # (there the 50-step sum, interpolated); both routes of the coarse
-        # pass take it as it is, those of the fine pass interpolated onto dt/2
+        # the constant is computed once, the exact sum on the base grid of
+        # M = 60 steps; both routes of the coarse pass take it as it is,
+        # those of the fine pass interpolated onto dt/2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         seen = []
 
