@@ -99,6 +99,14 @@ def _k2_array(N: int, dim: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _shells(N: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``|w|^2`` shells: distinct ``levels`` (increasing), each mode's index into them."""
+    levels, inverse = np.unique(_k2_array(N, dim).ravel(), return_inverse=True)
+    levels.flags.writeable = inverse.flags.writeable = False
+    return levels, inverse
+
+
 class TorusGrid:
     """Uniform grid with ``N`` points per axis on the ``dim``-torus.
 

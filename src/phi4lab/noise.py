@@ -30,11 +30,11 @@ evaluated without discretization bias.
 
 The :class:`StepKernel` keeps, per step, one read-only row each of the
 propagator, the ETD weight, the in-step variance and the noise amplitude
-``sqrt(variance / dt)`` over the distinct ``|w|^2``; constant damping keeps
+``sqrt(variance / dt)``, one value per ``|w|^2`` shell (:func:`.grids._shells`),
+and the variance recursions step these rows per shell; constant damping keeps
 one row for every step.  The kernel is a function of the grid, the time grid
-and the damping ``a(t)`` alone, so no caller builds or passes one:
-:func:`step_kernel` looks it up, one kernel per key, and every path of a
-configuration shares it.
+and ``a(t)`` alone, so no caller builds or passes one: :func:`step_kernel`
+looks it up, one kernel per key, shared by every path of a configuration.
 
 :func:`record` steps any state over a :class:`TimeGrid` and keeps named
 fields of it at every ``every``-th grid time and at ``T``; every recorded
@@ -64,7 +64,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .coeffs import CoefficientSet
-from .grids import TorusGrid, _to_spectrum, binary_size, product_spectra
+from .grids import TorusGrid, _shells, _to_spectrum, binary_size, product_spectra
 from .paley import default_partition
 
 __all__ = [
@@ -99,8 +99,8 @@ _RECORD_BUDGET_BYTES = 768 * 2**20
 # product counts its points plus this floor, the fixed cost of one call
 # (measured in BENCH_exact_constant.json)
 _PRODUCT_FLOOR_POINTS = 4000
-# largest work one quartic_constant sum may take, about 48 s on one CPU at
-# 32 ns a point; 64^3 at 50 steps needs 1.23e9
+# largest work one quartic_constant sum may take (one CPU's time for it is
+# budget.seconds_at_fit in BENCH_exact_constant.json); 64^3 at 50 steps needs 1.23e9
 _CONSTANT_BUDGET_POINTS = 1_500_000_000
 
 
@@ -137,7 +137,7 @@ def record(timegrid: TimeGrid, every: int, step, fields) -> tuple[np.ndarray, di
     out = {name: np.empty((len(idx),) + a.shape, dtype=a.dtype) for name, a in first.items()}
     for name in out:
         # keep no reference to the first reads: held for the whole run they
-        # raised the peak RSS of a 32^3 v/w solve by 8 MiB
+        # raised the peak RSS of a 32^3 v/w solve
         out[name][0] = first.pop(name)
     k = 1
     for j in range(1, timegrid.M + 1):
@@ -409,11 +409,11 @@ class StepKernel:
     ``a`` is the damping polynomial (``CoefficientSet.a``).
 
     The kernel keeps one table: ``_rows[j]`` holds the four rows of step
-    ``j``, one value per distinct ``|w|^2``, built once on first use, so it
-    holds O(M x distinct |w|^2) values, not O(M x grid).  Each call gathers
-    its row onto the half spectrum as a fresh array.  Every array the kernel
-    keeps is read-only: :func:`step_kernel` shares one kernel among every
-    path, stepper and replica of a configuration in the process.
+    ``j``, one value per ``|w|^2`` shell (:func:`.grids._shells`), built once
+    on first use; the variance recursions step these rows per shell.  Each
+    call gathers its row onto the half spectrum as a fresh array.  Every array
+    the kernel keeps is read-only: :func:`step_kernel` shares one kernel among
+    every path, stepper and replica of a configuration in the process.
     """
 
     def __init__(self, grid: TorusGrid, timegrid: TimeGrid, a: Polynomial):
@@ -423,9 +423,7 @@ class StepKernel:
         ts = timegrid.ts
         self._alphas = _frozen(np.array([float(A(t1) - A(t0)) for t0, t1 in zip(ts[:-1], ts[1:])]))
         self._const = a.degree() == 0
-        lv, inv = np.unique(grid.k2.ravel(), return_inverse=True)
-        self._Ld = _frozen(4.0 * np.pi**2 * lv.astype(np.float64))
-        self._linv = _frozen(inv)
+        self._Ld = _frozen(4.0 * np.pi**2 * _shells(grid.N, grid.dim)[0].astype(np.float64))
         self._rows: dict[int, tuple[np.ndarray, ...]] = {}
 
     def propagator(self, j: int) -> np.ndarray:
@@ -443,7 +441,7 @@ class StepKernel:
         return self._expand(self._step_rows(j)[3])
 
     def _expand(self, row: np.ndarray) -> np.ndarray:
-        return row[self._linv].reshape(self.grid.hshape)
+        return row[_shells(self.grid.N, self.grid.dim)[1]].reshape(self.grid.hshape)
 
     def _step_rows(self, j: int) -> tuple[np.ndarray, ...]:
         """Rows of step ``j``; the one place that tells constant damping apart."""
@@ -491,8 +489,8 @@ def _cached_kernel(grid: TorusGrid, T: float, M: int, coef, domain, window) -> S
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """The ``_GL_NODES`` Gauss-Legendre nodes and weights on [-1, 1], once per process.
 
-    From :func:`numpy.polynomial.legendre.leggauss`, which costs about 1.4 ms
-    a call at 48 nodes.  The arrays are shared and read-only.
+    From :func:`numpy.polynomial.legendre.leggauss`, which solves an
+    eigenproblem on every call.  The arrays are shared and read-only.
     """
     nodes, weights = leggauss(_GL_NODES)
     nodes.flags.writeable = weights.flags.writeable = False
@@ -545,12 +543,10 @@ class LinearPath:
         self.j += 1
 
 
-def _band_counts(grid: TorusGrid, cutoff: int):
-    """Distinct |w|^2 values and conjugate-counted multiplicities in the band."""
-    mask = grid.kinf <= cutoff
-    lv, inv = np.unique(grid.k2[mask].ravel(), return_inverse=True)
-    counts = np.bincount(inv, weights=grid.half_weights[mask].ravel())
-    return 4.0 * np.pi**2 * lv.astype(np.float64), counts
+def _shell_counts(grid: TorusGrid, cutoff: int) -> np.ndarray:
+    """Conjugate-counted modes of each ``|w|^2`` shell inside the band ``kinf <= cutoff``."""
+    inside = np.where(grid.kinf <= cutoff, grid.half_weights, 0.0)
+    return np.bincount(_shells(grid.N, grid.dim)[1], weights=inside.ravel())
 
 
 def lin_variance_curve(
@@ -562,11 +558,13 @@ def lin_variance_curve(
 ) -> np.ndarray:
     """Pointwise variance of the stochastic convolution by direct quadrature.
 
-    Sums the exact per-mode integrals ``int_0^t exp(2 alpha(t,s) - 2L(t-s)) ds``
+    Sums the exact per-shell integrals ``int_0^t exp(2 alpha(t,s) - 2L(t-s)) ds``
     over the cutoff band.  This is the quadratic renormalization constant as
     a function of time, evaluated independently of any time stepping.
     """
-    Ld, counts = _band_counts(grid, cutoff)
+    counts = _shell_counts(grid, cutoff)
+    Ld = 4.0 * np.pi**2 * _shells(grid.N, grid.dim)[0][counts > 0].astype(np.float64)
+    counts = counts[counts > 0]
     A = coeffs.a.integ()
     aconst = coeffs.a.degree() == 0
     gl = _gauss_legendre()
@@ -595,19 +593,18 @@ def lin_variance_path(
 ) -> np.ndarray:
     """Variance of the discrete convolution at every grid time, by recursion.
 
-    Uses the step kernel of :class:`LinearPath` (:func:`step_kernel`), so it
-    is exactly the second moment of the sampled paths; it agrees with
-    :func:`lin_variance_curve` to quadrature accuracy.
+    Steps the rows of the :class:`LinearPath` step kernel (:func:`step_kernel`)
+    per ``|w|^2`` shell, so it is exactly the second moment of the sampled
+    paths; it agrees with :func:`lin_variance_curve` to quadrature accuracy.
     """
     kern = step_kernel(grid, timegrid, coeffs)
-    mask = (grid.kinf <= cutoff).astype(np.float64)
-    hw = grid.half_weights * mask
-    var = np.zeros(grid.hshape)
-    out = np.empty(timegrid.M + 1)
-    out[0] = 0.0
+    counts = _shell_counts(grid, cutoff)
+    var = np.zeros(len(counts))
+    out = np.zeros(timegrid.M + 1)
     for j in range(timegrid.M):
-        var = kern.propagator(j) ** 2 * var + sigma**2 * kern.variance(j)
-        out[j + 1] = float(np.sum(hw * var))
+        P, _, V, _ = kern._step_rows(j)
+        var = P**2 * var + sigma**2 * V
+        out[j + 1] = float(np.sum(counts * var))
     return out
 
 
@@ -741,7 +738,7 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
 
     with ``C_ij = P_{j-1}...P_i var_i`` the covariance of the stochastic
     convolution between steps ``i`` and ``j`` (``var_i`` the band-masked
-    :func:`lin_variance_path` recursion, per mode), ``G_ij = P_{j-1}...P_{i+1}
+    :func:`lin_variance_path` recursion), ``G_ij = P_{j-1}...P_{i+1}
     E_i`` the ETD weight the symbol integral puts on step ``i``, and ``*`` the
     convolution, taken by :func:`.grids.product_spectra` with the band cut of
     the Wick square.  The constant is ``0.5 sigma**4 raw``.  The sum costs
@@ -754,11 +751,11 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
     ``j > i`` (``M - i`` products), and worker ``w`` takes the rows with
     ``(i - 1) % workers == w``, so the shares differ by at most one row.
     The caller builds the step kernel's rows before the fork and every worker
-    reads them; each worker runs the ``var_i`` recursion itself, the same
-    operations in the same order as a serial loop.  The caller adds the rows
-    up in ``i`` order, so ``raw`` is the same bits at any worker count.  A
-    row that overflows (a fast-growing ``a(t)``) raises a ``RuntimeError``
-    that names the time as a blow-up, the lowest row first.
+    reads them; each worker steps the ``var_i`` recursion itself, per shell,
+    expanding it once per row: a serial loop's operations on every mode.  The
+    caller adds the rows up in ``i`` order, so ``raw`` is the same bits at any
+    worker count.  A row that overflows (a fast-growing ``a(t)``) raises a
+    ``RuntimeError`` that names the time as a blow-up, the lowest row first.
     """
     _check_constant_budget(grid, timegrid)
     _require_centred_cutoff(grid, cutoff)
@@ -771,16 +768,17 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
         kern._step_rows(j)
     # this worker's var_i recursion, at i = done; replicate hands a worker its
     # rows in increasing i, so the recursion only moves forward
-    var, done = np.zeros(grid.hshape), 0
+    var, done = np.zeros(len(kern._Ld)), 0
 
     def row(task, _) -> np.ndarray:
         """The contributions of step ``i = task + 1`` to ``raw_j``, zero at ``j <= i``."""
         nonlocal var, done
         i = task + 1
         for k in range(done, i):
-            var = kern.propagator(k) ** 2 * var + kern.variance(k)
+            P, _, V, _ = kern._step_rows(k)
+            var = P**2 * var + V
         done = i
-        cov = np.where(mask, var, 0.0)
+        cov = np.where(mask, kern._expand(var), 0.0)
         weight = kern.etd_weight(i)
         out = np.zeros(M + 1)
         for j in range(i + 1, M + 1):

@@ -4,7 +4,8 @@ The decomposition is built from one smooth radial cutoff ``chi_base`` that is
 identically 1 inside radius 3/4 and vanishes beyond 4/3.  Annular weights
 ``chi(z) = chi_base(z/2) - chi_base(z)`` rescaled by powers of two tile the
 grid band, and their sum telescopes back to exactly 1 on every retained
-frequency, so decomposing and resumming a field is lossless.
+frequency, so decomposing and resumming a field is lossless.  The weights are
+radial: each is evaluated once per ``|w|^2`` shell (:func:`.grids._shells`).
 
 Block indices run from -1 (the ball block, weight ``chi_base``) to ``K``,
 where ``K`` is the smallest index whose tail cutoff covers the corner of the
@@ -37,6 +38,7 @@ from .grids import (
     _check_same_grid,
     _gather_band,
     _points_band,
+    _shells,
     _to_points,
     binary_size,
     dealiased_product,
@@ -94,13 +96,11 @@ class DyadicPartition:
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        r = np.sqrt(grid.k2.astype(np.float64))
-        rmax = math.sqrt(grid.dim) * grid.N / 2.0
-        self.K = max(0, math.ceil(math.log2(rmax * 4.0 / 3.0)) - 1)
-        weights = [chi_base(r)]
-        for k in range(self.K + 1):
-            weights.append(chi_annulus(r / 2.0**k))
-        self._weights = np.stack(weights)
+        levels, inverse = _shells(grid.N, grid.dim)
+        r = np.sqrt(levels.astype(np.float64))  # increasing: r[-1] is the band's corner
+        self.K = max(0, math.ceil(math.log2(r[-1] * 4.0 / 3.0)) - 1)
+        shells = [chi_base(r)] + [chi_annulus(r / 2.0**k) for k in range(self.K + 1)]
+        self._weights = np.stack(shells)[:, inverse].reshape((self.nblocks,) + grid.hshape)
 
     @property
     def indices(self) -> range:

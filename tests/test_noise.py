@@ -438,7 +438,7 @@ class TestStepKernel:
             assert kern._rows
             kept = [row for rows in kern._rows.values() for row in rows]
             assert len(kept) == 4 * len(kern._rows)
-            for arr in kept + [kern._Ld, kern._linv, kern._alphas]:
+            for arr in kept + [kern._Ld, kern._alphas, *noise._shells(grid.N, grid.dim)]:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
 
@@ -588,7 +588,37 @@ class TestLinearPath:
         assert abs(vhat - target) < 4 * se
 
 
+def per_mode_variance_path(grid, tg, cutoff, cs, sigma):
+    """The per-mode recursion ``lin_variance_path`` ran before it stepped
+    ``|w|^2`` shells, kept as the reference."""
+    kern = StepKernel(grid, tg, cs.a)
+    hw = grid.half_weights * (grid.kinf <= cutoff)
+    var = np.zeros(grid.hshape)
+    out = [0.0]
+    for j in range(tg.M):
+        var = kern.propagator(j) ** 2 * var + sigma**2 * kern.variance(j)
+        out.append(float(np.sum(hw * var)))
+    return np.array(out)
+
+
 class TestVarianceCurves:
+    @pytest.mark.parametrize("a", [-1.0, [-1.0, 0.5, 0.3]], ids=["constant", "polynomial"])
+    @pytest.mark.parametrize("N,dim", [(8, 2), (16, 1), (16, 3)])
+    def test_shell_recursion_is_the_per_mode_recursion(self, N, dim, a):
+        # at cutoff 3 the box's corners leave the inscribed ball, and in 3-D
+        # the box cuts a shell: |w|^2 = 17 holds (3, 2, 2) inside, (4, 1, 0) out
+        grid = TorusGrid(N, dim)
+        tg = TimeGrid(0.25, 12)
+        cs = CoefficientSet(f2=0.0, a=a, T=0.25)
+        counts = noise._shell_counts(grid, 3)
+        partial = (counts > 0) & (counts < noise._shell_counts(grid, N // 2))
+        assert partial.any() == (dim == 3)
+        got = lin_variance_path(grid, tg, 3, cs, 0.7)
+        want = per_mode_variance_path(grid, tg, 3, cs, 0.7)
+        assert got[0] == 0.0 and np.all(want[1:] > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.all(lin_variance_path(grid, tg, 3, cs, 0.0) == 0.0)
+
     def test_recursion_matches_quadrature_constant(self):
         grid = TorusGrid(8, 3)
         tg = TimeGrid(0.5, 20)
@@ -640,12 +670,13 @@ class TestVarianceCurves:
 
         def fresh(grid, tg, cs):
             kern = StepKernel(grid, tg, cs.a)
-            hw = grid.half_weights * (grid.kinf <= 3)
-            var = np.zeros(grid.hshape)
+            counts = noise._shell_counts(grid, 3)
+            var = np.zeros(len(counts))
             out = [0.0]
             for j in range(tg.M):
-                var = kern.propagator(j) ** 2 * var + kern.variance(j)
-                out.append(float(np.sum(hw * var)))
+                P, _, V, _ = kern._step_rows(j)
+                var = P**2 * var + V
+                out.append(float(np.sum(counts * var)))
             return np.array(out)
 
         base = (grid, tg, cs)

@@ -43,11 +43,19 @@ Both checks read the source with ``ast``; nothing is imported or run.
   or another thread starter of the standard library, or imports one.
   ``noise.replicate`` forks its workers, and a fork copies only the calling
   thread; a span recorder that keeps one span stack per process stays sound.
+* Only ``grids`` reads ``k2``: no other module of ``src/phi4lab`` reads the
+  attribute ``k2`` or the name ``_k2_array``.  ``grids._shells`` groups the
+  modes into ``|w|^2`` shells once, and every radial quantity reads that table.
+* No comment or docstring of ``src/phi4lab`` gives a duration (a number
+  followed by ``s``, ``ms``, ``µs``, ``us`` or ``ns``): a timing belongs in a
+  ``BENCH_*.json`` file, beside the hardware and the method that produced it.
 """
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -139,7 +147,11 @@ def test_the_check_sees_a_name_only_the_tests_use(tmp_path):
 # certificate that two runs produced the same outputs, which the CLI tests and
 # output comparisons use; coeff looks a mode up by its signed frequency through
 # the conjugate half, the oracle the transform and product tests compare against.
-_TEST_ONLY_METHODS = {"RunManifest.equal_modulo_timing", "SpectralField.coeff"}
+# StepKernel.variance gathers the in-step variance onto the spectrum, which the
+# package reads per shell; perfbench/spans.py wraps it by name, so a traced run
+# needs it.
+_TEST_ONLY_METHODS = {"RunManifest.equal_modulo_timing", "SpectralField.coeff",
+                      "StepKernel.variance"}
 
 
 def _public_methods(tree: ast.Module) -> list[str]:
@@ -607,3 +619,100 @@ def test_the_check_passes_code_that_starts_no_thread(tmp_path, source):
     mod = tmp_path / "quiet.py"
     mod.write_text(source)
     assert _thread_starters([mod]) == {}
+
+
+# grids builds the |w|^2 shell table (grids._shells) from k2; every other
+# module reads the table, so the modes are grouped into shells in one place
+_K2_OWNER = "grids"
+
+
+def _k2_reads(package) -> dict[str, list[int]]:
+    """Lines, per module other than ``grids``, that read ``.k2`` or ``_k2_array``."""
+    found = {}
+    for path in package:
+        if path.stem == _K2_OWNER:
+            continue
+        lines = set()
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "k2") or (
+                    isinstance(node, ast.Name) and node.id == "_k2_array"):
+                lines.add(node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "_k2_array" for alias in node.names):
+                    lines.add(node.lineno)
+        if lines:
+            found[path.stem] = sorted(lines)
+    return found
+
+
+def test_only_grids_reads_k2():
+    assert _k2_reads(PACKAGE) == {}
+
+
+def test_the_check_sees_a_k2_read_outside_grids(tmp_path):
+    (tmp_path / "grids.py").write_text(
+        "def _k2_array(N, dim):\n    return 0\n\n"
+        "def _shells(N, dim):\n    return _k2_array(N, dim)\n\n"
+        "def symbol(grid):\n    return grid.k2\n"
+    )
+    (tmp_path / "planted.py").write_text(
+        "from .grids import _k2_array, _shells\n\n"
+        "def radii(grid):\n"
+        '    """Says grid.k2 in prose only."""\n'
+        "    return grid.k2 ** 0.5\n\n"
+        "def levels(grid):\n    return _k2_array(grid.N, grid.dim)\n"
+    )
+    (tmp_path / "quiet.py").write_text(
+        "from .grids import _shells\n\n"
+        "def step(rhs, x):\n    k2 = rhs(x)\n    return k2, _shells(8, 2)\n"
+    )
+    package = sorted(tmp_path.glob("*.py"))
+    assert _k2_reads(package) == {"planted": [1, 5, 8]}
+
+
+# a duration in prose: a number, then s, ms, µs, us or ns; timings belong in
+# the BENCH_*.json files, where the hardware and the method are recorded
+_DURATION = re.compile(r"(?<![\w.])\d+(?:\.\d+)?\s?(?:s|ms|µs|us|ns)\b")
+
+
+def _durations_in_prose(package) -> dict[str, list[int]]:
+    """Lines, per module, whose comment or docstring gives a duration."""
+    found = {}
+    for path in package:
+        source = path.read_text()
+        docstrings = {node.body[0].lineno for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.Module,) + _DEFS) and node.body
+                      and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)
+                      and isinstance(node.body[0].value.value, str)}
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT or (
+                    tok.type == tokenize.STRING and tok.start[0] in docstrings):
+                for offset, text in enumerate(tok.string.splitlines()):
+                    if _DURATION.search(text):
+                        lines.add(tok.start[0] + offset)
+        if lines:
+            found[path.stem] = sorted(lines)
+    return found
+
+
+def test_no_comment_or_docstring_gives_a_duration():
+    assert _durations_in_prose(PACKAGE) == {}
+
+
+def test_the_check_sees_a_duration_in_prose(tmp_path):
+    mod = tmp_path / "timed.py"
+    mod.write_text(
+        '"""A module that took 2 s to import."""\n\n'
+        "# the sum takes about 48 s at\n"
+        "# 32 ns a point\n"
+        "BUDGET = 768  # MiB, a contract: 48 KiB a block, at most 4e-18 of 2 steps\n\n"
+        "def step(x):\n"
+        '    """One step.\n\n'
+        "    Costs 1.4 ms a call, 3µs a mode or 0.5 us a point; runs 4 steps.\n"
+        '    """\n'
+        '    label = "took 9 s"\n'
+        "    return x, label, steps_per_s(2)\n"
+    )
+    assert _durations_in_prose([mod]) == {"timed": [1, 3, 4, 10]}

@@ -15,6 +15,7 @@ from phi4lab.grids import (
     _gather_band,
     _int_freqs,
     _points_band,
+    _shells,
     binary_size,
     dealiased_product,
     dft,
@@ -24,6 +25,7 @@ from phi4lab.grids import (
     random_band_field,
     spectral_truncate,
 )
+from phi4lab.noise import _shell_counts
 from phi4lab.paley import (
     DyadicPartition,
     _para_lt_core,
@@ -134,6 +136,35 @@ class TestTorusGrid:
     def test_equality(self):
         assert TorusGrid(8, 2) == TorusGrid(8, 2)
         assert TorusGrid(8, 2) != TorusGrid(8, 3)
+
+
+class TestShells:
+    """The one table of |w|^2 shells that every radial quantity reads."""
+
+    @pytest.mark.parametrize("N, dim", [(16, 1), (8, 2), (12, 2), (6, 3), (8, 3)])
+    def test_levels_increase_and_gather_back_to_k2(self, N, dim):
+        grid = TorusGrid(N, dim)
+        levels, inverse = _shells(N, dim)
+        assert np.all(np.diff(levels) > 0)
+        assert np.array_equal(levels[inverse].reshape(grid.hshape), grid.k2)
+
+    @pytest.mark.parametrize("N, dim", [(16, 1), (8, 2), (6, 3)])
+    def test_the_table_is_read_only_and_shared(self, N, dim):
+        levels, inverse = _shells(N, dim)
+        for arr in (levels, inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        again = _shells(TorusGrid(N, dim).N, TorusGrid(N, dim).dim)
+        assert again[0] is levels and again[1] is inverse
+
+    @pytest.mark.parametrize("N, dim", [(16, 1), (8, 2), (12, 2), (6, 3), (8, 3)])
+    def test_shell_counts_are_the_band_modes(self, N, dim):
+        grid = TorusGrid(N, dim)
+        for c in range(N // 2 + 1):
+            counts = _shell_counts(grid, c)
+            assert counts.shape == _shells(N, dim)[0].shape
+            assert counts.sum() == grid.half_weights[grid.kinf <= c].sum()
+        assert _shell_counts(grid, N // 2).sum() == grid.npoints
 
 
 # the grids on which every caller of the transform pair is checked bitwise
