@@ -236,10 +236,9 @@ def _finish(cfg: ExperimentConfig, out_dir: Path, files, t0: float, command: str
 # verify: invariant sweep
 
 
-def check_partition_unity(grid: TorusGrid, partition=None) -> tuple[bool, dict]:
+def check_partition_unity(grid: TorusGrid) -> tuple[bool, dict]:
     """Max deviation of the block weights from summing to one."""
-    part = partition if partition is not None else default_partition(grid)
-    dev = float(np.max(np.abs(part.weight_sum() - 1.0)))
+    dev = float(np.max(np.abs(default_partition(grid).weight_sum() - 1.0)))
     return dev <= 1e-12, {"max_deviation": dev}
 
 

@@ -30,11 +30,11 @@ evaluated without discretization bias.
 
 The :class:`StepKernel` keeps, per step, one read-only row each of the
 propagator, the ETD weight, the in-step variance and the noise amplitude
-``sqrt(variance / dt)``, one value per ``|w|^2`` shell (:func:`.grids._shells`),
-and the variance recursions step these rows per shell; constant damping keeps
-one row for every step.  The kernel is a function of the grid, the time grid
-and ``a(t)`` alone, so no caller builds or passes one: :func:`step_kernel`
-looks it up, one kernel per key, shared by every path of a configuration.
+``sqrt(variance / dt)``, one value per ``|w|^2`` shell (:func:`.grids._shells`);
+constant damping keeps one row for every step, and :func:`_shell_variances`
+steps the variance over them for both constants.  The kernel is a function of
+the grid, the time grid and ``a(t)`` alone, so no caller builds or passes one:
+:func:`step_kernel` looks it up, one kernel per key, shared by every path.
 
 :func:`record` steps any state over a :class:`TimeGrid` and keeps named
 fields of it at every ``every``-th grid time and at ``T``; every recorded
@@ -410,7 +410,7 @@ class StepKernel:
 
     The kernel keeps one table: ``_rows[j]`` holds the four rows of step
     ``j``, one value per ``|w|^2`` shell (:func:`.grids._shells`), built once
-    on first use; the variance recursions step these rows per shell.  Each
+    on first use; :func:`_shell_variances` steps the variance over them.  Each
     call gathers its row onto the half spectrum as a fresh array.  Every array
     the kernel keeps is read-only: :func:`step_kernel` shares one kernel among
     every path, stepper and replica of a configuration in the process.
@@ -559,28 +559,30 @@ def lin_variance_curve(
     """Pointwise variance of the stochastic convolution by direct quadrature.
 
     Sums the exact per-shell integrals ``int_0^t exp(2 alpha(t,s) - 2L(t-s)) ds``
-    over the cutoff band.  This is the quadratic renormalization constant as
-    a function of time, evaluated independently of any time stepping.
+    over the cutoff band, the quadratic renormalization constant as a function
+    of time free of any time stepping: the in-step variance of a one-step kernel
+    on ``[0, t]``, built here so that no run's kernel leaves :func:`step_kernel`.
     """
     counts = _shell_counts(grid, cutoff)
-    Ld = 4.0 * np.pi**2 * _shells(grid.N, grid.dim)[0][counts > 0].astype(np.float64)
-    counts = counts[counts > 0]
-    A = coeffs.a.integ()
-    aconst = coeffs.a.degree() == 0
-    gl = _gauss_legendre()
-    out = np.empty(len(times))
+    live = counts > 0
+    out = np.zeros(len(times))
     for i, t in enumerate(np.asarray(times, dtype=np.float64)):
         if t < 0:
             raise ValueError(f"negative time {t}")
-        if t == 0.0:
-            out[i] = 0.0
-            continue
-        if aconst:
-            z = 2.0 * (coeffs.a(0.0) - Ld) * t
-            v = t * _phi1(z)
-        else:
-            v = _damped_kernel_integral(Ld, A, float(t), float(t), gl)
-        out[i] = sigma**2 * float(np.sum(counts * v))
+        if t != 0.0:
+            v = StepKernel(grid, TimeGrid(t, 1), coeffs.a)._step_rows(0)[2][live]
+            out[i] = sigma**2 * float(np.sum(counts[live] * v))
+    return out
+
+
+def _shell_variances(kern: StepKernel, scale: float) -> np.ndarray:
+    """Per-shell variance of ``kern``'s discrete convolution at noise variance ``scale``:
+    row ``j`` of the ``(M + 1, S)`` result is the variance after ``j`` steps,
+    ``out[j + 1] = P_j**2 out[j] + scale V_j``; the one variance recursion."""
+    out = np.zeros((kern.timegrid.M + 1, len(kern._Ld)))
+    for j in range(kern.timegrid.M):
+        P, _, V, _ = kern._step_rows(j)
+        out[j + 1] = P**2 * out[j] + scale * V
     return out
 
 
@@ -593,19 +595,13 @@ def lin_variance_path(
 ) -> np.ndarray:
     """Variance of the discrete convolution at every grid time, by recursion.
 
-    Steps the rows of the :class:`LinearPath` step kernel (:func:`step_kernel`)
-    per ``|w|^2`` shell, so it is exactly the second moment of the sampled
-    paths; it agrees with :func:`lin_variance_curve` to quadrature accuracy.
+    Sums :func:`_shell_variances` of the :class:`LinearPath` step kernel over
+    the band, so it is exactly the second moment of the sampled paths; it
+    agrees with :func:`lin_variance_curve` to quadrature accuracy.
     """
     kern = step_kernel(grid, timegrid, coeffs)
     counts = _shell_counts(grid, cutoff)
-    var = np.zeros(len(counts))
-    out = np.zeros(timegrid.M + 1)
-    for j in range(timegrid.M):
-        P, _, V, _ = kern._step_rows(j)
-        var = P**2 * var + sigma**2 * V
-        out[j + 1] = float(np.sum(counts * var))
-    return out
+    return np.array([float(np.sum(counts * v)) for v in _shell_variances(kern, sigma**2)])
 
 
 def _constant_path(value, timegrid: TimeGrid, what: str) -> np.ndarray:
@@ -629,6 +625,14 @@ def _require_centred_cutoff(grid: TorusGrid, cutoff: int) -> None:
             f"cutoff {cutoff} must be below N/2 = {grid.N // 2} "
             "for the Wick square to be centred"
         )
+
+
+def _pairing(grid: TorusGrid, cutoff: int) -> tuple[int, np.ndarray]:
+    """``(band, w_pair)``: the Wick square's band cut and the resonant pairing's
+    weight per mode, at a cutoff where the square is centred (else ``ValueError``)."""
+    _require_centred_cutoff(grid, cutoff)
+    band = min(2 * cutoff, grid.N // 2 - 1)
+    return band, grid.half_weights * default_partition(grid).resonance_weight()
 
 
 def quartic_renorm_mc(
@@ -659,16 +663,13 @@ def quartic_renorm_mc(
     Returns a dict with the grid times, the estimates, standard errors, and
     the raw (unhalved) pairing means, one per grid time.
     """
-    _require_centred_cutoff(grid, cutoff)
-    M = timegrid.M
+    band, w_pair = _pairing(grid, cutoff)
+    M, N = timegrid.M, grid.N
     kern = step_kernel(grid, timegrid, coeffs)
-    N, dim = grid.N, grid.dim
-    band = min(2 * cutoff, N // 2 - 1)
-    zero = (0,) * dim
+    zero = (0,) * grid.dim
 
     # exact unit-amplitude variance path for the Wick subtraction
     c_unit = lin_variance_path(grid, timegrid, cutoff, coeffs, 1.0)
-    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
 
     def pairing(replica, seed):
         """The unit-amplitude pairing of one replica at every grid time."""
@@ -695,8 +696,6 @@ def quartic_renorm_mc(
         "estimate": 0.5 * scale * raw_mean,
         "se": 0.5 * scale * raw_se,
         "raw_mean": scale * raw_mean,
-        "raw_se": scale * raw_se,
-        "replicas": replicas,
     }
 
 
@@ -720,9 +719,14 @@ def _check_constant_budget(grid: TorusGrid, timegrid: TimeGrid) -> None:
         )
 
 
+def _constant_rows(timegrid: TimeGrid) -> int:
+    """The :func:`replicate` tasks of :func:`quartic_constant`: one per step ``1 .. M - 1``."""
+    return timegrid.M - 1
+
+
 def _constant_workers(timegrid: TimeGrid) -> int:
-    """Processes the ``M - 1`` rows of :func:`quartic_constant` on ``timegrid`` run on."""
-    return replica_workers(max(1, timegrid.M - 1))
+    """Processes the rows of :func:`quartic_constant` on ``timegrid`` run on."""
+    return replica_workers(max(1, _constant_rows(timegrid)))
 
 
 def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: CoefficientSet,
@@ -737,8 +741,8 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
         raw_j = sum_k w_pair(k) sum_{0<i<j} G_ij(k) 2 (C_ij * C_ij)(k),
 
     with ``C_ij = P_{j-1}...P_i var_i`` the covariance of the stochastic
-    convolution between steps ``i`` and ``j`` (``var_i`` the band-masked
-    :func:`lin_variance_path` recursion), ``G_ij = P_{j-1}...P_{i+1}
+    convolution between steps ``i`` and ``j`` (``var_i`` the band-masked row
+    ``i`` of :func:`_shell_variances`), ``G_ij = P_{j-1}...P_{i+1}
     E_i`` the ETD weight the symbol integral puts on step ``i``, and ``*`` the
     convolution, taken by :func:`.grids.product_spectra` with the band cut of
     the Wick square.  The constant is ``0.5 sigma**4 raw``.  The sum costs
@@ -746,39 +750,28 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
     of :func:`_check_constant_budget` raises a ``ValueError`` before any row
     runs.  The steppers take the constant as an input and never compute it.
 
-    The rows of the sum are the tasks of one :func:`replicate` call: task
-    ``i - 1`` returns the contributions of step ``i`` to every ``raw_j``,
-    ``j > i`` (``M - i`` products), and worker ``w`` takes the rows with
-    ``(i - 1) % workers == w``, so the shares differ by at most one row.
-    The caller builds the step kernel's rows before the fork and every worker
-    reads them; each worker steps the ``var_i`` recursion itself, per shell,
-    expanding it once per row: a serial loop's operations on every mode.  The
-    caller adds the rows up in ``i`` order, so ``raw`` is the same bits at any
-    worker count.  A row that overflows (a fast-growing ``a(t)``) raises a
+    The rows of the sum are the :func:`_constant_rows` tasks of one
+    :func:`replicate` call: task ``i - 1`` returns the contributions of step
+    ``i`` to every ``raw_j``, ``j > i`` (``M - i`` products), and worker
+    ``w`` takes the rows with ``(i - 1) % workers == w``, so the shares
+    differ by at most one row.  The caller builds the per-shell table, and
+    with it every kernel row, before the fork; a task reads row ``i`` of it,
+    so it is a pure function of its index.  The caller adds the rows up in
+    ``i`` order, so ``raw`` is the same bits at any worker count or task
+    order.  A row that overflows (a fast-growing ``a(t)``) raises a
     ``RuntimeError`` that names the time as a blow-up, the lowest row first.
     """
     _check_constant_budget(grid, timegrid)
-    _require_centred_cutoff(grid, cutoff)
+    band, w_pair = _pairing(grid, cutoff)
     kern = step_kernel(grid, timegrid, coeffs)
     M, N = timegrid.M, grid.N
-    band = min(2 * cutoff, N // 2 - 1)
     mask = grid.kinf <= cutoff
-    w_pair = grid.half_weights * default_partition(grid).resonance_weight()
-    for j in range(M):  # every worker reads these rows; built before the fork, shared
-        kern._step_rows(j)
-    # this worker's var_i recursion, at i = done; replicate hands a worker its
-    # rows in increasing i, so the recursion only moves forward
-    var, done = np.zeros(len(kern._Ld)), 0
+    var = _shell_variances(kern, 1.0)  # read by every worker: built before the fork
 
     def row(task, _) -> np.ndarray:
         """The contributions of step ``i = task + 1`` to ``raw_j``, zero at ``j <= i``."""
-        nonlocal var, done
         i = task + 1
-        for k in range(done, i):
-            P, _, V, _ = kern._step_rows(k)
-            var = P**2 * var + V
-        done = i
-        cov = np.where(mask, kern._expand(var), 0.0)
+        cov = np.where(mask, kern._expand(var[i]), 0.0)
         weight = kern.etd_weight(i)
         out = np.zeros(M + 1)
         for j in range(i + 1, M + 1):
@@ -796,7 +789,7 @@ def quartic_constant(grid: TorusGrid, timegrid: TimeGrid, cutoff: int, coeffs: C
         return out
 
     raw = np.zeros(M + 1)
-    if M > 1:  # one row per step i = 1 .. M - 1
-        for contributions in replicate(row, M - 1, None):  # in i order, as a serial loop adds
+    if _constant_rows(timegrid):
+        for contributions in replicate(row, _constant_rows(timegrid), None):  # in i order
             raw += contributions
     return 0.5 * sigma**4 * raw

@@ -5,7 +5,7 @@ identically 1 inside radius 3/4 and vanishes beyond 4/3.  Annular weights
 ``chi(z) = chi_base(z/2) - chi_base(z)`` rescaled by powers of two tile the
 grid band, and their sum telescopes back to exactly 1 on every retained
 frequency, so decomposing and resumming a field is lossless.  The weights are
-radial: each is evaluated once per ``|w|^2`` shell (:func:`.grids._shells`).
+radial, as is the resonance weight: each is formed once per ``|w|^2`` shell.
 
 Block indices run from -1 (the ball block, weight ``chi_base``) to ``K``,
 where ``K`` is the smallest index whose tail cutoff covers the corner of the
@@ -100,7 +100,8 @@ class DyadicPartition:
         r = np.sqrt(levels.astype(np.float64))  # increasing: r[-1] is the band's corner
         self.K = max(0, math.ceil(math.log2(r[-1] * 4.0 / 3.0)) - 1)
         shells = [chi_base(r)] + [chi_annulus(r / 2.0**k) for k in range(self.K + 1)]
-        self._weights = np.stack(shells)[:, inverse].reshape((self.nblocks,) + grid.hshape)
+        self._shell_weights = np.stack(shells)
+        self._weights = self._shell_weights[:, inverse].reshape((self.nblocks,) + grid.hshape)
 
     @property
     def indices(self) -> range:
@@ -120,7 +121,12 @@ class DyadicPartition:
 
     def resonance_weight(self) -> np.ndarray:
         """Spectral weight of the diagonal pairing: sum over |k - l| <= 1 of w_k w_l."""
-        w = self._weights
+        return self._shell_resonance[_shells(self.grid.N, self.grid.dim)[1]].reshape(self.grid.hshape)
+
+    @cached_property
+    def _shell_resonance(self) -> np.ndarray:
+        """:meth:`resonance_weight` per ``|w|^2`` shell, formed once."""
+        w = self._shell_weights
         out = np.zeros_like(w[0])
         for j in range(len(w)):
             near = w[max(0, j - 1) : j + 2].sum(axis=0)

@@ -92,11 +92,12 @@ class TestVerify:
         assert by_name["sigma_zero_degeneration"]["vw_bitwise"] is True
         assert by_name["route_equivalence_smoke"]["gap_refined"] <= 1e-8
 
-    def test_widened_partition_fails_unity_check(self):
+    def test_widened_partition_fails_unity_check(self, monkeypatch):
         grid = TorusGrid(16, 2)
         ok, detail = check_partition_unity(grid)
         assert ok and detail["max_deviation"] <= 1e-12
-        bad_ok, bad_detail = check_partition_unity(grid, _WidenedPartition(grid))
+        monkeypatch.setattr(cli, "default_partition", _WidenedPartition)
+        bad_ok, bad_detail = check_partition_unity(grid)
         assert not bad_ok
         assert bad_detail["max_deviation"] > 1e-3
 

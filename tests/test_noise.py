@@ -601,6 +601,20 @@ def per_mode_variance_path(grid, tg, cutoff, cs, sigma):
     return np.array(out)
 
 
+def closed_form_variance_curve(grid, cutoff, cs, sigma, times):
+    """The closed form ``lin_variance_curve`` had for constant damping before
+    it read a one-step kernel, kept as the reference."""
+    counts = noise._shell_counts(grid, cutoff)
+    Ld = 4.0 * np.pi**2 * noise._shells(grid.N, grid.dim)[0][counts > 0].astype(np.float64)
+    counts = counts[counts > 0]
+    out = np.zeros(len(times))
+    for i, t in enumerate(times):
+        if t > 0:
+            v = t * noise._phi1(2.0 * (cs.a(0.0) - Ld) * t)
+            out[i] = sigma**2 * float(np.sum(counts * v))
+    return out
+
+
 class TestVarianceCurves:
     @pytest.mark.parametrize("a", [-1.0, [-1.0, 0.5, 0.3]], ids=["constant", "polynomial"])
     @pytest.mark.parametrize("N,dim", [(8, 2), (16, 1), (16, 3)])
@@ -652,6 +666,19 @@ class TestVarianceCurves:
         exact = lin_variance_path(grid, tg, 4, cs, sigma)[-1]
         z = (vals.mean() - exact) / (vals.std(ddof=1) / np.sqrt(R))
         assert abs(z) < 4
+
+    @pytest.mark.parametrize("N,dim", [(8, 2), (64, 2), (16, 3)])
+    def test_constant_damping_is_the_old_closed_form(self, N, dim):
+        # the curve reads the in-step variance of a one-step kernel, whose
+        # closed form goes through alpha - L t; the reference is the form the
+        # curve had before, through (a - L) t
+        grid = TorusGrid(N, dim)
+        cs = CoefficientSet(f2=0.0, a=-1.3, T=0.5)
+        times = np.array([0.0, 1e-3, 0.05, 0.25, 0.5])
+        want = closed_form_variance_curve(grid, N // 2 - 1, cs, 0.7, times)
+        got = lin_variance_curve(grid, N // 2 - 1, cs, 0.7, times)
+        assert got[0] == want[0] == 0.0 and np.all(want[1:] > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_negative_time_rejected(self):
         grid = TorusGrid(8, 2)
@@ -880,11 +907,51 @@ class TestQuarticConstantRows:
             at_fork.append(sorted(kern._rows))
             return fork()
 
+        # the variance recursion runs once, in the caller before it forks;
+        # a child that stepped it would raise, and replicate would re-raise
+        caller, stepped = os.getpid(), []
+        table = noise._shell_variances
+
+        def caller_only_table(kern, scale):
+            if os.getpid() != caller:
+                raise AssertionError("a child stepped the variance recursion")
+            stepped.append(len(at_fork))
+            return table(kern, scale)
+
         _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(noise, "_shell_variances", caller_only_table)
         noise.quartic_constant(grid, TimeGrid(0.25, 7), 3, cs)
         assert at_fork == [list(range(7))] * 2
+        assert stepped == [0]
         _assert_no_children()
+
+    @pytest.mark.parametrize("order", ["last-first", "shuffled"])
+    @pytest.mark.parametrize("N,dim,cutoff,M", [(16, 2, 5, 8), (6, 3, 2, 6)], ids=["16^2", "6^3"])
+    def test_rows_give_the_same_bits_in_any_order(self, monkeypatch, order, N, dim, cutoff, M):
+        # a row is a pure function of its index: run serially last-first, or
+        # in a fixed shuffle, and assembled in index order, the rows give the
+        # constant of the normal run bit for bit
+        grid = TorusGrid(N, dim)
+        tg = TimeGrid(0.25, M)
+        cs = CoefficientSet(f2=0.3, a=[-1.0, 0.5], T=0.25)
+        want = noise.quartic_constant(grid, tg, cutoff, cs)
+        ran = []
+
+        def out_of_order(statistic, replicas, seed):
+            tasks = list(range(replicas))
+            if order == "last-first":
+                tasks.reverse()
+            else:
+                tasks = np.random.default_rng(3).permutation(tasks).tolist()
+            values = {i: statistic(i, seed) for i in tasks}
+            ran.append(tasks)
+            return np.array([values[i] for i in range(replicas)])
+
+        monkeypatch.setattr(noise, "replicate", out_of_order)
+        got = noise.quartic_constant(grid, tg, cutoff, cs)
+        assert len(ran) == 1 and ran[0] != sorted(ran[0]) and sorted(ran[0]) == list(range(M - 1))
+        assert np.array_equal(got, want)
 
 
 class TestConstantBudget:

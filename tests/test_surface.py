@@ -24,8 +24,7 @@ Both checks read the source with ``ast``; nothing is imported or run.
   noise alone, so there is no second copy of those values to disagree with.
 * No public function or constructor of ``src/phi4lab`` takes a ``kernel`` or
   a ``partition``: the step kernel and the dyadic partition are looked up
-  from what fixes them.  ``cli.check_partition_unity`` is the one exception,
-  so that its test can inject a faulty partition.
+  from what fixes them.
 * No public function or constructor of ``src/phi4lab`` takes ``workers``,
   ``processes``, ``threads`` or ``jobs``: the replica loop runs on one
   process per CPU the process may use, and outputs do not depend on that
@@ -46,6 +45,9 @@ Both checks read the source with ``ast``; nothing is imported or run.
 * Only ``grids`` reads ``k2``: no other module of ``src/phi4lab`` reads the
   attribute ``k2`` or the name ``_k2_array``.  ``grids._shells`` groups the
   modes into ``|w|^2`` shells once, and every radial quantity reads that table.
+* Only ``coeffs`` and ``noise.StepKernel`` call ``.degree()``: the kernel's
+  step rows are the one place that tells constant damping apart, and every
+  other variance reads them.
 * No comment or docstring of ``src/phi4lab`` gives a duration (a number
   followed by ``s``, ``ms``, ``µs``, ``us`` or ``ns``): a timing belongs in a
   ``BENCH_*.json`` file, beside the hardware and the method that produced it.
@@ -329,8 +331,6 @@ def test_the_check_sees_noise_beside_a_loose_parameter(tmp_path):
 # time grid and damping (noise.step_kernel), the dyadic partition from the grid
 # (paley.default_partition); a passed copy could disagree with its key
 _LOOKED_UP = ("kernel", "partition")
-# the unity check takes a partition so that its test can hand it a faulty one
-_TAKES_A_PARTITION = {"cli": ["check_partition_unity"]}
 
 
 def _takes_looked_up(fn: ast.FunctionDef) -> bool:
@@ -338,7 +338,7 @@ def _takes_looked_up(fn: ast.FunctionDef) -> bool:
 
 
 def test_no_public_api_takes_a_kernel_or_a_partition():
-    assert _public_apis_where(PACKAGE, _takes_looked_up) == _TAKES_A_PARTITION
+    assert _public_apis_where(PACKAGE, _takes_looked_up) == {}
 
 
 def test_the_check_sees_a_kernel_or_a_partition_parameter(tmp_path):
@@ -668,6 +668,55 @@ def test_the_check_sees_a_k2_read_outside_grids(tmp_path):
     )
     package = sorted(tmp_path.glob("*.py"))
     assert _k2_reads(package) == {"planted": [1, 5, 8]}
+
+
+# coeffs validates a(t) and f2 by their degrees; noise.StepKernel tells
+# constant damping apart for its step rows, which every other variance reads
+_DEGREE_READERS = {"coeffs": None, "noise": "StepKernel"}
+
+
+def _degree_calls(package) -> dict[str, list[int]]:
+    """Lines, per module, that call ``.degree()`` outside ``coeffs`` and ``noise.StepKernel``."""
+    found = {}
+    for path in package:
+        if path.stem in _DEGREE_READERS and _DEGREE_READERS[path.stem] is None:
+            continue
+        owner = _DEGREE_READERS.get(path.stem)
+        tops = [node for node in _tree(path).body
+                if not (isinstance(node, ast.ClassDef) and node.name == owner)]
+        lines = {node.lineno for top in tops for node in ast.walk(top)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "degree"}
+        if lines:
+            found[path.stem] = sorted(lines)
+    return found
+
+
+def test_only_coeffs_and_the_step_kernel_call_degree():
+    assert _degree_calls(PACKAGE) == {}
+
+
+def test_the_check_sees_a_degree_call_outside_the_step_kernel(tmp_path):
+    (tmp_path / "coeffs.py").write_text(
+        "def check(p):\n    return p.degree() >= 2\n"
+    )
+    (tmp_path / "noise.py").write_text(
+        "class StepKernel:\n"
+        "    def __init__(self, a):\n        self._const = a.degree() == 0\n\n"
+        "def curve(a, t):\n"
+        '    """Says a.degree() in prose only."""\n'
+        "    return t if a.degree() == 0 else 2 * t\n\n"
+        "class Other:\n"
+        "    def rows(self, a):\n        return a.degree()\n"
+    )
+    (tmp_path / "solvers.py").write_text(
+        "def step(coeffs, x):\n    if coeffs.a.degree() == 0:\n        return x\n    return -x\n"
+    )
+    (tmp_path / "quiet.py").write_text(
+        "def recentre(b, degree=6):\n    return min(degree, len(b))\n"
+    )
+    package = sorted(tmp_path.glob("*.py"))
+    assert _degree_calls(package) == {"noise": [7, 11], "solvers": [2]}
 
 
 # a duration in prose: a number, then s, ms, µs, us or ns; timings belong in
